@@ -18,7 +18,10 @@ Check suites: ``thm8``, ``gorenstein``, ``type_formula``,
 R, k and every module block of the document (members whose hypotheses are
 not met are reported as not_applicable).
 
-Exit codes: 0 success/verified, 1 refuted, 2 input error, 3 inconclusive.
+Exit codes: 0 success/verified, 1 refuted, 2 input error, 3 inconclusive,
+4 resource limit (a degree past the packing cap, a resolution past its step
+limit); with ``--json`` a resource limit prints ``{"command", "id",
+"error": {"kind": "resource_limit", "message"}}``.
 
 JSON reports are deterministic for fixed (command, document, seed, flags)
 except for ``timing_ms`` fields.  The corpus command fans instances out to
@@ -37,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from . import characteristic, corpus, invariants
 from .cmr import CmrError, InputDocument, load, parse
 from .homology import hilbert_function_basis
-from .resolution import resolve
+from .resolution import ResolutionLimitError, resolve
 
 _EXIT = {"verified": 0, "ok": 0, "refuted": 1, "inconclusive": 3}
 
@@ -377,17 +380,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    head = {"command": args.command, "id": None}
     try:
         if args.command == "corpus":
-            report = _cmd_corpus(args)
-            report = {"command": "corpus", "id": f"{args.profile}-{args.seed}",
-                      **report}
+            head["id"] = f"{args.profile}-{args.seed}"
+            report = {**head, **_cmd_corpus(args)}
         elif args.command == "hunt-counterexample":
-            report = {"command": "hunt-counterexample",
-                      "id": f"hunt-{args.seed}", **_cmd_hunt(args)}
+            head["id"] = f"hunt-{args.seed}"
+            report = {**head, **_cmd_hunt(args)}
         else:
             doc_id, doc = _read_document(args.document)
-            args.instance_id = doc_id
+            head["id"] = args.instance_id = doc_id
             body = {
                 "gb": _cmd_gb,
                 "res": _cmd_res,
@@ -397,13 +400,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "canonical": _cmd_canonical,
                 "check": _cmd_check,
             }[args.command](doc, args)
-            report = {"command": args.command, "id": doc_id, **body}
+            report = {**head, **body}
     except (InputError, CmrError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, ResolutionLimitError) as exc:
+        if args.json:
+            _emit({**head, "error": {"kind": "resource_limit",
+                                     "message": str(exc)}}, True)
+        else:
+            print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 4
     report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
     _emit(report, args.json)
     return _EXIT.get(str(report.get("verdict", "ok")), 0)

@@ -4,8 +4,11 @@ Poincare and Bass series, and bounded Gorenstein-dimension evidence.
 
 Two independent routes to the Hilbert series are kept: the alternating sum
 of twists of a minimal resolution over the cover ring, and a lead-term
-recursion on the standard monomial complement.  They must agree and the
-test suite checks that they do.
+recursion on the standard monomial complement (Bayer-Stillman pivots).  The
+lead-term route also gives every degreewise dimension the package uses
+(``homology.hilbert_function_basis``).  The test suite checks that the two
+routes agree, and that the lead-term route matches enumerating the standard
+monomials degree by degree (``homology.module_basis``).
 """
 
 from __future__ import annotations
@@ -193,7 +196,13 @@ def _monomial_numerator(gens: frozenset, n: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def hilbert_series_leads(M: PresentedModule) -> HilbertSeries:
-    """Hilbert series from the lead terms of the relation basis."""
+    """Hilbert series from the lead terms of the relation basis, cached."""
+    if "hilbert_series_leads" not in M.cache:
+        M.cache["hilbert_series_leads"] = _series_from_leads(M)
+    return M.cache["hilbert_series_leads"]
+
+
+def _series_from_leads(M: PresentedModule) -> HilbertSeries:
     gb = M.relation_gb()
     ring = M.ring
     n = ring.n

@@ -27,6 +27,10 @@ from .groebner import QuotientRing, SubmoduleGB, buchberger, syzygy_generators
 from .ring import Polynomial, PolyRing
 
 
+class ResolutionLimitError(RuntimeError):
+    """A resolution over the polynomial ring ran past its step limit."""
+
+
 class PresentedModule:
     """A graded module given by generators and relations.
 
@@ -368,7 +372,7 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
         if len(diffs) >= limit:
             break
     if not over_quotient and not complete:
-        raise RuntimeError("resolution over the polynomial ring did not terminate")
+        raise ResolutionLimitError("resolution over the polynomial ring did not terminate")
     return FreeResolution(base, modules, diffs, minimal=True, complete=complete)
 
 

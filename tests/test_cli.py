@@ -7,6 +7,7 @@ import json
 import pytest
 
 from charmod.cli import _EXIT, main
+from charmod.resolution import ResolutionLimitError
 
 from conftest import FIXTURES
 
@@ -148,6 +149,29 @@ def test_unknown_module_name(tmp_path):
     code, out, err = run("tmod", E2, "--module", "nope")
     assert code == 2
     assert "nope" in err
+
+
+def test_degree_past_packing_cap_is_a_resource_limit(tmp_path):
+    doc = tmp_path / "steep.cmr"
+    doc.write_text("field 32003\nring x y\nideal\nx^130*y\nx*y^130\nend\n")
+    code, rep, err = run_json("res", str(doc))
+    assert code == 4
+    assert rep == {"command": "res", "id": "steep",
+                   "error": {"kind": "resource_limit",
+                             "message": "total degree 260 exceeds packing cap 255"}}
+    assert "Traceback" not in err
+    code, out, err = run("res", str(doc))
+    assert code == 4 and out == ""
+    assert "resource limit" in err
+
+
+def test_unterminated_resolution_is_a_resource_limit(monkeypatch):
+    def stuck(M, max_steps=None):
+        raise ResolutionLimitError("resolution over the polynomial ring did not terminate")
+    monkeypatch.setattr("charmod.cli.resolve", stuck)
+    code, rep, _ = run_json("res", E2, "--module", "k")
+    assert code == 4
+    assert rep["id"] == "e2" and rep["error"]["kind"] == "resource_limit"
 
 
 def test_stdin_document(monkeypatch):

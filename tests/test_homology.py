@@ -1,12 +1,16 @@
 """Hom, tensor, subquotients, complexes, and the isomorphism probe."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
+from charmod import characteristic, corpus, linalg
 from charmod.freemod import GradedFreeModule, GradedMatrix
 from charmod.groebner import QuotientRing
 from charmod.homology import (
+    IsoProbeResult,
     ModuleMap,
     hilbert_function_basis,
     hom_complex,
@@ -22,6 +26,7 @@ from charmod.homology import (
     subquotient_realize,
     tensor_complex,
     tensor_module,
+    vector_coords,
 )
 from charmod.resolution import PresentedModule, resolve
 from charmod.ring import PolyRing
@@ -41,13 +46,20 @@ def test_monomial_counts():
     assert monomial_okeys(ring, -1) == []
 
 
+def _enumerated_hf(M, lo, hi):
+    """Degreewise dimensions by enumerating standard monomial bases."""
+    return [len(module_basis(M, d)) for d in range(lo, hi + 1)]
+
+
 def test_module_basis_and_hilbert_function(rings):
+    # the lead-term count and the enumerated bases give the same dimensions
     _, R = rings
     Rm = PresentedModule.ring_module(R)
     assert hilbert_function_basis(Rm, 0, 5) == [1, 2, 1, 1, 1, 1]
-    assert [len(module_basis(Rm, d)) for d in range(4)] == [1, 2, 1, 1]
+    assert _enumerated_hf(Rm, 0, 5) == [1, 2, 1, 1, 1, 1]
     k = PresentedModule.residue_field(R)
-    assert hilbert_function_basis(k, 0, 3) == [1, 0, 0, 0]
+    assert hilbert_function_basis(k, -2, 3) == [0, 0, 1, 0, 0, 0]
+    assert _enumerated_hf(k, -2, 3) == [0, 0, 1, 0, 0, 0]
 
 
 def test_hom_module_goldens(rings):
@@ -188,3 +200,116 @@ def test_iso_probe_detects_twist():
     A = PresentedModule.free(Q, (0,))
     B = PresentedModule.free(Q, (1,))
     assert iso_probe(A, B).verdict == "certified_nonisomorphic"
+
+
+# ---------------------------------------------------------------------------
+# cross-checks on the module pairs the battery compares
+
+
+@pytest.fixture(scope="module")
+def battery_pairs(mixed_corpus, e2_doc, hypersurface_doc, stanley_reisner_doc,
+                  veronese_doc):
+    """(label, T_M, Hom(E, M), E_M, E (x) M) for every module of the battery
+    pool, on the first 10 acceptance instances and the four fixtures."""
+    docs = [(f"mixed-7-{i:03d}", doc) for i, doc in enumerate(mixed_corpus[:10])]
+    docs += [("e2", e2_doc), ("hypersurface", hypersurface_doc),
+             ("stanley_reisner", stanley_reisner_doc), ("veronese", veronese_doc)]
+    out = []
+    for label, doc in docs:
+        for name, M in corpus._module_pool(doc):
+            out.append((f"{label}/{name}", characteristic.char_module(M),
+                        characteristic.char_via_hom(M),
+                        characteristic.cochar_module(M),
+                        characteristic.cochar_via_tensor(M)))
+    return out
+
+
+def test_hilbert_function_matches_enumeration(battery_pairs):
+    for label, *mods in battery_pairs:
+        lo, hi = corpus._window(*mods)
+        for M in mods:
+            assert _enumerated_hf(M, lo, hi) == hilbert_function_basis(M, lo, hi), label
+
+
+def _reference_iso_probe(A, B, seed=0, trials=8):
+    """iso_probe as first written: enumerated Hilbert functions, a fresh
+    resolution for the Betti tables, and every trial map checked for
+    bijectivity in every degree of the window."""
+    p = A.ring.field.p
+    Am, Bm = A.minimal(), B.minimal()
+    if Am.gens.rank == 0 and Bm.gens.rank == 0:
+        return IsoProbeResult("probably_isomorphic", {"reason": "both modules are zero"})
+    twists = list(Am.gens.twists) + list(Bm.gens.twists)
+    lo, hi = min(twists), max(twists) + 8
+    hfA, hfB = _enumerated_hf(Am, lo, hi), _enumerated_hf(Bm, lo, hi)
+    for off, (da, db) in enumerate(zip(hfA, hfB)):
+        if da != db:
+            return IsoProbeResult("certified_nonisomorphic", {
+                "reason": "hilbert function differs",
+                "degree": lo + off, "dims": [da, db]})
+    bA = resolve(Am.q_structure()).betti().restrict(3)
+    bB = resolve(Bm.q_structure()).betti().restrict(3)
+    if bA != bB:
+        return IsoProbeResult("certified_nonisomorphic", {
+            "reason": "graded Betti numbers over the cover differ",
+            "betti": [bA.rows(), bB.rows()]})
+    H = hom_module(Am, Bm)
+    basis0 = module_basis(H, 0)
+    if not basis0:
+        return IsoProbeResult("certified_nonisomorphic", {
+            "reason": "no nonzero degree-0 homomorphisms"})
+    rng = random.Random(seed)
+    for trial in range(trials):
+        coeffs = [rng.randrange(p) for _ in basis0]
+        v = [(key, c) for key, c in zip(basis0, coeffs) if c]
+        if not v:
+            continue
+        mat = hom_realize(H, sorted(v, reverse=True))
+        ok = True
+        for d in range(lo, hi + 1):
+            basA, basB = module_basis(Am, d), module_basis(Bm, d)
+            index = {k: t for t, k in enumerate(basB)}
+            cols = [vector_coords(Bm, mat.apply([(key, 1)]), index) for key in basA]
+            m = np.stack(cols, axis=1) if cols else np.zeros((len(basB), 0), dtype=np.int64)
+            if len(basA) != len(basB) or (basA and linalg.rank(m, p) != len(basA)):
+                ok = False
+                break
+        if ok:
+            return IsoProbeResult("probably_isomorphic", {
+                "reason": "random degree-0 map bijective in all checked degrees",
+                "seed": seed, "trial": trial, "degree_range": [lo, hi]})
+    return IsoProbeResult("inconclusive", {
+        "reason": "invariants agree but no sampled map was bijective",
+        "trials": trials, "degree_range": [lo, hi]})
+
+
+def test_iso_probe_matches_all_degree_reference(battery_pairs):
+    # rank checks in the generator degrees of B decide as the full window does
+    verdicts = set()
+    for label, TM, HM, EM, XM in battery_pairs:
+        for A, B in ((TM, HM), (EM, XM)):
+            got = iso_probe(A, B)
+            want = _reference_iso_probe(A, B)
+            assert (got.verdict, got.certificate) == (want.verdict, want.certificate), label
+            verdicts.add(got.verdict)
+    assert "probably_isomorphic" in verdicts
+
+
+def test_iso_probe_matches_reference_when_trials_fail():
+    # over GF(2) most sampled maps are singular: later trials win, or none does
+    Q = PolyRing(2, ("x", "y"))
+    R = QuotientRing(Q, [Q.poly("x^2"), Q.poly("x*y")])
+    k = PresentedModule.residue_field(R)
+    mods = [PresentedModule.free(R, (0, 0)), PresentedModule.free(R, (0, 1)),
+            tensor_module(PresentedModule.free(R, (0, 1)), k),
+            PresentedModule.free(R, (0, 0, 1))]
+    pairs = [(M, M) for M in mods] + [(mods[0], mods[1]), (mods[1], mods[2])]
+    outcomes = set()
+    for A, B in pairs:
+        for seed in range(8):
+            got = iso_probe(A, B, seed=seed)
+            want = _reference_iso_probe(A, B, seed=seed)
+            assert (got.verdict, got.certificate) == (want.verdict, want.certificate)
+            outcomes.add((got.verdict, got.certificate.get("trial", 0) > 0))
+    assert {("inconclusive", False), ("probably_isomorphic", True),
+            ("certified_nonisomorphic", False)} <= outcomes
