@@ -20,8 +20,9 @@ not met are reported as not_applicable).
 
 Exit codes: 0 success/verified, 1 refuted, 2 input error, 3 inconclusive,
 4 resource limit (a degree past the packing cap, a resolution past its step
-limit); with ``--json`` a resource limit prints ``{"command", "id",
-"error": {"kind": "resource_limit", "message"}}``.
+limit), 5 internal error (any other exception; its traceback goes to
+stderr).  With ``--json`` codes 4 and 5 print ``{"command", "id", "error":
+{"kind", "message"}}`` with kind ``resource_limit`` or ``internal``.
 
 JSON reports are deterministic for fixed (command, document, seed, flags)
 except for ``timing_ms`` fields.  The corpus command fans instances out to
@@ -414,6 +415,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"error: resource limit: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        import traceback  # only failing runs pay for loading it
+        traceback.print_exc()
+        message = f"{type(exc).__name__}: {exc}"
+        if args.json:
+            _emit({**head, "error": {"kind": "internal", "message": message}}, True)
+        else:
+            print(f"error: internal: {message}", file=sys.stderr)
+        return 5
     report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
     _emit(report, args.json)
     return _EXIT.get(str(report.get("verdict", "ok")), 0)

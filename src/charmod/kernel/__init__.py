@@ -35,10 +35,32 @@ def make_reducer(p: int, ctx: OrderCtx, basis=(), force_pure: bool = False):
 
 
 def scaled_merge(u, v, c, shift, p, ctx: OrderCtx, force_pure: bool = False):
-    """``u + c * X^m * v`` dispatched to the fastest applicable kernel."""
+    """``u + c * X^m * v`` dispatched to the fastest applicable kernel.
+
+    Raises ``OverflowError`` when a term of ``X^m * v`` passes the degree
+    cap.  Every field of both operands is below its guard bit, so a field
+    sum never carries and sets its guard bit exactly when it passes the cap
+    (grevlex fields are partial degree sums, lex fields exponents).
+    """
+    if shift:
+        guards = ctx.guards << POS_BITS
+        for k, _ in v:
+            if (k + shift) & guards:
+                raise _degree_overflow(k + shift, ctx)
     if HAVE_FAST and ctx.fits64 and p < _P_CAP and not force_pure:
         return _fast.add_scaled(u, v, c, shift, p)
     return pure.add_scaled(u, v, c, shift, p)
+
+
+def _degree_overflow(key: int, ctx: OrderCtx) -> OverflowError:
+    fb = ctx.fb
+    mask = (1 << fb) - 1
+    okey = (key >> POS_BITS) & ctx.okey_mask
+    if ctx.kind == GREVLEX:
+        deg = okey >> (fb * (ctx.n - 1))
+    else:
+        deg = sum((okey >> (fb * j)) & mask for j in range(ctx.n))
+    return OverflowError(f"total degree {deg} exceeds packing cap {(1 << (fb - 1)) - 1}")
 
 
 __all__ = [

@@ -4,9 +4,19 @@ Monomials are dense exponent tuples.  Each ring binds a monomial order
 (grevlex by default, lex available) to a bit-packing of order keys: grevlex
 keys pack the fields ``deg, deg - e_n, deg - e_n - e_{n-1}, ...`` and lex
 keys pack the exponents themselves, so keys are additive under monomial
-multiplication and integer comparison realizes the order.  Rings with at
-most four variables use 9-bit fields (degrees up to 255, machine-word keys);
-wider rings use 16-bit fields and unbounded Python integers.
+multiplication and integer comparison realizes the order.
+
+The field width is the widest ``fb <= 9`` whose module keys (``n`` fields,
+the position field and one elimination flag) fit the 62-bit machine-word
+budget of ``OrderCtx.fits64``; the top bit of each field is a guard, so the
+total degree is capped at ``2^(fb-1) - 1``:
+
+* ``n <= 5``: 9-bit fields, degree cap 255, machine-word keys;
+* ``n = 6``: 7-bit fields, degree cap 63, machine-word keys;
+* ``n >= 7``: 16-bit fields, degree cap 32767, unbounded Python integers.
+
+Every key that would pass the cap raises ``OverflowError``; see
+``kernel.scaled_merge`` for the check on products of vectors.
 """
 
 from __future__ import annotations
@@ -14,9 +24,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .kernel import GREVLEX, LEX, OrderCtx
-
-FAST_VARS = 4
+from .kernel import GREVLEX, LEX, POS_BITS, OrderCtx
 
 
 def _is_prime(p: int) -> bool:
@@ -148,11 +156,14 @@ class Packing:
             raise ValueError("need at least one variable")
         self.kind = kind
         self.n = n
-        self.fb = 9 if n <= FAST_VARS else 16
+        # the widest field up to 9 bits whose keys fit a machine word; below
+        # 7 bits (n >= 7) the cap would drop under 63, so those rings give
+        # up the word for 16-bit fields instead
+        self.fb = next((fb for fb in (9, 8, 7) if OrderCtx(kind, n, fb).fits64), 16)
         self.cap = (1 << (self.fb - 1)) - 1
         self.ctx = OrderCtx(kind, n, self.fb)
         # elimination-block flag sits directly above okey << POS_BITS
-        self.block_shift = n * self.fb + 16
+        self.block_shift = n * self.fb + POS_BITS
 
     def okey(self, exps: Sequence[int]) -> int:
         n = self.n

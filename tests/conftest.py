@@ -1,12 +1,67 @@
+import hashlib
+import importlib.util
+import shutil
+import subprocess
+import sysconfig
 import time
 from pathlib import Path
 
 import pytest
 
 from charmod import corpus as corpus_mod
+from charmod import kernel
 from charmod.cmr import load
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "charmod" / "fixtures"
+KERNEL_C = FIXTURES.parent / "kernel" / "_fast.c"
+
+
+def exps_of_degree(rng, n, d):
+    """A random exponent tuple of ``n`` entries and total degree ``d``."""
+    cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))
+
+
+@pytest.fixture(scope="session")
+def fast_module(request, tmp_path_factory):
+    """The compiled kernel module.
+
+    An installed extension is used as is.  Otherwise the committed
+    ``_fast.c`` is compiled with ``gcc -O0`` into pytest's cache directory,
+    once per content hash, and loaded from there; with no build cached,
+    the test skips when gcc or the Python headers are missing.
+    """
+    if kernel.HAVE_FAST:
+        return kernel._fast
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    digest = hashlib.sha256(KERNEL_C.read_bytes() + suffix.encode()).hexdigest()[:16]
+    cache = getattr(request.config, "cache", None)
+    root = cache.mkdir("charmod-kernel") if cache else tmp_path_factory.mktemp("kernel")
+    target = Path(root) / digest / f"_fast{suffix}"
+    if not target.exists():
+        include = Path(sysconfig.get_paths()["include"])
+        if shutil.which("gcc") is None or not (include / "Python.h").exists():
+            pytest.skip("gcc or the Python headers are missing")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp = target.with_name(target.name + ".tmp")
+        res = subprocess.run(["gcc", "-O0", "-fwrapv", "-fPIC", "-shared", f"-I{include}",
+                              str(KERNEL_C), "-o", str(tmp)],
+                             capture_output=True, text=True)
+        if res.returncode != 0:
+            pytest.fail(f"compiling _fast.c failed:\n{res.stderr[-2000:]}")
+        tmp.replace(target)
+    spec = importlib.util.spec_from_file_location("charmod.kernel._fast", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compiled_kernel(fast_module, monkeypatch):
+    """Route ``make_reducer`` and ``scaled_merge`` to the compiled kernel."""
+    monkeypatch.setattr(kernel, "_fast", fast_module)
+    monkeypatch.setattr(kernel, "HAVE_FAST", True)
+    return fast_module
 
 
 @pytest.fixture(scope="session")

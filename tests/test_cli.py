@@ -165,6 +165,33 @@ def test_degree_past_packing_cap_is_a_resource_limit(tmp_path):
     assert "resource limit" in err
 
 
+def test_six_variable_degree_cap_is_a_resource_limit(tmp_path):
+    # six variables pack 7-bit fields, so the cap is 63: the S-pair of
+    # a^40*b and a*b^40 has degree 80
+    doc = tmp_path / "six.cmr"
+    doc.write_text("field 32003\nring a b c d e f\nideal\na^40*b\na*b^40\nend\n")
+    code, rep, err = run_json("gb", str(doc))
+    assert code == 4
+    assert rep["error"] == {"kind": "resource_limit",
+                            "message": "total degree 80 exceeds packing cap 63"}
+    assert "Traceback" not in err
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch):
+    def broken(doc, args):
+        raise RuntimeError("engine invariant violated")
+    monkeypatch.setattr("charmod.cli._cmd_gb", broken)
+    code, rep, err = run_json("gb", VERONESE)
+    assert code == 5
+    assert rep == {"command": "gb", "id": "veronese",
+                   "error": {"kind": "internal",
+                             "message": "RuntimeError: engine invariant violated"}}
+    assert "Traceback" in err
+    code, out, err = run("gb", VERONESE)
+    assert code == 5 and out == ""
+    assert "error: internal: RuntimeError: engine invariant violated" in err
+
+
 def test_unterminated_resolution_is_a_resource_limit(monkeypatch):
     def stuck(M, max_steps=None):
         raise ResolutionLimitError("resolution over the polynomial ring did not terminate")

@@ -1,26 +1,45 @@
 """Kernel-level tests: packing, divisibility, and backend parity."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
-from charmod.kernel import (HAVE_FAST, OrderCtx, POS_BITS, backend_name,
+from charmod import kernel
+from charmod.freemod import v_mul_poly
+from charmod.kernel import (OrderCtx, POS_BITS, backend_name,
                             divides, epack, make_reducer, pure, scaled_merge)
 from charmod.ring import PolyRing, PrimeField
 
+from conftest import exps_of_degree
+
+# _fast.c is Cython's translation of _fast.pyx, and Cython is not a build
+# dependency: an edit to either file must come with a regenerated (or
+# hand-ported) other one, and both pins change in the same commit.
+KERNEL_SHA256 = {
+    "_fast.pyx": "9004fae80e855dd8d9a82e27bcd70dfc2c1c485c1643fe9962ffa3fe3067ee03",
+    "_fast.c": "f93c40bd3b04689685aef46852b2c3b2caaeeb694b21803eab18d0eae229f71e",
+}
+
 
 def _ring(p=32003, n=3, order="grevlex"):
-    return PolyRing(PrimeField(p), "wxyz"[:n], order)
+    return PolyRing(PrimeField(p), "stuvwxyz"[-n:], order)
 
 
 def _key(ring, exps, pos=0):
     return (ring.pack.okey(exps) << POS_BITS) | (0xFFFF - pos)
 
 
-def _random_vector(rng, ring, p, maxlen=8, width=3, positions=3):
+def _random_vector(rng, ring, p, maxlen=8, width=3, positions=3, top=None):
+    """Random descending term list; with ``top``, terms have total degree
+    in ``[top - 3, top]``."""
     terms = {}
     for _ in range(rng.randrange(1, maxlen)):
-        exps = [rng.randrange(0, width) for _ in range(ring.n)]
+        if top is None:
+            exps = [rng.randrange(0, width) for _ in range(ring.n)]
+        else:
+            exps = exps_of_degree(rng, ring.n, rng.randint(max(0, top - 3), top))
         terms[_key(ring, exps, rng.randrange(positions))] = rng.randrange(1, p)
     return sorted(terms.items(), reverse=True)
 
@@ -112,36 +131,46 @@ def test_zero_vector_rejected():
         red.append([])
 
 
-@pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
-def test_backend_parity_randomized():
+def test_backend_parity_randomized(compiled_kernel):
     rng = random.Random(12)
-    for _ in range(120):
-        p = rng.choice([2, 3, 13, 101, 32003])
-        n = rng.choice([1, 2, 3, 4])
+    for _ in range(160):
+        p = rng.choice([2, 3, 13, 101, 32003, 2147483647])
+        n = rng.randint(1, 6)
         ring = _ring(p=p, n=n, order=rng.choice(["grevlex", "lex"]))
         ctx = ring.pack.ctx
-        if not ctx.fits64:
-            continue
-        basis = [_random_vector(rng, ring, p) for _ in range(rng.randrange(1, 4))]
+        assert ctx.fits64
+        # half the trials keep every term within a few degrees of the cap;
+        # there v adds shifted basis elements, so reductions still happen
+        near = rng.random() < 0.5
+        top = ring.pack.cap - n if near else None
+        basis = [_random_vector(rng, ring, p, top=top) for _ in range(rng.randrange(1, 4))]
         fast = make_reducer(p, ctx, basis)
         slow = pure.Reducer(p, ctx, basis)
         assert type(fast).__module__.endswith("_fast")
         for _ in range(4):
-            v = _random_vector(rng, ring, p)
+            v = _random_vector(rng, ring, p, top=top)
+            for g in basis if near else ():
+                m = [rng.randrange(0, 2) for _ in range(n)]
+                v = pure.add_scaled(v, g, rng.randrange(1, p),
+                                    ring.pack.okey(m) << POS_BITS, p)
+            if not v:
+                continue
             assert fast.nf(v) == slow.nf(v)
             rf, qf = fast.nf_q(v)
             rs, qs = slow.nf_q(v)
             assert rf == rs and list(qf) == list(qs)
             assert fast.find_reducer(v[0][0]) == slow.find_reducer(v[0][0])
-        u, w = _random_vector(rng, ring, p), _random_vector(rng, ring, p)
+        u, w = _random_vector(rng, ring, p, top=top), _random_vector(rng, ring, p, top=top)
         sh = ring.pack.okey([1] * n) << POS_BITS
         c = rng.randrange(1, p)
         assert (scaled_merge(u, w, c, sh, p, ctx)
                 == pure.add_scaled(u, w, c, sh, p))
+    wide = _ring(n=7).pack.ctx
+    assert not wide.fits64
+    assert isinstance(make_reducer(32003, wide), pure.Reducer)
 
 
-@pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
-def test_force_pure_and_width_gates():
+def test_force_pure_and_width_gates(compiled_kernel):
     ring = _ring()
     ctx = ring.pack.ctx
     assert backend_name() == "compiled"
@@ -152,10 +181,50 @@ def test_force_pure_and_width_gates():
     assert isinstance(make_reducer(big, ctx), pure.Reducer)
 
 
-def test_compiled_accepts_tuple_vectors():
+def test_compiled_accepts_tuple_vectors(compiled_kernel):
     ring = _ring()
     ctx = ring.pack.ctx
     u = ((_key(ring, (1, 0, 0)), 5),)
     v = ((_key(ring, (0, 1, 0)), 3),)
     out = scaled_merge(u, v, 2, 0, 32003, ctx)
     assert dict(out)[_key(ring, (0, 1, 0))] == 6
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_product_past_degree_cap_raises(backend, request):
+    if backend == "compiled":
+        request.getfixturevalue("compiled_kernel")
+    p = 32003
+    # x^200 * x^100 would set the guard bit of the degree field, after which
+    # x^50 no longer divides it and its normal form is itself, not 0
+    ring = PolyRing(PrimeField(p), "xy")
+    ctx = ring.pack.ctx
+    v = [(_key(ring, (200, 0)), 1)]
+    with pytest.raises(OverflowError, match="total degree 300 exceeds packing cap 255"):
+        v_mul_poly(v, ring.poly("x^100"), ctx, p)
+    red = make_reducer(p, ctx, [[(_key(ring, (50, 0)), 1)]])
+    assert type(red).__module__.endswith("_fast" if backend == "compiled" else "pure")
+    at_cap = v_mul_poly(v, ring.poly("x^55"), ctx, p)
+    assert at_cap == [(_key(ring, (255, 0)), 1)]
+    assert red.nf(at_cap) == []
+    # lex fields are exponents: the check fires when one passes the cap
+    lex = PolyRing(PrimeField(p), "xy", "lex")
+    w = [(_key(lex, (200, 55)), 1)]
+    with pytest.raises(OverflowError, match="total degree 311 exceeds packing cap 255"):
+        v_mul_poly(w, lex.poly("x^56"), lex.pack.ctx, p)
+    # six variables: 7-bit fields, cap 63
+    six = PolyRing(PrimeField(p), "abcdef")
+    u = [(_key(six, (40, 0, 0, 0, 0, 0)), 1)]
+    with pytest.raises(OverflowError, match="total degree 70 exceeds packing cap 63"):
+        v_mul_poly(u, six.poly("b^30"), six.pack.ctx, p)
+    assert v_mul_poly(u, six.poly("b^23"), six.pack.ctx, p) == [
+        (_key(six, (40, 23, 0, 0, 0, 0)), 1)]
+
+
+def test_compiled_kernel_sources_are_pinned():
+    here = Path(kernel.__file__).parent
+    got = {name: hashlib.sha256((here / name).read_bytes()).hexdigest()
+           for name in KERNEL_SHA256}
+    assert got == KERNEL_SHA256, (
+        "_fast.pyx or _fast.c changed: regenerate _fast.c from _fast.pyx "
+        "(or port the edit by hand), then update both pins")

@@ -8,6 +8,8 @@ import pytest
 from charmod.ring import (MonomialOrder, PolyRing, Polynomial, PrimeField,
                           compare, monomial_divides, monomial_lcm, monomial_mul)
 
+from conftest import exps_of_degree
+
 
 def test_prime_field_rejects_composites():
     for bad in (0, 1, 4, 6, 9, 32004):
@@ -27,6 +29,9 @@ def test_field_arithmetic():
     assert F.neg(4) == 9
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+VARS = "abcdefg"
 
 
 def _reference_grevlex(u, v):
@@ -51,9 +56,12 @@ def _reference_lex(u, v):
                                        ("lex", _reference_lex)])
 def test_packed_keys_realize_the_order(order, ref):
     rng = random.Random(9)
-    for n in (1, 2, 3, 4):
-        ring = PolyRing(PrimeField(32003), "abcd"[:n], order)
-        mons = [tuple(rng.randrange(0, 5) for _ in range(n)) for _ in range(60)]
+    for n in range(1, 8):
+        ring = PolyRing(PrimeField(32003), VARS[:n], order)
+        cap = ring.pack.cap
+        mons = [tuple(rng.randrange(0, 5) for _ in range(n)) for _ in range(40)]
+        mons += [exps_of_degree(rng, n, cap - rng.randrange(3)) for _ in range(20)]
+        rng.shuffle(mons)
         for u in mons:
             for v in mons[:20]:
                 c = ref(u, v)
@@ -64,12 +72,35 @@ def test_packed_keys_realize_the_order(order, ref):
 
 
 def test_okey_roundtrip_and_degree():
+    rng = random.Random(4)
+    for n in range(1, 8):
+        for order in ("grevlex", "lex"):
+            ring = PolyRing(PrimeField(7), VARS[:n], order)
+            mons = list(combinations_with_replacement(range(4), n))
+            mons += [exps_of_degree(rng, n, rng.randint(0, ring.pack.cap))
+                     for _ in range(50)]
+            for exps in mons:
+                k = ring.pack.okey(exps)
+                assert ring.pack.exps(k) == tuple(exps)
+                assert ring.pack.deg(k) == sum(exps)
+
+
+@pytest.mark.parametrize("n,fb,cap", [(1, 9, 255), (2, 9, 255), (3, 9, 255),
+                                      (4, 9, 255), (5, 9, 255), (6, 7, 63),
+                                      (7, 16, 32767)])
+def test_field_width_from_word_budget(n, fb, cap):
     for order in ("grevlex", "lex"):
-        ring = PolyRing(PrimeField(7), list("xyz"), order)
-        for exps in combinations_with_replacement(range(4), 3):
-            k = ring.pack.okey(exps)
-            assert ring.pack.exps(k) == tuple(exps)
-            assert ring.pack.deg(k) == sum(exps)
+        pack = PolyRing(PrimeField(32003), VARS[:n], order).pack
+        assert (pack.fb, pack.cap) == (fb, cap)
+        assert pack.ctx.fits64 == (n <= 6)
+        for exps in ([cap] + [0] * (n - 1), [0] * (n - 1) + [cap],
+                     exps_of_degree(random.Random(n), n, cap)):
+            assert pack.exps(pack.okey(exps)) == tuple(exps)
+            over = list(exps)
+            over[-1] += 1
+            with pytest.raises(OverflowError, match=f"total degree {cap + 1} exceeds "
+                                                    f"packing cap {cap}"):
+                pack.okey(over)
 
 
 def test_okeys_additive_under_multiplication():
