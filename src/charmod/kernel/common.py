@@ -26,15 +26,17 @@ class OrderCtx:
     ``kind`` is GREVLEX or LEX, ``n`` the number of variables, ``fb`` the
     field width in bits.  ``okey_mask`` strips elimination-block flags that
     sit above the order key proper; ``guards`` holds the per-field guard bits
-    used by the borrow-free divisibility test.
+    used by the borrow-free divisibility test, which also cap the total
+    degree at ``cap``.
     """
 
-    __slots__ = ("kind", "n", "fb", "okey_mask", "guards", "fits64")
+    __slots__ = ("kind", "n", "fb", "cap", "okey_mask", "guards", "fits64")
 
     def __init__(self, kind: int, n: int, fb: int):
         self.kind = kind
         self.n = n
         self.fb = fb
+        self.cap = (1 << (fb - 1)) - 1
         self.okey_mask = (1 << (n * fb)) - 1
         g = 0
         for i in range(n):
@@ -42,6 +44,19 @@ class OrderCtx:
         self.guards = g
         # key layout must leave room for one block flag below the sign bit
         self.fits64 = n * fb + POS_BITS + 1 <= 62
+
+    def deg(self, okey: int) -> int:
+        """Total degree of the monomial packed in okey (block flags ignored)."""
+        fb = self.fb
+        mask = (1 << fb) - 1
+        if self.kind == GREVLEX:
+            return (okey >> (fb * (self.n - 1))) & mask
+        okey &= self.okey_mask
+        d = 0
+        while okey:
+            d += okey & mask
+            okey >>= fb
+        return d
 
 
 def epack(okey: int, ctx: OrderCtx) -> int:

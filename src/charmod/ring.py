@@ -16,7 +16,8 @@ total degree is capped at ``2^(fb-1) - 1``:
 * ``n >= 7``: 16-bit fields, degree cap 32767, unbounded Python integers.
 
 Every key that would pass the cap raises ``OverflowError``; see
-``kernel.scaled_merge`` for the check on products of vectors.
+``kernel.scaled_merge`` for the check on products of vectors and
+``kernel.LexGuard`` for the one on lex reductions.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def monomial_lcm(u: Sequence[int], v: Sequence[int]) -> tuple:
 class Packing:
     """Order-key codec bound to an order kind and a variable count."""
 
-    __slots__ = ("kind", "n", "fb", "cap", "ctx", "block_shift")
+    __slots__ = ("kind", "n", "fb", "cap", "ctx", "deg", "block_shift")
 
     def __init__(self, kind: int, n: int):
         if n < 1:
@@ -160,8 +161,9 @@ class Packing:
         # 7 bits (n >= 7) the cap would drop under 63, so those rings give
         # up the word for 16-bit fields instead
         self.fb = next((fb for fb in (9, 8, 7) if OrderCtx(kind, n, fb).fits64), 16)
-        self.cap = (1 << (self.fb - 1)) - 1
         self.ctx = OrderCtx(kind, n, self.fb)
+        self.cap = self.ctx.cap
+        self.deg = self.ctx.deg  # total degree of an order key
         # elimination-block flag sits directly above okey << POS_BITS
         self.block_shift = n * self.fb + POS_BITS
 
@@ -201,17 +203,6 @@ class Packing:
         for j in range(2, n + 1):
             out[j - 1] = fields[n - j] - fields[n - j + 1]
         return tuple(out)
-
-    def deg(self, okey: int) -> int:
-        fb = self.fb
-        mask = (1 << fb) - 1
-        if self.kind == GREVLEX:
-            return (okey >> (fb * (self.n - 1))) & mask
-        d = 0
-        for _ in range(self.n):
-            d += okey & mask
-            okey >>= fb
-        return d
 
 
 def compare(u: Sequence[int], v: Sequence[int], order: MonomialOrder | str = "grevlex") -> int:

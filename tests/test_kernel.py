@@ -144,9 +144,15 @@ def test_backend_parity_randomized(compiled_kernel):
         near = rng.random() < 0.5
         top = ring.pack.cap - n if near else None
         basis = [_random_vector(rng, ring, p, top=top) for _ in range(rng.randrange(1, 4))]
-        fast = make_reducer(p, ctx, basis)
+        # the backends themselves: random vectors are not homogeneous, which
+        # the lex guard of make_reducer assumes
+        fast = compiled_kernel.Reducer(p, ctx.kind, n, ctx.fb, basis)
         slow = pure.Reducer(p, ctx, basis)
-        assert type(fast).__module__.endswith("_fast")
+        red = make_reducer(p, ctx, basis)
+        if ctx.kind == kernel.LEX:
+            assert isinstance(red, kernel.LexGuard)
+            red = red.inner
+        assert isinstance(red, compiled_kernel.Reducer)
         for _ in range(4):
             v = _random_vector(rng, ring, p, top=top)
             for g in basis if near else ():
@@ -207,11 +213,20 @@ def test_product_past_degree_cap_raises(backend, request):
     at_cap = v_mul_poly(v, ring.poly("x^55"), ctx, p)
     assert at_cap == [(_key(ring, (255, 0)), 1)]
     assert red.nf(at_cap) == []
-    # lex fields are exponents: the check fires when one passes the cap
+    # lex fields are exponents, so the total degree can pass the cap while
+    # every field stays below its guard bit; reducing x^200*y^100 by x - y
+    # would then end at y^300
     lex = PolyRing(PrimeField(p), "xy", "lex")
-    w = [(_key(lex, (200, 55)), 1)]
+    w = [(_key(lex, (200, 0)), 1)]
+    with pytest.raises(OverflowError, match="total degree 300 exceeds packing cap 255"):
+        v_mul_poly(w, lex.poly("y^100"), lex.pack.ctx, p)
     with pytest.raises(OverflowError, match="total degree 311 exceeds packing cap 255"):
-        v_mul_poly(w, lex.poly("x^56"), lex.pack.ctx, p)
+        v_mul_poly([(_key(lex, (200, 55)), 1)], lex.poly("x^56"), lex.pack.ctx, p)
+    assert v_mul_poly(w, lex.poly("y^55"), lex.pack.ctx, p) == [(_key(lex, (200, 55)), 1)]
+    lex6 = PolyRing(PrimeField(p), "abcdef", "lex")
+    with pytest.raises(OverflowError, match="total degree 126 exceeds packing cap 63"):
+        v_mul_poly([(_key(lex6, (63, 0, 0, 0, 0, 0)), 1)], lex6.poly("b^63"),
+                   lex6.pack.ctx, p)
     # six variables: 7-bit fields, cap 63
     six = PolyRing(PrimeField(p), "abcdef")
     u = [(_key(six, (40, 0, 0, 0, 0, 0)), 1)]
@@ -219,6 +234,57 @@ def test_product_past_degree_cap_raises(backend, request):
         v_mul_poly(u, six.poly("b^30"), six.pack.ctx, p)
     assert v_mul_poly(u, six.poly("b^23"), six.pack.ctx, p) == [
         (_key(six, (40, 23, 0, 0, 0, 0)), 1)]
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("names", ["xy", "abcdef"])
+def test_lex_reduction_past_degree_cap_raises(backend, names, request):
+    if backend == "compiled":
+        request.getfixturevalue("compiled_kernel")
+    p = 32003
+    lex = PolyRing(PrimeField(p), names, "lex")
+    n, cap = lex.n, lex.pack.cap
+
+    def term(i, e, pos, c=1):
+        exps = [0] * n
+        exps[i] = e
+        return (_key(lex, exps, pos), c)
+
+    # first variable at position 0 (twist cap - 55) against the last one's
+    # power at position 1 (twist 0): the lex lead is the first variable, so
+    # reducing v at position 0 creates a term of degree deg(v) + cap - 55
+    # at position 1, which the linear form there reduces into one exponent
+    g = [term(0, 1, 0), term(n - 1, cap - 54, 1)]
+    h = [term(0, 1, 1), term(n - 1, 1, 1, p - 1)]
+    red = make_reducer(p, lex.pack.ctx, [g])
+    red.append(h)
+    assert isinstance(red, kernel.LexGuard)
+    assert type(red.inner).__module__.endswith("_fast" if backend == "compiled" else "pure")
+    assert red.nf([term(0, 55, 0)]) == [term(n - 1, cap, 1, p - 1)]
+    for method in (red.nf, red.nf_q):
+        with pytest.raises(OverflowError,
+                           match=f"total degree {cap + 1} exceeds packing cap {cap}"):
+            method([term(0, 56, 0)])
+    # without the link to position 1 nothing can pass the cap
+    flat = make_reducer(p, lex.pack.ctx, [h])
+    assert flat.nf([term(0, cap, 1)]) == [term(n - 1, cap, 1)]
+
+
+def test_lex_guard_links_positions_through_the_basis():
+    p = 32003
+    lex = PolyRing(PrimeField(p), "xy", "lex")
+    twists = [3, 0, 5, 1]
+
+    def g(a, b):
+        # x at position a plus the power of y at position b of equal degree
+        return [(_key(lex, (1, 0), a), 1), (_key(lex, (0, 1 + twists[a] - twists[b]), b), 1)]
+
+    red = make_reducer(p, lex.pack.ctx, [g(0, 1), g(2, 3)])
+    pos = {0xFFFF - j: j for j in range(4)}
+    # two groups so far: {0, 1} and {2, 3}
+    assert {pos[j]: s for j, s in red.slack.items()} == {0: 3, 2: 4}
+    red.append(g(2, 1))
+    assert {pos[j]: s for j, s in red.slack.items()} == {0: 3, 2: 5, 3: 1}
 
 
 def test_compiled_kernel_sources_are_pinned():
