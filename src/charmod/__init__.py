@@ -25,7 +25,6 @@ from .invariants import (
     annihilator,
     depth_module,
     dimension,
-    hilbert_series,
     is_cohen_macaulay,
     is_gorenstein_ring,
     module_report,
@@ -68,7 +67,7 @@ __all__ = [
     "IsoProbeResult", "ModuleMap", "hilbert_function_basis",
     "hom_module", "iso_probe", "tensor_module",
     "HilbertSeries", "annihilator", "depth_module", "dimension",
-    "hilbert_series", "is_cohen_macaulay", "is_gorenstein_ring",
+    "is_cohen_macaulay", "is_gorenstein_ring",
     "module_report", "nu", "ring_report", "type_of",
     "CanonicalData", "CheckReport", "alpha_map", "beta_map",
     "char_module", "char_via_hom", "check_cor_artinian", "check_cor_id",

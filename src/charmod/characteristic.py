@@ -43,7 +43,7 @@ from .invariants import (
     residue_field_of,
     type_of,
 )
-from .resolution import FreeResolution, PresentedModule
+from .resolution import FreeResolution, PresentedModule, cached
 
 
 class CanonicalData:
@@ -74,6 +74,7 @@ def _ring_data(R) -> Tuple[PresentedModule, FreeResolution, int]:
     return Rm, F, F.projective_dimension()
 
 
+@cached
 def quasi_canonical(R) -> CanonicalData:
     """The quasi-canonical module E = coker Hom(d_s, Q) over R.
 
@@ -83,19 +84,11 @@ def quasi_canonical(R) -> CanonicalData:
     Hom(F, Q) over the cover) is computed degreewise and compared on a
     window; the comparison is stored under ``provenance``.
     """
-    cache = getattr(R, "cache", None)
-    if cache is not None and "quasi_canonical" in cache:
-        return cache["quasi_canonical"]
     Rm, F, s = _ring_data(R)
     if s == 0:
-        E_raw = Rm
-        E = Rm.minimal()
         prov = {"described_route": "R itself (s = 0)",
                 "ext_route": "skipped", "agree": True}
-        data = CanonicalData(R, 0, E, E_raw, F, prov)
-        if cache is not None:
-            cache["quasi_canonical"] = data
-        return data
+        return CanonicalData(R, 0, Rm.minimal(), Rm, F, prov)
     D = F.diff(s)
     DT = D.transpose_dual()
     gens = GradedFreeModule(R, DT.target.twists)
@@ -116,10 +109,7 @@ def quasi_canonical(R) -> CanonicalData:
         "window": [lo, hi],
         "agree": hf_desc == hf_ext,
     }
-    data = CanonicalData(R, s, E, E_raw, F, prov)
-    if cache is not None:
-        cache["quasi_canonical"] = data
-    return data
+    return CanonicalData(R, s, E, E_raw, F, prov)
 
 
 def char_module(M: PresentedModule) -> PresentedModule:

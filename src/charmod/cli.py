@@ -83,14 +83,6 @@ def _get_module(doc: InputDocument, name: str):
         raise InputError(str(exc)) from None
 
 
-def _module_pool(doc: InputDocument):
-    R = doc.quotient()
-    pool = [("R", invariants.ring_module_of(R)),
-            ("k", invariants.residue_field_of(R))]
-    pool.extend((name, doc.module(name)) for name in doc.module_names())
-    return pool
-
-
 # ---------------------------------------------------------------------------
 # command implementations (each returns a report dict; "verdict" drives the
 # exit code and defaults to "ok")
@@ -206,7 +198,7 @@ def _cmd_check(doc: InputDocument, args) -> Dict[str, object]:
                             "verdict": rep.verdict, "witness": rep.witnesses,
                             "notes": rep.notes})
         else:
-            for name, M in _module_pool(doc):
+            for name, M in corpus.module_pool(doc):
                 try:
                     rep = checker(R, M)
                 except ValueError as exc:

@@ -26,7 +26,7 @@ the identity matrix.
 """
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .ring import PolyRing, Polynomial, PrimeField
 from .groebner import Ideal, QuotientRing
@@ -237,7 +237,8 @@ def instance_id(profile: str, seed: int, index: int) -> str:
 # per-instance battery
 
 
-def _module_pool(doc: InputDocument) -> List[Tuple[str, PresentedModule]]:
+def module_pool(doc: InputDocument) -> List[Tuple[str, PresentedModule]]:
+    """The modules every check runs on: R, k and the document's modules."""
     R = doc.quotient()
     pool = [("R", invariants.ring_module_of(R)),
             ("k", invariants.residue_field_of(R))]
@@ -269,7 +270,7 @@ def corpus_battery(doc: InputDocument, instance_id: str = "",
     if not data.provenance["agree"]:
         failures.append("canonical_routes_agree")
 
-    pool = _module_pool(doc)
+    pool = module_pool(doc)
     pair_reports = {}
     for name, M in pool:
         TM = characteristic.char_module(M)
@@ -347,7 +348,7 @@ def hunt_counterexample(seed: int, count: int,
         nongor += 1
         Rm = invariants.ring_module_of(R)
         dim_r = invariants.dimension(Rm)
-        pool = _module_pool(doc) + [("T_R", characteristic.char_module(Rm))]
+        pool = module_pool(doc) + [("T_R", characteristic.char_module(Rm))]
         for name, M in pool:
             if M.is_zero():
                 continue

@@ -8,7 +8,7 @@ vectors of the target, so a matrix is precisely a list of generator images.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .kernel import POS_BITS, POS_MASK, scaled_merge
 from .ring import Polynomial, PolyRing
@@ -83,13 +83,6 @@ class GradedFreeModule:
         terms.sort(reverse=True)
         return terms
 
-    def vector_to_polys(self, v: Vector) -> List[Polynomial]:
-        ring = self.ring
-        coords: List[List[Term]] = [[] for _ in range(self.rank)]
-        for key, c in v:
-            coords[term_pos(key)].append((term_okey(key), c))
-        return [Polynomial(ring, terms) for terms in coords]
-
     def vector_degree(self, v: Vector):
         """Common degree of a homogeneous vector; None for zero; raises otherwise."""
         if not v:
@@ -111,28 +104,6 @@ class GradedFreeModule:
         return GradedFreeModule(self.base, [t + d for t in self.twists])
 
 
-def v_add(u: Vector, v: Vector, p: int) -> Vector:
-    out: Vector = []
-    i = j = 0
-    nu, nv = len(u), len(v)
-    while i < nu and j < nv:
-        if u[i][0] > v[j][0]:
-            out.append(u[i])
-            i += 1
-        elif u[i][0] < v[j][0]:
-            out.append(v[j])
-            j += 1
-        else:
-            c = (u[i][1] + v[j][1]) % p
-            if c:
-                out.append((u[i][0], c))
-            i += 1
-            j += 1
-    out.extend(u[i:])
-    out.extend(v[j:])
-    return out
-
-
 def v_scale(v: Vector, c: int, p: int) -> Vector:
     c %= p
     if c == 0:
@@ -140,10 +111,6 @@ def v_scale(v: Vector, c: int, p: int) -> Vector:
     if c == 1:
         return list(v)
     return [(k, cc * c % p) for k, cc in v]
-
-
-def v_neg(v: Vector, p: int) -> Vector:
-    return [(k, p - c) for k, c in v]
 
 
 def v_mul_poly(v: Vector, f: Polynomial, ctx, p: int) -> Vector:

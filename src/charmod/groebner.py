@@ -8,9 +8,12 @@ every result here is independent of generator order.
 
 Computations over a quotient ``R = Q/I`` lift to ``Q``: the defining ideal
 enters as extra columns ``g * e_pos`` and results are projected back and
-kept in normal form with respect to ``I``.  Syzygies and kernels use a
-block-elimination order realized by flagging primary-block keys above all
-marker-block keys, which keeps the single kernel usable for both.
+kept in normal form with respect to ``I``.
+
+There is one syzygy engine, elimination (``syzygy_generators``): syzygies,
+kernels, colon ideals and intersections come from a single Groebner basis in
+a block-elimination order, realized by flagging primary-block keys above all
+marker-block keys, which keeps the single kernel usable for both blocks.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .freemod import (
     GradedFreeModule,
-    GradedMatrix,
     Vector,
     term_key,
     term_okey,
     term_pos,
     v_scale,
 )
-from .kernel import POS_BITS, POS_MASK, make_reducer, scaled_merge
+from .kernel import POS_BITS, make_reducer, scaled_merge
 from .ring import (
     Polynomial,
     PolyRing,
@@ -156,16 +158,12 @@ def _elimination_syzygies(ring: PolyRing, twists: Sequence[int],
     are the degrees of the marked vectors.
     """
     r = len(twists)
-    m = len(marked)
     flag = 1 << ring.pack.block_shift
     ambient = GradedFreeModule(ring, twists)
     combined: List[Vector] = []
     ext_twists = list(twists)
-    for j, v in enumerate(marked):
-        if not v:
-            ext_twists.append(0)
-            continue
-        ext_twists.append(ambient.vector_degree(v))
+    for v in marked:
+        ext_twists.append(ambient.vector_degree(v) if v else 0)
     for j, v in enumerate(marked):
         w = _flag_vector(v, flag)
         w.append((term_key(0, r + j), 1))
@@ -187,32 +185,6 @@ def _elimination_syzygies(ring: PolyRing, twists: Sequence[int],
 # submodule Groebner bases
 
 
-class SchreyerOrder:
-    """Module order induced by a basis: compare terms through their image
-    ``monomial * lead(g_i)`` in the inducing ambient, ties to smaller index."""
-
-    __slots__ = ("inducing_leads", "ambient")
-
-    def __init__(self, inducing_leads: Sequence[int], ambient: GradedFreeModule):
-        self.inducing_leads = tuple(inducing_leads)
-        self.ambient = ambient
-
-    def sort_key(self, key: int) -> tuple:
-        pos = term_pos(key)
-        image = self.inducing_leads[pos] + (term_okey(key) << POS_BITS)
-        return (image, -pos)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SchreyerOrder)
-            and other.inducing_leads == self.inducing_leads
-            and other.ambient == self.ambient
-        )
-
-    def __hash__(self):
-        return hash((self.inducing_leads, self.ambient))
-
-
 class SubmoduleGB:
     """A submodule of a graded free module together with a Groebner basis.
 
@@ -221,16 +193,14 @@ class SubmoduleGB:
     columns) is kept internally so normal forms stay exact.
     """
 
-    __slots__ = ("ambient", "gens", "gb", "order", "_qgb", "_reducer", "_sort_key")
+    __slots__ = ("ambient", "gens", "gb", "_qgb", "_reducer")
 
-    def __init__(self, ambient: GradedFreeModule, gens, gb, qgb=None, order="top"):
+    def __init__(self, ambient: GradedFreeModule, gens, gb, qgb=None):
         self.ambient = ambient
         self.gens = tuple(tuple(v) for v in gens)
         self.gb = tuple(tuple(v) for v in gb)
         self._qgb = tuple(tuple(v) for v in (qgb if qgb is not None else gb))
-        self.order = order
         self._reducer = None
-        self._sort_key = None
 
     @property
     def base(self):
@@ -244,81 +214,30 @@ class SubmoduleGB:
         return (
             isinstance(other, SubmoduleGB)
             and other.ambient == self.ambient
-            and other.order == self.order
             and other.gb == self.gb
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.order, self.gb))
+        return hash((self.ambient, self.gb))
 
     def __repr__(self):
         return f"<SubmoduleGB rank {self.ambient.rank}, {len(self.gb)} basis elements>"
 
-    def lead_terms(self) -> List[Tuple[tuple, int]]:
-        """(monomial exponents, position) of each basis lead."""
-        pack = self.ambient.ring.pack
-        return [(pack.exps(term_okey(v[0][0])), term_pos(v[0][0])) for v in self.gb]
+    def _red(self):
+        if self._reducer is None:
+            ring = self.ambient.ring
+            self._reducer = make_reducer(ring.field.p, ring.pack.ctx, self._qgb)
+        return self._reducer
 
     def normal_form(self, v: Vector) -> Vector:
-        if self.order == "top":
-            if self._reducer is None:
-                ring = self.ambient.ring
-                self._reducer = make_reducer(ring.field.p, ring.pack.ctx, self._qgb)
-            return self._reducer.nf(v)
-        return self._schreyer_nf(v)
-
-    def _schreyer_nf(self, v: Vector) -> Vector:
-        ring = self.ambient.ring
-        p = ring.field.p
-        pack = self.ambient.ring.pack
-        skey = self.order.sort_key
-        if self._sort_key is None:
-            self._sort_key = [max(g, key=lambda t: skey(t[0])) for g in self._qgb]
-        leads = self._sort_key
-        ctx = pack.ctx
-        work = sorted(v, key=lambda t: skey(t[0]), reverse=True)
-        out: Vector = []
-        from .kernel import epack, divides
-        while work:
-            key, c = work[0]
-            hit = -1
-            for idx, (lk, lc) in enumerate(leads):
-                if (lk ^ key) & POS_MASK:
-                    continue
-                if divides(epack(term_okey(lk), ctx), epack(term_okey(key), ctx), ctx.guards):
-                    hit = idx
-                    break
-            if hit < 0:
-                out.append((key, c))
-                work = work[1:]
-                continue
-            lk, lc = leads[hit]
-            shift = (term_okey(key) - term_okey(lk)) << POS_BITS
-            cc = (-c * pow(lc, p - 2, p)) % p
-            acc = {k: cv for k, cv in work}
-            for gk, gc in self._qgb[hit]:
-                k2 = gk + shift
-                nv = (acc.get(k2, 0) + cc * gc) % p
-                if nv:
-                    acc[k2] = nv
-                else:
-                    acc.pop(k2, None)
-            work = sorted(acc.items(), key=lambda t: skey(t[0]), reverse=True)
-        out.sort(reverse=True)
-        return out
+        return self._red().nf(v)
 
     def contains(self, v: Vector) -> bool:
         return not self.normal_form(v)
 
-    def contains_all(self, vecs) -> bool:
-        return all(self.contains(list(v)) for v in vecs)
-
     def lead_reducible(self, key: int) -> bool:
         """Whether a term key is divisible by some basis lead (incl. ideal)."""
-        if self._reducer is None:
-            ring = self.ambient.ring
-            self._reducer = make_reducer(ring.field.p, ring.pack.ctx, self._qgb)
-        return self._reducer.find_reducer(key) >= 0
+        return self._red().find_reducer(key) >= 0
 
 
 def express_in_basis(gb: SubmoduleGB, v: Vector) -> Optional[Vector]:
@@ -413,117 +332,11 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
         ring = base
     syz = _elimination_syzygies(ring, ambient.twists, [list(v) for v in vectors], unmarked)
     if isinstance(base, QuotientRing):
-        m = len(vectors)
         amb2 = GradedFreeModule(
             base, [ambient.vector_degree(list(v)) if v else 0 for v in vectors])
         syz = [base.normal_form_vector(s, amb2) for s in syz]
         syz = [s for s in syz if s]
     return syz
-
-
-def syzygies(gb: SubmoduleGB) -> SubmoduleGB:
-    """Syzygy module of the generators of ``gb``.
-
-    When the generators coincide with the basis, the result is the classical
-    S-pair syzygy basis, a Groebner basis for the order induced by the basis
-    (ties to the smaller index).  Otherwise the syzygies of the original
-    generators are computed by elimination and returned in the standard
-    term-over-position order.
-    """
-    base = gb.base
-    ambient = gb.ambient
-    ring = ambient.ring
-    if list(gb.gens) == list(gb.gb):
-        return _schreyer_syzygies(gb)
-    gens = [list(v) for v in gb.gens]
-    syz = syzygy_generators(gens, ambient)
-    twists = [ambient.vector_degree(v) if v else 0 for v in gens]
-    amb2 = GradedFreeModule(base, twists)
-    return buchberger(syz, amb2)
-
-
-def _schreyer_syzygies(gb: SubmoduleGB) -> SubmoduleGB:
-    base = gb.base
-    ambient = gb.ambient
-    ring = ambient.ring
-    p = ring.field.p
-    pack = ring.pack
-    ctx = pack.ctx
-    mask = ctx.okey_mask
-    # over a quotient base the S-pair pass must see the ideal columns too,
-    # since relations with them become annihilator syzygies after projection
-    work = [list(g) for g in gb.gb]
-    keep = list(range(len(work)))
-    if isinstance(base, QuotientRing):
-        work += _ideal_aug_vectors(base, ambient.rank)
-    m = len(work)
-    keep_index = {g_i: s_i for s_i, g_i in enumerate(keep)}
-    red = make_reducer(p, ctx, work)
-    lead = [g[0][0] for g in work]
-    lead_exps = [pack.exps(term_okey(k) & mask) for k in lead]
-    syz_twists = [ambient.vector_degree(work[i]) for i in keep]
-    syz_ambient = GradedFreeModule(base, syz_twists)
-    out: List[Vector] = []
-    done = set()
-    for j in range(m):
-        for i in range(j):
-            if (lead[i] ^ lead[j]) & POS_MASK:
-                continue
-            done.add((i, j))
-            skip = False
-            lcm = monomial_lcm(lead_exps[i], lead_exps[j])
-            for t in range(m):
-                if t in (i, j) or (lead[t] ^ lead[i]) & POS_MASK:
-                    continue
-                if monomial_divides(lead_exps[t], lcm):
-                    a = (i, t) if i < t else (t, i)
-                    b = (j, t) if j < t else (t, j)
-                    if a in done and b in done:
-                        skip = True
-                        break
-            if skip:
-                continue
-            lk = pack.okey(lcm)
-            oi = lk - (term_okey(lead[i]) & mask)
-            oj = lk - (term_okey(lead[j]) & mask)
-            s = scaled_merge([], work[i], 1, oi << POS_BITS, p, ctx)
-            s = scaled_merge(s, work[j], p - 1, oj << POS_BITS, p, ctx)
-            r, quots = red.nf_q(s)
-            if r:
-                raise RuntimeError("S-vector of a Groebner basis did not reduce to zero")
-            coeffs: dict = {}
-            coeffs[(oi, i)] = 1
-            coeffs[(oj, j)] = (coeffs.get((oj, j), 0) + p - 1) % p
-            for t, q in enumerate(quots):
-                for okey, c in q:
-                    k2 = (okey, t)
-                    nv = (coeffs.get(k2, 0) - c) % p
-                    if nv:
-                        coeffs[k2] = nv
-                    else:
-                        coeffs.pop(k2, None)
-            vec: Vector = []
-            dropped = False
-            for (okey, t), c in coeffs.items():
-                if t not in keep_index:
-                    dropped = True
-                    continue
-                vec.append((term_key(okey, keep_index[t]), c))
-            vec.sort(reverse=True)
-            if isinstance(base, QuotientRing):
-                vec = base.normal_form_vector(vec, syz_ambient)
-            if vec:
-                out.append(vec)
-    inducing = [work[i][0][0] for i in keep]
-    order = SchreyerOrder(inducing, ambient)
-    sgb = SubmoduleGB(syz_ambient, out, out, order=order)
-    return sgb
-
-
-def kernel_of_map(f: GradedMatrix) -> SubmoduleGB:
-    """Kernel of a map of graded free modules, as a submodule of the source."""
-    gens = syzygy_generators([list(c) for c in f.cols], f.target)
-    return buchberger(gens, f.source)
 
 
 def quotient(sub: SubmoduleGB, e) -> "Ideal":

@@ -245,28 +245,49 @@ def _graft(col: Vector, j: int, width: int) -> Vector:
                    for k, c in col), reverse=True)
 
 
+def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
+            sign: int) -> PresentedModule:
+    """The direct sum of the copies ``M(sign * t)``, one per outer twist t.
+
+    Grid position ``a*rank(M) + j`` is generator j of copy a; the relations
+    are those of M, copy by copy.
+    """
+    rM = M.gens.rank
+    gens = _grid_module(base, outer_twists, M.gens.twists, sign)
+    cols: List[Vector] = []
+    twists: List[int] = []
+    for a, t in enumerate(outer_twists):
+        for c, tw in zip(M.rels.cols, M.rels.source.twists):
+            shifted = [(term_key(term_okey(k), a * rM + term_pos(k)), cc) for k, cc in c]
+            shifted.sort(reverse=True)
+            cols.append(shifted)
+            twists.append(tw + sign * t)
+    src = GradedFreeModule(base, twists)
+    return PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False,
+                                              check=False))
+
+
 def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     """A tensor B over the base, presented on the generator grid.
 
-    Grid position ``i*rank(B) + j`` is the generator ``a_i (x) b_j``.
+    Grid position ``i*rank(B) + j`` is the generator ``a_i (x) b_j``.  The
+    relations of A come first, then those of the copies of B: ``minimal``
+    cancels the smallest unit pivot, so the column order reaches the output.
     """
     base = A.base
     if B.base != base:
         raise ValueError("tensor factors over different bases")
-    rA, rB = A.gens.rank, B.gens.rank
-    gens = _grid_module(base, A.gens.twists, B.gens.twists, +1)
+    rB = B.gens.rank
+    copies = _copies(base, A.gens.twists, B, +1)
+    gens = copies.gens
     cols: List[Vector] = []
     twists: List[int] = []
     for c, tw in zip(A.rels.cols, A.rels.source.twists):
         for j in range(rB):
             cols.append(_graft(list(c), j, rB))
             twists.append(tw + B.gens.twists[j])
-    for i in range(rA):
-        for c, tw in zip(B.rels.cols, B.rels.source.twists):
-            shifted = [(term_key(term_okey(k), i * rB + term_pos(k)), cc) for k, cc in c]
-            shifted.sort(reverse=True)
-            cols.append(shifted)
-            twists.append(tw + A.gens.twists[i])
+    cols += copies.rels.cols
+    twists += copies.rels.source.twists
     src = GradedFreeModule(base, twists)
     out = PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False,
                                              check=False))
@@ -412,23 +433,8 @@ def tensor_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
     Each term is a direct sum of twisted copies of M indexed by the basis
     of F_i; differentials act by the entries of F's differentials.
     """
-    base = M.base
     rM = M.gens.rank
-    modules: List[PresentedModule] = []
-    for fm in F.modules:
-        gens = _grid_module(base, fm.twists, M.gens.twists, +1)
-        cols = []
-        twists = []
-        for a in range(fm.rank):
-            for c, tw in zip(M.rels.cols, M.rels.source.twists):
-                shifted = [(term_key(term_okey(k), a * rM + term_pos(k)), cc)
-                           for k, cc in c]
-                shifted.sort(reverse=True)
-                cols.append(shifted)
-                twists.append(tw + fm.twists[a])
-        src = GradedFreeModule(base, twists)
-        modules.append(PresentedModule(gens, GradedMatrix(src, gens, cols,
-                                                          normalize=False, check=False)))
+    modules = [_copies(M.base, fm.twists, M, +1) for fm in F.modules]
     maps: List[ModuleMap] = []
     for idx, d in enumerate(F.diffs):
         src_mod = modules[idx + 1]
@@ -444,23 +450,8 @@ def tensor_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
 
 def hom_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
     """The cochain complex ``Hom(F, M)`` for a free resolution F."""
-    base = M.base
     rM = M.gens.rank
-    modules: List[PresentedModule] = []
-    for fm in F.modules:
-        gens = _grid_module(base, fm.twists, M.gens.twists, -1)
-        cols = []
-        twists = []
-        for a in range(fm.rank):
-            for c, tw in zip(M.rels.cols, M.rels.source.twists):
-                shifted = [(term_key(term_okey(k), a * rM + term_pos(k)), cc)
-                           for k, cc in c]
-                shifted.sort(reverse=True)
-                cols.append(shifted)
-                twists.append(tw - fm.twists[a])
-        src = GradedFreeModule(base, twists)
-        modules.append(PresentedModule(gens, GradedMatrix(src, gens, cols,
-                                                          normalize=False, check=False)))
+    modules = [_copies(M.base, fm.twists, M, -1) for fm in F.modules]
     maps: List[ModuleMap] = []
     for idx, d in enumerate(F.diffs):
         # delta : Hom(F_idx, M) -> Hom(F_{idx+1}, M)

@@ -2,12 +2,12 @@
 depth, minimal generator counts, Cohen-Macaulay type, annihilators,
 Poincare and Bass series, and bounded Gorenstein-dimension evidence.
 
-Two independent routes to the Hilbert series are kept: the alternating sum
-of twists of a minimal resolution over the cover ring, and a lead-term
-recursion on the standard monomial complement (Bayer-Stillman pivots).  The
-lead-term route also gives every degreewise dimension the package uses
-(``homology.hilbert_function_basis``).  The test suite checks that the two
-routes agree, and that the lead-term route matches enumerating the standard
+The Hilbert series has one route: a lead-term recursion on the standard
+monomial complement of the relation basis (Bayer-Stillman pivots).  It
+gives the series in reports, the Krull dimension, and every degreewise
+dimension the package uses (``homology.hilbert_function_basis``).  The test
+suite cross-checks it against the alternating sum of twists of a minimal
+resolution over the cover ring, and against enumerating the standard
 monomials degree by degree (``homology.module_basis``).
 """
 
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .freemod import term_okey, term_pos
 from .groebner import Ideal, QuotientRing, intersect_ideals, quotient
-from .resolution import FreeResolution, PresentedModule, resolve
+from .resolution import FreeResolution, PresentedModule, cached, resolve
 
 
 class HilbertSeries:
@@ -100,53 +100,26 @@ class HilbertSeries:
         return sum(self.value(d) for d in range(lo, hi + 1))
 
 
-def _series_from_resolution(res: FreeResolution) -> HilbertSeries:
-    num: Dict[int, int] = {}
-    sign = 1
-    for mod in res.modules:
-        for t in mod.twists:
-            num[t] = num.get(t, 0) + sign
-        sign = -sign
-    n = getattr(res.base, "cover", res.base).n
-    return HilbertSeries(num, n)
-
-
+@cached
 def ring_module_of(base) -> PresentedModule:
     """The base ring as a module over itself, cached on the base when the
     base carries a cache (so derived invariants are computed once)."""
-    cache = getattr(base, "cache", None)
-    if cache is None:
-        return PresentedModule.ring_module(base)
-    if "ring_module" not in cache:
-        cache["ring_module"] = PresentedModule.ring_module(base)
-    return cache["ring_module"]
+    return PresentedModule.ring_module(base)
 
 
+@cached
 def residue_field_of(base) -> PresentedModule:
     """The residue field as a module over the base, cached on the base."""
-    cache = getattr(base, "cache", None)
-    if cache is None:
-        return PresentedModule.residue_field(base)
-    if "residue_module" not in cache:
-        cache["residue_module"] = PresentedModule.residue_field(base)
-    return cache["residue_module"]
+    return PresentedModule.residue_field(base)
 
 
+@cached
 def q_resolution(M: PresentedModule) -> FreeResolution:
     """Minimal resolution over the cover polynomial ring, cached."""
-    if "q_resolution" not in M.cache:
-        M.cache["q_resolution"] = resolve(M.q_structure())
-    return M.cache["q_resolution"]
+    return resolve(M.q_structure())
 
 
-def hilbert_series(M: PresentedModule) -> HilbertSeries:
-    """Hilbert series from the minimal resolution over the cover ring."""
-    if "hilbert_series" not in M.cache:
-        M.cache["hilbert_series"] = _series_from_resolution(q_resolution(M))
-    return M.cache["hilbert_series"]
-
-
-# -- independent lead-term route -------------------------------------------
+# -- the lead-term route ------------------------------------------------------
 
 
 def _minimalize_monomials(gens: frozenset) -> frozenset:
@@ -195,14 +168,9 @@ def _monomial_numerator(gens: frozenset, n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted((k, v) for k, v in a.items() if v))
 
 
+@cached
 def hilbert_series_leads(M: PresentedModule) -> HilbertSeries:
     """Hilbert series from the lead terms of the relation basis, cached."""
-    if "hilbert_series_leads" not in M.cache:
-        M.cache["hilbert_series_leads"] = _series_from_leads(M)
-    return M.cache["hilbert_series_leads"]
-
-
-def _series_from_leads(M: PresentedModule) -> HilbertSeries:
     gb = M.relation_gb()
     ring = M.ring
     n = ring.n
@@ -221,20 +189,18 @@ def _series_from_leads(M: PresentedModule) -> HilbertSeries:
 # -- invariants -------------------------------------------------------------
 
 
+@cached
 def dimension(M: PresentedModule) -> int:
     """Krull dimension of the module; -1 for the zero module."""
-    if "dimension" not in M.cache:
-        M.cache["dimension"] = hilbert_series_leads(M).dimension()
-    return M.cache["dimension"]
+    return hilbert_series_leads(M).dimension()
 
 
+@cached
 def depth_module(M: PresentedModule) -> int:
     """Depth via the Auslander-Buchsbaum formula over the cover ring."""
     if M.is_zero():
         raise ValueError("depth of the zero module is undefined")
-    if "depth" not in M.cache:
-        M.cache["depth"] = M.ring.n - q_resolution(M).projective_dimension()
-    return M.cache["depth"]
+    return M.ring.n - q_resolution(M).projective_dimension()
 
 
 def nu(M: PresentedModule) -> int:
@@ -263,16 +229,13 @@ def ext_k_module(M: PresentedModule, i: int) -> PresentedModule:
     return homology_at(cx, i)
 
 
+@cached
 def type_of(M: PresentedModule) -> int:
     """Cohen-Macaulay type: dim_k Ext^t(k, M) with t the depth of M."""
     if M.is_zero():
         raise ValueError("type of the zero module is undefined")
-    if "type" not in M.cache:
-        t = depth_module(M)
-        ext = ext_k_module(M, t)
-        # Ext^t(k, M) is a k-vector space, so its dimension is nu
-        M.cache["type"] = ext.nu()
-    return M.cache["type"]
+    # Ext^t(k, M) is a k-vector space, so its dimension is nu
+    return ext_k_module(M, depth_module(M)).nu()
 
 
 def cm_defect(M: PresentedModule) -> int:
@@ -330,7 +293,7 @@ def gdim_bounded(M: PresentedModule, bound: int = 6) -> Dict[str, object]:
     ``value``), ``bounded_evidence`` (finite and at most ``value`` as far as
     Ext vanishing was observed), or ``inconclusive``.
     """
-    from .homology import hom_module, hom_complex, homology_at
+    from .homology import hom_complex, homology_at
     if M.is_zero():
         return {"status": "certified", "value": 0,
                 "note": "zero module"}
@@ -370,7 +333,7 @@ def module_report(M: PresentedModule) -> Dict[str, object]:
                 "cmd": None, "is_cm": None,
                 "betti": [], "hilbert_numerator": []}
     resq = q_resolution(M)
-    hs = hilbert_series(M)
+    hs = hilbert_series_leads(M)
     return {
         "dim": dimension(M),
         "depth": depth_module(M),

@@ -7,7 +7,7 @@ matrices are small and dense.  Entries are canonical representatives in
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -44,31 +44,3 @@ def rank(a: np.ndarray, p: int) -> int:
     _, piv = rref(a, p)
     return len(piv)
 
-
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel, as columns."""
-    m, piv = rref(a, p)
-    rows, cols = a.shape
-    free = [c for c in range(cols) if c not in piv]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for idx, c in enumerate(free):
-        basis[c, idx] = 1
-        for r, pc in enumerate(piv):
-            basis[pc, idx] = (-int(m[r, c])) % p
-    return basis
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """A particular solution of ``a x = b``, or None if inconsistent."""
-    rows, cols = a.shape
-    aug = np.concatenate([np.array(a, dtype=np.int64) % p,
-                          (np.array(b, dtype=np.int64) % p).reshape(rows, -1)], axis=1)
-    m, piv = rref(aug, p)
-    nb = aug.shape[1] - cols
-    for r in range(len(piv)):
-        if piv[r] >= cols:
-            return None
-    x = np.zeros((cols, nb), dtype=np.int64)
-    for r, pc in enumerate(piv):
-        x[pc] = m[r, cols:]
-    return x

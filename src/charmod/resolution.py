@@ -12,7 +12,8 @@ resolution is minimal and graded Betti numbers read off the twists.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from functools import wraps
+from typing import List, Optional, Sequence
 
 from .freemod import (
     GradedFreeModule,
@@ -24,11 +25,29 @@ from .freemod import (
 )
 from .kernel import POS_BITS, scaled_merge
 from .groebner import QuotientRing, SubmoduleGB, buchberger, syzygy_generators
-from .ring import Polynomial, PolyRing
+from .ring import PolyRing
 
 
 class ResolutionLimitError(RuntimeError):
     """A resolution over the polynomial ring ran past its step limit."""
+
+
+def cached(fn):
+    """Memoize ``fn(obj)`` in ``obj.cache`` under ``fn.__name__``.
+
+    Objects without a cache (a bare ``PolyRing``) recompute on every call.
+    """
+    key = fn.__name__
+
+    @wraps(fn)
+    def wrapper(obj):
+        cache = getattr(obj, "cache", None)
+        if cache is None:
+            return fn(obj)
+        if key not in cache:
+            cache[key] = fn(obj)
+        return cache[key]
+    return wrapper
 
 
 class PresentedModule:
@@ -110,22 +129,19 @@ class PresentedModule:
         return (f"<PresentedModule {self.gens.rank} gens {self.rels.source.rank} rels "
                 f"over {self.base!r}>")
 
+    @cached
     def relation_gb(self) -> SubmoduleGB:
-        if "relation_gb" not in self.cache:
-            self.cache["relation_gb"] = buchberger(
-                [list(c) for c in self.rels.cols], self.gens)
-        return self.cache["relation_gb"]
+        return buchberger([list(c) for c in self.rels.cols], self.gens)
 
     def element_is_zero(self, v: Vector) -> bool:
         return self.relation_gb().contains(list(v))
 
+    @cached
     def q_structure(self) -> "PresentedModule":
         """The same module regarded over the polynomial cover ring."""
         base = self.base
         if not isinstance(base, QuotientRing):
             return self
-        if "q_structure" in self.cache:
-            return self.cache["q_structure"]
         ring = base.cover
         gens = GradedFreeModule(ring, self.gens.twists)
         cols = [list(c) for c in self.rels.cols]
@@ -136,9 +152,7 @@ class PresentedModule:
                 cols.append([(term_key(k, pos), c) for k, c in g.terms])
                 twists.append(d + gens.twists[pos])
         src = GradedFreeModule(ring, twists)
-        out = PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False))
-        self.cache["q_structure"] = out
-        return out
+        return PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False))
 
     def twist(self, d: int) -> "PresentedModule":
         """The shifted module M(-d): all generator degrees raised by d."""
@@ -147,17 +161,15 @@ class PresentedModule:
         return PresentedModule(gens, GradedMatrix(src, gens, self.rels.cols,
                                                   normalize=False, check=False))
 
+    @cached
     def minimal(self) -> "PresentedModule":
         """Equivalent presentation with no scalar entries and no zero columns."""
-        if "minimal" in self.cache:
-            return self.cache["minimal"]
         _, rels = _cancel_units(None, self.rels)
         keep = [j for j, c in enumerate(rels.cols) if c]
         if len(keep) != rels.source.rank:
             rels = rels.delete(cols=[j for j, c in enumerate(rels.cols) if not c])
         out = PresentedModule(rels.target, rels)
-        out.cache["minimal"] = out
-        self.cache["minimal"] = out
+        out.cache["minimal"] = out  # the result is its own minimal presentation
         return out
 
     def is_zero(self) -> bool:
@@ -308,14 +320,6 @@ class FreeResolution:
     def betti(self) -> BettiTable:
         return BettiTable.from_resolution(self)
 
-    def validate(self) -> bool:
-        """Check d o d = 0; used by tests."""
-        for i in range(2, len(self.diffs) + 1):
-            comp = self.diff(i - 1).compose(self.diff(i))
-            if not comp.is_zero():
-                return False
-        return True
-
     def __repr__(self):
         ranks = " <- ".join(str(m.rank) for m in self.modules)
         state = "minimal" if self.minimal else "raw"
@@ -374,37 +378,6 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
     if not over_quotient and not complete:
         raise ResolutionLimitError("resolution over the polynomial ring did not terminate")
     return FreeResolution(base, modules, diffs, minimal=True, complete=complete)
-
-
-def minimalize(res: FreeResolution) -> FreeResolution:
-    """Homotopy-equivalent complex with every scalar pivot cancelled.
-
-    Accepts any finite complex (``d o d = 0``); zero columns are kept since
-    removing them is not homotopy-safe in general.
-    """
-    mats = list(res.diffs)
-    if not mats:
-        return FreeResolution(res.base, res.modules, res.diffs, True, res.complete)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(mats)):
-            hit = _unit_pivot(mats[k])
-            if hit is None:
-                continue
-            r, c, u = hit
-            mats[k] = _schur_cancel(mats[k], r, c, u)
-            if k > 0:
-                mats[k - 1] = mats[k - 1].delete(cols=[r])
-            if k + 1 < len(mats):
-                mats[k + 1] = mats[k + 1].delete(rows=[c])
-            changed = True
-            break
-    modules = [mats[0].target] + [m.source for m in mats]
-    while len(mats) and mats[-1].source.rank == 0:
-        mats.pop()
-        modules.pop()
-    return FreeResolution(res.base, modules, mats, minimal=True, complete=res.complete)
 
 
 def betti(res: FreeResolution) -> BettiTable:

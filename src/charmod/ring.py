@@ -23,7 +23,7 @@ Every key that would pass the cap raises ``OverflowError``; see
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .kernel import GREVLEX, LEX, POS_BITS, OrderCtx
 
@@ -102,8 +102,7 @@ class MonomialOrder:
     """A monomial order kind; ``grevlex`` or ``lex``.
 
     Module orders extend ring orders term-over-position with ties broken
-    toward the smaller position index; Schreyer-induced orders live with the
-    Groebner machinery since they are tagged by an inducing basis.
+    toward the smaller position index.
     """
 
     __slots__ = ("kind",)
@@ -125,22 +124,12 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r})"
 
 
-def monomial_degree(exps: Sequence[int]) -> int:
-    return sum(exps)
-
-
 def monomial_mul(u: Sequence[int], v: Sequence[int]) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
 
 def monomial_divides(u: Sequence[int], v: Sequence[int]) -> bool:
     return all(a <= b for a, b in zip(u, v))
-
-
-def monomial_div(u: Sequence[int], v: Sequence[int]) -> tuple:
-    if not monomial_divides(v, u):
-        raise ValueError(f"{v} does not divide {u}")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def monomial_lcm(u: Sequence[int], v: Sequence[int]) -> tuple:
@@ -562,13 +551,3 @@ class PolyRing:
             raise ValueError("empty polynomial expression")
         return acc, i
 
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Ring arithmetic dispatch; ``op`` is one of ``+ - *``."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")

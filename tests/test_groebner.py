@@ -1,4 +1,6 @@
-"""Groebner bases: reduced-basis goldens, membership, colon, intersection, syzygies."""
+"""Groebner bases: reduced-basis goldens, membership, colon, intersection,
+syzygies by elimination (the one syzygy engine), and reduced bases compared
+with sympy's over GF(p)."""
 
 import itertools
 import random
@@ -11,9 +13,7 @@ from charmod.groebner import (
     QuotientRing,
     buchberger,
     intersect_ideals,
-    kernel_of_map,
     quotient,
-    syzygies,
     syzygy_generators,
 )
 from charmod.ring import PolyRing
@@ -143,7 +143,7 @@ def test_intersection_membership_property():
 def test_koszul_kernel():
     ring = PolyRing(101, ("x", "y"))
     f = GradedMatrix.from_columns(ring, [0], [[ring.poly("x")], [ring.poly("y")]])
-    ker = kernel_of_map(f)
+    ker = buchberger(syzygy_generators([list(c) for c in f.cols], f.target), f.source)
     syzygy = ker.ambient.vector_from_polys([ring.poly("y"), ring.poly("-x")])
     assert ker.contains(syzygy)
     for v in ker.gens:
@@ -153,13 +153,12 @@ def test_koszul_kernel():
 def test_syzygies_annihilate_generators(twisted_cubic):
     ring, ideal = twisted_cubic
     sub = ideal.submodule()
-    syz = syzygies(sub)
-    gens = list(sub.gens)
-    twists = [sub.ambient.vector_degree(list(v)) for v in gens]
-    mat = GradedMatrix(GradedFreeModule(ring, twists),
-                       sub.ambient, [list(v) for v in gens])
-    assert syz.gens, "twisted cubic has nontrivial first syzygies"
-    for s in syz.gens:
+    gens = [list(v) for v in sub.gens]
+    syz = syzygy_generators(gens, sub.ambient)
+    twists = [sub.ambient.vector_degree(v) for v in gens]
+    mat = GradedMatrix(GradedFreeModule(ring, twists), sub.ambient, gens)
+    assert syz, "twisted cubic has nontrivial first syzygies"
+    for s in syz:
         assert mat.apply(list(s)) == []
 
 
@@ -227,3 +226,72 @@ def test_colon_over_quotient_ring():
     ann = quotient(zero, [R.poly("x")])
     # annihilator of x in R = Q/(x^2, xy) is (x, y)
     assert ann.equals(Ideal(R, [R.poly("x"), R.poly("y")]))
+
+
+# ---------------------------------------------------------------------------
+# differential test: reduced bases against sympy's over GF(p)
+
+
+def _rational_normal_curve(ring):
+    """2x2 minors of [[x0 .. x(n-2)], [x1 .. x(n-1)]]."""
+    n = ring.n
+    gens = []
+    for i in range(n - 1):
+        for j in range(i + 1, n - 1):
+            a, b = [0] * n, [0] * n
+            a[i] += 1
+            a[j + 1] += 1
+            b[i + 1] += 1
+            b[j] += 1
+            f = ring.monomial(a) - ring.monomial(b)
+            if not f.is_zero():
+                gens.append(f)
+    return gens
+
+
+def _exps_dict(f):
+    """{exponent tuple: coefficient} of a polynomial."""
+    return {e: c for e, (_, c) in zip(f.monomials(), f.terms)}
+
+
+def _differential_inputs(order):
+    """(prime, variables, generator exponent dicts) of every compared ideal:
+    mixed corpus seeds 7 and 8 (50 instances each) and the rational normal
+    curves in 5 and 6 variables."""
+    from charmod.corpus import generate_corpus
+    out = []
+    for seed in (7, 8):
+        for doc in generate_corpus(seed, 50, "mixed"):
+            out.append((doc.p, tuple(doc.variables),
+                        [_exps_dict(f) for f in doc.ideal_gens]))
+    for n in (5, 6):
+        ring = PolyRing(32003, tuple(f"x{i}" for i in range(n)), order)
+        out.append((32003, ring.variables,
+                    [_exps_dict(f) for f in _rational_normal_curve(ring)]))
+    return out
+
+
+def _monic(lc, terms, p):
+    """A polynomial made monic, as a frozenset of (exponents, coefficient)."""
+    inv = pow(lc % p, p - 2, p)
+    return frozenset((tuple(e), c * inv % p) for e, c in terms if c % p)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_reduced_basis_matches_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    compared = 0
+    for p, variables, gens in _differential_inputs(order):
+        ring = PolyRing(p, variables, order)
+        ours = Ideal(ring, [ring.from_dict(g) for g in gens]).groebner_basis()
+        mine = {_monic(f.lead_coeff(), _exps_dict(f).items(), p) for f in ours}
+        syms = sympy.symbols(variables)
+        polys = [sympy.Poly.from_dict(g, *syms, modulus=p) for g in gens]
+        theirs = sympy.groebner(polys, *syms, modulus=p, order=order)
+        # sympy's coefficients are symmetric residues, and LC() without an
+        # order is the lex leading coefficient
+        ref = {_monic(int(g.LC(order=order)), [(e, int(c)) for e, c in g.terms()], p)
+               for g in theirs.polys}
+        assert mine == ref, (order, p, variables, gens)
+        compared += 1
+    assert compared == 102

@@ -216,7 +216,7 @@ def battery_pairs(mixed_corpus, e2_doc, hypersurface_doc, stanley_reisner_doc,
              ("stanley_reisner", stanley_reisner_doc), ("veronese", veronese_doc)]
     out = []
     for label, doc in docs:
-        for name, M in corpus._module_pool(doc):
+        for name, M in corpus.module_pool(doc):
             out.append((f"{label}/{name}", characteristic.char_module(M),
                         characteristic.char_via_hom(M),
                         characteristic.cochar_module(M),

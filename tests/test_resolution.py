@@ -2,6 +2,7 @@
 
 import pytest
 
+from charmod import corpus
 from charmod.freemod import GradedFreeModule, GradedMatrix
 from charmod.groebner import QuotientRing
 from charmod.homology import hilbert_function_basis, monomial_okeys
@@ -9,7 +10,6 @@ from charmod.invariants import nu, q_resolution
 from charmod.resolution import (
     BettiTable,
     PresentedModule,
-    minimalize,
     projective_dimension,
     resolve,
 )
@@ -133,15 +133,6 @@ def test_minimal_presentation_drops_unit_relations():
     assert sorted(res.betti().entries.items()) == [((0, 0), 1)]
 
 
-def test_minimalize_is_stable_on_minimal_resolutions():
-    ring = PolyRing(101, ("x", "y", "z"))
-    M = PresentedModule.quotient_by_ideal(ring, [ring.poly("x*y"), ring.poly("y*z")])
-    res = resolve(M)
-    again = minimalize(res)
-    assert again.betti() == res.betti()
-    check_complex(again)
-
-
 def test_minimality_no_constant_entries():
     ring = PolyRing(32003, ("w", "x", "y", "z"))
     R = QuotientRing(ring, [ring.poly("x^2-w*y"), ring.poly("y^2-x*z"),
@@ -178,3 +169,19 @@ def test_resolution_twists_track_generation_degrees():
     res = resolve(M)
     for (i, j), count in res.betti().entries.items():
         assert list(res.module(i).twists).count(j) == count
+
+
+def test_cover_resolutions_exact_on_the_corpus(mixed_corpus):
+    # the independent check on the one syzygy engine: d o d = 0 and the
+    # Euler characteristic equals the lead-term Hilbert function, for every
+    # pool module of the first 10 acceptance instances
+    checked = 0
+    for doc in mixed_corpus[:10]:
+        for name, M in corpus.module_pool(doc):
+            res = q_resolution(M)
+            assert res.complete, name
+            check_complex(res)
+            lo, hi = corpus._window(M)
+            check_exactness_by_dimension(res, M, lo, hi)
+            checked += 1
+    assert checked >= 20
