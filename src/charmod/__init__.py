@@ -8,7 +8,7 @@ M by two independent routes; and runs mechanical checkers for the
 structural theorems relating them.
 """
 
-from .ring import MonomialOrder, PolyRing, Polynomial, PrimeField
+from .ring import PolyRing, Polynomial, PrimeField
 from .groebner import Ideal, QuotientRing, intersect_ideals, quotient
 from .freemod import GradedFreeModule, GradedMatrix
 from .resolution import BettiTable, FreeResolution, PresentedModule, resolve
@@ -60,7 +60,7 @@ from .kernel import HAVE_FAST, backend_name
 __version__ = "1.0.0"
 
 __all__ = [
-    "MonomialOrder", "PolyRing", "Polynomial", "PrimeField",
+    "PolyRing", "Polynomial", "PrimeField",
     "Ideal", "QuotientRing", "intersect_ideals", "quotient",
     "GradedFreeModule", "GradedMatrix",
     "BettiTable", "FreeResolution", "PresentedModule", "resolve",

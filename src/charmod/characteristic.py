@@ -24,11 +24,11 @@ from .homology import (
     ModuleMap,
     hilbert_function_basis,
     hom_complex,
+    hom_express,
     hom_module,
     hom_realize,
     homology_at,
     iso_probe,
-    subquotient_express,
     tensor_complex,
     tensor_module,
 )
@@ -97,8 +97,7 @@ def quasi_canonical(R) -> CanonicalData:
     E_raw = PresentedModule(gens, rels)
     E = E_raw.minimal()
     # cross-route: top cohomology of Hom(F, Q) computed over the cover
-    ring = getattr(R, "cover", R)
-    ext = homology_at(hom_complex(F, PresentedModule.ring_module(ring)), s)
+    ext = homology_at(hom_complex(F, PresentedModule.ring_module(R.cover)), s)
     lo = min(list(E.gens.twists) + list(ext.gens.twists), default=0)
     hi = lo + 8
     hf_desc = hilbert_function_basis(E, lo, hi)
@@ -114,10 +113,7 @@ def quasi_canonical(R) -> CanonicalData:
 
 def char_module(M: PresentedModule) -> PresentedModule:
     """T(M): the kernel of d_s (x) M, minimally presented."""
-    base = M.base
-    if not isinstance(base, QuotientRing):
-        return M.minimal()
-    _, F, s = _ring_data(base)
+    _, F, s = _ring_data(M.base)
     if s == 0:
         return M.minimal()
     cx = tensor_complex(F, M)
@@ -126,10 +122,7 @@ def char_module(M: PresentedModule) -> PresentedModule:
 
 def cochar_module(M: PresentedModule) -> PresentedModule:
     """E(M): the cokernel of Hom(d_s, M), minimally presented."""
-    base = M.base
-    if not isinstance(base, QuotientRing):
-        return M.minimal()
-    _, F, s = _ring_data(base)
+    _, F, s = _ring_data(M.base)
     if s == 0:
         return M.minimal()
     cx = hom_complex(F, M)
@@ -163,17 +156,6 @@ def tor_modules(M: PresentedModule) -> List[PresentedModule]:
 # natural maps
 
 
-def _flat_hom_vector(cols: Sequence[Vector], rank_codomain: int) -> Vector:
-    """Hom-flat coordinates of a matrix given by columns into a free module
-    of the stated rank."""
-    flat: List[Tuple[int, int]] = []
-    for i, col in enumerate(cols):
-        for key, c in col:
-            flat.append((term_key(term_okey(key), i * rank_codomain + term_pos(key)), c))
-    flat.sort(reverse=True)
-    return flat
-
-
 def alpha_map(M: PresentedModule, E: Optional[PresentedModule] = None,
               EM: Optional[PresentedModule] = None,
               H: Optional[PresentedModule] = None,
@@ -191,14 +173,11 @@ def alpha_map(M: PresentedModule, E: Optional[PresentedModule] = None,
     if H is None:
         H = hom_module(E, EM)
     rM = M.gens.rank
-    rEM = EM.gens.rank
     cols: List[Vector] = []
     for j in range(rM):
         # the hom sending generator a of E to the grid generator (a, j)
-        flat = [(term_key(0, a * rEM + (a * rM + j)), 1)
-                for a in range(E.gens.rank)]
-        flat.sort(reverse=True)
-        cols.append(subquotient_express(H, flat))
+        images = [[(term_key(0, a * rM + j), 1)] for a in range(E.gens.rank)]
+        cols.append(hom_express(H, images))
     mat = GradedMatrix(M.gens, H.gens, cols, check=False)
     return ModuleMap(M, H, mat, check=check)
 
@@ -236,12 +215,10 @@ def hom_functor_map(E: PresentedModule, f: ModuleMap,
         HA = hom_module(E, f.domain)
     if HB is None:
         HB = hom_module(E, f.codomain)
-    rB = f.codomain.gens.rank
     cols: List[Vector] = []
     for b in range(HA.gens.rank):
         psi = hom_realize(HA, [(term_key(0, b), 1)])
-        comp = [f.matrix.apply(list(c)) for c in psi.cols]
-        cols.append(subquotient_express(HB, _flat_hom_vector(comp, rB)))
+        cols.append(hom_express(HB, [f.matrix.apply(list(c)) for c in psi.cols]))
     mat = GradedMatrix(HA.gens, HB.gens, cols, check=False)
     return ModuleMap(HA, HB, mat, check=False)
 

@@ -21,8 +21,9 @@ not met are reported as not_applicable).
 Exit codes: 0 success/verified, 1 refuted, 2 input error, 3 inconclusive,
 4 resource limit (a degree past the packing cap, a resolution past its step
 limit), 5 internal error (any other exception; its traceback goes to
-stderr).  With ``--json`` codes 4 and 5 print ``{"command", "id", "error":
-{"kind", "message"}}`` with kind ``resource_limit`` or ``internal``.
+stderr).  With ``--json`` codes 2, 4 and 5 print ``{"command", "id",
+"error": {"kind", "message"}}`` with kind ``input``, ``resource_limit`` or
+``internal``; without it the message goes to stderr.
 
 JSON reports are deterministic for fixed (command, document, seed, flags)
 except for ``timing_ms`` fields.  The corpus command fans instances out to
@@ -39,11 +40,16 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import characteristic, corpus, invariants
-from .cmr import CmrError, InputDocument, load, parse
+from .cmr import InputDocument, load, parse
 from .homology import hilbert_function_basis
 from .resolution import ResolutionLimitError, resolve
 
 _EXIT = {"verified": 0, "ok": 0, "refuted": 1, "inconclusive": 3}
+
+# exit code -> (JSON error kind, stderr prefix)
+_ERRORS = {2: ("input", "error: "),
+           4: ("resource_limit", "error: resource limit: "),
+           5: ("internal", "error: internal: ")}
 
 _CHECK_SUITES = ("thm8", "gorenstein", "type_formula", "type_formula_depth",
                  "cor_id", "cor_artinian", "faithful", "battery")
@@ -119,28 +125,23 @@ def _cmd_invariants(doc: InputDocument, args) -> Dict[str, object]:
     return invariants.ring_report(R)
 
 
-def _hf_window(M, bound: int) -> Dict[str, object]:
-    lo = min(M.gens.twists, default=0)
-    return {"hf_from": lo,
-            "hilbert_function": hilbert_function_basis(M, lo, lo + bound)}
+def _derived_module(doc: InputDocument, args, route) -> Dict[str, object]:
+    """Invariants and a Hilbert-function window of ``route(--module)``."""
+    N = route(_get_module(doc, _require_module(args)))
+    rep = invariants.module_report(N)
+    rep["module"] = args.module
+    lo = min(N.gens.twists, default=0)
+    rep["hf_from"] = lo
+    rep["hilbert_function"] = hilbert_function_basis(N, lo, lo + args.degree_bound)
+    return rep
 
 
 def _cmd_tmod(doc: InputDocument, args) -> Dict[str, object]:
-    M = _get_module(doc, _require_module(args))
-    T = characteristic.char_module(M)
-    rep = invariants.module_report(T)
-    rep["module"] = args.module
-    rep.update(_hf_window(T, args.degree_bound))
-    return rep
+    return _derived_module(doc, args, characteristic.char_module)
 
 
 def _cmd_emod(doc: InputDocument, args) -> Dict[str, object]:
-    M = _get_module(doc, _require_module(args))
-    E = characteristic.cochar_module(M)
-    rep = invariants.module_report(E)
-    rep["module"] = args.module
-    rep.update(_hf_window(E, args.degree_bound))
-    return rep
+    return _derived_module(doc, args, characteristic.cochar_module)
 
 
 def _cmd_canonical(doc: InputDocument, args) -> Dict[str, object]:
@@ -164,6 +165,12 @@ def _aggregate(verdicts: List[str]) -> str:
     return "verified"
 
 
+def _entry(module: Optional[str], rep) -> Dict[str, object]:
+    """One checker run, as an entry of a check report."""
+    return {"module": module, "checker": rep.checker, "verdict": rep.verdict,
+            "witness": rep.witnesses, "notes": rep.notes}
+
+
 def _cmd_check(doc: InputDocument, args) -> Dict[str, object]:
     suite = args.suite
     R = doc.quotient()
@@ -171,15 +178,9 @@ def _cmd_check(doc: InputDocument, args) -> Dict[str, object]:
 
     if suite == "thm8":
         extra = [(n, doc.module(n)) for n in doc.module_names()]
-        rep = characteristic.check_thm8(R, extra_modules=extra)
-        reports.append({"module": None, "checker": rep.checker,
-                        "verdict": rep.verdict, "witness": rep.witnesses,
-                        "notes": rep.notes})
+        reports.append(_entry(None, characteristic.check_thm8(R, extra_modules=extra)))
     elif suite == "gorenstein":
-        rep = characteristic.check_gorenstein(R)
-        reports.append({"module": None, "checker": rep.checker,
-                        "verdict": rep.verdict, "witness": rep.witnesses,
-                        "notes": rep.notes})
+        reports.append(_entry(None, characteristic.check_gorenstein(R)))
     elif suite == "battery":
         bat = corpus.corpus_battery(doc, instance_id=args.instance_id,
                                     degree_bound=args.degree_bound,
@@ -191,24 +192,17 @@ def _cmd_check(doc: InputDocument, args) -> Dict[str, object]:
         if args.module:
             M = _get_module(doc, args.module)
             try:
-                rep = checker(R, M)
+                reports.append(_entry(args.module, checker(R, M)))
             except ValueError as exc:
                 raise InputError(str(exc)) from None
-            reports.append({"module": args.module, "checker": rep.checker,
-                            "verdict": rep.verdict, "witness": rep.witnesses,
-                            "notes": rep.notes})
         else:
             for name, M in corpus.module_pool(doc):
                 try:
-                    rep = checker(R, M)
+                    reports.append(_entry(name, checker(R, M)))
                 except ValueError as exc:
                     reports.append({"module": name, "checker": suite,
                                     "verdict": "not_applicable",
                                     "witness": {}, "notes": [str(exc)]})
-                    continue
-                reports.append({"module": name, "checker": rep.checker,
-                                "verdict": rep.verdict,
-                                "witness": rep.witnesses, "notes": rep.notes})
     else:
         raise InputError(f"unknown check suite {suite!r}; "
                          f"expected one of {', '.join(_CHECK_SUITES)}")
@@ -320,6 +314,17 @@ def _emit(report: Dict[str, object], as_json: bool) -> None:
         print(_pretty(report))
 
 
+def _fail(head: Dict[str, object], as_json: bool, code: int, message: str) -> int:
+    """Report a failed command: a JSON error object with ``--json``, else a
+    line on stderr; returns the exit code."""
+    kind, prefix = _ERRORS[code]
+    if as_json:
+        _emit({**head, "error": {"kind": kind, "message": message}}, True)
+    else:
+        print(prefix + message, file=sys.stderr)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
@@ -394,28 +399,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "check": _cmd_check,
             }[args.command](doc, args)
             report = {**head, **body}
-    except (InputError, CmrError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (InputError, ValueError) as exc:  # CmrError is a ValueError
+        return _fail(head, args.json, 2, str(exc))
     except (OverflowError, ResolutionLimitError) as exc:
-        if args.json:
-            _emit({**head, "error": {"kind": "resource_limit",
-                                     "message": str(exc)}}, True)
-        else:
-            print(f"error: resource limit: {exc}", file=sys.stderr)
-        return 4
+        return _fail(head, args.json, 4, str(exc))
     except Exception as exc:
         import traceback  # only failing runs pay for loading it
         traceback.print_exc()
-        message = f"{type(exc).__name__}: {exc}"
-        if args.json:
-            _emit({**head, "error": {"kind": "internal", "message": message}}, True)
-        else:
-            print(f"error: internal: {message}", file=sys.stderr)
-        return 5
+        return _fail(head, args.json, 5, f"{type(exc).__name__}: {exc}")
     report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
     _emit(report, args.json)
     return _EXIT.get(str(report.get("verdict", "ok")), 0)

@@ -35,7 +35,7 @@ homogeneous; coefficients are reduced mod p on input.
 form, and parse -> render -> parse is the identity.
 """
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .ring import PolyRing, Polynomial, PrimeField
 from .groebner import Ideal, QuotientRing
@@ -84,25 +84,19 @@ class ModuleBlock:
 
 
 class InputDocument:
-    """Parsed .cmr document: field, ring, ideal and module blocks.
-
-    ``options`` is a reserved extension point and is always empty for
-    documents produced by :func:`parse`.
-    """
+    """Parsed .cmr document: field, ring, ideal and module blocks."""
 
     __slots__ = ("p", "variables", "order", "ideal_gens", "modules",
-                 "options", "_ring", "_quotient")
+                 "_ring", "_quotient")
 
     def __init__(self, p: int, variables: Sequence[str], order: str,
                  ideal_gens: Sequence[Polynomial],
-                 modules: Sequence[ModuleBlock],
-                 options: Optional[Dict[str, str]] = None):
+                 modules: Sequence[ModuleBlock]):
         self.p = p
         self.variables = tuple(variables)
         self.order = order
         self.ideal_gens = tuple(ideal_gens)
         self.modules = tuple(modules)
-        self.options = dict(options or {})
         names = [m.name for m in self.modules]
         if len(set(names)) != len(names):
             raise ValueError("duplicate module names")
@@ -115,8 +109,7 @@ class InputDocument:
         return (self.p == other.p and self.variables == other.variables
                 and self.order == other.order
                 and self.ideal_gens == other.ideal_gens
-                and self.modules == other.modules
-                and self.options == other.options)
+                and self.modules == other.modules)
 
     def __repr__(self):
         return (f"<cmr GF({self.p})[{','.join(self.variables)}] "

@@ -32,8 +32,8 @@ def term_okey(key: int) -> int:
 class GradedFreeModule:
     """A free module with integer generator twists over a base ring.
 
-    The base is a ``PolyRing`` or a ``QuotientRing``; twist ``t`` at
-    position ``i`` means the generator ``e_i`` sits in degree ``t``.
+    The base is a ``QuotientRing`` or a ``PolyRing`` (as ``Q/0``); twist
+    ``t`` at position ``i`` means the generator ``e_i`` sits in degree ``t``.
     """
 
     __slots__ = ("base", "twists")
@@ -50,8 +50,8 @@ class GradedFreeModule:
 
     @property
     def ring(self) -> PolyRing:
-        """The underlying polynomial ring (the cover of a quotient base)."""
-        return getattr(self.base, "cover", self.base)
+        """The underlying polynomial ring (the cover of the base)."""
+        return self.base.cover
 
     def __eq__(self, other):
         return (
@@ -113,19 +113,12 @@ def v_scale(v: Vector, c: int, p: int) -> Vector:
     return [(k, cc * c % p) for k, cc in v]
 
 
-def v_mul_poly(v: Vector, f: Polynomial, ctx, p: int) -> Vector:
-    out: Vector = []
-    for okey, c in f.terms:
-        out = scaled_merge(out, v, c, okey << POS_BITS, p, ctx)
-    return out
-
-
 class GradedMatrix:
     """Homogeneous matrix between graded free modules, stored by columns.
 
     Column ``j`` is the image of the ``j``-th source generator and must be
-    homogeneous of degree ``source.twists[j]`` (or zero).  Entries over a
-    quotient base are kept in normal form with respect to the defining ideal.
+    homogeneous of degree ``source.twists[j]`` (or zero).  Entries are kept
+    in normal form with respect to the defining ideal of the base.
     """
 
     __slots__ = ("source", "target", "cols")
@@ -139,8 +132,8 @@ class GradedMatrix:
         cols = [list(c) for c in cols]
         if len(cols) != source.rank:
             raise ValueError(f"expected {source.rank} columns, got {len(cols)}")
-        if normalize and hasattr(source.base, "normal_form_vector"):
-            cols = [source.base.normal_form_vector(c, target) for c in cols]
+        if normalize:
+            cols = [source.base.normal_form_vector(c) for c in cols]
         self.cols = tuple(tuple(c) for c in cols)
         if check:
             for j, col in enumerate(self.cols):
@@ -151,22 +144,6 @@ class GradedMatrix:
                     raise ValueError(
                         f"column {j} has degree {d}, expected twist {source.twists[j]}"
                     )
-
-    @classmethod
-    def from_columns(cls, base, target_twists, cols_polys, col_twists=None,
-                     check: bool = True) -> "GradedMatrix":
-        """Build from columns given as lists of polynomials."""
-        target = GradedFreeModule(base, target_twists)
-        cols = [target.vector_from_polys(c) for c in cols_polys]
-        if col_twists is None:
-            col_twists = [target.vector_degree(c) if c else 0 for c in cols]
-        source = GradedFreeModule(base, col_twists)
-        return cls(source, target, cols, check=check)
-
-    @classmethod
-    def identity(cls, module: GradedFreeModule) -> "GradedMatrix":
-        cols = [module.basis_vector(i) for i in range(module.rank)]
-        return cls(module, module, cols, normalize=False, check=False)
 
     @classmethod
     def zero(cls, source: GradedFreeModule, target: GradedFreeModule) -> "GradedMatrix":
@@ -186,9 +163,6 @@ class GradedMatrix:
         return [[self.entry(i, j) for j in range(self.source.rank)]
                 for i in range(self.target.rank)]
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
-
     def apply(self, v: Vector) -> Vector:
         """Image of a source vector: substitute columns for basis vectors."""
         ctx = self.source.ring.pack.ctx
@@ -206,9 +180,6 @@ class GradedMatrix:
             raise ValueError("composition mismatch")
         cols = [self.apply(list(c)) for c in other.cols]
         return GradedMatrix(other.source, self.target, cols, check=False)
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def transpose_dual(self) -> "GradedMatrix":
         """Matrix of Hom(-, base): transpose with negated twists."""
@@ -257,15 +228,3 @@ class GradedMatrix:
     def __repr__(self):
         r, c = self.target.rank, self.source.rank
         return f"<GradedMatrix {r}x{c} over {self.base!r}>"
-
-    def pretty(self) -> str:
-        ent = self.entries()
-        if not ent:
-            return "(empty 0-row matrix)"
-        cells = [[str(e) for e in row] for row in ent]
-        widths = [max((len(cells[i][j]) for i in range(len(cells))), default=1)
-                  for j in range(self.source.rank)]
-        lines = []
-        for row in cells:
-            lines.append("[ " + " , ".join(s.rjust(w) for s, w in zip(row, widths)) + " ]")
-        return "\n".join(lines)

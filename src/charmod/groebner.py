@@ -1,14 +1,15 @@
-"""Groebner bases for submodules of graded free modules, over the
-polynomial ring or a graded quotient of it.
+"""Groebner bases for submodules of graded free modules over a graded
+quotient ``R = Q/I`` of a polynomial ring, with ``Q`` itself as ``Q/0``.
 
 The engine is Buchberger's algorithm on packed term lists with the chain
 criterion, the product criterion in ambient rank one, and normal-strategy
 pair selection (lowest S-degree first).  Reduced bases are canonical, so
 every result here is independent of generator order.
 
-Computations over a quotient ``R = Q/I`` lift to ``Q``: the defining ideal
-enters as extra columns ``g * e_pos`` and results are projected back and
-kept in normal form with respect to ``I``.
+Computations over ``R`` lift to ``Q``: the defining ideal enters as extra
+columns ``g * e_pos`` and results are projected back and kept in normal
+form with respect to ``I``.  Over ``Q`` (a ``PolyRing``) there are no such
+columns and every normal form is the identity.
 
 There is one syzygy engine, elimination (``syzygy_generators``): syzygies,
 kernels, colon ideals and intersections come from a single Groebner basis in
@@ -189,8 +190,8 @@ class SubmoduleGB:
     """A submodule of a graded free module together with a Groebner basis.
 
     ``gens`` are the defining generators, ``gb`` the reduced basis over the
-    ambient base ring.  Over a quotient base the lift (including the ideal
-    columns) is kept internally so normal forms stay exact.
+    ambient base ring.  The lift to the cover (including the ideal columns)
+    is kept internally so normal forms stay exact.
     """
 
     __slots__ = ("ambient", "gens", "gb", "_qgb", "_reducer")
@@ -242,17 +243,16 @@ class SubmoduleGB:
 
 def express_in_basis(gb: SubmoduleGB, v: Vector) -> Optional[Vector]:
     """Coordinates of ``v`` in the free module on the basis elements of
-    ``gb``, or None if ``v`` is not a member.  Over a quotient base the
-    coordinates are only well defined modulo the ideal, and the ideal's
-    contribution is dropped."""
+    ``gb``, or None if ``v`` is not a member.  The coordinates are only well
+    defined modulo the defining ideal, and the ideal's contribution is
+    dropped."""
     ambient = gb.ambient
     base = gb.base
     ring = ambient.ring
     basis = [list(g) for g in gb.gb]
     m = len(basis)
-    if isinstance(base, QuotientRing):
-        v = base.normal_form_vector(list(v), ambient)
-        basis = basis + _ideal_aug_vectors(base, ambient.rank)
+    v = base.normal_form_vector(list(v))
+    basis += _ideal_aug_vectors(base, ambient.rank)
     if not v:
         return []
     red = make_reducer(ring.field.p, ring.pack.ctx, basis)
@@ -268,7 +268,7 @@ def express_in_basis(gb: SubmoduleGB, v: Vector) -> Optional[Vector]:
 
 
 def _ideal_aug_vectors(base, ambient_rank: int) -> List[Vector]:
-    """Columns ``g * e_pos`` for the defining ideal of a quotient base."""
+    """Columns ``g * e_pos`` for the defining ideal of the base."""
     out: List[Vector] = []
     for g in base.ideal_gb_polys():
         for pos in range(ambient_rank):
@@ -291,28 +291,12 @@ def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
             raise ValueError("inhomogeneous generator")
         vecs.append(v)
     base = ambient.base
-    if isinstance(base, QuotientRing):
-        ring = base.cover
-        vecs = [base.normal_form_vector(v, ambient) for v in vecs]
-        aug = _ideal_aug_vectors(base, ambient.rank)
-        qgb = _buchberger_terms(ring, ambient.twists, vecs + aug,
-                                product=(ambient.rank == 1))
-        rgb = []
-        for v in qgb:
-            w = base.normal_form_vector(v, ambient)
-            if w:
-                rgb.append(w)
-        return SubmoduleGB(ambient, vecs, rgb, qgb=qgb)
-    gb = _buchberger_terms(base, ambient.twists, vecs, product=(ambient.rank == 1))
-    return SubmoduleGB(ambient, vecs, gb)
-
-
-def normal_form(v, gb: SubmoduleGB):
-    """Normal form of a vector (or coordinate list of polynomials)."""
-    ambient = gb.ambient
-    if isinstance(v, (list, tuple)) and v and not isinstance(v[0], tuple):
-        v = ambient.vector_from_polys(list(v))
-    return gb.normal_form(list(v))
+    vecs = [base.normal_form_vector(v) for v in vecs]
+    aug = _ideal_aug_vectors(base, ambient.rank)
+    qgb = _buchberger_terms(base.cover, ambient.twists, vecs + aug,
+                            product=(ambient.rank == 1))
+    rgb = [w for w in map(base.normal_form_vector, qgb) if w]
+    return SubmoduleGB(ambient, vecs, rgb, qgb=qgb)
 
 
 def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
@@ -320,23 +304,14 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     """Generators of the syzygy module of ``vectors`` over the ambient base.
 
     Returned vectors live in the free module on the inputs (twists equal to
-    their degrees).  Relations with the ``extra_unmarked`` columns (and with
-    the defining ideal over a quotient base) are allowed but not recorded.
+    their degrees).  Relations with the ``extra_unmarked`` columns and with
+    the defining ideal of the base are allowed but not recorded.
     """
     base = ambient.base
-    unmarked = [list(u) for u in extra_unmarked]
-    if isinstance(base, QuotientRing):
-        ring = base.cover
-        unmarked += _ideal_aug_vectors(base, ambient.rank)
-    else:
-        ring = base
-    syz = _elimination_syzygies(ring, ambient.twists, [list(v) for v in vectors], unmarked)
-    if isinstance(base, QuotientRing):
-        amb2 = GradedFreeModule(
-            base, [ambient.vector_degree(list(v)) if v else 0 for v in vectors])
-        syz = [base.normal_form_vector(s, amb2) for s in syz]
-        syz = [s for s in syz if s]
-    return syz
+    unmarked = [list(u) for u in extra_unmarked] + _ideal_aug_vectors(base, ambient.rank)
+    syz = _elimination_syzygies(base.cover, ambient.twists,
+                                [list(v) for v in vectors], unmarked)
+    return [s for s in map(base.normal_form_vector, syz) if s]
 
 
 def quotient(sub: SubmoduleGB, e) -> "Ideal":
@@ -344,17 +319,12 @@ def quotient(sub: SubmoduleGB, e) -> "Ideal":
     ambient = sub.ambient
     if isinstance(e, (list, tuple)) and e and not isinstance(e[0], tuple):
         e = ambient.vector_from_polys(list(e))
-    e = list(e)
     base = ambient.base
-    if isinstance(base, QuotientRing):
-        ring = base.cover
-        e = base.normal_form_vector(e, ambient)
-        unmarked = [list(v) for v in sub.gb] + _ideal_aug_vectors(base, ambient.rank)
-    else:
-        ring = base
-        unmarked = [list(v) for v in sub.gb]
+    ring = base.cover
+    e = base.normal_form_vector(list(e))
+    unmarked = [list(v) for v in sub.gb] + _ideal_aug_vectors(base, ambient.rank)
     if not e:
-        return Ideal(base, [ring_one(base)])
+        return Ideal(base, [ring.one()])
     syz = _elimination_syzygies(ring, ambient.twists, [e], unmarked)
     polys = []
     for s in syz:
@@ -363,17 +333,12 @@ def quotient(sub: SubmoduleGB, e) -> "Ideal":
     return Ideal(base, polys)
 
 
-def ring_one(base) -> Polynomial:
-    ring = getattr(base, "cover", base)
-    return ring.one()
-
-
 def intersect_ideals(a: "Ideal", b: "Ideal") -> "Ideal":
     """Intersection of two ideals over the same base, by syzygies."""
     if a.base != b.base:
         raise ValueError("ideals over different bases")
     base = a.base
-    ring = getattr(base, "cover", base)
+    ring = base.cover
     ambient = GradedFreeModule(base, [0])
     ga = [f for f in a.gens if f]
     gbp = [f for f in b.gens if f]
@@ -402,21 +367,20 @@ def intersect_ideals(a: "Ideal", b: "Ideal") -> "Ideal":
 
 
 class Ideal:
-    """An ideal of the polynomial ring or of a graded quotient of it."""
+    """An ideal of a graded quotient of the polynomial ring (or of ``Q/0``)."""
 
     __slots__ = ("base", "gens", "_sub")
 
     def __init__(self, base, gens: Sequence[Polynomial]):
         self.base = base
-        ring = getattr(base, "cover", base)
+        ring = base.cover
         out = []
         for f in gens:
             if not isinstance(f, Polynomial):
                 f = ring.poly(f)
             if f.ring != ring:
                 raise ValueError("generator from a different ring")
-            if isinstance(base, QuotientRing):
-                f = base.nf(f)
+            f = base.nf(f)
             if f:
                 out.append(f)
         self.gens = tuple(out)
@@ -424,7 +388,7 @@ class Ideal:
 
     @property
     def ring(self) -> PolyRing:
-        return getattr(self.base, "cover", self.base)
+        return self.base.cover
 
     def submodule(self) -> SubmoduleGB:
         if self._sub is None:
@@ -448,13 +412,6 @@ class Ideal:
 
     def is_zero(self) -> bool:
         return not self.groebner_basis()
-
-    def is_unit(self) -> bool:
-        gb = self.groebner_basis()
-        return bool(gb) and gb[0].degree() == 0
-
-    def equals(self, other: "Ideal") -> bool:
-        return self.base == other.base and self.groebner_basis() == other.groebner_basis()
 
     def __repr__(self):
         return f"Ideal({self.base!r}, {[str(g) for g in self.gens]})"
@@ -516,7 +473,7 @@ class QuotientRing:
         r = self._reducer.nf(v)
         return Polynomial(self.cover, [(term_okey(k), c) for k, c in r])
 
-    def normal_form_vector(self, v: Vector, ambient: GradedFreeModule) -> Vector:
+    def normal_form_vector(self, v: Vector) -> Vector:
         """Componentwise normal form of a vector modulo the defining ideal."""
         if not self._gb_polys:
             return list(v)

@@ -24,7 +24,6 @@ from .freemod import (
     term_pos,
 )
 from .groebner import (
-    QuotientRing,
     SubmoduleGB,
     buchberger,
     express_in_basis,
@@ -66,7 +65,7 @@ def module_basis(M: PresentedModule, d: int) -> List[int]:
     """Term keys of the standard monomial basis of the degree-d piece.
 
     Standard monomials are those not divisible by any lead term of the
-    relation basis (including the defining ideal over a quotient base).
+    relation basis (including the defining ideal of the base).
     """
     gb = M.relation_gb()
     ring = M.ring
@@ -174,7 +173,7 @@ def subquotient(ambient: GradedFreeModule, numerator: Sequence[Vector],
     src = GradedFreeModule(ambient.base, twists)
     rels = GradedMatrix(src, gens_fm, rel_vecs, normalize=False, check=False)
     out = PresentedModule(gens_fm, rels)
-    out.cache["origin"] = {"kind": "subquotient", "ambient": ambient, "numerator": num}
+    out.cache["origin"] = {"kind": "subquotient", "numerator": num}
     return out
 
 
@@ -189,10 +188,7 @@ def subquotient_realize(M: PresentedModule, v: Vector) -> Vector:
     for key, c in v:
         g = num.gb[term_pos(key)]
         out = scaled_merge(out, list(g), c, term_okey(key) << POS_BITS, p, ctx)
-    base = M.base
-    if isinstance(base, QuotientRing):
-        out = base.normal_form_vector(out, origin["ambient"])
-    return out
+    return M.base.normal_form_vector(out)
 
 
 def subquotient_express(M: PresentedModule, v: Vector) -> Vector:
@@ -372,13 +368,12 @@ def hom_realize(H: PresentedModule, v: Vector) -> GradedMatrix:
     return GradedMatrix(A.gens, B.gens, cols, check=False)
 
 
-def hom_express(H: PresentedModule, m: GradedMatrix) -> Vector:
-    """Generator coordinates of a compatible matrix in a Hom module."""
-    origin = H.cache["origin"]
-    B: PresentedModule = origin["B"]
-    rB = B.gens.rank
+def hom_express(H: PresentedModule, cols: Sequence[Vector]) -> Vector:
+    """Generator coordinates in a Hom module of a compatible map, given by
+    the images ``cols[i]`` of the generators of A as vectors over ``F_0(B)``."""
+    rB = H.cache["origin"]["B"].gens.rank
     flat: Vector = []
-    for i, col in enumerate(m.cols):
+    for i, col in enumerate(cols):
         for key, c in col:
             flat.append((term_key(term_okey(key), i * rB + term_pos(key)), c))
     flat.sort(reverse=True)

@@ -89,16 +89,6 @@ class HilbertSeries:
                 break
         return self.nvars - order
 
-    def finite_sum(self) -> int:
-        """Total k-dimension; only valid when the dimension is at most 0."""
-        if self.dimension() > 0:
-            raise ValueError("module has positive dimension")
-        if not self.numerator:
-            return 0
-        lo = min(self.numerator)
-        hi = max(self.numerator)
-        return sum(self.value(d) for d in range(lo, hi + 1))
-
 
 @cached
 def ring_module_of(base) -> PresentedModule:
@@ -250,20 +240,13 @@ def annihilator(M: PresentedModule) -> Ideal:
     """Annihilator ideal, by intersecting colon ideals of the generators."""
     base = M.base
     if M.gens.rank == 0:
-        ring = getattr(base, "cover", base)
-        return Ideal(base, [ring.one()])
+        return Ideal(base, [base.cover.one()])
     gb = M.relation_gb()
     out: Optional[Ideal] = None
     for i in range(M.gens.rank):
         col = quotient(gb, M.gens.basis_vector(i))
         out = col if out is None else intersect_ideals(out, col)
     return out
-
-
-def is_faithful(M: PresentedModule) -> bool:
-    """Whether the annihilator is zero in the base ring."""
-    ann = annihilator(M)
-    return ann.is_zero()
 
 
 def poincare_bass(M: PresentedModule, bound: int = 6) -> Dict[str, List[int]]:

@@ -28,15 +28,15 @@ def backend_name() -> str:
     return "compiled" if HAVE_FAST else "pure"
 
 
-def make_reducer(p: int, ctx: OrderCtx, basis=(), force_pure: bool = False):
-    if HAVE_FAST and ctx.fits64 and p < _P_CAP and not force_pure:
+def make_reducer(p: int, ctx: OrderCtx, basis=()):
+    if HAVE_FAST and ctx.fits64 and p < _P_CAP:
         red = _fast.Reducer(p, ctx.kind, ctx.n, ctx.fb, basis)
     else:
         red = pure.Reducer(p, ctx, basis)
     return LexGuard(red, ctx, basis) if ctx.kind == LEX else red
 
 
-def scaled_merge(u, v, c, shift, p, ctx: OrderCtx, force_pure: bool = False):
+def scaled_merge(u, v, c, shift, p, ctx: OrderCtx):
     """``u + c * X^m * v`` dispatched to the fastest applicable kernel.
 
     Raises ``OverflowError`` when a term of ``X^m * v`` passes the degree
@@ -57,7 +57,7 @@ def scaled_merge(u, v, c, shift, p, ctx: OrderCtx, force_pure: bool = False):
             for k, _ in v:
                 if (k + shift) & guards:
                     raise _degree_overflow(ctx.deg((k + shift) >> POS_BITS), ctx)
-    if HAVE_FAST and ctx.fits64 and p < _P_CAP and not force_pure:
+    if HAVE_FAST and ctx.fits64 and p < _P_CAP:
         return _fast.add_scaled(u, v, c, shift, p)
     return pure.add_scaled(u, v, c, shift, p)
 

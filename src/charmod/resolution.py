@@ -1,13 +1,14 @@
 """Presented graded modules and (minimal) free resolutions.
 
 A presented module is a cokernel ``F_0 / im(F_1 -> F_0)`` over the base
-ring; over a quotient ``R = Q/I`` the ideal relations are implicit and all
-stored data is kept in normal form modulo ``I``.  Resolutions are built by
-iterated syzygy computation with incremental minimalization: each new
-differential has its scalar pivots cancelled (a Schur complement step whose
-only effect on the previous differential is a column deletion) and its zero
-columns dropped before the next syzygy step, so every prefix of the
-resolution is minimal and graded Betti numbers read off the twists.
+ring ``R = Q/I`` (``Q`` itself being ``Q/0``); the ideal relations are
+implicit and all stored data is kept in normal form modulo ``I``.
+Resolutions are built by iterated syzygy computation with incremental
+minimalization: each new differential has its scalar pivots cancelled (a
+Schur complement step whose only effect on the previous differential is a
+column deletion) and its zero columns dropped before the next syzygy step,
+so every prefix of the resolution is minimal and graded Betti numbers read
+off the twists.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .freemod import (
     term_pos,
 )
 from .kernel import POS_BITS, scaled_merge
-from .groebner import QuotientRing, SubmoduleGB, buchberger, syzygy_generators
+from .groebner import SubmoduleGB, buchberger, syzygy_generators
 from .ring import PolyRing
 
 
@@ -82,28 +83,10 @@ class PresentedModule:
     @classmethod
     def residue_field(cls, base) -> "PresentedModule":
         """k = base / (variables), as a module over the base."""
-        ring = getattr(base, "cover", base)
+        ring = base.cover
         gens = GradedFreeModule(base, [0])
         cols = [gens.vector_from_polys([ring.var(i)]) for i in range(ring.n)]
         src = GradedFreeModule(base, [1] * ring.n)
-        return cls(gens, GradedMatrix(src, gens, cols))
-
-    @classmethod
-    def cokernel(cls, f: GradedMatrix) -> "PresentedModule":
-        return cls(f.target, f)
-
-    @classmethod
-    def quotient_by_ideal(cls, base, ideal_gens) -> "PresentedModule":
-        """base / (ideal_gens) as a cyclic module."""
-        gens = GradedFreeModule(base, [0])
-        cols = []
-        twists = []
-        for f in ideal_gens:
-            v = gens.vector_from_polys([f])
-            if v:
-                cols.append(v)
-                twists.append(gens.vector_degree(v))
-        src = GradedFreeModule(base, twists)
         return cls(gens, GradedMatrix(src, gens, cols))
 
     # -- basic structure -------------------------------------------------
@@ -140,9 +123,9 @@ class PresentedModule:
     def q_structure(self) -> "PresentedModule":
         """The same module regarded over the polynomial cover ring."""
         base = self.base
-        if not isinstance(base, QuotientRing):
-            return self
         ring = base.cover
+        if ring is base:
+            return self
         gens = GradedFreeModule(ring, self.gens.twists)
         cols = [list(c) for c in self.rels.cols]
         twists = list(self.rels.source.twists)
@@ -211,9 +194,7 @@ def _schur_cancel(m: GradedMatrix, r: int, c: int, u: int) -> GradedMatrix:
             for okey, cc in entry:
                 nc = scaled_merge(nc, pivot, (p - cc * uinv % p) % p,
                                   okey << POS_BITS, p, ctx)
-            if isinstance(base, QuotientRing):
-                nc = base.normal_form_vector(nc, m.target)
-            new_cols.append(nc)
+            new_cols.append(base.normal_form_vector(nc))
         else:
             new_cols.append(list(col))
     tmp = GradedMatrix(m.source, m.target, new_cols, normalize=False, check=False)
@@ -251,12 +232,6 @@ class BettiTable:
                 entries[(i, t)] = entries.get((i, t), 0) + 1
         return cls(entries)
 
-    def total(self, i: int) -> int:
-        return sum(v for (a, _), v in self.entries.items() if a == i)
-
-    def max_step(self) -> int:
-        return max((i for (i, _) in self.entries), default=-1)
-
     def rows(self) -> List[List[int]]:
         """Canonical [homological degree, twist, count] rows."""
         return [[i, j, self.entries[(i, j)]] for (i, j) in sorted(self.entries)]
@@ -272,14 +247,6 @@ class BettiTable:
 
     def __repr__(self):
         return f"BettiTable({self.entries})"
-
-    def pretty(self) -> str:
-        if not self.entries:
-            return "(zero module)"
-        lines = ["  i  j  beta"]
-        for i, j, v in self.rows():
-            lines.append(f"{i:3d}{j:3d}{v:6d}")
-        return "\n".join(lines)
 
 
 class FreeResolution:
@@ -336,7 +303,7 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
     when the syzygies actually vanished.
     """
     base = M.base
-    over_quotient = isinstance(base, QuotientRing) and not base.is_polynomial_ring()
+    over_quotient = not base.is_polynomial_ring()
     if over_quotient and max_steps is None:
         raise ValueError("resolution over a quotient ring needs max_steps")
     ring = M.ring
@@ -378,14 +345,3 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
     if not over_quotient and not complete:
         raise ResolutionLimitError("resolution over the polynomial ring did not terminate")
     return FreeResolution(base, modules, diffs, minimal=True, complete=complete)
-
-
-def betti(res: FreeResolution) -> BettiTable:
-    """Graded Betti table of a minimal resolution; raises otherwise."""
-    return BettiTable.from_resolution(res)
-
-
-def projective_dimension(M: PresentedModule) -> int:
-    """pd over the polynomial cover; -1 for the zero module."""
-    res = resolve(M.q_structure())
-    return res.projective_dimension()

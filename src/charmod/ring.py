@@ -73,55 +73,11 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.p})"
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
-
-
-class MonomialOrder:
-    """A monomial order kind; ``grevlex`` or ``lex``.
-
-    Module orders extend ring orders term-over-position with ties broken
-    toward the smaller position index.
-    """
-
-    __slots__ = ("kind",)
-
-    KINDS = ("grevlex", "lex")
-
-    def __init__(self, kind: str):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and other.kind == self.kind
-
-    def __hash__(self):
-        return hash(("MonomialOrder", self.kind))
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
 
 
 def monomial_mul(u: Sequence[int], v: Sequence[int]) -> tuple:
@@ -194,17 +150,6 @@ class Packing:
         return tuple(out)
 
 
-def compare(u: Sequence[int], v: Sequence[int], order: MonomialOrder | str = "grevlex") -> int:
-    """Total-order comparison of exponent tuples: -1, 0 or 1."""
-    if len(u) != len(v):
-        raise ValueError("exponent tuples of different lengths")
-    kind = order.kind if isinstance(order, MonomialOrder) else order
-    pk = Packing(GREVLEX if kind == "grevlex" else LEX, len(u))
-    a = pk.okey(u)
-    b = pk.okey(v)
-    return (a > b) - (a < b)
-
-
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^]))")
 
 
@@ -244,31 +189,6 @@ class Polynomial:
 
     def lead_monomial(self) -> tuple:
         return self.ring.pack.exps(self.lead_okey())
-
-    def lead_coeff(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no lead term")
-        return self.terms[0][1]
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        inv = self.ring.field.inv(self.terms[0][1])
-        if inv == 1:
-            return self
-        p = self.ring.field.p
-        return Polynomial(self.ring, [(k, c * inv % p) for k, c in self.terms])
-
-    def monomials(self):
-        """Exponent tuples of the support, in descending order."""
-        return [self.ring.pack.exps(k) for k, _ in self.terms]
-
-    def coefficient(self, exps: Sequence[int]) -> int:
-        key = self.ring.pack.okey(exps)
-        for k, c in self.terms:
-            if k == key:
-                return c
-        return 0
 
     # -- arithmetic ------------------------------------------------------
     def _check(self, other):
@@ -389,7 +309,12 @@ class Polynomial:
 
 
 class PolyRing:
-    """Graded polynomial ring ``GF(p)[x_1..x_n]`` with a bound monomial order."""
+    """Graded polynomial ring ``GF(p)[x_1..x_n]`` with a bound monomial order.
+
+    A ``PolyRing`` is also the quotient ``Q/0`` of itself: it answers the
+    quotient-ring questions of ``groebner.QuotientRing`` for the zero ideal,
+    so every operation over a base ring has one code path.
+    """
 
     __slots__ = ("field", "variables", "order", "n", "pack", "_var_index")
 
@@ -406,9 +331,7 @@ class PolyRing:
             if not re.fullmatch(r"[A-Za-z_]\w*", v):
                 raise ValueError(f"bad variable name {v!r}")
         self.variables = variables
-        if isinstance(order, MonomialOrder):
-            order = order.kind
-        if order not in MonomialOrder.KINDS:
+        if order not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order {order!r}")
         self.order = order
         self.n = len(variables)
@@ -429,6 +352,24 @@ class PolyRing:
     def __repr__(self):
         return f"PolyRing(GF({self.field.p}), {list(self.variables)}, {self.order!r})"
 
+    # -- the quotient Q/0 -------------------------------------------------
+    @property
+    def cover(self) -> "PolyRing":
+        return self
+
+    def ideal_gb_polys(self) -> tuple:
+        return ()
+
+    def is_polynomial_ring(self) -> bool:
+        return True
+
+    def nf(self, f: Polynomial) -> Polynomial:
+        return f
+
+    def normal_form_vector(self, v):
+        """Normal form of a vector modulo the zero ideal: ``v`` itself."""
+        return v
+
     # -- constructors ----------------------------------------------------
     def zero(self) -> Polynomial:
         return Polynomial(self, ())
@@ -436,19 +377,12 @@ class PolyRing:
     def one(self) -> Polynomial:
         return Polynomial(self, ((0, 1),))
 
-    def constant(self, c: int) -> Polynomial:
-        c %= self.field.p
-        return Polynomial(self, ((0, c),) if c else ())
-
     def var(self, which) -> Polynomial:
         if isinstance(which, str):
             which = self._var_index[which]
         exps = [0] * self.n
         exps[which] = 1
         return self.monomial(exps)
-
-    def gens(self):
-        return tuple(self.var(i) for i in range(self.n))
 
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> Polynomial:
         coeff %= self.field.p

@@ -11,6 +11,9 @@ import pytest
 from charmod import corpus as corpus_mod
 from charmod import kernel
 from charmod.cmr import load
+from charmod.freemod import GradedFreeModule, GradedMatrix
+from charmod.kernel import POS_BITS, scaled_merge
+from charmod.resolution import PresentedModule
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "charmod" / "fixtures"
 KERNEL_C = FIXTURES.parent / "kernel" / "_fast.c"
@@ -20,6 +23,30 @@ def exps_of_degree(rng, n, d):
     """A random exponent tuple of ``n`` entries and total degree ``d``."""
     cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
     return tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))
+
+
+def matrix_from_columns(base, target_twists, cols_polys, col_twists=None):
+    """The homogeneous matrix whose columns are lists of polynomials; column
+    twists default to the columns' degrees."""
+    target = GradedFreeModule(base, target_twists)
+    cols = [target.vector_from_polys(c) for c in cols_polys]
+    if col_twists is None:
+        col_twists = [target.vector_degree(c) if c else 0 for c in cols]
+    return GradedMatrix(GradedFreeModule(base, col_twists), target, cols)
+
+
+def cyclic_quotient(base, ideal_gens):
+    """``base / (ideal_gens)`` as a cyclic presented module."""
+    rels = matrix_from_columns(base, [0], [[f] for f in ideal_gens if f])
+    return PresentedModule(rels.target, rels)
+
+
+def times_poly(v, f, ctx, p):
+    """The vector ``f * v`` for a polynomial ``f``, term by term."""
+    out = []
+    for okey, c in f.terms:
+        out = scaled_merge(out, v, c, okey << POS_BITS, p, ctx)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -228,7 +228,7 @@ def test_acceptance_7_kernel_self_consistency(capsys, mixed_corpus):
             Rm = pool[0]
             res = q_resolution(Rm)
             for i in range(1, res.length):
-                assert res.diff(i).compose(res.diff(i + 1)).is_zero()
+                assert not any(res.diff(i).compose(res.diff(i + 1)).cols)
             _check_resolution_exact(res, Rm.q_structure(), 8)
 
         # (c) reduced Groebner bases do not depend on generator order

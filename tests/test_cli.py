@@ -151,6 +151,35 @@ def test_unknown_module_name(tmp_path):
     assert "nope" in err
 
 
+INPUT_ERRORS = {
+    # case: (arguments, report id, part of the message)
+    "missing_file": (("invariants", "{tmp}/absent.cmr"), None, "absent.cmr"),
+    "parse_error": (("invariants", "{tmp}/bad.cmr"), None, "line 1, col 7"),
+    "missing_module_flag": (("tmod", E2), "e2", "--module"),
+    "unknown_module": (("tmod", E2, "--module", "nope"), "e2", "'nope'"),
+    "unknown_suite": (("check", "nope", E2), "e2", "unknown check suite 'nope'"),
+    "unknown_profile": (("corpus", "nope"), "nope-0", "unknown profile 'nope'"),
+    "checker_rejects_module": (("check", "cor_artinian", VERONESE, "--module", "R"),
+                               "veronese", "R is not artinian"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_as_json(case, tmp_path):
+    (tmp_path / "bad.cmr").write_text("field 6\nring x y\n")
+    args, doc_id, needle = INPUT_ERRORS[case]
+    args = [a.format(tmp=tmp_path) for a in args]
+    code, rep, err = run_json(*args)
+    assert code == 2 and err == ""
+    assert rep == {"command": args[0], "id": doc_id,
+                   "error": {"kind": "input", "message": rep["error"]["message"]}}
+    assert needle in rep["error"]["message"]
+    # the same failure without --json is one line on stderr
+    code, out, err = run(*args)
+    assert code == 2 and out == ""
+    assert err == f"error: {rep['error']['message']}\n"
+
+
 def test_degree_past_packing_cap_is_a_resource_limit(tmp_path):
     doc = tmp_path / "steep.cmr"
     doc.write_text("field 32003\nring x y\nideal\nx^130*y\nx*y^130\nend\n")

@@ -1,8 +1,10 @@
 """Randomized instance generator: determinism, bounds, profile guarantees."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charmod.cmr import parse, render
+from charmod.cmr import InputDocument, ModuleBlock, parse, render
 from charmod.corpus import (
     PROFILES,
     corpus_battery,
@@ -11,7 +13,9 @@ from charmod.corpus import (
     instance_id,
 )
 from charmod.invariants import is_cohen_macaulay, q_resolution, ring_module_of
-from charmod.resolution import PresentedModule
+from charmod.ring import PolyRing
+
+from conftest import cyclic_quotient
 
 
 def test_profiles_and_ids():
@@ -31,9 +35,33 @@ def test_determinism_and_prefix_stability():
     assert [render(x) for x in other] != [render(x) for x in a]
 
 
-def test_instances_round_trip_through_text():
-    for doc in generate_corpus(3, 8, "mixed"):
-        assert parse(render(doc)) == doc
+def _as_lex(doc):
+    """The same document over the lex order, built without the parser."""
+    lex = PolyRing(doc.p, doc.variables, "lex")
+
+    def conv(f):
+        return lex.from_dict({f.ring.pack.exps(k): c for k, c in f.terms})
+    blocks = [ModuleBlock(b.name, b.twists, [[conv(f) for f in row] for row in b.rows])
+              for b in doc.modules]
+    return InputDocument(doc.p, doc.variables, "lex",
+                         [conv(f) for f in doc.ideal_gens], blocks)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(profile=st.sampled_from(PROFILES), seed=st.integers(0, 10 ** 6),
+       index=st.integers(0, 7), lex=st.booleans())
+def test_instances_round_trip_through_text(profile, seed, index, lex):
+    # the promise of cmr.render, over every profile, both orders and the
+    # documents' module blocks: parse(render(doc)) == doc, and a second
+    # rendering is byte-identical
+    doc = generate_corpus(seed, index + 1, profile)[index]
+    if lex:
+        doc = _as_lex(doc)
+    assert doc.modules and doc.order == ("lex" if lex else "grevlex")
+    text = render(doc)
+    again = parse(text)
+    assert again == doc
+    assert render(again) == text
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
@@ -72,7 +100,7 @@ def test_binomial_profile_term_counts():
 def test_ci_profile_gives_regular_sequences():
     for doc in generate_corpus(9, 10, "ci"):
         cover = doc.ring()
-        M = PresentedModule.quotient_by_ideal(cover, list(doc.ideal_gens))
+        M = cyclic_quotient(cover, list(doc.ideal_gens))
         assert q_resolution(M).projective_dimension() == len(doc.ideal_gens)
 
 

@@ -18,6 +18,8 @@ from charmod.groebner import (
 )
 from charmod.ring import PolyRing
 
+from conftest import matrix_from_columns
+
 
 @pytest.fixture(scope="module")
 def twisted_cubic():
@@ -36,7 +38,7 @@ def test_reduced_basis_is_autoreduced(twisted_cubic):
     ring, ideal = twisted_cubic
     gb = ideal.groebner_basis()
     for i, g in enumerate(gb):
-        assert g.lead_coeff() == 1
+        assert g.terms[0][1] == 1
         # monic, and no term of g reduces modulo the other elements
         rest = Ideal(ring, [h for j, h in enumerate(gb) if j != i])
         assert rest.normal_form(g) == g
@@ -77,7 +79,7 @@ def test_trivial_ideals():
     assert Ideal(ring, []).is_zero()
     assert Ideal(ring, [ring.poly("0")]).is_zero()
     unit = Ideal(ring, [ring.poly("x"), ring.poly("3")])
-    assert unit.is_unit()
+    assert unit.groebner_basis() == (ring.one(),)
     assert unit.contains(ring.one())
 
 
@@ -85,21 +87,24 @@ def test_ideal_equality_compares_reduced_bases():
     ring = PolyRing(101, ("x", "y"))
     a = Ideal(ring, [ring.poly("x"), ring.poly("y")])
     b = Ideal(ring, [ring.poly("x+y"), ring.poly("y")])
-    assert a.equals(b)
-    assert not a.equals(Ideal(ring, [ring.poly("x")]))
+    assert a.groebner_basis() == b.groebner_basis()
+    assert a.groebner_basis() != Ideal(ring, [ring.poly("x")]).groebner_basis()
 
 
 def test_colon_ideal_oracle():
     ring = PolyRing(101, ("x", "y"))
     ideal = Ideal(ring, [ring.poly("x^2"), ring.poly("x*y")])
+    unit = (ring.one(),)
     col = quotient(ideal.submodule(), [ring.poly("x")])
-    assert col.equals(Ideal(ring, [ring.poly("x"), ring.poly("y")]))
+    xy = Ideal(ring, [ring.poly("x"), ring.poly("y")])
+    assert col.groebner_basis() == xy.groebner_basis()
     # colon by an element of the ideal is the unit ideal
-    assert quotient(ideal.submodule(), [ring.poly("x^2")]).is_unit()
+    assert quotient(ideal.submodule(), [ring.poly("x^2")]).groebner_basis() == unit
     # colon by 1 returns the ideal itself
-    assert quotient(ideal.submodule(), [ring.one()]).equals(ideal)
+    same = quotient(ideal.submodule(), [ring.one()])
+    assert same.groebner_basis() == ideal.groebner_basis()
     # colon by zero is the unit ideal
-    assert quotient(ideal.submodule(), [ring.poly("0")]).is_unit()
+    assert quotient(ideal.submodule(), [ring.poly("0")]).groebner_basis() == unit
 
 
 def test_colon_oracle_by_membership_scan():
@@ -121,10 +126,10 @@ def test_intersection_oracle():
     a = Ideal(ring, [ring.poly("x")])
     b = Ideal(ring, [ring.poly("y")])
     meet = intersect_ideals(a, b)
-    assert meet.equals(Ideal(ring, [ring.poly("x*y")]))
+    assert meet.groebner_basis() == (ring.poly("x*y"),)
     # intersection with a larger ideal returns the smaller one
     m = Ideal(ring, [ring.poly("x"), ring.poly("y")])
-    assert intersect_ideals(m, a).equals(a)
+    assert intersect_ideals(m, a).groebner_basis() == a.groebner_basis()
     assert intersect_ideals(a, Ideal(ring, [])).is_zero()
 
 
@@ -142,7 +147,7 @@ def test_intersection_membership_property():
 
 def test_koszul_kernel():
     ring = PolyRing(101, ("x", "y"))
-    f = GradedMatrix.from_columns(ring, [0], [[ring.poly("x")], [ring.poly("y")]])
+    f = matrix_from_columns(ring, [0], [[ring.poly("x")], [ring.poly("y")]])
     ker = buchberger(syzygy_generators([list(c) for c in f.cols], f.target), f.source)
     syzygy = ker.ambient.vector_from_polys([ring.poly("y"), ring.poly("-x")])
     assert ker.contains(syzygy)
@@ -225,7 +230,7 @@ def test_colon_over_quotient_ring():
     zero = buchberger([], ambient)
     ann = quotient(zero, [R.poly("x")])
     # annihilator of x in R = Q/(x^2, xy) is (x, y)
-    assert ann.equals(Ideal(R, [R.poly("x"), R.poly("y")]))
+    assert ann.groebner_basis() == Ideal(R, [R.poly("x"), R.poly("y")]).groebner_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +256,7 @@ def _rational_normal_curve(ring):
 
 def _exps_dict(f):
     """{exponent tuple: coefficient} of a polynomial."""
-    return {e: c for e, (_, c) in zip(f.monomials(), f.terms)}
+    return {f.ring.pack.exps(k): c for k, c in f.terms}
 
 
 def _differential_inputs(order):
@@ -284,7 +289,7 @@ def test_reduced_basis_matches_sympy(order):
     for p, variables, gens in _differential_inputs(order):
         ring = PolyRing(p, variables, order)
         ours = Ideal(ring, [ring.from_dict(g) for g in gens]).groebner_basis()
-        mine = {_monic(f.lead_coeff(), _exps_dict(f).items(), p) for f in ours}
+        mine = {_monic(f.terms[0][1], _exps_dict(f).items(), p) for f in ours}
         syms = sympy.symbols(variables)
         polys = [sympy.Poly.from_dict(g, *syms, modulus=p) for g in gens]
         theirs = sympy.groebner(polys, *syms, modulus=p, order=order)

@@ -14,7 +14,6 @@ from charmod.invariants import (
     gdim_bounded,
     hilbert_series_leads,
     is_cohen_macaulay,
-    is_faithful,
     is_gorenstein_ring,
     module_report,
     nu,
@@ -61,7 +60,7 @@ def _series_from_resolution(res):
     for i, mod in enumerate(res.modules):
         for t in mod.twists:
             num[t] = num.get(t, 0) + (-1) ** i
-    return HilbertSeries(num, getattr(res.base, "cover", res.base).n)
+    return HilbertSeries(num, res.base.cover.n)
 
 
 def test_hilbert_series_two_routes_agree(veronese_doc, e2_doc, stanley_reisner_doc):
@@ -82,9 +81,7 @@ def test_hilbert_series_arithmetic():
     assert HilbertSeries({}, 3).dimension() == -1
     art = HilbertSeries({0: 1, 1: -2, 2: 1}, 2)  # k as a module over 2 variables
     assert art.dimension() == 0
-    assert art.finite_sum() == 1
-    with pytest.raises(ValueError):
-        s.finite_sum()
+    assert art.values(0, 3) == [1, 0, 0, 0]
 
 
 def test_depth_by_ext_nonvanishing(veronese_doc, e2_doc, hypersurface_doc):
@@ -122,10 +119,10 @@ def test_annihilator_goldens(e2_doc):
     R = e2_doc.quotient()
     Rm = PresentedModule.ring_module(R)
     k = PresentedModule.residue_field(R)
-    assert is_faithful(Rm)
+    assert annihilator(Rm).is_zero()
     ann = annihilator(k)
     assert sorted(str(g) for g in ann.groebner_basis()) == ["x", "y"]
-    assert not is_faithful(k)
+    assert not ann.is_zero()
     # annihilator of R/(x) in R = Q/(x^2, xy) is (x)
     amb = GradedFreeModule(R, (0,))
     modx = subquotient(amb, [amb.basis_vector(0)],

@@ -7,12 +7,11 @@ from pathlib import Path
 import pytest
 
 from charmod import kernel
-from charmod.freemod import v_mul_poly
 from charmod.kernel import (OrderCtx, POS_BITS, backend_name,
                             divides, epack, make_reducer, pure, scaled_merge)
 from charmod.ring import PolyRing, PrimeField
 
-from conftest import exps_of_degree
+from conftest import exps_of_degree, times_poly
 
 # _fast.c is Cython's translation of _fast.pyx, and Cython is not a build
 # dependency: an edit to either file must come with a regenerated (or
@@ -176,12 +175,13 @@ def test_backend_parity_randomized(compiled_kernel):
     assert isinstance(make_reducer(32003, wide), pure.Reducer)
 
 
-def test_force_pure_and_width_gates(compiled_kernel):
+def test_width_and_prime_gates(compiled_kernel):
     ring = _ring()
     ctx = ring.pack.ctx
     assert backend_name() == "compiled"
     assert type(make_reducer(32003, ctx)).__module__.endswith("_fast")
-    assert isinstance(make_reducer(32003, ctx, force_pure=True), pure.Reducer)
+    # keys wider than a machine word must take the pure path
+    assert isinstance(make_reducer(32003, _ring(n=7).pack.ctx), pure.Reducer)
     # primes at or beyond 31 bits must take the pure path
     big = (1 << 31) + 11
     assert isinstance(make_reducer(big, ctx), pure.Reducer)
@@ -207,10 +207,10 @@ def test_product_past_degree_cap_raises(backend, request):
     ctx = ring.pack.ctx
     v = [(_key(ring, (200, 0)), 1)]
     with pytest.raises(OverflowError, match="total degree 300 exceeds packing cap 255"):
-        v_mul_poly(v, ring.poly("x^100"), ctx, p)
+        times_poly(v, ring.poly("x^100"), ctx, p)
     red = make_reducer(p, ctx, [[(_key(ring, (50, 0)), 1)]])
     assert type(red).__module__.endswith("_fast" if backend == "compiled" else "pure")
-    at_cap = v_mul_poly(v, ring.poly("x^55"), ctx, p)
+    at_cap = times_poly(v, ring.poly("x^55"), ctx, p)
     assert at_cap == [(_key(ring, (255, 0)), 1)]
     assert red.nf(at_cap) == []
     # lex fields are exponents, so the total degree can pass the cap while
@@ -219,20 +219,20 @@ def test_product_past_degree_cap_raises(backend, request):
     lex = PolyRing(PrimeField(p), "xy", "lex")
     w = [(_key(lex, (200, 0)), 1)]
     with pytest.raises(OverflowError, match="total degree 300 exceeds packing cap 255"):
-        v_mul_poly(w, lex.poly("y^100"), lex.pack.ctx, p)
+        times_poly(w, lex.poly("y^100"), lex.pack.ctx, p)
     with pytest.raises(OverflowError, match="total degree 311 exceeds packing cap 255"):
-        v_mul_poly([(_key(lex, (200, 55)), 1)], lex.poly("x^56"), lex.pack.ctx, p)
-    assert v_mul_poly(w, lex.poly("y^55"), lex.pack.ctx, p) == [(_key(lex, (200, 55)), 1)]
+        times_poly([(_key(lex, (200, 55)), 1)], lex.poly("x^56"), lex.pack.ctx, p)
+    assert times_poly(w, lex.poly("y^55"), lex.pack.ctx, p) == [(_key(lex, (200, 55)), 1)]
     lex6 = PolyRing(PrimeField(p), "abcdef", "lex")
     with pytest.raises(OverflowError, match="total degree 126 exceeds packing cap 63"):
-        v_mul_poly([(_key(lex6, (63, 0, 0, 0, 0, 0)), 1)], lex6.poly("b^63"),
+        times_poly([(_key(lex6, (63, 0, 0, 0, 0, 0)), 1)], lex6.poly("b^63"),
                    lex6.pack.ctx, p)
     # six variables: 7-bit fields, cap 63
     six = PolyRing(PrimeField(p), "abcdef")
     u = [(_key(six, (40, 0, 0, 0, 0, 0)), 1)]
     with pytest.raises(OverflowError, match="total degree 70 exceeds packing cap 63"):
-        v_mul_poly(u, six.poly("b^30"), six.pack.ctx, p)
-    assert v_mul_poly(u, six.poly("b^23"), six.pack.ctx, p) == [
+        times_poly(u, six.poly("b^30"), six.pack.ctx, p)
+    assert times_poly(u, six.poly("b^23"), six.pack.ctx, p) == [
         (_key(six, (40, 23, 0, 0, 0, 0)), 1)]
 
 
