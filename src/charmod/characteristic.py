@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos
-from .groebner import QuotientRing, Vector
+from .groebner import Vector
 from .homology import (
     IsoProbeResult,
     ModuleMap,
@@ -144,10 +144,7 @@ def cochar_via_tensor(M: PresentedModule) -> PresentedModule:
 def tor_modules(M: PresentedModule) -> List[PresentedModule]:
     """[Tor_0, ..., Tor_s] of (R, M) over the cover ring, so the last entry
     is T(M)."""
-    base = M.base
-    if not isinstance(base, QuotientRing):
-        return [M.minimal()]
-    _, F, s = _ring_data(base)
+    _, F, s = _ring_data(M.base)
     cx = tensor_complex(F, M)
     return [homology_at(cx, i) for i in range(s + 1)]
 
@@ -207,14 +204,10 @@ def beta_map(M: PresentedModule, E: Optional[PresentedModule] = None,
     return ModuleMap(T, M, mat, check=check)
 
 
-def hom_functor_map(E: PresentedModule, f: ModuleMap,
-                    HA: Optional[PresentedModule] = None,
-                    HB: Optional[PresentedModule] = None) -> ModuleMap:
-    """Hom(E, f) : Hom(E, A) -> Hom(E, B) on the chosen presentations."""
-    if HA is None:
-        HA = hom_module(E, f.domain)
-    if HB is None:
-        HB = hom_module(E, f.codomain)
+def hom_functor_map(f: ModuleMap, HA: PresentedModule,
+                    HB: PresentedModule) -> ModuleMap:
+    """Hom(E, f) : Hom(E, A) -> Hom(E, B), given ``HA = hom_module(E, A)``
+    and ``HB = hom_module(E, B)``."""
     cols: List[Vector] = []
     for b in range(HA.gens.rank):
         psi = hom_realize(HA, [(term_key(0, b), 1)])
@@ -223,14 +216,10 @@ def hom_functor_map(E: PresentedModule, f: ModuleMap,
     return ModuleMap(HA, HB, mat, check=False)
 
 
-def tensor_functor_map(E: PresentedModule, f: ModuleMap,
-                       TA: Optional[PresentedModule] = None,
-                       TB: Optional[PresentedModule] = None) -> ModuleMap:
-    """E (x) f : E (x) A -> E (x) B on the grid presentations."""
-    if TA is None:
-        TA = tensor_module(E, f.domain)
-    if TB is None:
-        TB = tensor_module(E, f.codomain)
+def tensor_functor_map(E: PresentedModule, f: ModuleMap, TA: PresentedModule,
+                       TB: PresentedModule) -> ModuleMap:
+    """E (x) f : E (x) A -> E (x) B on the grid presentations, given
+    ``TA = tensor_module(E, A)`` and ``TB = tensor_module(E, B)``."""
     rA = f.domain.gens.rank
     rB = f.codomain.gens.rank
     cols: List[Vector] = []
@@ -285,7 +274,7 @@ def split_identity_check(R, M: PresentedModule) -> Dict[str, bool]:
     beta = beta_map(M, E=E, H=TM, T=ETM, check=False)
     HETM = hom_module(E, ETM)
     alpha_tm = alpha_map(TM, E=E, EM=ETM, H=HETM, check=False)
-    t_beta = hom_functor_map(E, beta, HA=HETM, HB=TM)
+    t_beta = hom_functor_map(beta, HETM, TM)
     first = map_is_identity(t_beta.compose(alpha_tm))
 
     EM = tensor_module(E, M)
@@ -293,7 +282,7 @@ def split_identity_check(R, M: PresentedModule) -> Dict[str, bool]:
     alpha = alpha_map(M, E=E, EM=EM, H=HEM, check=False)
     ETEM = tensor_module(E, HEM)
     beta_em = beta_map(EM, E=E, H=HEM, T=ETEM, check=False)
-    e_alpha = tensor_functor_map(E, alpha, TA=EM, TB=ETEM)
+    e_alpha = tensor_functor_map(E, alpha, EM, ETEM)
     second = map_is_identity(beta_em.compose(e_alpha))
     return {"t_beta_alpha": first, "beta_e_alpha": second}
 

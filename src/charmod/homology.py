@@ -1,16 +1,18 @@
-"""Subquotients, Hom and tensor modules, complexes, and isomorphism probes.
+"""Subquotients, complexes and their homology, Hom, tensor, isomorphism probes.
 
-Everything here presents derived modules (kernels, cokernels, homology,
-Hom, tensor) as ``PresentedModule`` instances.  Constructions that need to
-refer back to their generators (Hom and tensor modules, subquotients) stash
-the construction data in the module cache under ``"origin"`` so natural
-maps can be realized as explicit matrices later.
+Everything here presents derived modules as ``PresentedModule`` instances.
+Hom, tensor and kernels are (co)homology of a complex on the presentation
+``F_1 -> F_0`` of their first argument, as Tor and Ext are on a free
+resolution: one routine, ``_homology``, computes every kernel modulo image,
+and the tensor product, a cokernel, is read off the complex's first map.
+Subquotients and Hom modules keep their construction data in the module
+cache under ``"origin"`` so natural maps can be realized as matrices later.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -202,22 +204,15 @@ def subquotient_express(M: PresentedModule, v: Vector) -> Vector:
 
 def presented_kernel(f: ModuleMap) -> PresentedModule:
     """Kernel of a map of presented modules, as a subquotient of the domain."""
-    A = f.domain
-    B = f.codomain
-    marked = [list(c) for c in f.matrix.cols]
-    ker_gens = syzygy_generators(marked, B.gens,
-                                 extra_unmarked=[list(c) for c in B.rels.cols])
-    # coordinates are in the generator ambient of A
-    num = [g for g in ker_gens if g]
-    den = [list(c) for c in A.rels.cols]
-    return subquotient(A.gens, num + den, den)
+    return _homology(ModuleComplex("cochain", [f.domain, f.codomain], [f]), 0)
 
 
 def presented_cokernel(f: ModuleMap) -> PresentedModule:
-    """Cokernel of a map of presented modules."""
+    """Cokernel of a map of presented modules: the map's columns, then the
+    codomain's relations."""
     B = f.codomain
-    cols = [list(c) for c in B.rels.cols] + [list(c) for c in f.matrix.cols]
-    twists = list(B.rels.source.twists) + list(f.matrix.source.twists)
+    cols = [list(c) for c in f.matrix.cols] + [list(c) for c in B.rels.cols]
+    twists = list(f.matrix.source.twists) + list(B.rels.source.twists)
     src = GradedFreeModule(B.base, twists)
     return PresentedModule(B.gens, GradedMatrix(src, B.gens, cols,
                                                 normalize=False, check=False))
@@ -225,14 +220,6 @@ def presented_cokernel(f: ModuleMap) -> PresentedModule:
 
 # ---------------------------------------------------------------------------
 # Hom and tensor
-
-
-def _grid_module(base, outer_twists, inner_twists, sign: int) -> GradedFreeModule:
-    tw = []
-    for a in outer_twists:
-        for b in inner_twists:
-            tw.append(b + sign * a)
-    return GradedFreeModule(base, tw)
 
 
 def _graft(col: Vector, j: int, width: int) -> Vector:
@@ -249,7 +236,8 @@ def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
     are those of M, copy by copy.
     """
     rM = M.gens.rank
-    gens = _grid_module(base, outer_twists, M.gens.twists, sign)
+    gens = GradedFreeModule(base, [b + sign * t for t in outer_twists
+                                   for b in M.gens.twists])
     cols: List[Vector] = []
     twists: List[int] = []
     for a, t in enumerate(outer_twists):
@@ -263,90 +251,39 @@ def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
                                               check=False))
 
 
+def _presentation(A: PresentedModule) -> FreeResolution:
+    """A's presentation ``F_1 -> F_0`` as a one-step free complex."""
+    return FreeResolution(A.base, [A.gens, A.rels.source], [A.rels],
+                          minimal=False, complete=False)
+
+
 def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
-    """A tensor B over the base, presented on the generator grid.
+    """A tensor B over the base: the cokernel of ``F_1 (x) B -> F_0 (x) B``
+    on A's presentation.
 
     Grid position ``i*rank(B) + j`` is the generator ``a_i (x) b_j``.  The
     relations of A come first, then those of the copies of B: ``minimal``
     cancels the smallest unit pivot, so the column order reaches the output.
     """
-    base = A.base
-    if B.base != base:
+    if B.base != A.base:
         raise ValueError("tensor factors over different bases")
-    rB = B.gens.rank
-    copies = _copies(base, A.gens.twists, B, +1)
-    gens = copies.gens
-    cols: List[Vector] = []
-    twists: List[int] = []
-    for c, tw in zip(A.rels.cols, A.rels.source.twists):
-        for j in range(rB):
-            cols.append(_graft(list(c), j, rB))
-            twists.append(tw + B.gens.twists[j])
-    cols += copies.rels.cols
-    twists += copies.rels.source.twists
-    src = GradedFreeModule(base, twists)
-    out = PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False,
-                                             check=False))
-    out.cache["origin"] = {"kind": "tensor", "A": A, "B": B}
-    return out
+    return presented_cokernel(tensor_complex(_presentation(A), B).maps[0])
 
 
 def hom_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
-    """Hom(A, B) over the base, as a subquotient of Hom of the generator
-    ambients.
+    """Hom(A, B) over the base: H^0 of ``Hom(F_1 -> F_0, B)`` on A's
+    presentation, not minimalized, so its generators stay tied to maps.
 
-    An element of the flat ambient at position ``i*rank(B) + j`` is the
+    An element of the ambient at grid position ``i*rank(B) + j`` is the
     coefficient of the matrix entry sending generator ``i`` of A to
-    generator ``j`` of B.  The numerator consists of matrices sending
-    relations of A into relations of B; the denominator is the homotopy
-    submodule ``(relations of B) o (arbitrary maps)``.
+    generator ``j`` of B.  The cycles are the matrices sending relations of
+    A into relations of B; the denominator is ``(relations of B) o
+    (arbitrary maps)``.
     """
-    base = A.base
-    if B.base != base:
+    if B.base != A.base:
         raise ValueError("Hom factors over different bases")
-    rA, rB = A.gens.rank, B.gens.rank
-    sA, sB = A.rels.source.rank, B.rels.source.rank
-    H = _grid_module(base, A.gens.twists, B.gens.twists, -1)
-    Hp = _grid_module(base, A.rels.source.twists, B.gens.twists, -1)
-    a_ent = A.rels.entries() if rA else []
-    b_ent = B.rels.entries() if rB else []
-    # condition map L : H -> Hp, phi |-> phi o a
-    l_cols: List[Vector] = []
-    for i in range(rA):
-        for j in range(rB):
-            col: List[Tuple[int, int]] = []
-            for l in range(sA):
-                f = a_ent[i][l]
-                for okey, c in f.terms:
-                    col.append((term_key(okey, l * rB + j), c))
-            col.sort(reverse=True)
-            l_cols.append(col)
-    unmarked: List[Vector] = []
-    for l in range(sA):
-        for m in range(sB):
-            col = []
-            for j in range(rB):
-                f = b_ent[j][m]
-                for okey, c in f.terms:
-                    col.append((term_key(okey, l * rB + j), c))
-            col.sort(reverse=True)
-            if col:
-                unmarked.append(col)
-    num = syzygy_generators(l_cols, Hp, extra_unmarked=unmarked) if sA else \
-        [H.basis_vector(t) for t in range(rA * rB)]
-    den: List[Vector] = []
-    for i in range(rA):
-        for m in range(sB):
-            col = []
-            for j in range(rB):
-                f = b_ent[j][m]
-                for okey, c in f.terms:
-                    col.append((term_key(okey, i * rB + j), c))
-            col.sort(reverse=True)
-            if col:
-                den.append(col)
-    out = subquotient(H, num + den, den)
-    out.cache["origin"].update({"kind": "hom", "A": A, "B": B, "flat": H})
+    out = _homology(hom_complex(_presentation(A), B), 0)
+    out.cache["origin"].update({"kind": "hom", "A": A, "B": B})
     return out
 
 
@@ -423,12 +360,13 @@ class ModuleComplex:
 
 
 def tensor_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
-    """The complex ``F (x) M`` for a free resolution F over the cover ring.
+    """The complex ``F (x) M`` for a free complex F over M's base or its cover.
 
     Each term is a direct sum of twisted copies of M indexed by the basis
     of F_i; differentials act by the entries of F's differentials.
     """
     rM = M.gens.rank
+    normalize = F.base != M.base
     modules = [_copies(M.base, fm.twists, M, +1) for fm in F.modules]
     maps: List[ModuleMap] = []
     for idx, d in enumerate(F.diffs):
@@ -438,14 +376,17 @@ def tensor_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
         for b in range(d.source.rank):
             for j in range(rM):
                 cols.append(_graft(list(d.cols[b]), j, rM))
-        mat = GradedMatrix(src_mod.gens, tgt_mod.gens, cols, check=False)
+        mat = GradedMatrix(src_mod.gens, tgt_mod.gens, cols, normalize=normalize,
+                           check=False)
         maps.append(ModuleMap(src_mod, tgt_mod, mat, check=False))
     return ModuleComplex("chain", modules, maps)
 
 
 def hom_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
-    """The cochain complex ``Hom(F, M)`` for a free resolution F."""
+    """The cochain complex ``Hom(F, M)`` for a free complex F over M's base
+    or its cover."""
     rM = M.gens.rank
+    normalize = F.base != M.base
     modules = [_copies(M.base, fm.twists, M, -1) for fm in F.modules]
     maps: List[ModuleMap] = []
     for idx, d in enumerate(F.diffs):
@@ -460,30 +401,35 @@ def hom_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
                 for j in range(rM):
                     cols[a * rM + j].append((term_key(okey, b * rM + j), c))
         cols = [sorted(col, reverse=True) for col in cols]
-        mat = GradedMatrix(src_mod.gens, tgt_mod.gens, cols, check=False)
+        mat = GradedMatrix(src_mod.gens, tgt_mod.gens, cols, normalize=normalize,
+                           check=False)
         maps.append(ModuleMap(src_mod, tgt_mod, mat, check=False))
     return ModuleComplex("cochain", modules, maps)
 
 
-def homology_at(cx: ModuleComplex, i: int) -> PresentedModule:
-    """Homology of the complex at position i, minimally presented."""
+def _homology(cx: ModuleComplex, i: int) -> PresentedModule:
+    """Homology of the complex at position i: the cycles of the term's
+    generator ambient, modulo its relations and the boundaries."""
     X = cx.module(i)
     out_map = cx.outgoing(i)
     in_map = cx.incoming(i)
-    if out_map is None:
+    if out_map is None or out_map.codomain.gens.rank == 0:
+        # everything is a cycle; skip an elimination that would say so
         num = [X.gens.basis_vector(t) for t in range(X.gens.rank)]
     else:
         tgt = out_map.codomain
-        marked = [list(c) for c in out_map.matrix.cols]
-        num = syzygy_generators(marked, tgt.gens,
+        num = syzygy_generators([list(c) for c in out_map.matrix.cols], tgt.gens,
                                 extra_unmarked=[list(c) for c in tgt.rels.cols])
-        num = [g for g in num if g]
     den = [list(c) for c in X.rels.cols]
     if in_map is not None:
         den += [list(c) for c in in_map.matrix.cols]
     den = [d for d in den if d]
-    sub = subquotient(X.gens, num + den, den)
-    return sub.minimal()
+    return subquotient(X.gens, num + den, den)
+
+
+def homology_at(cx: ModuleComplex, i: int) -> PresentedModule:
+    """Homology of the complex at position i, minimally presented."""
+    return _homology(cx, i).minimal()
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +453,10 @@ class IsoProbeResult:
         return f"IsoProbeResult({self.verdict!r}, {self.certificate!r})"
 
 
+# random degree-0 maps iso_probe tries before it gives up
+ISO_TRIALS = 8
+
+
 def _map_matrix_degree(f: GradedMatrix, B: PresentedModule, basA: List[int],
                        index: dict) -> np.ndarray:
     """Matrix of ``f`` on one degree, from the basis ``basA`` of the domain's
@@ -517,14 +467,14 @@ def _map_matrix_degree(f: GradedMatrix, B: PresentedModule, basA: List[int],
     return np.zeros((len(index), 0), dtype=np.int64)
 
 
-def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0,
-              trials: int = 8, degree_bound: Optional[int] = None) -> IsoProbeResult:
+def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbeResult:
     """Decide graded isomorphism as far as honestly possible.
 
-    Differences in graded Hilbert functions (up to the bound) or graded
-    Betti tables over the cover ring (homological degree at most 3) certify
-    non-isomorphism.  Agreement plus a sampled degree-0 homomorphism that is
-    bijective in every degree up to the bound yields "probably_isomorphic";
+    Differences in graded Hilbert functions on the window from the lowest
+    generator degree to the highest plus 8, or in graded Betti tables over
+    the cover ring (homological degree at most 3), certify non-isomorphism.
+    Agreement plus one of ``ISO_TRIALS`` sampled degree-0 homomorphisms that
+    is bijective in every degree of the window yields "probably_isomorphic";
     anything else is "inconclusive".
 
     Bijectivity is checked by ranks in the generator degrees of B alone.
@@ -540,7 +490,7 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0,
         return IsoProbeResult("probably_isomorphic", {"reason": "both modules are zero"})
     twists = list(Am.gens.twists) + list(Bm.gens.twists)
     lo = min(twists) if twists else 0
-    hi = degree_bound if degree_bound is not None else (max(twists) if twists else 0) + 8
+    hi = (max(twists) if twists else 0) + 8
     hfA = hilbert_function_basis(Am, lo, hi)
     hfB = hilbert_function_basis(Bm, lo, hi)
     if hfA != hfB:
@@ -566,7 +516,7 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0,
         pieces.append((module_basis(Am, t),
                        {k: i for i, k in enumerate(module_basis(Bm, t))}))
     rng = random.Random(seed)
-    for trial in range(trials):
+    for trial in range(ISO_TRIALS):
         coeffs = [rng.randrange(p) for _ in basis0]
         v: Vector = [(key, c) for key, c in zip(basis0, coeffs) if c]
         if not v:
@@ -580,4 +530,4 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0,
                 "seed": seed, "trial": trial, "degree_range": [lo, hi]})
     return IsoProbeResult("inconclusive", {
         "reason": "invariants agree but no sampled map was bijective",
-        "trials": trials, "degree_range": [lo, hi]})
+        "trials": ISO_TRIALS, "degree_range": [lo, hi]})

@@ -18,7 +18,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .freemod import term_okey, term_pos
-from .groebner import Ideal, QuotientRing, intersect_ideals, quotient
+from .groebner import Ideal, intersect_ideals, quotient
 from .resolution import FreeResolution, PresentedModule, cached, resolve
 
 
@@ -92,8 +92,8 @@ class HilbertSeries:
 
 @cached
 def ring_module_of(base) -> PresentedModule:
-    """The base ring as a module over itself, cached on the base when the
-    base carries a cache (so derived invariants are computed once)."""
+    """The base ring as a module over itself, cached on the base (so derived
+    invariants are computed once)."""
     return PresentedModule.ring_module(base)
 
 
@@ -200,14 +200,11 @@ def nu(M: PresentedModule) -> int:
 
 def _k_resolution(base, steps: int) -> FreeResolution:
     """Truncated minimal resolution of the residue field, cached per base."""
-    cache = getattr(base, "cache", None)
-    have = None if cache is None else cache.get("k_resolution")
+    have = base.cache.get("k_resolution")
     if have is not None and (have.complete or have.length >= steps):
         return have
-    k = residue_field_of(base)
-    res = resolve(k, max_steps=steps)
-    if cache is not None:
-        cache["k_resolution"] = res
+    res = resolve(residue_field_of(base), max_steps=steps)
+    base.cache["k_resolution"] = res
     return res
 
 
@@ -281,7 +278,7 @@ def gdim_bounded(M: PresentedModule, bound: int = 6) -> Dict[str, object]:
         return {"status": "certified", "value": 0,
                 "note": "zero module"}
     base = M.base
-    res = resolve(M, max_steps=bound) if isinstance(base, QuotientRing) else resolve(M)
+    res = resolve(M) if base.is_polynomial_ring() else resolve(M, max_steps=bound)
     if res.complete:
         return {"status": "certified", "value": res.projective_dimension(),
                 "note": "finite projective dimension"}

@@ -34,17 +34,12 @@ class ResolutionLimitError(RuntimeError):
 
 
 def cached(fn):
-    """Memoize ``fn(obj)`` in ``obj.cache`` under ``fn.__name__``.
-
-    Objects without a cache (a bare ``PolyRing``) recompute on every call.
-    """
+    """Memoize ``fn(obj)`` in ``obj.cache`` under ``fn.__name__``."""
     key = fn.__name__
 
     @wraps(fn)
     def wrapper(obj):
-        cache = getattr(obj, "cache", None)
-        if cache is None:
-            return fn(obj)
+        cache = obj.cache
         if key not in cache:
             cache[key] = fn(obj)
         return cache[key]

@@ -313,10 +313,12 @@ class PolyRing:
 
     A ``PolyRing`` is also the quotient ``Q/0`` of itself: it answers the
     quotient-ring questions of ``groebner.QuotientRing`` for the zero ideal,
-    so every operation over a base ring has one code path.
+    so every operation over a base ring has one code path.  Like a
+    ``QuotientRing`` it caches derived data in ``cache``, which equality
+    and hashing ignore.
     """
 
-    __slots__ = ("field", "variables", "order", "n", "pack", "_var_index")
+    __slots__ = ("field", "variables", "order", "n", "pack", "_var_index", "cache")
 
     def __init__(self, field, variables: Sequence[str], order="grevlex"):
         if isinstance(field, int):
@@ -337,6 +339,7 @@ class PolyRing:
         self.n = len(variables)
         self.pack = Packing(GREVLEX if order == "grevlex" else LEX, self.n)
         self._var_index = {v: i for i, v in enumerate(variables)}
+        self.cache: dict = {}
 
     def __eq__(self, other):
         return (

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from charmod import characteristic, corpus, linalg
-from charmod.freemod import GradedFreeModule
-from charmod.groebner import QuotientRing
+from charmod.freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos
+from charmod.groebner import QuotientRing, syzygy_generators
 from charmod.homology import (
     IsoProbeResult,
     ModuleMap,
@@ -21,6 +21,7 @@ from charmod.homology import (
     iso_probe,
     module_basis,
     monomial_okeys,
+    presented_kernel,
     subquotient,
     subquotient_express,
     subquotient_realize,
@@ -315,3 +316,128 @@ def test_iso_probe_matches_reference_when_trials_fail():
             outcomes.add((got.verdict, got.certificate.get("trial", 0) > 0))
     assert {("inconclusive", False), ("probably_isomorphic", True),
             ("certified_nonisomorphic", False)} <= outcomes
+
+
+# ---------------------------------------------------------------------------
+# Hom, tensor and kernels built from A's presentation, against the grids
+# they replaced
+
+
+def _reference_grid(base, outer_twists, inner_twists, sign):
+    return GradedFreeModule(base, [b + sign * a for a in outer_twists
+                                   for b in inner_twists])
+
+
+def _reference_copy_rels(outer_twists, M):
+    """Relations of the copies M(t), one per outer twist t: (columns,
+    twists) on the grid."""
+    rM = M.gens.rank
+    cols, twists = [], []
+    for a, t in enumerate(outer_twists):
+        for c, tw in zip(M.rels.cols, M.rels.source.twists):
+            cols.append(sorted(((term_key(term_okey(k), a * rM + term_pos(k)), cc)
+                                for k, cc in c), reverse=True))
+            twists.append(tw + t)
+    return cols, twists
+
+
+def _reference_tensor_module(A, B):
+    """A (x) B as first written: A's relations grafted onto every generator
+    of B, then the copies of B's relations."""
+    base = A.base
+    rB = B.gens.rank
+    gens = _reference_grid(base, A.gens.twists, B.gens.twists, +1)
+    cols, twists = [], []
+    for c, tw in zip(A.rels.cols, A.rels.source.twists):
+        for j in range(rB):
+            cols.append(sorted(((term_key(term_okey(k), term_pos(k) * rB + j), cc)
+                                for k, cc in c), reverse=True))
+            twists.append(tw + B.gens.twists[j])
+    copy_cols, copy_twists = _reference_copy_rels(A.gens.twists, B)
+    src = GradedFreeModule(base, twists + copy_twists)
+    return PresentedModule(gens, GradedMatrix(src, gens, cols + copy_cols,
+                                              normalize=False, check=False))
+
+
+def _reference_hom_module(A, B):
+    """Hom(A, B) as first written: the maps phi with phi o a in the
+    relations of B, modulo (relations of B) o (arbitrary maps)."""
+    base = A.base
+    rA, rB = A.gens.rank, B.gens.rank
+    sA, sB = A.rels.source.rank, B.rels.source.rank
+    H = _reference_grid(base, A.gens.twists, B.gens.twists, -1)
+    Hp = _reference_grid(base, A.rels.source.twists, B.gens.twists, -1)
+    a_ent = A.rels.entries() if rA else []
+    b_ent = B.rels.entries() if rB else []
+
+    def b_copy(i, m):
+        return sorted(((term_key(okey, i * rB + j), c)
+                       for j in range(rB) for okey, c in b_ent[j][m].terms), reverse=True)
+
+    l_cols = [sorted(((term_key(okey, l * rB + j), c)
+                      for l in range(sA) for okey, c in a_ent[i][l].terms), reverse=True)
+              for i in range(rA) for j in range(rB)]
+    unmarked = [col for l in range(sA) for m in range(sB) if (col := b_copy(l, m))]
+    num = syzygy_generators(l_cols, Hp, extra_unmarked=unmarked) if sA else \
+        [H.basis_vector(t) for t in range(rA * rB)]
+    den = [col for i in range(rA) for m in range(sB) if (col := b_copy(i, m))]
+    return subquotient(H, num + den, den)
+
+
+def _reference_presented_kernel(f):
+    A, B = f.domain, f.codomain
+    ker = syzygy_generators([list(c) for c in f.matrix.cols], B.gens,
+                            extra_unmarked=[list(c) for c in B.rels.cols])
+    den = [list(c) for c in A.rels.cols]
+    return subquotient(A.gens, [g for g in ker if g] + den, den)
+
+
+def _assert_same_subquotient(got, want, label):
+    assert (got.gens, got.rels) == (want.gens, want.rels), label
+    assert got.cache["origin"]["numerator"].gb == want.cache["origin"]["numerator"].gb, label
+
+
+def _assert_constructions_match(A, B, label):
+    """Hom(A, B) and A (x) B agree with the grid constructions; returns
+    (A (x) B, Hom(A, B))."""
+    H = hom_module(A, B)
+    _assert_same_subquotient(H, _reference_hom_module(A, B), label)
+    T = tensor_module(A, B)
+    want = _reference_tensor_module(A, B)
+    assert (T.gens, T.rels) == (want.gens, want.rels), label
+    return T, H
+
+
+def test_constructions_match_grid_reference(mixed_corpus, e2_doc, hypersurface_doc,
+                                            stanley_reisner_doc, veronese_doc):
+    # on every battery pool module M: (E, M), (E, E (x) M) and (E, Hom(E, M)),
+    # plus the kernels of alpha_M and beta_M the thm8 checker takes
+    docs = tuple(mixed_corpus[:10]) + (e2_doc, hypersurface_doc, stanley_reisner_doc,
+                                       veronese_doc)
+    checked = 0
+    for doc in docs:
+        E = characteristic.quasi_canonical(doc.quotient()).E
+        for name, M in corpus.module_pool(doc):
+            EM, HM = _assert_constructions_match(E, M, name)
+            _, HEM = _assert_constructions_match(E, EM, name)
+            _assert_constructions_match(E, HM, name)
+            for f in (characteristic.alpha_map(M, E=E, EM=EM, H=HEM, check=False),
+                      characteristic.beta_map(M, E=E, H=HM, check=False)):
+                _assert_same_subquotient(presented_kernel(f),
+                                         _reference_presented_kernel(f), name)
+            checked += 1
+    assert checked == 39
+
+
+def test_constructions_match_grid_reference_without_relations(rings):
+    _, R = rings
+    free = PresentedModule.free(R, (0, 1))
+    Rm = PresentedModule.ring_module(R)
+    k = PresentedModule.residue_field(R)
+    for A, B in ((free, free), (free, k), (k, free), (Rm, Rm)):
+        _assert_constructions_match(A, B, (A, B))
+    # maps out of a module with no relations, into one without and one with
+    to_free = matrix_from_columns(R, (0, 1), [[R.poly("x"), R.poly("1")]], col_twists=[1])
+    to_k = matrix_from_columns(R, (0,), [[R.poly("y")]], col_twists=[1])
+    for f in (ModuleMap(Rm.twist(1), free, to_free), ModuleMap(Rm.twist(1), k, to_k)):
+        _assert_same_subquotient(presented_kernel(f), _reference_presented_kernel(f), f)

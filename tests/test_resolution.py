@@ -2,12 +2,12 @@
 
 import pytest
 
-from charmod import corpus
-from charmod.characteristic import char_module, cochar_module
+from charmod import corpus, invariants
+from charmod.characteristic import char_module, cochar_module, quasi_canonical, tor_modules
 from charmod.freemod import GradedFreeModule, GradedMatrix
 from charmod.groebner import QuotientRing, syzygy_generators
 from charmod.homology import hilbert_function_basis, monomial_okeys
-from charmod.invariants import hilbert_series_leads, nu, q_resolution
+from charmod.invariants import gdim_bounded, hilbert_series_leads, nu, q_resolution
 from charmod.resolution import BettiTable, PresentedModule, resolve
 from charmod.ring import PolyRing
 
@@ -201,7 +201,9 @@ def test_polynomial_ring_is_its_own_zero_quotient(veronese_doc, e2_doc, hypersur
                                                   stanley_reisner_doc, mixed_corpus):
     # Q and Q/0 take one code path: the same presentation over the PolyRing
     # and over QuotientRing(Q, []) gives the same relation basis, syzygies,
-    # Betti table over the cover, and Hilbert series of T(M) and E(M)
+    # Betti table over the cover, Hilbert series of T(M) and E(M), Tor
+    # presentations and G-dimension (with a bound below the resolution's
+    # length, which a truncating fork would hit)
     fixtures = (veronese_doc, e2_doc, hypersurface_doc, stanley_reisner_doc)
     presentations = [PresentedModule.ring_module(doc.ring()) for doc in fixtures]
     presentations += [M.q_structure() for doc in fixtures + tuple(mixed_corpus[:10])
@@ -216,4 +218,34 @@ def test_polynomial_ring_is_its_own_zero_quotient(veronese_doc, e2_doc, hypersur
         assert q_resolution(M).betti() == q_resolution(M0).betti()
         for route in (char_module, cochar_module):
             assert hilbert_series_leads(route(M)) == hilbert_series_leads(route(M0))
+        assert ([(T.gens.twists, T.rels.cols) for T in tor_modules(M)]
+                == [(T.gens.twists, T.rels.cols) for T in tor_modules(M0)])
+        assert gdim_bounded(M, 1) == gdim_bounded(M0, 1)
     assert len(presentations) == 43
+    Q = PolyRing(101, ("x", "y"))
+    k = PresentedModule.residue_field(Q)
+    k0 = _over(QuotientRing(Q, []), k)
+    assert gdim_bounded(k, 1) == gdim_bounded(k0, 1) == {
+        "status": "certified", "value": 2, "note": "finite projective dimension"}
+
+
+def test_polynomial_ring_caches_derived_data(monkeypatch):
+    # R's resolution is computed once per base, for Q as for Q/0
+    calls = []
+    real = invariants.resolve
+
+    def counting(M, max_steps=None):
+        calls.append(M)
+        return real(M, max_steps)
+
+    monkeypatch.setattr(invariants, "resolve", counting)
+    Q = PolyRing(101, ("x", "y"))
+    for base in (Q, QuotientRing(Q, [])):
+        calls.clear()
+        k = PresentedModule.residue_field(base)
+        for _ in range(5):
+            char_module(k)
+        quasi_canonical(base)
+        assert len(calls) == 1, base
+    assert Q == PolyRing(101, ("x", "y")) and Q.cache
+    assert hash(Q) == hash(PolyRing(101, ("x", "y")))
