@@ -4,7 +4,8 @@ Everything here presents derived modules as ``PresentedModule`` instances.
 Hom, tensor and kernels are (co)homology of a complex on the presentation
 ``F_1 -> F_0`` of their first argument, as Tor and Ext are on a free
 resolution: one routine, ``_homology``, computes every kernel modulo image,
-and the tensor product, a cokernel, is read off the complex's first map.
+and the tensor product, a cokernel, is read off the complex's first map,
+which ``tensor_module`` builds alone.
 Subquotients and Hom modules keep their construction data in the module
 cache under ``"origin"`` so natural maps can be realized as matrices later.
 """
@@ -264,10 +265,16 @@ def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     Grid position ``i*rank(B) + j`` is the generator ``a_i (x) b_j``.  The
     relations of A come first, then those of the copies of B: ``minimal``
     cancels the smallest unit pivot, so the column order reaches the output.
+    The cokernel reads only the map's columns and its codomain, so the
+    source ``F_1 (x) B`` is built without its relations.
     """
     if B.base != A.base:
         raise ValueError("tensor factors over different bases")
-    return presented_cokernel(tensor_complex(_presentation(A), B).maps[0])
+    F0B = _copies(A.base, A.gens.twists, B, +1)
+    F1B = PresentedModule(GradedFreeModule(A.base, [b + t for t in A.rels.source.twists
+                                                    for b in B.gens.twists]))
+    mat = _tensor_matrix(A.rels, F1B.gens, F0B.gens, B.gens.rank, normalize=False)
+    return presented_cokernel(ModuleMap(F1B, F0B, mat, check=False))
 
 
 def hom_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
@@ -372,14 +379,17 @@ def tensor_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
     for idx, d in enumerate(F.diffs):
         src_mod = modules[idx + 1]
         tgt_mod = modules[idx]
-        cols = []
-        for b in range(d.source.rank):
-            for j in range(rM):
-                cols.append(_graft(list(d.cols[b]), j, rM))
-        mat = GradedMatrix(src_mod.gens, tgt_mod.gens, cols, normalize=normalize,
-                           check=False)
+        mat = _tensor_matrix(d, src_mod.gens, tgt_mod.gens, rM, normalize)
         maps.append(ModuleMap(src_mod, tgt_mod, mat, check=False))
     return ModuleComplex("chain", modules, maps)
+
+
+def _tensor_matrix(d: GradedMatrix, src: GradedFreeModule, tgt: GradedFreeModule,
+                   rM: int, normalize: bool) -> GradedMatrix:
+    """The matrix of ``d (x) M`` for a module M of rank ``rM``: column
+    ``b*rM + j`` is column b of d grafted onto generator j of M."""
+    cols = [_graft(list(col), j, rM) for col in d.cols for j in range(rM)]
+    return GradedMatrix(src, tgt, cols, normalize=normalize, check=False)
 
 
 def hom_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
@@ -467,49 +477,13 @@ def _map_matrix_degree(f: GradedMatrix, B: PresentedModule, basA: List[int],
     return np.zeros((len(index), 0), dtype=np.int64)
 
 
-def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbeResult:
-    """Decide graded isomorphism as far as honestly possible.
-
-    Differences in graded Hilbert functions on the window from the lowest
-    generator degree to the highest plus 8, or in graded Betti tables over
-    the cover ring (homological degree at most 3), certify non-isomorphism.
-    Agreement plus one of ``ISO_TRIALS`` sampled degree-0 homomorphisms that
-    is bijective in every degree of the window yields "probably_isomorphic";
-    anything else is "inconclusive".
-
-    Bijectivity is checked by ranks in the generator degrees of B alone.
-    Once the Hilbert functions agree, dim A_d = dim B_d for every d in the
-    window, so a map is bijective in degree d exactly when it is onto B_d.
-    A map onto B_t in every generator degree t <= hi of B has an image
-    containing all those generators, hence all of B_d for d <= hi.
-    """
-    p = A.ring.field.p
-    Am = A.minimal()
-    Bm = B.minimal()
-    if Am.gens.rank == 0 and Bm.gens.rank == 0:
-        return IsoProbeResult("probably_isomorphic", {"reason": "both modules are zero"})
-    twists = list(Am.gens.twists) + list(Bm.gens.twists)
-    lo = min(twists) if twists else 0
-    hi = (max(twists) if twists else 0) + 8
-    hfA = hilbert_function_basis(Am, lo, hi)
-    hfB = hilbert_function_basis(Bm, lo, hi)
-    if hfA != hfB:
-        for off, (da, db) in enumerate(zip(hfA, hfB)):
-            if da != db:
-                return IsoProbeResult("certified_nonisomorphic", {
-                    "reason": "hilbert function differs",
-                    "degree": lo + off, "dims": [da, db]})
-    bA = q_resolution(Am).betti().restrict(3)
-    bB = q_resolution(Bm).betti().restrict(3)
-    if bA != bB:
-        return IsoProbeResult("certified_nonisomorphic", {
-            "reason": "graded Betti numbers over the cover differ",
-            "betti": [bA.rows(), bB.rows()]})
-    H = hom_module(Am, Bm)
-    basis0 = module_basis(H, 0)
+def _winning_trial(Am: PresentedModule, Bm: PresentedModule, H: PresentedModule,
+                   basis0: List[int], lo: int, hi: int, seed: int) -> Optional[int]:
+    """Index of the first of ``ISO_TRIALS`` sampled degree-0 maps that is onto
+    ``(Bm)_t`` in every generator degree t of Bm in [lo, hi], or None."""
     if not basis0:
-        return IsoProbeResult("certified_nonisomorphic", {
-            "reason": "no nonzero degree-0 homomorphisms"})
+        return None
+    p = Am.ring.field.p
     # (basis of A_t, index of the basis of B_t) for the generator degrees t
     pieces = []
     for t in sorted({t for t in Bm.gens.twists if lo <= t <= hi}):
@@ -525,9 +499,85 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
         mat = hom_realize(H, sorted(v, reverse=True))
         if all(linalg.rank(_map_matrix_degree(mat, Bm, basA, index), p) == len(index)
                for basA, index in pieces):
-            return IsoProbeResult("probably_isomorphic", {
-                "reason": "random degree-0 map bijective in all checked degrees",
-                "seed": seed, "trial": trial, "degree_range": [lo, hi]})
-    return IsoProbeResult("inconclusive", {
-        "reason": "invariants agree but no sampled map was bijective",
-        "trials": ISO_TRIALS, "degree_range": [lo, hi]})
+            return trial
+    return None
+
+
+def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbeResult:
+    """Decide graded isomorphism as far as honestly possible.
+
+    The window runs from the lowest generator degree of A and B to the
+    highest plus 8.  In order:
+
+    1. Graded Hilbert functions that differ on the window certify
+       non-isomorphism.
+    2. If the full Hilbert series are equal, every generator degree of B
+       lies in the window and a nonzero degree-0 homomorphism exists, up to
+       ``ISO_TRIALS`` sampled degree-0 maps are tried; the first that is
+       bijective on the window yields "probably_isomorphic".
+    3. Otherwise graded Betti tables over the cover ring (homological degree
+       at most 3) that differ, or the lack of a nonzero degree-0
+       homomorphism, certify non-isomorphism.  Then the trials of step 2
+       decide, if they have not run: a winner yields "probably_isomorphic",
+       and no winner "inconclusive".  Trials are never sampled twice.
+
+    Step 2 may skip the Betti tables.  A winning map is onto B in every
+    generator degree of B, so its image holds every generator of B and it is
+    onto.  An onto degree-0 map between modules with equal Hilbert series is
+    bijective in every degree, hence an isomorphism, and isomorphic modules
+    have equal Betti tables.  So the Betti comparison could not fail, and
+    verdict and certificate are those of running step 3 first.  Equality on
+    the window alone is not enough: GF(p)[x,y] and GF(p)[x,y]/(x^9) agree in
+    degrees 0..8, and a surjection between them exists.
+
+    Bijectivity is checked by ranks in the generator degrees of B alone.
+    Once the Hilbert functions agree, dim A_d = dim B_d for every d in the
+    window, so a map is bijective in degree d exactly when it is onto B_d.
+    A map onto B_t in every generator degree t <= hi of B has an image
+    containing all those generators, hence all of B_d for d <= hi.
+    """
+    Am = A.minimal()
+    Bm = B.minimal()
+    if Am.gens.rank == 0 and Bm.gens.rank == 0:
+        return IsoProbeResult("probably_isomorphic", {"reason": "both modules are zero"})
+    twists = list(Am.gens.twists) + list(Bm.gens.twists)
+    lo = min(twists) if twists else 0
+    hi = (max(twists) if twists else 0) + 8
+    hfA = hilbert_function_basis(Am, lo, hi)
+    hfB = hilbert_function_basis(Bm, lo, hi)
+    if hfA != hfB:
+        for off, (da, db) in enumerate(zip(hfA, hfB)):
+            if da != db:
+                return IsoProbeResult("certified_nonisomorphic", {
+                    "reason": "hilbert function differs",
+                    "degree": lo + off, "dims": [da, db]})
+    H = None
+    trial = None
+    # a generator of B outside the window would leave "onto in the checked
+    # degrees" short of onto; the window is built to hold them all
+    if (hilbert_series_leads(Am) == hilbert_series_leads(Bm)
+            and all(lo <= t <= hi for t in Bm.gens.twists)):
+        H = hom_module(Am, Bm)
+        basis0 = module_basis(H, 0)
+        trial = _winning_trial(Am, Bm, H, basis0, lo, hi, seed)
+    if trial is None:
+        bA = q_resolution(Am).betti().restrict(3)
+        bB = q_resolution(Bm).betti().restrict(3)
+        if bA != bB:
+            return IsoProbeResult("certified_nonisomorphic", {
+                "reason": "graded Betti numbers over the cover differ",
+                "betti": [bA.rows(), bB.rows()]})
+        if H is None:
+            H = hom_module(Am, Bm)
+            basis0 = module_basis(H, 0)
+            trial = _winning_trial(Am, Bm, H, basis0, lo, hi, seed)
+        if not basis0:
+            return IsoProbeResult("certified_nonisomorphic", {
+                "reason": "no nonzero degree-0 homomorphisms"})
+    if trial is None:
+        return IsoProbeResult("inconclusive", {
+            "reason": "invariants agree but no sampled map was bijective",
+            "trials": ISO_TRIALS, "degree_range": [lo, hi]})
+    return IsoProbeResult("probably_isomorphic", {
+        "reason": "random degree-0 map bijective in all checked degrees",
+        "seed": seed, "trial": trial, "degree_range": [lo, hi]})

@@ -1,5 +1,10 @@
 """Randomized instance generator: determinism, bounds, profile guarantees."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +21,8 @@ from charmod.invariants import is_cohen_macaulay, q_resolution, ring_module_of
 from charmod.ring import PolyRing
 
 from conftest import cyclic_quotient
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_profiles_and_ids():
@@ -132,6 +139,29 @@ def test_battery_is_deterministic():
     a = corpus_battery(doc, "t", degree_bound=8, seed=2, split=False)
     b = corpus_battery(doc, "t", degree_bound=8, seed=2, split=False)
     assert a == b
+
+
+STALL_SCRIPT = """
+from charmod import corpus
+doc = corpus._instance("mixed", 8, 42)
+print(corpus.corpus_battery(doc, corpus.instance_id("mixed", 8, 42), seed=8)["verdict"])
+"""
+
+
+def test_battery_on_mixed_8_042_finishes():
+    # every iso_probe pair of this instance has equal Hilbert series and a
+    # winning first trial map; comparing Betti tables first resolved the
+    # E (x) M side of the cocharacteristic pair through compounding
+    # non-minimal syzygies for over 25 minutes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    try:
+        res = subprocess.run([sys.executable, "-c", STALL_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("battery on mixed-8-042 did not finish within 30 s")
+    assert res.returncode == 0, res.stderr[-3000:]
+    assert res.stdout.split() == ["verified"]
 
 
 def test_hunt_counterexample_reports_scan():

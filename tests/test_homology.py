@@ -32,7 +32,7 @@ from charmod.homology import (
 from charmod.resolution import PresentedModule, resolve
 from charmod.ring import PolyRing
 
-from conftest import matrix_from_columns
+from conftest import cyclic_quotient, matrix_from_columns
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +316,22 @@ def test_iso_probe_matches_reference_when_trials_fail():
             outcomes.add((got.verdict, got.certificate.get("trial", 0) > 0))
     assert {("inconclusive", False), ("probably_isomorphic", True),
             ("certified_nonisomorphic", False)} <= outcomes
+
+
+def test_iso_probe_matches_reference_when_series_differ_past_the_window():
+    # Q and Q/(x^9) have equal Hilbert functions on the window [0, 8] and an
+    # onto degree-0 map, yet differ in degree 9: only the Betti tables tell
+    # them apart, so the trial maps must not run first
+    Q = PolyRing(101, ("x", "y"))
+    free = PresentedModule.free(Q, (0,))
+    cyclic = cyclic_quotient(Q, [Q.poly("x^9")])
+    for shift in (0, -3):
+        A, B = free.twist(shift), cyclic.twist(shift)
+        assert hilbert_function_basis(A, shift, shift + 8) == \
+            hilbert_function_basis(B, shift, shift + 8)
+        got, want = iso_probe(A, B), _reference_iso_probe(A, B)
+        assert (got.verdict, got.certificate) == (want.verdict, want.certificate)
+        assert got.certificate["reason"] == "graded Betti numbers over the cover differ"
 
 
 # ---------------------------------------------------------------------------
