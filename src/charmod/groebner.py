@@ -3,8 +3,12 @@ quotient ``R = Q/I`` of a polynomial ring, with ``Q`` itself as ``Q/0``.
 
 The engine is Buchberger's algorithm on packed term lists with the chain
 criterion, the product criterion in ambient rank one, and normal-strategy
-pair selection (lowest S-degree first).  Reduced bases are canonical, so
-every result here is independent of generator order.
+pair selection (lowest S-degree first).  Only elements whose leads share a
+position form pairs, so the basis is kept in one bucket per lead position:
+new pairs and the chain criterion look only at the bucket of their
+position, which in an elimination ambient (one position per marked column)
+is a small part of the basis.  Reduced bases are canonical, so every result
+here is independent of generator order.
 
 Computations over ``R`` lift to ``Q``: the defining ideal enters as extra
 columns ``g * e_pos`` and results are projected back and kept in normal
@@ -50,7 +54,10 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
 
     ``twists`` drive the normal selection strategy for homogeneous input;
     ``product`` enables the coprime-lead criterion and must only be set in
-    ambient rank one, where discarded pairs are genuinely redundant.
+    ambient rank one, where discarded pairs are genuinely redundant.  Pairs
+    are formed, and the chain criterion is checked, within the bucket of
+    basis indices that share the pair's lead position (``by_pos``); each
+    pair is pushed once and ``done`` records the pairs already treated.
     """
     p = ring.field.p
     pack = ring.pack
@@ -61,28 +68,26 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     lead_key: List[int] = []
     lead_exps: List[tuple] = []
     lead_pos: List[int] = []
+    by_pos: dict = {}  # lead position -> indices of G with a lead there
     pairs: list = []
     done = set()
-
-    def push_pairs(t: int) -> None:
-        et = lead_exps[t]
-        post = lead_pos[t]
-        for i in range(t):
-            if lead_pos[i] != post:
-                continue
-            lcm = monomial_lcm(lead_exps[i], et)
-            sdeg = sum(lcm) + twists[post]
-            heapq.heappush(pairs, (sdeg, i, t, lcm))
 
     def add_gen(v: Vector) -> None:
         k, c = v[0]
         if c != 1:
             v = v_scale(v, ring.field.inv(c), p)
+        t = len(G)
+        et = pack.exps(term_okey(k) & mask)
+        pos = term_pos(k)
+        bucket = by_pos.setdefault(pos, [])
+        for i in bucket:
+            lcm = monomial_lcm(lead_exps[i], et)
+            heapq.heappush(pairs, (sum(lcm) + twists[pos], i, t, lcm))
+        bucket.append(t)
         G.append(v)
         lead_key.append(k)
-        lead_exps.append(pack.exps(term_okey(k) & mask))
-        lead_pos.append(term_pos(k))
-        push_pairs(len(G) - 1)
+        lead_exps.append(et)
+        lead_pos.append(pos)
         red.append(v)
 
     for v in vecs:
@@ -94,22 +99,13 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
-        if (i, j) in done:
-            continue
         done.add((i, j))
         if product and lcm == monomial_mul(lead_exps[i], lead_exps[j]):
             continue
-        skip = False
-        for t in range(len(G)):
-            if t == i or t == j or lead_pos[t] != lead_pos[i]:
-                continue
-            if monomial_divides(lead_exps[t], lcm):
-                a = (i, t) if i < t else (t, i)
-                b = (j, t) if j < t else (t, j)
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
+        if any(t != i and t != j and monomial_divides(lead_exps[t], lcm)
+               and ((i, t) if i < t else (t, i)) in done
+               and ((j, t) if j < t else (t, j)) in done
+               for t in by_pos[lead_pos[i]]):
             continue
         lk = pack.okey(lcm)
         sh_i = (lk - (term_okey(lead_key[i]) & mask)) << POS_BITS

@@ -9,10 +9,16 @@ Schur complement step whose only effect on the previous differential is a
 column deletion) and its zero columns dropped before the next syzygy step,
 so every prefix of the resolution is minimal and graded Betti numbers read
 off the twists.
+
+The cancellation is one pass over a mutable list of columns.  Each pivot
+updates only the columns with an entry in its row, its row and column are
+marked dead instead of deleted, and a heap of the scalar entries queued so
+far yields the next pivot; both differentials are rebuilt once at the end.
 """
 
 from __future__ import annotations
 
+import heapq
 from functools import wraps
 from typing import List, Optional, Sequence
 
@@ -21,10 +27,9 @@ from .freemod import (
     GradedMatrix,
     Vector,
     term_key,
-    term_okey,
     term_pos,
 )
-from .kernel import POS_BITS, scaled_merge
+from .kernel import POS_BITS, POS_MASK, scaled_merge
 from .groebner import SubmoduleGB, buchberger, syzygy_generators
 from .ring import PolyRing
 
@@ -143,9 +148,6 @@ class PresentedModule:
     def minimal(self) -> "PresentedModule":
         """Equivalent presentation with no scalar entries and no zero columns."""
         _, rels = _cancel_units(None, self.rels)
-        keep = [j for j, c in enumerate(rels.cols) if c]
-        if len(keep) != rels.source.rank:
-            rels = rels.delete(cols=[j for j, c in enumerate(rels.cols) if not c])
         out = PresentedModule(rels.target, rels)
         out.cache["minimal"] = out  # the result is its own minimal presentation
         return out
@@ -158,55 +160,57 @@ class PresentedModule:
         return self.minimal().gens.rank
 
 
-def _unit_pivot(m: GradedMatrix):
-    """Smallest (row, col) position of a scalar entry, or None."""
-    best = None
-    for j, col in enumerate(m.cols):
-        for k, c in col:
-            if term_okey(k) == 0:
-                pos = (term_pos(k), j)
-                if best is None or pos < best:
-                    best = (pos[0], pos[1], c)
-    return best
+def _cancel_units(prev: Optional[GradedMatrix], new: GradedMatrix):
+    """Cancel every scalar entry of ``new`` and drop its zero columns;
+    ``prev`` (the previous differential, if any) loses the columns matching
+    the cancelled rows.
 
-
-def _schur_cancel(m: GradedMatrix, r: int, c: int, u: int) -> GradedMatrix:
-    """Cancel the scalar pivot ``u`` at (r, c): Schur update, delete row/col."""
-    ring = m.source.ring
+    The pivot is always the smallest live (row, col) scalar entry, which is
+    the order a rebuild after every cancellation would give, since deleting
+    rows and columns renumbers the rest in order.
+    """
+    ring = new.source.ring
     p = ring.field.p
     ctx = ring.pack.ctx
-    base = m.base
-    uinv = pow(u, p - 2, p)
-    pivot = list(m.cols[c])
-    new_cols = []
-    for j, col in enumerate(m.cols):
-        if j == c:
-            new_cols.append(list(col))
+    base = new.base
+    cols = list(new.cols)
+    # scalar terms are the keys with a zero monomial part, i.e. <= POS_MASK
+    heap = [(term_pos(k), j) for j, col in enumerate(cols) for k, _ in col if k <= POS_MASK]
+    heapq.heapify(heap)
+    dead_rows, dead_cols = set(), set()
+    while heap:
+        r, c = heapq.heappop(heap)
+        if r in dead_rows or c in dead_cols:
             continue
-        entry = [(term_okey(k), cc) for k, cc in col if term_pos(k) == r]
-        if entry:
-            nc = list(col)
+        rk = POS_MASK - r  # the key of the scalar term at row r
+        u = next((cc for k, cc in cols[c] if k == rk), 0)
+        if not u:  # the entry was cancelled after it was queued
+            continue
+        dead_rows.add(r)
+        dead_cols.add(c)
+        uinv = pow(u, p - 2, p)
+        pivot = cols[c]
+        for j, col in enumerate(cols):
+            if j in dead_cols:
+                continue
+            entry = [(k >> POS_BITS, cc) for k, cc in col if (k & POS_MASK) == rk]
+            if not entry:
+                continue
             for okey, cc in entry:
-                nc = scaled_merge(nc, pivot, (p - cc * uinv % p) % p,
-                                  okey << POS_BITS, p, ctx)
-            new_cols.append(base.normal_form_vector(nc))
-        else:
-            new_cols.append(list(col))
-    tmp = GradedMatrix(m.source, m.target, new_cols, normalize=False, check=False)
-    return tmp.delete(rows=[r], cols=[c])
-
-
-def _cancel_units(prev: Optional[GradedMatrix], new: GradedMatrix):
-    """Cancel every scalar entry of ``new``; ``prev`` (the previous
-    differential, if any) loses the matching columns."""
-    while True:
-        hit = _unit_pivot(new)
-        if hit is None:
-            return prev, new
-        r, c, u = hit
-        new = _schur_cancel(new, r, c, u)
-        if prev is not None:
-            prev = prev.delete(cols=[r])
+                col = scaled_merge(col, pivot, (p - cc * uinv % p) % p,
+                                   okey << POS_BITS, p, ctx)
+            cols[j] = col = base.normal_form_vector(col)
+            for k, _ in col:
+                if k <= POS_MASK:
+                    heapq.heappush(heap, (term_pos(k), j))
+    dead_cols.update(j for j, col in enumerate(cols)
+                     if j not in dead_cols and all(term_pos(k) in dead_rows for k, _ in col))
+    if not dead_cols:
+        return prev, new
+    if prev is not None and dead_rows:
+        prev = prev.delete(cols=dead_rows)
+    out = GradedMatrix(new.source, new.target, cols, normalize=False, check=False)
+    return prev, out.delete(rows=dead_rows, cols=dead_cols)
 
 
 class BettiTable:
@@ -317,9 +321,6 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
         new = GradedMatrix(src, amb, cols, normalize=False, check=False)
         prev = diffs[-1] if diffs else None
         prev, new = _cancel_units(prev, new)
-        dead = [j for j, c in enumerate(new.cols) if not c]
-        if dead:
-            new = new.delete(cols=dead)
         if prev is not None:
             diffs[-1] = prev
             modules[-1] = prev.source

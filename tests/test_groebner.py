@@ -1,13 +1,16 @@
 """Groebner bases: reduced-basis goldens, membership, colon, intersection,
-syzygies by elimination (the one syzygy engine), and reduced bases compared
-with sympy's over GF(p)."""
+syzygies by elimination (the one syzygy engine), reduced bases compared
+with sympy's over GF(p), and the position-indexed pair handling compared
+with an engine that scans the whole basis."""
 
+import heapq
 import itertools
 import random
 
 import pytest
 
-from charmod.freemod import GradedFreeModule, GradedMatrix
+from charmod import corpus, groebner
+from charmod.freemod import GradedFreeModule, GradedMatrix, term_okey, term_pos, v_scale
 from charmod.groebner import (
     Ideal,
     QuotientRing,
@@ -16,7 +19,8 @@ from charmod.groebner import (
     quotient,
     syzygy_generators,
 )
-from charmod.ring import PolyRing
+from charmod.kernel import POS_BITS, make_reducer
+from charmod.ring import PolyRing, monomial_divides, monomial_lcm, monomial_mul
 
 from conftest import matrix_from_columns
 
@@ -300,3 +304,133 @@ def test_reduced_basis_matches_sympy(order):
         assert mine == ref, (order, p, variables, gens)
         compared += 1
     assert compared == 102
+
+
+# ---------------------------------------------------------------------------
+# differential test: the engine against one that scans the whole basis
+
+
+def _reference_buchberger_terms(ring, twists, vecs, product=False):
+    """The engine before pairs were indexed by lead position: new pairs and
+    the chain criterion scan every basis element and skip other positions."""
+    p = ring.field.p
+    pack = ring.pack
+    ctx = pack.ctx
+    mask = ctx.okey_mask
+    red = make_reducer(p, ctx)
+    G, lead_key, lead_exps, lead_pos = [], [], [], []
+    pairs = []
+    done = set()
+
+    def push_pairs(t):
+        et = lead_exps[t]
+        post = lead_pos[t]
+        for i in range(t):
+            if lead_pos[i] != post:
+                continue
+            lcm = monomial_lcm(lead_exps[i], et)
+            heapq.heappush(pairs, (sum(lcm) + twists[post], i, t, lcm))
+
+    def add_gen(v):
+        k, c = v[0]
+        if c != 1:
+            v = v_scale(v, ring.field.inv(c), p)
+        G.append(v)
+        lead_key.append(k)
+        lead_exps.append(pack.exps(term_okey(k) & mask))
+        lead_pos.append(term_pos(k))
+        push_pairs(len(G) - 1)
+        red.append(v)
+
+    for v in vecs:
+        if v:
+            r = red.nf(v)
+            if r:
+                add_gen(r)
+
+    while pairs:
+        _, i, j, lcm = heapq.heappop(pairs)
+        if (i, j) in done:
+            continue
+        done.add((i, j))
+        if product and lcm == monomial_mul(lead_exps[i], lead_exps[j]):
+            continue
+        skip = False
+        for t in range(len(G)):
+            if t == i or t == j or lead_pos[t] != lead_pos[i]:
+                continue
+            if monomial_divides(lead_exps[t], lcm):
+                a = (i, t) if i < t else (t, i)
+                b = (j, t) if j < t else (t, j)
+                if a in done and b in done:
+                    skip = True
+                    break
+        if skip:
+            continue
+        lk = pack.okey(lcm)
+        sh_i = (lk - (term_okey(lead_key[i]) & mask)) << POS_BITS
+        sh_j = (lk - (term_okey(lead_key[j]) & mask)) << POS_BITS
+        s = groebner.scaled_merge([], G[i], 1, sh_i, p, ctx)
+        s = groebner.scaled_merge(s, G[j], p - 1, sh_j, p, ctx)
+        r = red.nf(s)
+        if r:
+            add_gen(r)
+
+    return groebner._autoreduce(ring, G)
+
+
+def _engine_inputs(monkeypatch, docs):
+    """Every ``_buchberger_terms`` call made by the relation bases and the
+    syzygies of the pool modules of ``docs``, as (label, arguments)."""
+    calls = []
+    real = groebner._buchberger_terms
+
+    def recording(ring, twists, vecs, product=False):
+        calls.append((ring, tuple(twists), [list(v) for v in vecs], product))
+        return real(ring, twists, vecs, product)
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+    labelled = []
+    for doc in docs:
+        for name, M in corpus.module_pool(doc):
+            for label, run in (
+                    ("relations", lambda: buchberger([list(c) for c in M.rels.cols], M.gens)),
+                    ("syzygies", lambda: syzygy_generators([list(c) for c in M.rels.cols],
+                                                           M.gens))):
+                calls.clear()
+                run()
+                labelled += [(f"{name} {label}", args) for args in calls]
+    monkeypatch.setattr(groebner, "_buchberger_terms", real)
+    return labelled
+
+
+def test_position_indexed_pairs_match_the_full_scan(monkeypatch, mixed_corpus, veronese_doc,
+                                                     e2_doc, hypersurface_doc,
+                                                     stanley_reisner_doc):
+    # bucketing by lead position only matters in rank > 1: relation bases
+    # of modules with several generators and every elimination (marked
+    # inputs carry one extra position per column) must give the reduced
+    # basis of the engine that scans all of G, after reducing as many
+    # S-pairs (two merges each), so the chain criterion prunes as before
+    docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
+                                      stanley_reisner_doc]
+    inputs = _engine_inputs(monkeypatch, docs)
+    merges = []
+    real_merge = groebner.scaled_merge
+
+    def counting(*args):
+        merges.append(None)
+        return real_merge(*args)
+
+    monkeypatch.setattr(groebner, "scaled_merge", counting)
+    ranks = {"relations": 0, "syzygies": 0}
+    for label, (ring, twists, vecs, product) in inputs:
+        merges.clear()
+        ours = groebner._buchberger_terms(ring, twists, vecs, product)
+        ours_merges = len(merges)
+        merges.clear()
+        assert ours == _reference_buchberger_terms(ring, twists, vecs, product), label
+        assert ours_merges == len(merges), label
+        if len(twists) > 1:
+            ranks[label.split()[-1]] += 1
+    assert ranks == {"relations": 4, "syzygies": 25}, ranks

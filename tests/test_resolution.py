@@ -1,13 +1,18 @@
-"""Free resolutions: Koszul goldens, minimality, exactness by dimension counts."""
+"""Free resolutions: Koszul goldens, minimality, exactness by dimension
+counts, on drawn presentations too, and the one-pass unit cancellation
+compared with a rebuild after every pivot."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charmod import corpus, invariants
+from charmod import corpus, invariants, resolution
 from charmod.characteristic import char_module, cochar_module, quasi_canonical, tor_modules
-from charmod.freemod import GradedFreeModule, GradedMatrix
+from charmod.freemod import GradedFreeModule, GradedMatrix, term_okey, term_pos
 from charmod.groebner import QuotientRing, syzygy_generators
 from charmod.homology import hilbert_function_basis, monomial_okeys
 from charmod.invariants import gdim_bounded, hilbert_series_leads, nu, q_resolution
+from charmod.kernel import POS_BITS, scaled_merge
 from charmod.resolution import BettiTable, PresentedModule, resolve
 from charmod.ring import PolyRing
 
@@ -249,3 +254,119 @@ def test_polynomial_ring_caches_derived_data(monkeypatch):
         assert len(calls) == 1, base
     assert Q == PolyRing(101, ("x", "y")) and Q.cache
     assert hash(Q) == hash(PolyRing(101, ("x", "y")))
+
+
+@st.composite
+def presentations(draw):
+    """A small graded presentation over GF(p)[x,y,z]: up to three generators
+    in degrees 0..2 and one to five nonzero homogeneous relations of degree
+    at most 4, scalar entries included."""
+    p = draw(st.sampled_from([2, 3, 101, 32003]))
+    ring = PolyRing(p, ("x", "y", "z"))
+    twists = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    cols = []
+    for _ in range(draw(st.integers(1, 5))):
+        deg = draw(st.integers(min(twists), min(twists) + 2))
+        col = []
+        for t in twists:
+            f = ring.poly("0")
+            if deg >= t:
+                # the first entry that can be nonzero gets a term
+                for _ in range(draw(st.integers(0 if any(col) else 1, 2))):
+                    a = draw(st.integers(0, deg - t))
+                    b = draw(st.integers(0, deg - t - a))
+                    f = f + ring.monomial((a, b, deg - t - a - b)) * ring.poly(
+                        str(draw(st.integers(1, p - 1))))
+            col.append(f)
+        cols.append(col)
+    rels = matrix_from_columns(ring, twists, cols)
+    return PresentedModule(rels.target, rels)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(M=presentations())
+def test_resolve_is_an_exact_complex_on_drawn_presentations(M):
+    res = resolve(M)
+    assert res.complete and res.length <= 3
+    check_complex(res)
+    lo = min(M.gens.twists)
+    check_exactness_by_dimension(res, M, lo, lo + 6)
+
+
+def _unit_pivot(m):
+    """Smallest (row, col) position of a scalar entry, or None."""
+    best = None
+    for j, col in enumerate(m.cols):
+        for k, c in col:
+            if term_okey(k) == 0:
+                pos = (term_pos(k), j)
+                if best is None or pos < best:
+                    best = (pos[0], pos[1], c)
+    return best
+
+
+def _schur_cancel(m, r, c, u):
+    """Cancel the scalar pivot ``u`` at (r, c): Schur update, delete row/col."""
+    ring = m.source.ring
+    p = ring.field.p
+    ctx = ring.pack.ctx
+    uinv = pow(u, p - 2, p)
+    pivot = list(m.cols[c])
+    new_cols = []
+    for j, col in enumerate(m.cols):
+        entry = [(term_okey(k), cc) for k, cc in col if term_pos(k) == r]
+        if j == c or not entry:
+            new_cols.append(list(col))
+            continue
+        nc = list(col)
+        for okey, cc in entry:
+            nc = scaled_merge(nc, pivot, (p - cc * uinv % p) % p, okey << POS_BITS, p, ctx)
+        new_cols.append(m.base.normal_form_vector(nc))
+    tmp = GradedMatrix(m.source, m.target, new_cols, normalize=False, check=False)
+    return tmp.delete(rows=[r], cols=[c])
+
+
+def _reference_cancel_units(prev, new):
+    """Cancellation with a full rescan and a rebuild after every pivot, then
+    the zero columns dropped."""
+    while True:
+        hit = _unit_pivot(new)
+        if hit is None:
+            break
+        r, c, u = hit
+        new = _schur_cancel(new, r, c, u)
+        if prev is not None:
+            prev = prev.delete(cols=[r])
+    zero = [j for j, c in enumerate(new.cols) if not c]
+    return prev, (new.delete(cols=zero) if zero else new)
+
+
+def test_one_pass_cancellation_matches_a_rebuild_per_pivot(monkeypatch, mixed_corpus,
+                                                            veronese_doc, e2_doc,
+                                                            hypersurface_doc,
+                                                            stanley_reisner_doc):
+    # minimal() and every resolve step, over R (three steps) and over the
+    # cover, on fresh copies of the pool modules so no cache hides a call
+    calls = []
+    real = resolution._cancel_units
+
+    def recording(prev, new):
+        out = real(prev, new)
+        calls.append((prev, new, out))
+        return out
+
+    monkeypatch.setattr(resolution, "_cancel_units", recording)
+    docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
+                                      stanley_reisner_doc]
+    for doc in docs:
+        for _, M in corpus.module_pool(doc):
+            resolve(PresentedModule(M.gens, M.rels), max_steps=3)
+            Q = M.q_structure()
+            resolve(PresentedModule(Q.gens, Q.rels))
+    steps = cancelled = 0
+    for prev, new, out in calls:
+        assert out == _reference_cancel_units(prev, new)
+        steps += prev is not None
+        cancelled += out[1].target.rank < new.target.rank
+    # calls, calls with a previous differential, calls that cancelled a pivot
+    assert (len(calls), steps, cancelled) == (233, 92, 34)
