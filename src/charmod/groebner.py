@@ -7,8 +7,10 @@ pair selection (lowest S-degree first).  Only elements whose leads share a
 position form pairs, so the basis is kept in one bucket per lead position:
 new pairs and the chain criterion look only at the bucket of their
 position, which in an elimination ambient (one position per marked column)
-is a small part of the basis.  Reduced bases are canonical, so every result
-here is independent of generator order.
+is a small part of the basis.  The chain criterion divides packed exponent
+words; a pair's lcm word is the field-wise maximum of its leads' words, so
+no lcm is packed into an order key before the pair survives the criteria.
+Reduced bases are canonical, so every result is independent of input order.
 
 Computations over ``R`` lift to ``Q``: the defining ideal enters as extra
 columns ``g * e_pos`` and results are projected back and kept in normal
@@ -19,6 +21,10 @@ There is one syzygy engine, elimination (``syzygy_generators``): syzygies,
 kernels, colon ideals and intersections come from a single Groebner basis in
 a block-elimination order, realized by flagging primary-block keys above all
 marker-block keys, which keeps the single kernel usable for both blocks.
+It returns its syzygy basis as a ``SubmoduleGB``: the marker block of the
+reduced elimination basis is the reduced basis of the syzygy module over
+``Q``, ideal columns ``I * e_j`` included (the block order is term over
+position, which a position shift keeps), so no caller reruns Buchberger.
 """
 
 from __future__ import annotations
@@ -34,11 +40,10 @@ from .freemod import (
     term_pos,
     v_scale,
 )
-from .kernel import POS_BITS, make_reducer, scaled_merge
+from .kernel import POS_BITS, divides, epack, make_reducer, scaled_merge
 from .ring import (
     Polynomial,
     PolyRing,
-    monomial_divides,
     monomial_lcm,
     monomial_mul,
 )
@@ -63,10 +68,13 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     pack = ring.pack
     ctx = pack.ctx
     mask = ctx.okey_mask
+    guards = ctx.guards
+    top = ctx.fb - 1  # the guard bit of a field
     red = make_reducer(p, ctx)
     G: List[Vector] = []
     lead_key: List[int] = []
     lead_exps: List[tuple] = []
+    lead_ep: List[int] = []  # exponent words of the leads
     lead_pos: List[int] = []
     by_pos: dict = {}  # lead position -> indices of G with a lead there
     pairs: list = []
@@ -78,15 +86,21 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
             v = v_scale(v, ring.field.inv(c), p)
         t = len(G)
         et = pack.exps(term_okey(k) & mask)
+        ep = epack(term_okey(k), ctx)
         pos = term_pos(k)
         bucket = by_pos.setdefault(pos, [])
         for i in bucket:
             lcm = monomial_lcm(lead_exps[i], et)
-            heapq.heappush(pairs, (sum(lcm) + twists[pos], i, t, lcm))
+            # guard bit set in each field where lead i's exponent is at least ep's
+            g = ((lead_ep[i] | guards) - ep) & guards
+            low = g - (g >> top)
+            heapq.heappush(pairs, (sum(lcm) + twists[pos], i, t, lcm,
+                                   (lead_ep[i] & low) | (ep & ~low)))
         bucket.append(t)
         G.append(v)
         lead_key.append(k)
         lead_exps.append(et)
+        lead_ep.append(ep)
         lead_pos.append(pos)
         red.append(v)
 
@@ -98,11 +112,11 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
             add_gen(r)
 
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
+        _, i, j, lcm, lcm_ep = heapq.heappop(pairs)
         done.add((i, j))
         if product and lcm == monomial_mul(lead_exps[i], lead_exps[j]):
             continue
-        if any(t != i and t != j and monomial_divides(lead_exps[t], lcm)
+        if any(t != i and t != j and divides(lead_ep[t], lcm_ep, guards)
                and ((i, t) if i < t else (t, i)) in done
                and ((j, t) if j < t else (t, j)) in done
                for t in by_pos[lead_pos[i]]):
@@ -296,18 +310,21 @@ def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
 
 
 def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
-                      extra_unmarked: Sequence[Vector] = ()) -> List[Vector]:
-    """Generators of the syzygy module of ``vectors`` over the ambient base.
+                      source: GradedFreeModule,
+                      extra_unmarked: Sequence[Vector] = ()) -> SubmoduleGB:
+    """The syzygy module of ``vectors`` over the ambient base, a submodule
+    of ``source`` (the free module on the inputs, which sets the twists).
 
-    Returned vectors live in the free module on the inputs (twists equal to
-    their degrees).  Relations with the ``extra_unmarked`` columns and with
-    the defining ideal of the base are allowed but not recorded.
+    Relations with the ``extra_unmarked`` columns and with the defining
+    ideal of the base are allowed but not recorded.  ``_qgb`` is the marker
+    block of the elimination basis and ``gb`` its projection modulo the ideal.
     """
     base = ambient.base
     unmarked = [list(u) for u in extra_unmarked] + _ideal_aug_vectors(base, ambient.rank)
-    syz = _elimination_syzygies(base.cover, ambient.twists,
+    qgb = _elimination_syzygies(base.cover, ambient.twists,
                                 [list(v) for v in vectors], unmarked)
-    return [s for s in map(base.normal_form_vector, syz) if s]
+    gb = [s for s in map(base.normal_form_vector, qgb) if s]
+    return SubmoduleGB(source, gb, gb, qgb=qgb)
 
 
 def quotient(sub: SubmoduleGB, e) -> "Ideal":
@@ -341,7 +358,8 @@ def intersect_ideals(a: "Ideal", b: "Ideal") -> "Ideal":
     if not ga or not gbp:
         return Ideal(base, [])
     vecs = [[(term_key(k, 0), c) for k, c in f.terms] for f in ga + gbp]
-    syz = syzygy_generators(vecs, ambient)
+    source = GradedFreeModule(base, [ambient.vector_degree(v) for v in vecs])
+    syz = syzygy_generators(vecs, ambient, source).gb
     ctx = ring.pack.ctx
     p = ring.field.p
     out = []

@@ -6,6 +6,10 @@ Hom, tensor and kernels are (co)homology of a complex on the presentation
 resolution: one routine, ``_homology``, computes every kernel modulo image,
 and the tensor product, a cokernel, is read off the complex's first map,
 which ``tensor_module`` builds alone.
+Each homology runs at most two eliminations and no other Groebner run: the
+cycles' reduced basis is the first one's marker block, and it generates
+the result (canonical, so Hom bases and trial indices never move); the
+relations' reduced basis is the second one's and seeds ``relation_gb``.
 Subquotients and Hom modules keep their construction data in the module
 cache under ``"origin"`` so natural maps can be realized as matrices later.
 """
@@ -26,12 +30,7 @@ from .freemod import (
     term_okey,
     term_pos,
 )
-from .groebner import (
-    SubmoduleGB,
-    buchberger,
-    express_in_basis,
-    syzygy_generators,
-)
+from .groebner import SubmoduleGB, express_in_basis, syzygy_generators
 from .invariants import hilbert_series_leads, q_resolution
 from .kernel import POS_BITS, scaled_merge
 from .resolution import FreeResolution, PresentedModule
@@ -153,30 +152,30 @@ class ModuleMap:
         return f"<ModuleMap {self.domain!r} -> {self.codomain!r}>"
 
 
-def subquotient(ambient: GradedFreeModule, numerator: Sequence[Vector],
-                denominator: Sequence[Vector]) -> PresentedModule:
-    """The module (span of numerator) / (span of denominator).
+def subquotient(numerator: SubmoduleGB, denominator: Sequence[Vector]) -> PresentedModule:
+    """The module numerator / (span of denominator) in the numerator's ambient.
 
-    Generators of the result are the reduced basis of the numerator; the
-    denominator must be contained in the numerator.  The construction data
-    is attached for later reference to the generators.
+    Generators of the result are the numerator's reduced basis, which is
+    canonical, so Hom bases and ``iso_probe``'s trial indices do not depend
+    on how the numerator was found (minimal generators would move them).
+    The denominator must lie in the numerator.  The relations are the
+    syzygies of the generators modulo the denominator; their elimination
+    basis is the reduced relation basis and seeds ``relation_gb``.  The
+    construction data is attached for later reference to the generators.
     """
-    num = buchberger([list(v) for v in numerator], ambient)
+    num, ambient = numerator, numerator.ambient
     for v in denominator:
         if v and not num.contains(list(v)):
             raise ValueError("denominator not contained in numerator")
     gens_fm = GradedFreeModule(ambient.base,
                                [ambient.vector_degree(list(g)) for g in num.gb])
-    rel_vecs = syzygy_generators([list(g) for g in num.gb], ambient,
-                                 extra_unmarked=[list(v) for v in denominator])
-    twists = []
-    amb2 = gens_fm
-    for s in rel_vecs:
-        twists.append(amb2.vector_degree(s) if s else 0)
-    src = GradedFreeModule(ambient.base, twists)
-    rels = GradedMatrix(src, gens_fm, rel_vecs, normalize=False, check=False)
-    out = PresentedModule(gens_fm, rels)
+    rels = syzygy_generators([list(g) for g in num.gb], ambient, gens_fm,
+                             extra_unmarked=[list(v) for v in denominator])
+    src = GradedFreeModule(ambient.base, [gens_fm.vector_degree(list(s)) for s in rels.gb])
+    out = PresentedModule(gens_fm, GradedMatrix(src, gens_fm, rels.gb, normalize=False,
+                                                check=False))
     out.cache["origin"] = {"kind": "subquotient", "numerator": num}
+    out.cache["relation_gb"] = rels
     return out
 
 
@@ -419,22 +418,25 @@ def hom_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
 
 def _homology(cx: ModuleComplex, i: int) -> PresentedModule:
     """Homology of the complex at position i: the cycles of the term's
-    generator ambient, modulo its relations and the boundaries."""
+    generator ambient, modulo its relations and the boundaries (which are
+    cycles, so they enter as the denominator only).  The cycles' basis is the
+    outgoing map's syzygy basis, or the unit vectors (in descending key
+    order) when every vector is a cycle.
+    """
     X = cx.module(i)
     out_map = cx.outgoing(i)
     in_map = cx.incoming(i)
     if out_map is None or out_map.codomain.gens.rank == 0:
-        # everything is a cycle; skip an elimination that would say so
-        num = [X.gens.basis_vector(t) for t in range(X.gens.rank)]
+        units = [X.gens.basis_vector(t) for t in range(X.gens.rank)]
+        num = SubmoduleGB(X.gens, units, units)
     else:
         tgt = out_map.codomain
-        num = syzygy_generators([list(c) for c in out_map.matrix.cols], tgt.gens,
+        num = syzygy_generators([list(c) for c in out_map.matrix.cols], tgt.gens, X.gens,
                                 extra_unmarked=[list(c) for c in tgt.rels.cols])
     den = [list(c) for c in X.rels.cols]
     if in_map is not None:
         den += [list(c) for c in in_map.matrix.cols]
-    den = [d for d in den if d]
-    return subquotient(X.gens, num + den, den)
+    return subquotient(num, [d for d in den if d])
 
 
 def homology_at(cx: ModuleComplex, i: int) -> PresentedModule:

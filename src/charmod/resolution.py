@@ -329,13 +329,11 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
             break
         diffs.append(new)
         modules.append(new.source)
-        nxt = syzygy_generators([list(c) for c in new.cols], new.target)
         # syzygies live on the basis of new.source
-        if not nxt:
+        cols = syzygy_generators([list(c) for c in new.cols], new.target, new.source).gb
+        if not cols:
             complete = True
             break
-        cols = nxt
-        # re-anchor: syzygy vectors are in the free module on new's columns
         if len(diffs) >= limit:
             break
     if not over_quotient and not complete:

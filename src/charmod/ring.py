@@ -84,10 +84,6 @@ def monomial_mul(u: Sequence[int], v: Sequence[int]) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def monomial_divides(u: Sequence[int], v: Sequence[int]) -> bool:
-    return all(a <= b for a, b in zip(u, v))
-
-
 def monomial_lcm(u: Sequence[int], v: Sequence[int]) -> tuple:
     return tuple(max(a, b) for a, b in zip(u, v))
 

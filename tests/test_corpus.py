@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charmod import groebner
 from charmod.cmr import InputDocument, ModuleBlock, parse, render
 from charmod.corpus import (
     PROFILES,
@@ -139,6 +140,27 @@ def test_battery_is_deterministic():
     a = corpus_battery(doc, "t", degree_bound=8, seed=2, split=False)
     b = corpus_battery(doc, "t", degree_bound=8, seed=2, split=False)
     assert a == b
+
+
+# _buchberger_terms runs of the battery on the first 10 acceptance instances
+BATTERY_10_GROEBNER_RUNS = 922  # 1,442 before the eliminations handed back their bases
+
+
+def test_battery_groebner_run_count(monkeypatch):
+    # a deterministic work gate: wall time on a small shared box is not;
+    # fresh documents, so no ring cache from another test is reused
+    runs = []
+    real = groebner._buchberger_terms
+
+    def counting(*args, **kwargs):
+        runs.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", counting)
+    for i, doc in enumerate(generate_corpus(7, 10, "mixed")):
+        rep = corpus_battery(doc, instance_id("mixed", 7, i), split=True)
+        assert rep["verdict"] == "verified", rep["failures"]
+    assert len(runs) == BATTERY_10_GROEBNER_RUNS
 
 
 STALL_SCRIPT = """

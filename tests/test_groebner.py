@@ -10,7 +10,7 @@ import random
 import pytest
 
 from charmod import corpus, groebner
-from charmod.freemod import GradedFreeModule, GradedMatrix, term_okey, term_pos, v_scale
+from charmod.freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos, v_scale
 from charmod.groebner import (
     Ideal,
     QuotientRing,
@@ -20,9 +20,9 @@ from charmod.groebner import (
     syzygy_generators,
 )
 from charmod.kernel import POS_BITS, make_reducer
-from charmod.ring import PolyRing, monomial_divides, monomial_lcm, monomial_mul
+from charmod.ring import PolyRing, monomial_lcm, monomial_mul
 
-from conftest import matrix_from_columns
+from conftest import exps_of_degree, matrix_from_columns
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +152,7 @@ def test_intersection_membership_property():
 def test_koszul_kernel():
     ring = PolyRing(101, ("x", "y"))
     f = matrix_from_columns(ring, [0], [[ring.poly("x")], [ring.poly("y")]])
-    ker = buchberger(syzygy_generators([list(c) for c in f.cols], f.target), f.source)
+    ker = syzygy_generators([list(c) for c in f.cols], f.target, f.source)
     syzygy = ker.ambient.vector_from_polys([ring.poly("y"), ring.poly("-x")])
     assert ker.contains(syzygy)
     for v in ker.gens:
@@ -163,8 +163,8 @@ def test_syzygies_annihilate_generators(twisted_cubic):
     ring, ideal = twisted_cubic
     sub = ideal.submodule()
     gens = [list(v) for v in sub.gens]
-    syz = syzygy_generators(gens, sub.ambient)
     twists = [sub.ambient.vector_degree(v) for v in gens]
+    syz = syzygy_generators(gens, sub.ambient, GradedFreeModule(ring, twists)).gb
     mat = GradedMatrix(GradedFreeModule(ring, twists), sub.ambient, gens)
     assert syz, "twisted cubic has nontrivial first syzygies"
     for s in syz:
@@ -177,9 +177,8 @@ def test_syzygy_generators_are_complete():
     cols = [ring.poly("x*y"), ring.poly("y*z"), ring.poly("x*z")]
     ambient = GradedFreeModule(ring, [0])
     vecs = [ambient.vector_from_polys([f]) for f in cols]
-    syz = syzygy_generators(vecs, ambient)
     amb2 = GradedFreeModule(ring, [f.degree() for f in cols])
-    sgb = buchberger(syz, amb2)
+    sgb = syzygy_generators(vecs, ambient, amb2)
     rng = random.Random(9)
     hits = 0
     for _ in range(40):
@@ -312,7 +311,8 @@ def test_reduced_basis_matches_sympy(order):
 
 def _reference_buchberger_terms(ring, twists, vecs, product=False):
     """The engine before pairs were indexed by lead position: new pairs and
-    the chain criterion scan every basis element and skip other positions."""
+    the chain criterion scan every basis element and skip other positions,
+    and the chain criterion compares exponent tuples, not packed words."""
     p = ring.field.p
     pack = ring.pack
     ctx = pack.ctx
@@ -359,7 +359,7 @@ def _reference_buchberger_terms(ring, twists, vecs, product=False):
         for t in range(len(G)):
             if t == i or t == j or lead_pos[t] != lead_pos[i]:
                 continue
-            if monomial_divides(lead_exps[t], lcm):
+            if all(a <= b for a, b in zip(lead_exps[t], lcm)):
                 a = (i, t) if i < t else (t, i)
                 b = (j, t) if j < t else (t, j)
                 if a in done and b in done:
@@ -396,7 +396,7 @@ def _engine_inputs(monkeypatch, docs):
             for label, run in (
                     ("relations", lambda: buchberger([list(c) for c in M.rels.cols], M.gens)),
                     ("syzygies", lambda: syzygy_generators([list(c) for c in M.rels.cols],
-                                                           M.gens))):
+                                                           M.gens, M.rels.source))):
                 calls.clear()
                 run()
                 labelled += [(f"{name} {label}", args) for args in calls]
@@ -434,3 +434,45 @@ def test_position_indexed_pairs_match_the_full_scan(monkeypatch, mixed_corpus, v
         if len(twists) > 1:
             ranks[label.split()[-1]] += 1
     assert ranks == {"relations": 4, "syzygies": 25}, ranks
+
+
+def _drawn_ideals(order, count, seed):
+    """Rings and generators of ``count`` random homogeneous ideals in 3 or 4
+    variables over GF(101), of 3 to 5 generators of degree 3 to 6."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.choice((3, 4))
+        ring = PolyRing(101, tuple("xyzw"[:n]), order)
+        gens = []
+        for _ in range(rng.randint(3, 5)):
+            d = rng.randint(3, 6)
+            gens.append({exps_of_degree(rng, n, d): rng.randrange(1, 101)
+                         for _ in range(rng.randint(2, 3))})
+        out.append((ring, gens))
+    return out
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_packed_chain_criterion_prunes_as_the_exponent_tuples(monkeypatch, order):
+    # the chain criterion divides packed exponent words, a pair's lcm word
+    # being the field-wise maximum of its leads' words; with exponents up to
+    # 6 in both key layouts the same S-pairs must be reduced as with
+    # exponent tuples (an lcm word taken as the bitwise or of the leads'
+    # words changes the reduced pairs on 11 and 10 of these 40 ideals)
+    merges = []
+    real_merge = groebner.scaled_merge
+
+    def counting(*args):
+        merges.append(None)
+        return real_merge(*args)
+
+    monkeypatch.setattr(groebner, "scaled_merge", counting)
+    for ring, gens in _drawn_ideals(order, 40, 5):
+        vecs = [[(term_key(k, 0), c) for k, c in ring.from_dict(g).terms] for g in gens]
+        merges.clear()
+        ours = groebner._buchberger_terms(ring, (0,), vecs, True)
+        ours_merges = len(merges)
+        merges.clear()
+        assert ours == _reference_buchberger_terms(ring, (0,), vecs, True), gens
+        assert ours_merges == len(merges), gens

@@ -219,7 +219,8 @@ def test_polynomial_ring_is_its_own_zero_quotient(veronese_doc, e2_doc, hypersur
         M0 = _over(QuotientRing(Q, []), M)
         assert M.relation_gb().gb == M0.relation_gb().gb
         rels = [list(c) for c in M.rels.cols]
-        assert syzygy_generators(rels, M.gens) == syzygy_generators(rels, M0.gens)
+        assert (syzygy_generators(rels, M.gens, M.rels.source).gb
+                == syzygy_generators(rels, M0.gens, M0.rels.source).gb)
         assert q_resolution(M).betti() == q_resolution(M0).betti()
         for route in (char_module, cochar_module):
             assert hilbert_series_leads(route(M)) == hilbert_series_leads(route(M0))

@@ -5,8 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from charmod.ring import (PolyRing, Polynomial, PrimeField, monomial_divides,
-                          monomial_lcm, monomial_mul)
+from charmod.ring import PolyRing, Polynomial, PrimeField, monomial_lcm, monomial_mul
 
 from conftest import exps_of_degree
 
@@ -115,8 +114,6 @@ def test_okeys_additive_under_multiplication():
 def test_monomial_helpers():
     assert monomial_mul((1, 2), (0, 1)) == (1, 3)
     assert monomial_lcm((1, 2), (2, 1)) == (2, 2)
-    assert monomial_divides((1, 1), (2, 1))
-    assert not monomial_divides((3, 0), (2, 5))
 
 
 def test_polynomial_parse_and_arithmetic():
