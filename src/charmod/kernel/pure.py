@@ -55,18 +55,21 @@ class Reducer:
     Basis elements need not be monic; leading coefficients are inverted on
     insertion.  Reduction always cancels against the first basis element
     (in insertion order) whose lead divides the current head, which makes
-    results deterministic for a fixed basis order.
+    results deterministic for a fixed basis order.  Leads are bucketed by
+    position, each entry holding its key, exponent word and basis index: a
+    lead at another position never divides, so the first divisor in the
+    head's bucket is the first in the whole basis.
     """
 
-    __slots__ = ("p", "ctx", "basis", "lead_keys", "lead_eps", "lead_inv")
+    __slots__ = ("p", "ctx", "basis", "lead_keys", "lead_inv", "buckets")
 
     def __init__(self, p: int, ctx: OrderCtx, basis=()):
         self.p = p
         self.ctx = ctx
         self.basis = []
         self.lead_keys = []
-        self.lead_eps = []
         self.lead_inv = []
+        self.buckets = {}
         for g in basis:
             self.append(g)
 
@@ -77,25 +80,21 @@ class Reducer:
         if not g:
             raise ValueError("cannot reduce by the zero vector")
         key, c = g[0]
+        self.buckets.setdefault(key & POS_MASK, []).append(
+            (key, epack(key >> POS_BITS, self.ctx), len(self.basis)))
         self.basis.append(list(g))
         self.lead_keys.append(key)
-        self.lead_eps.append(epack(key >> POS_BITS, self.ctx))
         self.lead_inv.append(pow(c, self.p - 2, self.p))
 
     def find_reducer(self, key: int) -> int:
         """Index of the first basis element whose lead divides ``key``, or -1."""
-        guards = self.ctx.guards
-        ep = epack(key >> POS_BITS, self.ctx)
-        lk = self.lead_keys
-        le = self.lead_eps
-        for idx in range(len(lk)):
-            gk = lk[idx]
-            if (gk ^ key) & POS_MASK:
-                continue
-            if gk > key:
-                continue
-            if divides(le[idx], ep, guards):
-                return idx
+        bucket = self.buckets.get(key & POS_MASK)
+        if bucket:
+            guards = self.ctx.guards
+            ep = epack(key >> POS_BITS, self.ctx)
+            for gk, ge, idx in bucket:
+                if gk <= key and divides(ge, ep, guards):
+                    return idx
         return -1
 
     def nf(self, v):

@@ -146,8 +146,11 @@ class PresentedModule:
 
     @cached
     def minimal(self) -> "PresentedModule":
-        """Equivalent presentation with no scalar entries and no zero columns."""
+        """Equivalent presentation with no scalar entries and no zero columns:
+        the module itself when nothing cancels, so its cached bases are kept."""
         _, rels = _cancel_units(None, self.rels)
+        if rels is self.rels:
+            return self
         out = PresentedModule(rels.target, rels)
         out.cache["minimal"] = out  # the result is its own minimal presentation
         return out

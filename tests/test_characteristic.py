@@ -1,5 +1,10 @@
 """Characteristic/cocharacteristic modules, the quasi-canonical module, checkers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from charmod.characteristic import (
@@ -137,6 +142,38 @@ def test_thm8_verdicts(veronese_doc, e2_doc, hypersurface_doc,
         conds = rep.witnesses["conditions"]
         assert set(conds) == set(THM8_CONDITIONS)
         assert all(v is truth for v in conds.values()), (doc, conds)
+
+
+SEVEN_VARIABLES_SCRIPT = """
+from charmod.characteristic import check_thm8
+from charmod.groebner import QuotientRing
+from charmod.ring import PolyRing
+
+n = 7
+ring = PolyRing(32003, [f"x{i}" for i in range(n)])
+assert not ring.pack.ctx.fits64  # keys wider than a word: the pure kernel
+minors = [ring.monomial([(k == i) + (k == j + 1) for k in range(n)])
+          - ring.monomial([(k == i + 1) + (k == j) for k in range(n)])
+          for i in range(n - 1) for j in range(i + 1, n - 1)]
+rep = check_thm8(QuotientRing(ring, [f for f in minors if not f.is_zero()]))
+print(rep.verdict, all(rep.witnesses["conditions"].values()))
+"""
+
+
+def test_thm8_on_the_rational_normal_curve_in_seven_variables():
+    # the curve is Cohen-Macaulay, so all seven conditions hold; every
+    # elimination reduces through the pure kernel's position buckets, and
+    # the linear scan over all leads took over twice this budget
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    try:
+        res = subprocess.run([sys.executable, "-c", SEVEN_VARIABLES_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=12)
+    except subprocess.TimeoutExpired:
+        pytest.fail("thm8 on the 7-variable rational normal curve took over 12 s")
+    assert res.returncode == 0, res.stderr[-3000:]
+    assert res.stdout.split() == ["verified", "True"]
 
 
 def test_thm8_condition_seven_witnesses(veronese_doc):

@@ -5,6 +5,7 @@ with an engine that scans the whole basis."""
 
 import heapq
 import itertools
+import math
 import random
 
 import pytest
@@ -285,24 +286,47 @@ def _monic(lc, terms, p):
     return frozenset((tuple(e), c * inv % p) for e, c in terms if c % p)
 
 
+def _assert_matches_sympy(sympy, p, variables, gens, order):
+    """Our reduced basis of the ideal of ``gens`` (exponent dicts) equals
+    sympy's, each made monic."""
+    ring = PolyRing(p, variables, order)
+    ours = Ideal(ring, [ring.from_dict(g) for g in gens]).groebner_basis()
+    mine = {_monic(f.terms[0][1], _exps_dict(f).items(), p) for f in ours}
+    syms = sympy.symbols(variables)
+    polys = [sympy.Poly.from_dict(g, *syms, modulus=p) for g in gens]
+    theirs = sympy.groebner(polys, *syms, modulus=p, order=order)
+    # sympy's coefficients are symmetric residues, and LC() without an
+    # order is the lex leading coefficient
+    ref = {_monic(int(g.LC(order=order)), [(e, int(c)) for e, c in g.terms()], p)
+           for g in theirs.polys}
+    assert mine == ref, (order, p, variables, gens)
+
+
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 def test_reduced_basis_matches_sympy(order):
     sympy = pytest.importorskip("sympy")
     compared = 0
     for p, variables, gens in _differential_inputs(order):
-        ring = PolyRing(p, variables, order)
-        ours = Ideal(ring, [ring.from_dict(g) for g in gens]).groebner_basis()
-        mine = {_monic(f.terms[0][1], _exps_dict(f).items(), p) for f in ours}
-        syms = sympy.symbols(variables)
-        polys = [sympy.Poly.from_dict(g, *syms, modulus=p) for g in gens]
-        theirs = sympy.groebner(polys, *syms, modulus=p, order=order)
-        # sympy's coefficients are symmetric residues, and LC() without an
-        # order is the lex leading coefficient
-        ref = {_monic(int(g.LC(order=order)), [(e, int(c)) for e, c in g.terms()], p)
-               for g in theirs.polys}
-        assert mine == ref, (order, p, variables, gens)
+        _assert_matches_sympy(sympy, p, variables, gens, order)
         compared += 1
     assert compared == 102
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_rational_normal_curve_basis_matches_sympy(order, n):
+    # seven variables do not fit a machine-word key, so that case runs on
+    # the pure kernel whatever is built
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(n)
+    for p in (101, 32003, 2147483647):
+        ring = PolyRing(p, tuple(f"x{i}" for i in range(n)), order)
+        assert ring.pack.ctx.fits64 == (n < 7)
+        scales = [rng.randrange(1, p) for _ in range(n)]
+        gens = [{e: c * math.prod(pow(s, k, p) for s, k in zip(scales, e)) % p
+                 for e, c in _exps_dict(f).items()}
+                for f in _rational_normal_curve(ring)]
+        _assert_matches_sympy(sympy, p, ring.variables, gens, order)
 
 
 # ---------------------------------------------------------------------------

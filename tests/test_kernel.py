@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from charmod import kernel
-from charmod.kernel import (OrderCtx, POS_BITS, backend_name,
+from charmod.kernel import (OrderCtx, POS_BITS, POS_MASK, backend_name,
                             divides, epack, make_reducer, pure, scaled_merge)
 from charmod.ring import PolyRing, PrimeField
 
@@ -173,6 +173,92 @@ def test_backend_parity_randomized(compiled_kernel):
     wide = _ring(n=7).pack.ctx
     assert not wide.fits64
     assert isinstance(make_reducer(32003, wide), pure.Reducer)
+
+
+def _reference_divisors(red, key):
+    """Indices of every lead of ``red`` that divides ``key``, in insertion
+    order: the linear scan over all leads, skipping other positions, that
+    the reducer made before its leads were bucketed by position."""
+    ctx = red.ctx
+    ep = epack(key >> POS_BITS, ctx)
+    return [idx for idx, gk in enumerate(red.lead_keys)
+            if not (gk ^ key) & POS_MASK and gk <= key
+            and divides(epack(gk >> POS_BITS, ctx), ep, ctx.guards)]
+
+
+def _reference_find_reducer(red, key):
+    found = _reference_divisors(red, key)
+    return found[0] if found else -1
+
+
+class _ReferenceReducer(pure.Reducer):
+    """The pure reducer on the linear scan: its ``nf`` and ``nf_q`` make the
+    reductions the unbucketed reducer made."""
+
+    __slots__ = ()
+    find_reducer = _reference_find_reducer
+
+
+def _large_basis_cases(seed, count):
+    """``(p, ring, basis, probes)`` with 20 to 60 non-monic basis elements
+    spread over one to six positions, n cycling through 1..8, grevlex or
+    lex; each probe adds monomial multiples of basis elements to a random
+    vector, so its reductions run deep."""
+    rng = random.Random(seed)
+    for t in range(count):
+        p = rng.choice([2, 3, 101, 32003, 2147483647])
+        n = 1 + t % 8
+        ring = _ring(p=p, n=n, order=rng.choice(["grevlex", "lex"]))
+        positions = rng.randint(1, 6)
+        basis = [_random_vector(rng, ring, p, maxlen=5, positions=positions)
+                 for _ in range(rng.randint(20, 60))]
+        probes = []
+        for _ in range(6):
+            v = _random_vector(rng, ring, p, width=4, positions=positions)
+            for g in rng.sample(basis, 3):
+                m = [rng.randrange(0, 2) for _ in range(n)]
+                v = pure.add_scaled(v, g, rng.randrange(1, p),
+                                    ring.pack.okey(m) << POS_BITS, p)
+            if v:
+                probes.append(v)
+        yield p, ring, basis, probes
+
+
+def test_bucketed_reducer_matches_the_linear_scan():
+    probed = ambiguous = 0
+    for p, ring, basis, probes in _large_basis_cases(21, 64):
+        ctx = ring.pack.ctx
+        red = pure.Reducer(p, ctx, basis)
+        ref = _ReferenceReducer(p, ctx, basis)
+        for key in {k for v in probes + basis for k, _ in v}:
+            found = _reference_divisors(red, key)
+            assert red.find_reducer(key) == (found[0] if found else -1)
+            probed += 1
+            ambiguous += len(found) > 1
+        for v in probes:
+            assert red.nf(v) == ref.nf(v)
+            assert red.nf_q(v) == ref.nf_q(v)
+    # the first divisor, not just some divisor, is what is compared
+    assert ambiguous > probed // 10, (ambiguous, probed)
+
+
+def test_backend_parity_on_large_bases(compiled_kernel):
+    compared = 0
+    for p, ring, basis, probes in _large_basis_cases(22, 64):
+        ctx = ring.pack.ctx
+        if not ctx.fits64:
+            continue
+        fast = compiled_kernel.Reducer(p, ctx.kind, ring.n, ctx.fb, basis)
+        slow = pure.Reducer(p, ctx, basis)
+        for key in {k for v in probes + basis for k, _ in v}:
+            assert fast.find_reducer(key) == slow.find_reducer(key)
+        for v in probes:
+            assert fast.nf(v) == slow.nf(v)
+            rf, qf = fast.nf_q(v)
+            rs, qs = slow.nf_q(v)
+            assert rf == rs and list(qf) == list(qs)
+        compared += 1
+    assert compared == 48
 
 
 def test_width_and_prime_gates(compiled_kernel):
