@@ -111,8 +111,13 @@ def quasi_canonical(R) -> CanonicalData:
     return CanonicalData(R, s, E, E_raw, F, prov)
 
 
+@cached
 def char_module(M: PresentedModule) -> PresentedModule:
-    """T(M): the kernel of d_s (x) M, minimally presented."""
+    """T(M): the kernel of d_s (x) M, minimally presented.
+
+    This and the other three routes are memoized in ``M.cache``: each is
+    built once per module object and lives as long as it, so a
+    ``PresentedModule`` must not be mutated once built."""
     _, F, s = _ring_data(M.base)
     if s == 0:
         return M.minimal()
@@ -120,8 +125,10 @@ def char_module(M: PresentedModule) -> PresentedModule:
     return homology_at(cx, s)
 
 
+@cached
 def cochar_module(M: PresentedModule) -> PresentedModule:
-    """E(M): the cokernel of Hom(d_s, M), minimally presented."""
+    """E(M): the cokernel of Hom(d_s, M), minimally presented; memoized in
+    ``M.cache`` (M must not be mutated afterwards)."""
     _, F, s = _ring_data(M.base)
     if s == 0:
         return M.minimal()
@@ -129,14 +136,20 @@ def cochar_module(M: PresentedModule) -> PresentedModule:
     return homology_at(cx, s)
 
 
+@cached
 def char_via_hom(M: PresentedModule) -> PresentedModule:
-    """Second route to T(M): Hom_R(E, M) on the chosen presentation of E."""
+    """Second route to T(M): Hom_R(E, M) on the chosen presentation of E;
+    memoized in ``M.cache`` (M must not be mutated afterwards), so every
+    natural map on M shares it."""
     E = quasi_canonical(M.base).E
     return hom_module(E, M)
 
 
+@cached
 def cochar_via_tensor(M: PresentedModule) -> PresentedModule:
-    """Second route to E(M): E (x)_R M on the chosen presentation of E."""
+    """Second route to E(M): E (x)_R M on the chosen presentation of E;
+    memoized in ``M.cache`` (M must not be mutated afterwards), so every
+    natural map on M shares it."""
     E = quasi_canonical(M.base).E
     return tensor_module(E, M)
 
@@ -153,22 +166,11 @@ def tor_modules(M: PresentedModule) -> List[PresentedModule]:
 # natural maps
 
 
-def alpha_map(M: PresentedModule, E: Optional[PresentedModule] = None,
-              EM: Optional[PresentedModule] = None,
-              H: Optional[PresentedModule] = None,
-              check: bool = True) -> ModuleMap:
-    """The natural map alpha_M : M -> Hom(E, E (x) M), m |-> (e |-> e(x)m).
-
-    ``EM`` and ``H`` allow sharing the intermediate modules with other
-    constructions; they must equal tensor_module(E, M) and
-    hom_module(E, EM) respectively.
-    """
-    if E is None:
-        E = quasi_canonical(M.base).E
-    if EM is None:
-        EM = tensor_module(E, M)
-    if H is None:
-        H = hom_module(E, EM)
+def alpha_map(M: PresentedModule, check: bool = True) -> ModuleMap:
+    """The natural map alpha_M : M -> Hom(E, E (x) M), m |-> (e |-> e(x)m),
+    into ``char_via_hom(cochar_via_tensor(M))``."""
+    E = quasi_canonical(M.base).E
+    H = char_via_hom(cochar_via_tensor(M))
     rM = M.gens.rank
     cols: List[Vector] = []
     for j in range(rM):
@@ -179,21 +181,12 @@ def alpha_map(M: PresentedModule, E: Optional[PresentedModule] = None,
     return ModuleMap(M, H, mat, check=check)
 
 
-def beta_map(M: PresentedModule, E: Optional[PresentedModule] = None,
-             H: Optional[PresentedModule] = None,
-             T: Optional[PresentedModule] = None,
-             check: bool = True) -> ModuleMap:
-    """The natural map beta_M : E (x) Hom(E, M) -> M, e (x) f |-> f(e).
-
-    ``H`` and ``T`` allow sharing; they must equal hom_module(E, M) and
-    tensor_module(E, H) respectively.
-    """
-    if E is None:
-        E = quasi_canonical(M.base).E
-    if H is None:
-        H = hom_module(E, M)
-    if T is None:
-        T = tensor_module(E, H)
+def beta_map(M: PresentedModule, check: bool = True) -> ModuleMap:
+    """The natural map beta_M : E (x) Hom(E, M) -> M, e (x) f |-> f(e),
+    out of ``cochar_via_tensor(char_via_hom(M))``."""
+    E = quasi_canonical(M.base).E
+    H = char_via_hom(M)
+    T = cochar_via_tensor(H)
     rH = H.gens.rank
     realized = [hom_realize(H, [(term_key(0, b), 1)]) for b in range(rH)]
     cols: List[Vector] = []
@@ -204,10 +197,10 @@ def beta_map(M: PresentedModule, E: Optional[PresentedModule] = None,
     return ModuleMap(T, M, mat, check=check)
 
 
-def hom_functor_map(f: ModuleMap, HA: PresentedModule,
-                    HB: PresentedModule) -> ModuleMap:
-    """Hom(E, f) : Hom(E, A) -> Hom(E, B), given ``HA = hom_module(E, A)``
-    and ``HB = hom_module(E, B)``."""
+def hom_functor_map(f: ModuleMap) -> ModuleMap:
+    """Hom(E, f) : Hom(E, A) -> Hom(E, B) between ``char_via_hom`` of f's
+    domain and codomain."""
+    HA, HB = char_via_hom(f.domain), char_via_hom(f.codomain)
     cols: List[Vector] = []
     for b in range(HA.gens.rank):
         psi = hom_realize(HA, [(term_key(0, b), 1)])
@@ -216,10 +209,11 @@ def hom_functor_map(f: ModuleMap, HA: PresentedModule,
     return ModuleMap(HA, HB, mat, check=False)
 
 
-def tensor_functor_map(E: PresentedModule, f: ModuleMap, TA: PresentedModule,
-                       TB: PresentedModule) -> ModuleMap:
-    """E (x) f : E (x) A -> E (x) B on the grid presentations, given
-    ``TA = tensor_module(E, A)`` and ``TB = tensor_module(E, B)``."""
+def tensor_functor_map(f: ModuleMap) -> ModuleMap:
+    """E (x) f : E (x) A -> E (x) B between ``cochar_via_tensor`` of f's
+    domain and codomain, on the grid presentations."""
+    E = quasi_canonical(f.domain.base).E
+    TA, TB = cochar_via_tensor(f.domain), cochar_via_tensor(f.codomain)
     rA = f.domain.gens.rank
     rB = f.codomain.gens.rank
     cols: List[Vector] = []
@@ -267,23 +261,13 @@ def split_identity_check(R, M: PresentedModule) -> Dict[str, bool]:
     beta_{E(M)} o (E (x) alpha_M) is the identity of E(M),
 
     with T(-) = Hom(E, -) and E(-) = E (x) - on the chosen presentations.
+    Every module involved is a memoized route on M or on another route's
+    result, so a second check on the same M builds no Hom or tensor module.
     """
-    E = quasi_canonical(R).E
-    TM = hom_module(E, M)
-    ETM = tensor_module(E, TM)
-    beta = beta_map(M, E=E, H=TM, T=ETM, check=False)
-    HETM = hom_module(E, ETM)
-    alpha_tm = alpha_map(TM, E=E, EM=ETM, H=HETM, check=False)
-    t_beta = hom_functor_map(beta, HETM, TM)
-    first = map_is_identity(t_beta.compose(alpha_tm))
-
-    EM = tensor_module(E, M)
-    HEM = hom_module(E, EM)
-    alpha = alpha_map(M, E=E, EM=EM, H=HEM, check=False)
-    ETEM = tensor_module(E, HEM)
-    beta_em = beta_map(EM, E=E, H=HEM, T=ETEM, check=False)
-    e_alpha = tensor_functor_map(E, alpha, EM, ETEM)
-    second = map_is_identity(beta_em.compose(e_alpha))
+    first = map_is_identity(hom_functor_map(beta_map(M, check=False)).compose(
+        alpha_map(char_via_hom(M), check=False)))
+    second = map_is_identity(beta_map(cochar_via_tensor(M), check=False).compose(
+        tensor_functor_map(alpha_map(M, check=False))))
     return {"t_beta_alpha": first, "beta_e_alpha": second}
 
 
@@ -347,8 +331,8 @@ def check_thm8(R, extra_modules: Sequence[Tuple[str, PresentedModule]] = ()) \
     c3 = t_dims["R"] == dim_r
     c4 = e_dims["R"] == dim_r
     c5 = is_cohen_macaulay(Rm)
-    c6 = alpha_map(Rm, E=data.E).is_isomorphism()
-    beta_literal = beta_map(data.E, E=data.E).is_isomorphism()
+    c6 = alpha_map(Rm).is_isomorphism()
+    beta_literal = beta_map(data.E).is_isomorphism()
     e_faithful = annihilator(data.E).is_zero()
     c7 = beta_literal and e_faithful
 

@@ -284,7 +284,9 @@ def hom_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     coefficient of the matrix entry sending generator ``i`` of A to
     generator ``j`` of B.  The cycles are the matrices sending relations of
     A into relations of B; the denominator is ``(relations of B) o
-    (arbitrary maps)``.
+    (arbitrary maps)``.  The result's ``origin`` holds these very A and B;
+    ``char_via_hom`` memoizes it in B's own cache, so a route result's
+    ``origin`` holds its caller's own E and M, never equal copies.
     """
     if B.base != A.base:
         raise ValueError("Hom factors over different bases")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from charmod import characteristic
 from charmod.characteristic import (
     alpha_map,
     beta_map,
@@ -26,6 +27,7 @@ from charmod.characteristic import (
     split_identity_check,
     tor_modules,
 )
+from charmod.corpus import module_pool
 from charmod.groebner import QuotientRing
 from charmod.homology import hilbert_function_basis, iso_probe
 from charmod.invariants import depth_module, dimension, nu, type_of
@@ -128,6 +130,43 @@ def test_split_identities(e2_doc, hypersurface_doc):
                   PresentedModule.residue_field(R)):
             out = split_identity_check(R, M)
             assert out == {"t_beta_alpha": True, "beta_e_alpha": True}
+
+
+def test_routes_are_built_once_per_module_object(monkeypatch, veronese_doc, e2_doc,
+                                                 hypersurface_doc, stanley_reisner_doc):
+    built = []
+
+    def counting(name):
+        real = getattr(characteristic, name)
+
+        def wrapper(*args):
+            built.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("hom_module", "tensor_module"):
+        monkeypatch.setattr(characteristic, name, counting(name))
+    ok = {"t_beta_alpha": True, "beta_e_alpha": True}
+    for doc in (veronese_doc, e2_doc, hypersurface_doc, stanley_reisner_doc):
+        R = doc.quotient()
+        for name, M in module_pool(doc):
+            # the natural maps are built on the memoized routes themselves
+            assert alpha_map(M).codomain is char_via_hom(cochar_via_tensor(M)), name
+            assert beta_map(M).domain is cochar_via_tensor(char_via_hom(M)), name
+            assert split_identity_check(R, M) == ok, name
+            built.clear()
+            assert split_identity_check(R, M) == ok, name
+            assert built == [], name
+            # a distinct object equal by value gets its own entries, whose
+            # origin is that object, not the one memoized first
+            twin = PresentedModule(M.gens, M.rels)
+            assert twin == M
+            H, T = char_via_hom(twin), cochar_via_tensor(twin)
+            assert built == ["hom_module", "tensor_module"], name
+            assert H is not char_via_hom(M) and T is not cochar_via_tensor(M), name
+            assert H.cache["origin"]["B"] is twin, name
+            assert char_via_hom(M).cache["origin"]["B"] is M, name
+            assert (H.gens, H.rels) == (char_via_hom(M).gens, char_via_hom(M).rels), name
 
 
 def test_thm8_verdicts(veronese_doc, e2_doc, hypersurface_doc,

@@ -420,32 +420,30 @@ def _assert_same_subquotient(got, want, label):
     assert (got.relation_gb().gb, got.relation_gb()._qgb) == (rel_gb.gb, rel_gb._qgb), label
 
 
-def _assert_constructions_match(A, B, label):
-    """Hom(A, B) and A (x) B agree with the grid constructions; returns
-    (A (x) B, Hom(A, B))."""
-    H = hom_module(A, B)
+def _assert_matches_grid(A, B, T, H, label):
+    """T = A (x) B and H = Hom(A, B) agree with the grid constructions."""
     _assert_same_subquotient(H, _reference_hom_module(A, B), label)
-    T = tensor_module(A, B)
     want = _reference_tensor_module(A, B)
     assert (T.gens, T.rels) == (want.gens, want.rels), label
-    return T, H
 
 
 def test_constructions_match_grid_reference(mixed_corpus, e2_doc, hypersurface_doc,
                                             stanley_reisner_doc, veronese_doc):
-    # on every battery pool module M: (E, M), (E, E (x) M) and (E, Hom(E, M)),
-    # plus the kernels of alpha_M and beta_M the thm8 checker takes
+    # on every battery pool module M, the routes E (x) - and Hom(E, -) at M,
+    # E (x) M and Hom(E, M), plus the kernels of alpha_M and beta_M the thm8
+    # checker takes, which are built on those very route results
     docs = tuple(mixed_corpus[:10]) + (e2_doc, hypersurface_doc, stanley_reisner_doc,
                                        veronese_doc)
     checked = 0
     for doc in docs:
         E = characteristic.quasi_canonical(doc.quotient()).E
         for name, M in corpus.module_pool(doc):
-            EM, HM = _assert_constructions_match(E, M, name)
-            _, HEM = _assert_constructions_match(E, EM, name)
-            _assert_constructions_match(E, HM, name)
-            for f in (characteristic.alpha_map(M, E=E, EM=EM, H=HEM, check=False),
-                      characteristic.beta_map(M, E=E, H=HM, check=False)):
+            for B in (M, characteristic.cochar_via_tensor(M),
+                      characteristic.char_via_hom(M)):
+                _assert_matches_grid(E, B, characteristic.cochar_via_tensor(B),
+                                     characteristic.char_via_hom(B), name)
+            for f in (characteristic.alpha_map(M, check=False),
+                      characteristic.beta_map(M, check=False)):
                 _assert_same_subquotient(presented_kernel(f),
                                          _reference_presented_kernel(f), name)
             checked += 1
@@ -458,7 +456,7 @@ def test_constructions_match_grid_reference_without_relations(rings):
     Rm = PresentedModule.ring_module(R)
     k = PresentedModule.residue_field(R)
     for A, B in ((free, free), (free, k), (k, free), (Rm, Rm)):
-        _assert_constructions_match(A, B, (A, B))
+        _assert_matches_grid(A, B, tensor_module(A, B), hom_module(A, B), (A, B))
     # maps out of a module with no relations, into one without and one with
     to_free = matrix_from_columns(R, (0, 1), [[R.poly("x"), R.poly("1")]], col_twists=[1])
     to_k = matrix_from_columns(R, (0,), [[R.poly("y")]], col_twists=[1])
