@@ -7,9 +7,9 @@ pair selection (lowest S-degree first).  Only elements whose leads share a
 position form pairs, so the basis is kept in one bucket per lead position:
 new pairs and the chain criterion look only at the bucket of their
 position, which in an elimination ambient (one position per marked column)
-is a small part of the basis.  The chain criterion divides packed exponent
-words; a pair's lcm word is the field-wise maximum of its leads' words, so
-no lcm is packed into an order key before the pair survives the criteria.
+is a small part of the basis.  Pairs carry packed lcm words and keys, no
+exponent tuples: both criteria compare exponent words, and one multiplication
+gives an lcm word's order key and degree.
 Reduced bases are canonical, so every result is independent of input order.
 
 Computations over ``R`` lift to ``Q``: the defining ideal enters as extra
@@ -40,13 +40,8 @@ from .freemod import (
     term_pos,
     v_scale,
 )
-from .kernel import POS_BITS, divides, epack, make_reducer, scaled_merge
-from .ring import (
-    Polynomial,
-    PolyRing,
-    monomial_lcm,
-    monomial_mul,
-)
+from .kernel import LEX, POS_BITS, divides, epack, make_reducer, scaled_merge
+from .ring import Polynomial, PolyRing
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +58,26 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     are formed, and the chain criterion is checked, within the bucket of
     basis indices that share the pair's lead position (``by_pos``); each
     pair is pushed once and ``done`` records the pairs already treated.
+
+    A pair is ``(sugar, i, j, lcm word, lcm key)``: the word is the field-wise
+    maximum of the leads' exponent words; times ``ones`` (a 1 in each field)
+    it holds the lcm's degree in field ``n - 1`` and, for grevlex, its key
+    below (a lex key is the word).  No field carries at twice the cap; when a
+    pair that survives the criteria has its lcm past the cap, ``scaled_merge``
+    raises ``OverflowError`` on the first term of its S-polynomial.
     """
     p = ring.field.p
-    pack = ring.pack
-    ctx = pack.ctx
+    ctx = ring.pack.ctx
     mask = ctx.okey_mask
     guards = ctx.guards
     top = ctx.fb - 1  # the guard bit of a field
+    ones = guards >> top
+    deg_shift = (ctx.n - 1) * ctx.fb
+    fmask = (1 << ctx.fb) - 1
+    lex = ctx.kind == LEX
     red = make_reducer(p, ctx)
     G: List[Vector] = []
-    lead_key: List[int] = []
-    lead_exps: List[tuple] = []
+    lead_okey: List[int] = []  # order keys of the leads, block flags dropped
     lead_ep: List[int] = []  # exponent words of the leads
     lead_pos: List[int] = []
     by_pos: dict = {}  # lead position -> indices of G with a lead there
@@ -85,21 +89,22 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
         if c != 1:
             v = v_scale(v, ring.field.inv(c), p)
         t = len(G)
-        et = pack.exps(term_okey(k) & mask)
-        ep = epack(term_okey(k), ctx)
+        okey = term_okey(k)
+        ep = epack(okey, ctx)
         pos = term_pos(k)
+        twist = twists[pos]
         bucket = by_pos.setdefault(pos, [])
         for i in bucket:
-            lcm = monomial_lcm(lead_exps[i], et)
             # guard bit set in each field where lead i's exponent is at least ep's
             g = ((lead_ep[i] | guards) - ep) & guards
             low = g - (g >> top)
-            heapq.heappush(pairs, (sum(lcm) + twists[pos], i, t, lcm,
-                                   (lead_ep[i] & low) | (ep & ~low)))
+            w = (lead_ep[i] & low) | (ep & ~low)
+            sums = w * ones
+            heapq.heappush(pairs, (((sums >> deg_shift) & fmask) + twist, i, t, w,
+                                   w if lex else sums & mask))
         bucket.append(t)
         G.append(v)
-        lead_key.append(k)
-        lead_exps.append(et)
+        lead_okey.append(okey & mask)
         lead_ep.append(ep)
         lead_pos.append(pos)
         red.append(v)
@@ -112,18 +117,17 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
             add_gen(r)
 
     while pairs:
-        _, i, j, lcm, lcm_ep = heapq.heappop(pairs)
+        _, i, j, lcm_ep, lk = heapq.heappop(pairs)
         done.add((i, j))
-        if product and lcm == monomial_mul(lead_exps[i], lead_exps[j]):
+        if product and lcm_ep == lead_ep[i] + lead_ep[j]:
             continue
         if any(t != i and t != j and divides(lead_ep[t], lcm_ep, guards)
                and ((i, t) if i < t else (t, i)) in done
                and ((j, t) if j < t else (t, j)) in done
                for t in by_pos[lead_pos[i]]):
             continue
-        lk = pack.okey(lcm)
-        sh_i = (lk - (term_okey(lead_key[i]) & mask)) << POS_BITS
-        sh_j = (lk - (term_okey(lead_key[j]) & mask)) << POS_BITS
+        sh_i = (lk - lead_okey[i]) << POS_BITS
+        sh_j = (lk - lead_okey[j]) << POS_BITS
         s = scaled_merge([], G[i], 1, sh_i, p, ctx)
         s = scaled_merge(s, G[j], p - 1, sh_j, p, ctx)
         r = red.nf(s)

@@ -27,7 +27,10 @@ class OrderCtx:
     field width in bits.  ``okey_mask`` strips elimination-block flags that
     sit above the order key proper; ``guards`` holds the per-field guard bits
     used by the borrow-free divisibility test, which also cap the total
-    degree at ``cap``.
+    degree at ``cap``.  Keys and exponent words (``epack``) have ``n`` fields
+    of ``fb`` bits, field i at bit ``i * fb``: grevlex keys hold the prefix
+    sum ``e_1 + .. + e_(i+1)`` there and their words e_(i+1); lex keys, their
+    own words, hold e_(n-i).  ``_fast`` packs words of its own internally.
     """
 
     __slots__ = ("kind", "n", "fb", "cap", "okey_mask", "guards", "fits64")
@@ -60,21 +63,15 @@ class OrderCtx:
 
 
 def epack(okey: int, ctx: OrderCtx) -> int:
-    """Exponent packing (e_1 in the top field .. e_n in the bottom) of okey."""
-    okey &= ctx.okey_mask
+    """Exponent word of okey, block flags dropped (layout in ``OrderCtx``).
+
+    A lex key is its own word.  Grevlex fields are prefix sums of the
+    exponents, so subtracting the key shifted up one field leaves each
+    exponent in its field with no borrow.
+    """
     if ctx.kind == LEX:
-        return okey
-    fb = ctx.fb
-    n = ctx.n
-    mask = (1 << fb) - 1
-    # grevlex fields, top to bottom: deg, deg - e_n, deg - e_n - e_{n-1}, ...
-    w_lower = okey & mask
-    ep = w_lower << ((n - 1) * fb)
-    for j in range(2, n + 1):
-        w_hi = (okey >> ((j - 1) * fb)) & mask
-        ep |= (w_hi - w_lower) << ((n - j) * fb)
-        w_lower = w_hi
-    return ep
+        return okey & ctx.okey_mask
+    return (okey - (okey << ctx.fb)) & ctx.okey_mask
 
 
 def divides(u_ep: int, v_ep: int, guards: int) -> bool:

@@ -80,14 +80,6 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
 
-def monomial_mul(u: Sequence[int], v: Sequence[int]) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def monomial_lcm(u: Sequence[int], v: Sequence[int]) -> tuple:
-    return tuple(max(a, b) for a, b in zip(u, v))
-
-
 class Packing:
     """Order-key codec bound to an order kind and a variable count."""
 

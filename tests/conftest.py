@@ -25,6 +25,14 @@ def exps_of_degree(rng, n, d):
     return tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))
 
 
+def monomial_mul(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def monomial_lcm(u, v):
+    return tuple(max(a, b) for a, b in zip(u, v))
+
+
 def matrix_from_columns(base, target_twists, cols_polys, col_twists=None):
     """The homogeneous matrix whose columns are lists of polynomials; column
     twists default to the columns' degrees."""

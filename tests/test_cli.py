@@ -206,6 +206,18 @@ def test_six_variable_degree_cap_is_a_resource_limit(tmp_path):
     assert "Traceback" not in err
 
 
+def test_lex_s_pair_degree_cap_is_a_resource_limit(tmp_path):
+    # lex fields are exponents: the lcm x^130*y^130 of this S-pair keeps
+    # every field below its guard bit while its degree passes the cap
+    doc = tmp_path / "steep_lex.cmr"
+    doc.write_text("field 32003\nring x y\norder lex\nideal\nx^130*y\nx*y^130\nend\n")
+    code, rep, err = run_json("gb", str(doc))
+    assert code == 4
+    assert rep["error"] == {"kind": "resource_limit",
+                            "message": "total degree 260 exceeds packing cap 255"}
+    assert "Traceback" not in err
+
+
 def test_internal_error_has_its_own_exit_code(monkeypatch):
     def broken(doc, args):
         raise RuntimeError("engine invariant violated")

@@ -1,9 +1,11 @@
 """Randomized instance generator: determinism, bounds, profile guarantees."""
 
+import heapq
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -147,23 +149,51 @@ def test_battery_is_deterministic():
 # minimal() returned the module itself when nothing cancels, 745 before the
 # routes T, E, Hom(E, -) and E (x) - were memoized on each module object
 BATTERY_10_GROEBNER_RUNS = 536
+# the S-pair work inside those runs: pairs pushed on the pair heap, and
+# S-polynomials reduced (two scaled merges each); the criteria must prune
+# the same pairs whatever form a pair's lcm takes
+BATTERY_10_SPAIRS_FORMED = 1755
+BATTERY_10_SPOLYS_REDUCED = 1585
 
 
 def test_battery_groebner_run_count(monkeypatch):
     # a deterministic work gate: wall time on a small shared box is not;
     # fresh documents, so no ring cache from another test is reused
     runs = []
+    pushes = []
+    merges = []
+    active = []  # non-empty inside a _buchberger_terms run
     real = groebner._buchberger_terms
+    real_merge = groebner.scaled_merge
 
     def counting(*args, **kwargs):
         runs.append(None)
-        return real(*args, **kwargs)
+        active.append(None)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            active.pop()
+
+    def push(heap, item):
+        pushes.append(None)
+        heapq.heappush(heap, item)
+
+    def merge(*args):
+        # intersect_ideals merges too, outside any Buchberger run
+        if active:
+            merges.append(None)
+        return real_merge(*args)
 
     monkeypatch.setattr(groebner, "_buchberger_terms", counting)
+    monkeypatch.setattr(groebner, "heapq",
+                        SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    monkeypatch.setattr(groebner, "scaled_merge", merge)
     for i, doc in enumerate(generate_corpus(7, 10, "mixed")):
         rep = corpus_battery(doc, instance_id("mixed", 7, i), split=True)
         assert rep["verdict"] == "verified", rep["failures"]
     assert len(runs) == BATTERY_10_GROEBNER_RUNS
+    assert (len(pushes), len(merges)) == (BATTERY_10_SPAIRS_FORMED,
+                                          2 * BATTERY_10_SPOLYS_REDUCED)
 
 
 STALL_SCRIPT = """

@@ -21,9 +21,9 @@ from charmod.groebner import (
     syzygy_generators,
 )
 from charmod.kernel import POS_BITS, make_reducer
-from charmod.ring import PolyRing, monomial_lcm, monomial_mul
+from charmod.ring import PolyRing
 
-from conftest import exps_of_degree, matrix_from_columns
+from conftest import exps_of_degree, matrix_from_columns, monomial_lcm, monomial_mul
 
 
 @pytest.fixture(scope="module")
@@ -500,3 +500,14 @@ def test_packed_chain_criterion_prunes_as_the_exponent_tuples(monkeypatch, order
         merges.clear()
         assert ours == _reference_buchberger_terms(ring, (0,), vecs, True), gens
         assert ours_merges == len(merges), gens
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_pairs_past_the_degree_cap_raise_only_when_they_survive(order):
+    # the coprime pair x^200, y^100 has an lcm of degree 300 > 255, but the
+    # product criterion drops it before any term of that degree is formed
+    ring = PolyRing(32003, ("x", "y"), order)
+    gens = [ring.poly("x^200"), ring.poly("y^100")]
+    assert set(Ideal(ring, gens).groebner_basis()) == set(gens)
+    with pytest.raises(OverflowError, match="total degree 260 exceeds packing cap 255"):
+        Ideal(ring, [ring.poly("x^130*y"), ring.poly("x*y^130")]).groebner_basis()

@@ -11,7 +11,7 @@ from charmod.kernel import (OrderCtx, POS_BITS, POS_MASK, backend_name,
                             divides, epack, make_reducer, pure, scaled_merge)
 from charmod.ring import PolyRing, PrimeField
 
-from conftest import exps_of_degree, times_poly
+from conftest import exps_of_degree, monomial_lcm, monomial_mul, times_poly
 
 # _fast.c is Cython's translation of _fast.pyx, and Cython is not a build
 # dependency: an edit to either file must come with a regenerated (or
@@ -44,14 +44,61 @@ def _random_vector(rng, ring, p, maxlen=8, width=3, positions=3, top=None):
 
 
 def test_epack_recovers_exponents_grevlex():
+    # e_1 in the bottom field .. e_n in the top; block flags are dropped
     ring = _ring(n=4)
     ctx = ring.pack.ctx
     fb = ctx.fb
+    flag = 1 << (ctx.n * fb)
     for exps in [(0, 0, 0, 0), (1, 2, 0, 3), (3, 3, 3, 3), (0, 0, 5, 0)]:
         ep = epack(ring.pack.okey(exps), ctx)
-        unpacked = tuple((ep >> ((ctx.n - 1 - i) * fb)) & ((1 << fb) - 1)
-                         for i in range(ctx.n))
+        unpacked = tuple((ep >> (i * fb)) & ((1 << fb) - 1) for i in range(ctx.n))
         assert unpacked == exps
+        assert epack(ring.pack.okey(exps) | flag, ctx) == ep
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_packed_lcm_identities_match_exponent_tuples(order, n):
+    # the S-pair loop of groebner._buchberger_terms keeps no exponent tuple:
+    # the lcm word is the field-wise maximum of the leads' words, its
+    # product with ones (a 1 in each field) holds the degree in field n - 1
+    # and, for grevlex, the lcm's order key below it, and leads are coprime
+    # iff the lcm word is their sum; leads go up to the cap, lcms to twice it
+    ring = _ring(n=n, order=order)
+    pack = ring.pack
+    ctx = pack.ctx
+    fb, guards = ctx.fb, ctx.guards
+    top = fb - 1
+    ones = guards >> top
+    rng = random.Random(10 * n + (order == "lex"))
+    seen = {"coprime": 0, "past cap": 0, "within cap": 0}
+    for _ in range(300):
+        a, b = (exps_of_degree(rng, n, rng.randint(rng.choice((0, ctx.cap // 2)), ctx.cap))
+                for _ in "ab")
+        if rng.random() < 0.3:
+            b = tuple(0 if x else y for x, y in zip(a, b))
+        ea, eb = epack(pack.okey(a), ctx), epack(pack.okey(b), ctx)
+        g = ((ea | guards) - eb) & guards
+        low = g - (g >> top)
+        w = (ea & low) | (eb & ~low)
+        lcm = monomial_lcm(a, b)
+        deg = sum(lcm)
+        sums = w * ones
+        assert w == sum(e << (i if order == "grevlex" else n - 1 - i) * fb
+                        for i, e in enumerate(lcm))
+        assert (sums >> (n - 1) * fb) & ((1 << fb) - 1) == deg
+        coprime = monomial_mul(a, b) == lcm
+        assert (w == ea + eb) == coprime
+        seen["coprime"] += coprime
+        if deg > ctx.cap:
+            seen["past cap"] += 1
+            continue
+        seen["within cap"] += 1
+        assert w == epack(pack.okey(lcm), ctx)
+        assert (w if order == "lex" else sums & ctx.okey_mask) == pack.okey(lcm)
+    assert seen["coprime"] >= 30 and seen["within cap"] >= 30, seen
+    # in one variable the lcm of two leads is one of them
+    assert seen["past cap"] >= 30 if n > 1 else seen["past cap"] == 0, seen
 
 
 def test_divides_matches_componentwise():

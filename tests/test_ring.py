@@ -5,9 +5,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from charmod.ring import PolyRing, Polynomial, PrimeField, monomial_lcm, monomial_mul
+from charmod.ring import PolyRing, Polynomial, PrimeField
 
-from conftest import exps_of_degree
+from conftest import exps_of_degree, monomial_lcm, monomial_mul
 
 
 def test_prime_field_rejects_composites():
