@@ -1,7 +1,7 @@
 """Subquotients, complexes and their homology, Hom, tensor, isomorphism probes.
 
 Everything here presents derived modules as ``PresentedModule`` instances.
-Hom, tensor and kernels are (co)homology of a complex on the presentation
+Hom and tensor are (co)homology of a complex on the presentation
 ``F_1 -> F_0`` of their first argument, as Tor and Ext are on a free
 resolution: one routine, ``_homology``, computes every kernel modulo image,
 and the tensor product, a cokernel, is read off the complex's first map,
@@ -105,7 +105,8 @@ def vector_coords(M: PresentedModule, v: Vector, basis_index: dict) -> np.ndarra
 
 
 class ModuleMap:
-    """A homogeneous degree-0 map of presented modules.
+    """A homogeneous degree-0 map of presented modules: it sends each graded
+    piece of the domain into the codomain's piece of the same degree.
 
     ``matrix`` maps the generator ambient of the domain to that of the
     codomain and must send relations into relations; set ``check`` to
@@ -127,20 +128,18 @@ class ModuleMap:
                 if not gb.contains(matrix.apply(list(col))):
                     raise ValueError("matrix does not send relations to relations")
 
-    def kernel(self) -> PresentedModule:
-        return presented_kernel(self)
-
     def cokernel(self) -> PresentedModule:
         return presented_cokernel(self)
-
-    def is_injective(self) -> bool:
-        return self.kernel().is_zero()
 
     def is_surjective(self) -> bool:
         return self.cokernel().is_zero()
 
     def is_isomorphism(self) -> bool:
-        return self.is_surjective() and self.is_injective()
+        """Onto, with equal Hilbert series: the graded pieces have finite
+        dimension, so an onto degree-0 map is bijective exactly when the
+        Hilbert functions agree.  No kernel is built."""
+        return (self.is_surjective()
+                and hilbert_series_leads(self.domain) == hilbert_series_leads(self.codomain))
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         if other.codomain is not self.domain and other.codomain != self.domain:
@@ -202,11 +201,6 @@ def subquotient_express(M: PresentedModule, v: Vector) -> Vector:
     return coords
 
 
-def presented_kernel(f: ModuleMap) -> PresentedModule:
-    """Kernel of a map of presented modules, as a subquotient of the domain."""
-    return _homology(ModuleComplex("cochain", [f.domain, f.codomain], [f]), 0)
-
-
 def presented_cokernel(f: ModuleMap) -> PresentedModule:
     """Cokernel of a map of presented modules: the map's columns, then the
     codomain's relations."""
@@ -265,10 +259,14 @@ def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     relations of A come first, then those of the copies of B: ``minimal``
     cancels the smallest unit pivot, so the column order reaches the output.
     The cokernel reads only the map's columns and its codomain, so the
-    source ``F_1 (x) B`` is built without its relations.
+    source ``F_1 (x) B`` is built without its relations.  When B is the
+    base ring (one generator in degree 0, no relations) that presentation
+    equals A by value, so A itself is returned, with its cached bases.
     """
     if B.base != A.base:
         raise ValueError("tensor factors over different bases")
+    if B.gens.twists == (0,) and B.rels.source.rank == 0:
+        return A
     F0B = _copies(A.base, A.gens.twists, B, +1)
     F1B = PresentedModule(GradedFreeModule(A.base, [b + t for t in A.rels.source.twists
                                                     for b in B.gens.twists]))

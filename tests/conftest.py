@@ -12,6 +12,7 @@ from charmod import corpus as corpus_mod
 from charmod import kernel
 from charmod.cmr import load
 from charmod.freemod import GradedFreeModule, GradedMatrix
+from charmod.homology import ModuleComplex, _homology
 from charmod.kernel import POS_BITS, scaled_merge
 from charmod.resolution import PresentedModule
 
@@ -47,6 +48,17 @@ def cyclic_quotient(base, ideal_gens):
     """``base / (ideal_gens)`` as a cyclic presented module."""
     rels = matrix_from_columns(base, [0], [[f] for f in ideal_gens if f])
     return PresentedModule(rels.target, rels)
+
+
+def presented_kernel(f):
+    """Kernel of a map of presented modules, as a subquotient of the domain:
+    H^0 of the two-term cochain complex ``domain -> codomain``."""
+    return _homology(ModuleComplex("cochain", [f.domain, f.codomain], [f]), 0)
+
+
+def is_injective(f):
+    """Whether a map of presented modules has zero kernel."""
+    return presented_kernel(f).is_zero()
 
 
 def times_poly(v, f, ctx, p):

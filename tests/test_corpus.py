@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmod import groebner
+from charmod.characteristic import check_thm8
 from charmod.cmr import InputDocument, ModuleBlock, parse, render
 from charmod.corpus import (
     PROFILES,
@@ -147,13 +148,15 @@ def test_battery_is_deterministic():
 # _buchberger_terms runs of the battery on the first 10 acceptance instances
 # 1,442 before the eliminations handed back their bases, 922 before
 # minimal() returned the module itself when nothing cancels, 745 before the
-# routes T, E, Hom(E, -) and E (x) - were memoized on each module object
-BATTERY_10_GROEBNER_RUNS = 536
+# routes T, E, Hom(E, -) and E (x) - were memoized on each module object,
+# 536 while is_isomorphism built the kernel and E (x) R was a new object
+BATTERY_10_GROEBNER_RUNS = 476
 # the S-pair work inside those runs: pairs pushed on the pair heap, and
 # S-polynomials reduced (two scaled merges each); the criteria must prune
-# the same pairs whatever form a pair's lcm takes
-BATTERY_10_SPAIRS_FORMED = 1755
-BATTERY_10_SPOLYS_REDUCED = 1585
+# the same pairs whatever form a pair's lcm takes; 1,755 and 1,585 while
+# is_isomorphism built the kernel and E (x) R was a new object
+BATTERY_10_SPAIRS_FORMED = 1671
+BATTERY_10_SPOLYS_REDUCED = 1511
 
 
 def test_battery_groebner_run_count(monkeypatch):
@@ -194,6 +197,36 @@ def test_battery_groebner_run_count(monkeypatch):
     assert len(runs) == BATTERY_10_GROEBNER_RUNS
     assert (len(pushes), len(merges)) == (BATTERY_10_SPAIRS_FORMED,
                                           2 * BATTERY_10_SPOLYS_REDUCED)
+
+
+# _buchberger_terms runs of check_thm8 on the rational normal curve in n
+# variables over GF(32003), unrescaled: {5: 26, 6: 28} while is_isomorphism
+# built the kernel and E (x) R was a new object (Hom(E, E) built twice)
+THM8_RNC_GROEBNER_RUNS = {5: 21, 6: 23}
+
+
+def test_thm8_groebner_run_count_on_rational_normal_curves(monkeypatch):
+    # a deterministic work gate for the 5- and 6-variable curves, whose
+    # check_thm8 wall time on a small shared box is not one
+    runs = []
+    real = groebner._buchberger_terms
+
+    def counting(*args, **kwargs):
+        runs.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", counting)
+    got = {}
+    for n in THM8_RNC_GROEBNER_RUNS:
+        ring = PolyRing(32003, [f"x{i}" for i in range(n)])
+        minors = [ring.monomial([(k == i) + (k == j + 1) for k in range(n)])
+                  - ring.monomial([(k == i + 1) + (k == j) for k in range(n)])
+                  for i in range(n - 1) for j in range(i + 1, n - 1)]
+        runs.clear()
+        rep = check_thm8(groebner.QuotientRing(ring, minors))
+        assert rep.verdict == "verified" and all(rep.witnesses["conditions"].values())
+        got[n] = len(runs)
+    assert got == THM8_RNC_GROEBNER_RUNS
 
 
 STALL_SCRIPT = """

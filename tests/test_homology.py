@@ -21,7 +21,6 @@ from charmod.homology import (
     iso_probe,
     module_basis,
     monomial_okeys,
-    presented_kernel,
     subquotient,
     subquotient_express,
     subquotient_realize,
@@ -32,7 +31,7 @@ from charmod.homology import (
 from charmod.resolution import PresentedModule, resolve
 from charmod.ring import PolyRing
 
-from conftest import cyclic_quotient, matrix_from_columns
+from conftest import cyclic_quotient, is_injective, matrix_from_columns, presented_kernel
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +133,13 @@ def test_module_map_kernel_cokernel(rings):
     Rm = PresentedModule.ring_module(R)
     mx = matrix_from_columns(R, (0,), [[R.poly("x")]], col_twists=[1])
     f = ModuleMap(Rm.twist(1), Rm, mx)
-    assert not f.is_injective() and not f.is_surjective()
-    assert hilbert_function_basis(f.kernel(), 0, 4) == [0, 0, 2, 1, 1]
+    assert not is_injective(f) and not f.is_surjective()
+    assert hilbert_function_basis(presented_kernel(f), 0, 4) == [0, 0, 2, 1, 1]
     # image of x is the socle, so the cokernel loses one dimension in degree 1
     assert hilbert_function_basis(f.cokernel(), 0, 4) == [1, 1, 1, 1, 1]
     my = matrix_from_columns(R, (0,), [[R.poly("y")]], col_twists=[1])
     g = ModuleMap(Rm.twist(1), Rm, my)
-    assert not g.is_injective()  # x*y = 0 in R
+    assert not is_injective(g)  # x*y = 0 in R
 
 
 def test_multiplication_is_injective_over_domain():
@@ -148,7 +147,7 @@ def test_multiplication_is_injective_over_domain():
     Qm = PresentedModule.ring_module(Q)
     mx = matrix_from_columns(Q, (0,), [[Q.poly("x")]], col_twists=[1])
     f = ModuleMap(Qm.twist(1), Qm, mx)
-    assert f.is_injective() and not f.is_surjective()
+    assert is_injective(f) and not f.is_surjective()
     assert hilbert_function_basis(f.cokernel(), 0, 3) == [1, 1, 1, 1]
 
 
@@ -427,15 +426,19 @@ def _assert_matches_grid(A, B, T, H, label):
     assert (T.gens, T.rels) == (want.gens, want.rels), label
 
 
-def test_constructions_match_grid_reference(mixed_corpus, e2_doc, hypersurface_doc,
-                                            stanley_reisner_doc, veronese_doc):
-    # on every battery pool module M, the routes E (x) - and Hom(E, -) at M,
-    # E (x) M and Hom(E, M), plus the kernels of alpha_M and beta_M the thm8
-    # checker takes, which are built on those very route results
-    docs = tuple(mixed_corpus[:10]) + (e2_doc, hypersurface_doc, stanley_reisner_doc,
+@pytest.fixture(scope="module")
+def pool_docs(mixed_corpus, e2_doc, hypersurface_doc, stanley_reisner_doc, veronese_doc):
+    """The first 10 acceptance instances and the four fixtures."""
+    return tuple(mixed_corpus[:10]) + (e2_doc, hypersurface_doc, stanley_reisner_doc,
                                        veronese_doc)
+
+
+def test_constructions_match_grid_reference(pool_docs):
+    # on every battery pool module M, the routes E (x) - and Hom(E, -) at M,
+    # E (x) M and Hom(E, M), plus the kernels of alpha_M and beta_M, which
+    # are built on those very route results
     checked = 0
-    for doc in docs:
+    for doc in pool_docs:
         E = characteristic.quasi_canonical(doc.quotient()).E
         for name, M in corpus.module_pool(doc):
             for B in (M, characteristic.cochar_via_tensor(M),
@@ -463,3 +466,38 @@ def test_constructions_match_grid_reference_without_relations(rings):
     for f in (ModuleMap(Rm.twist(1), free, to_free), ModuleMap(Rm.twist(1), k, to_k)):
         _assert_same_subquotient(presented_kernel(f), _reference_presented_kernel(f), f)
 
+
+def test_tensor_with_the_ring_is_the_module_itself(pool_docs):
+    # the grid presentation of A (x) R equals A by value, so A itself is
+    # returned and E (x) R shares E's cached bases and routes
+    checked = 0
+    for doc in pool_docs:
+        R = doc.quotient()
+        Rm = PresentedModule.ring_module(R)
+        E = characteristic.quasi_canonical(R).E
+        for A in [E] + [M for _, M in corpus.module_pool(doc)]:
+            assert tensor_module(A, Rm) is A
+            assert _reference_tensor_module(A, Rm) == A
+            checked += 1
+    assert checked == 14 + 39
+
+
+def test_is_isomorphism_matches_kernel_reference(pool_docs, rings):
+    # onto with equal Hilbert series decides as onto with a zero kernel does,
+    # on the natural maps alpha_M and beta_M of every battery pool module
+    # and on a map that is not onto
+    maps = []
+    for doc in pool_docs:
+        for name, M in corpus.module_pool(doc):
+            maps += [(name, characteristic.alpha_map(M)), (name, characteristic.beta_map(M))]
+    _, R = rings
+    Rm = PresentedModule.ring_module(R)
+    mx = matrix_from_columns(R, (0,), [[R.poly("x")]], col_twists=[1])
+    maps.append(("x", ModuleMap(Rm.twist(1), Rm, mx)))
+    outcomes = set()
+    for name, f in maps:
+        onto, iso = f.is_surjective(), f.is_isomorphism()
+        assert iso == (onto and is_injective(f)), name
+        outcomes.add((onto, iso))
+    # isomorphisms, onto maps with a kernel, and a map that is not onto
+    assert outcomes == {(True, True), (True, False), (False, False)}
