@@ -12,9 +12,11 @@ from charmod import corpus as corpus_mod
 from charmod import kernel
 from charmod.cmr import load
 from charmod.freemod import GradedFreeModule, GradedMatrix
+from charmod.groebner import QuotientRing
 from charmod.homology import ModuleComplex, _homology
 from charmod.kernel import POS_BITS, scaled_merge
 from charmod.resolution import PresentedModule
+from charmod.ring import PolyRing
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "charmod" / "fixtures"
 KERNEL_C = FIXTURES.parent / "kernel" / "_fast.c"
@@ -48,6 +50,16 @@ def cyclic_quotient(base, ideal_gens):
     """``base / (ideal_gens)`` as a cyclic presented module."""
     rels = matrix_from_columns(base, [0], [[f] for f in ideal_gens if f])
     return PresentedModule(rels.target, rels)
+
+
+def rational_normal_curve(n):
+    """GF(32003)[x0..x(n-1)] modulo the 2x2 minors of
+    ``[[x0 .. x(n-2)], [x1 .. x(n-1)]]``, unrescaled."""
+    ring = PolyRing(32003, [f"x{i}" for i in range(n)])
+    minors = [ring.monomial([(k == i) + (k == j + 1) for k in range(n)])
+              - ring.monomial([(k == i + 1) + (k == j) for k in range(n)])
+              for i in range(n - 1) for j in range(i + 1, n - 1)]
+    return QuotientRing(ring, minors)
 
 
 def presented_kernel(f):

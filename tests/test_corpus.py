@@ -24,7 +24,7 @@ from charmod.corpus import (
 from charmod.invariants import is_cohen_macaulay, q_resolution, ring_module_of
 from charmod.ring import PolyRing
 
-from conftest import cyclic_quotient
+from conftest import cyclic_quotient, rational_normal_curve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -149,22 +149,24 @@ def test_battery_is_deterministic():
 # 1,442 before the eliminations handed back their bases, 922 before
 # minimal() returned the module itself when nothing cancels, 745 before the
 # routes T, E, Hom(E, -) and E (x) - were memoized on each module object,
-# 536 while is_isomorphism built the kernel and E (x) R was a new object
-BATTERY_10_GROEBNER_RUNS = 476
+# 536 while is_isomorphism built the kernel and E (x) R was a new object,
+# 476 while is_isomorphism read the Hilbert series of a tensor product off
+# its full grid presentation
+BATTERY_10_GROEBNER_RUNS = 475
 # the S-pair work inside those runs: pairs pushed on the pair heap, and
 # S-polynomials reduced (two scaled merges each); the criteria must prune
 # the same pairs whatever form a pair's lcm takes; 1,755 and 1,585 while
-# is_isomorphism built the kernel and E (x) R was a new object
-BATTERY_10_SPAIRS_FORMED = 1671
-BATTERY_10_SPOLYS_REDUCED = 1511
+# is_isomorphism built the kernel and E (x) R was a new object, 1,671 and
+# 1,511 while it read a tensor product's series off the full grid
+BATTERY_10_SPAIRS_FORMED = 1643
+BATTERY_10_SPOLYS_REDUCED = 1490
 
 
-def test_battery_groebner_run_count(monkeypatch):
-    # a deterministic work gate: wall time on a small shared box is not;
-    # fresh documents, so no ring cache from another test is reused
-    runs = []
-    pushes = []
-    merges = []
+def _count_groebner_work(monkeypatch):
+    """Lists that grow by one per ``_buchberger_terms`` run, per S-pair
+    pushed on the pair heap, and per scaled merge inside a run (two per
+    S-polynomial reduced)."""
+    runs, pushes, merges = [], [], []
     active = []  # non-empty inside a _buchberger_terms run
     real = groebner._buchberger_terms
     real_merge = groebner.scaled_merge
@@ -191,6 +193,13 @@ def test_battery_groebner_run_count(monkeypatch):
     monkeypatch.setattr(groebner, "heapq",
                         SimpleNamespace(heappush=push, heappop=heapq.heappop))
     monkeypatch.setattr(groebner, "scaled_merge", merge)
+    return runs, pushes, merges
+
+
+def test_battery_groebner_run_count(monkeypatch):
+    # a deterministic work gate: wall time on a small shared box is not;
+    # fresh documents, so no ring cache from another test is reused
+    runs, pushes, merges = _count_groebner_work(monkeypatch)
     for i, doc in enumerate(generate_corpus(7, 10, "mixed")):
         rep = corpus_battery(doc, instance_id("mixed", 7, i), split=True)
         assert rep["verdict"] == "verified", rep["failures"]
@@ -201,32 +210,31 @@ def test_battery_groebner_run_count(monkeypatch):
 
 # _buchberger_terms runs of check_thm8 on the rational normal curve in n
 # variables over GF(32003), unrescaled: {5: 26, 6: 28} while is_isomorphism
-# built the kernel and E (x) R was a new object (Hom(E, E) built twice)
-THM8_RNC_GROEBNER_RUNS = {5: 21, 6: 23}
+# built the kernel and E (x) R was a new object (Hom(E, E) built twice),
+# {5: 21, 6: 23} while is_isomorphism read the Hilbert series of beta_E's
+# domain E (x) Hom(E, E) off its full grid presentation
+THM8_RNC_GROEBNER_RUNS = {5: 20, 6: 22}
+# the S-pair work inside those runs, counted as for the battery: (pairs
+# formed, S-polynomials reduced); {5: (1650, 1062), 6: (7076, 3752)} on
+# the full grid presentation of beta_E's domain
+THM8_RNC_SPAIR_WORK = {5: (1089, 808), 6: (4179, 2710)}
 
 
 def test_thm8_groebner_run_count_on_rational_normal_curves(monkeypatch):
     # a deterministic work gate for the 5- and 6-variable curves, whose
     # check_thm8 wall time on a small shared box is not one
-    runs = []
-    real = groebner._buchberger_terms
-
-    def counting(*args, **kwargs):
-        runs.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "_buchberger_terms", counting)
-    got = {}
+    runs, pushes, merges = _count_groebner_work(monkeypatch)
+    got, work = {}, {}
     for n in THM8_RNC_GROEBNER_RUNS:
-        ring = PolyRing(32003, [f"x{i}" for i in range(n)])
-        minors = [ring.monomial([(k == i) + (k == j + 1) for k in range(n)])
-                  - ring.monomial([(k == i + 1) + (k == j) for k in range(n)])
-                  for i in range(n - 1) for j in range(i + 1, n - 1)]
-        runs.clear()
-        rep = check_thm8(groebner.QuotientRing(ring, minors))
+        for seen in (runs, pushes, merges):
+            seen.clear()
+        rep = check_thm8(rational_normal_curve(n))
         assert rep.verdict == "verified" and all(rep.witnesses["conditions"].values())
         got[n] = len(runs)
+        work[n] = (len(pushes), len(merges))
     assert got == THM8_RNC_GROEBNER_RUNS
+    assert work == {n: (formed, 2 * reduced)
+                    for n, (formed, reduced) in THM8_RNC_SPAIR_WORK.items()}
 
 
 STALL_SCRIPT = """

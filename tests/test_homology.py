@@ -12,6 +12,7 @@ from charmod.groebner import QuotientRing, buchberger, syzygy_generators
 from charmod.homology import (
     IsoProbeResult,
     ModuleMap,
+    _series,
     hilbert_function_basis,
     hom_complex,
     hom_express,
@@ -28,10 +29,17 @@ from charmod.homology import (
     tensor_module,
     vector_coords,
 )
+from charmod.invariants import hilbert_series_leads
 from charmod.resolution import PresentedModule, resolve
 from charmod.ring import PolyRing
 
-from conftest import cyclic_quotient, is_injective, matrix_from_columns, presented_kernel
+from conftest import (
+    cyclic_quotient,
+    is_injective,
+    matrix_from_columns,
+    presented_kernel,
+    rational_normal_curve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -501,3 +509,54 @@ def test_is_isomorphism_matches_kernel_reference(pool_docs, rings):
         outcomes.add((onto, iso))
     # isomorphisms, onto maps with a kernel, and a map that is not onto
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_tensor_series_from_minimal_factor_matches_full_grid(pool_docs):
+    # the series _series reads off E (x) H.minimal() is the one the full
+    # grid presentation of E (x) H has, for H = Hom(E, M) on E and every
+    # pool module M, and on the 5- and 6-variable rational normal curves,
+    # where Hom(E, E) minimizes to R and E (x) H.minimal() is E itself
+    inputs = []
+    for doc in pool_docs:
+        R = doc.quotient()
+        inputs.append((characteristic.quasi_canonical(R).E, "E"))
+        inputs += [(M, name) for name, M in corpus.module_pool(doc)]
+    for n in (5, 6):
+        inputs.append((characteristic.quasi_canonical(rational_normal_curve(n)).E, n))
+    shrunk = set()
+    for M, name in inputs:
+        E = characteristic.quasi_canonical(M.base).E
+        H = characteristic.char_via_hom(M)
+        T = characteristic.cochar_via_tensor(H)
+        full = hilbert_series_leads(_reference_tensor_module(E, H))
+        assert _series(T) == full, name
+        if H.minimal() is not H:
+            shrunk.add(name)
+    assert len(inputs) == 14 + 39 + 2
+    # both branches run: the minimal factor and the fallback on a minimal H
+    assert {5, 6} <= shrunk and len(shrunk) < len(inputs)
+
+
+def test_beta_at_E_builds_no_relation_basis_of_its_domain():
+    # a work gate: beta_E's domain E (x) Hom(E, E) is decided through
+    # E (x) Hom(E, E).minimal(), which is E on the curve, so the grid
+    # presentation itself never runs its elimination
+    E = characteristic.quasi_canonical(rational_normal_curve(6)).E
+    f = characteristic.beta_map(E)
+    assert f.is_isomorphism()
+    assert "relation_gb" not in f.domain.cache
+
+
+def test_tensor_products_record_their_origin(rings):
+    # a tensor result keeps its very factors; A (x) R is A itself, and its
+    # own origin (here a Hom module's) is left as it was
+    _, R = rings
+    Rm = PresentedModule.ring_module(R)
+    k = PresentedModule.residue_field(R)
+    H = hom_module(Rm, k)
+    origin = H.cache["origin"]
+    assert tensor_module(H, Rm) is H
+    assert H.cache["origin"] is origin and origin["kind"] == "hom"
+    T = tensor_module(H, k)
+    assert T.cache["origin"] == {"kind": "tensor", "A": H, "B": k}
+    assert T.cache["origin"]["A"] is H and T.cache["origin"]["B"] is k
