@@ -36,6 +36,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -329,6 +330,7 @@ def _fail(head: Dict[str, object], as_json: bool, code: int, message: str) -> in
 # argument parsing and dispatch
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",

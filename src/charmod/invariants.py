@@ -208,21 +208,17 @@ def _k_resolution(base, steps: int) -> FreeResolution:
     return res
 
 
-def ext_k_module(M: PresentedModule, i: int) -> PresentedModule:
-    """Ext^i(k, M) over the base of M, minimally presented."""
-    from .homology import hom_complex, homology_at
-    res = _k_resolution(M.base, i + 1)
-    cx = hom_complex(res, M)
-    return homology_at(cx, i)
-
-
 @cached
 def type_of(M: PresentedModule) -> int:
-    """Cohen-Macaulay type: dim_k Ext^t(k, M) with t the depth of M."""
+    """Cohen-Macaulay type dim_k Ext^t(k, M), t = depth M: the last Betti
+    number of M over the cover ring Q.  For a maximal M-sequence x,
+    Ext^t(k, M) = Hom(k, M/xM) over Q and over R (Bruns-Herzog, Lemma
+    1.2.4); over Q, Koszul self-duality gives Ext^t_Q(k, M) =
+    Tor^Q_{n-t}(k, M), and n - t = pd_Q M (Auslander-Buchsbaum)."""
     if M.is_zero():
         raise ValueError("type of the zero module is undefined")
-    # Ext^t(k, M) is a k-vector space, so its dimension is nu
-    return ext_k_module(M, depth_module(M)).nu()
+    res = q_resolution(M)
+    return res.module(res.projective_dimension()).rank
 
 
 def cm_defect(M: PresentedModule) -> int:

@@ -32,7 +32,6 @@ from charmod.homology import hilbert_function_basis, module_basis, monomial_okey
 from charmod.invariants import (
     depth_module,
     dimension,
-    ext_k_module,
     is_gorenstein_ring,
     nu,
     q_resolution,
@@ -40,7 +39,7 @@ from charmod.invariants import (
 )
 from charmod.resolution import PresentedModule
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ext_k_module
 
 
 @contextlib.contextmanager

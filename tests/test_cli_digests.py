@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+from charmod import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "data" / "cli_digests.json"
 SEED = 1
@@ -43,6 +45,18 @@ def test_cli_output_matches_recorded_digests():
     assert {call: err for call, (_, err) in got.items() if err} == {}
     changed = sorted(call for call, (d, _) in got.items() if d != want[call])
     assert changed == []
+
+
+def test_main_twice_gives_independent_reports():
+    # main() builds its parser once per process; a second call with other
+    # flags must not see the first call's arguments
+    want = json.loads(DIGESTS.read_text())
+    items = {item.id: item for item in workloads.cli_items(SEED, ROOT)}
+    for call in ("tmod e2 --module k", "tmod e2 --module R"):
+        report, error = items[call].run()
+        assert error is None, error
+        assert digest(report) == want[call], call
+    assert cli._build_parser() is cli._build_parser()
 
 
 if __name__ == "__main__":

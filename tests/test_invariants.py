@@ -2,6 +2,8 @@
 
 import pytest
 
+from charmod import characteristic, corpus
+from charmod.cmr import load
 from charmod.freemod import GradedFreeModule
 from charmod.groebner import buchberger
 from charmod.homology import module_basis, subquotient
@@ -11,7 +13,6 @@ from charmod.invariants import (
     cm_defect,
     depth_module,
     dimension,
-    ext_k_module,
     gdim_bounded,
     hilbert_series_leads,
     is_cohen_macaulay,
@@ -20,11 +21,14 @@ from charmod.invariants import (
     nu,
     poincare_bass,
     q_resolution,
+    ring_module_of,
     ring_report,
     type_of,
 )
 from charmod.resolution import PresentedModule
 from charmod.ring import PolyRing
+
+from conftest import FIXTURES, ext_k_module
 
 
 def test_ring_report_goldens(veronese_doc, e2_doc, hypersurface_doc,
@@ -93,6 +97,36 @@ def test_depth_by_ext_nonvanishing(veronese_doc, e2_doc, hypersurface_doc):
         for i in range(t):
             assert ext_k_module(M, i).is_zero(), f"Ext^{i} should vanish"
         assert not ext_k_module(M, t).is_zero()
+
+
+def test_type_is_last_q_betti_number(mixed_corpus, e2_doc, hypersurface_doc,
+                                     stanley_reisner_doc, veronese_doc):
+    # the production route, the last Betti number over the cover ring,
+    # against the reference route dim_k Ext^t(k, M) over the base with
+    # t = depth M, on E and on every nonzero battery pool module M with
+    # T(M) and E(M), for the first 10 acceptance instances and the fixtures
+    docs = list(mixed_corpus[:10]) + [e2_doc, hypersurface_doc,
+                                      stanley_reisner_doc, veronese_doc]
+    mods = []
+    for doc in docs:
+        mods.append(characteristic.quasi_canonical(doc.quotient()).E)
+        for _, M in corpus.module_pool(doc):
+            mods += [M, characteristic.char_module(M), characteristic.cochar_module(M)]
+    types = []
+    for M in mods:
+        if M.is_zero():
+            continue
+        types.append(type_of(M))
+        assert types[-1] == ext_k_module(M, depth_module(M)).nu()
+    assert len(types) == 130 and max(types) > 1
+
+
+def test_type_builds_no_resolution_of_the_residue_field():
+    # a work gate: the type comes off the cover-ring resolution the depth
+    # already built, so no resolution of k over the base is started
+    R = load(FIXTURES / "veronese.cmr").quotient()
+    assert type_of(ring_module_of(R)) == 2
+    assert "k_resolution" not in R.cache
 
 
 def test_type_is_socle_dimension_in_artinian_case(e2_doc):
