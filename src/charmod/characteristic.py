@@ -23,13 +23,13 @@ from .homology import (
     IsoProbeResult,
     ModuleMap,
     hilbert_function_basis,
-    hom_complex,
     hom_express,
+    hom_map,
     hom_module,
     hom_realize,
     homology_at,
     iso_probe,
-    tensor_complex,
+    tensor_map,
     tensor_module,
 )
 from .invariants import (
@@ -37,12 +37,14 @@ from .invariants import (
     depth_module,
     dimension,
     is_cohen_macaulay,
+    is_gorenstein_ring,
     nu,
     q_resolution,
     ring_module_of,
     residue_field_of,
     type_of,
 )
+from .kernel import scaled_merge
 from .resolution import FreeResolution, PresentedModule, cached
 
 
@@ -97,7 +99,8 @@ def quasi_canonical(R) -> CanonicalData:
     E_raw = PresentedModule(gens, rels)
     E = E_raw.minimal()
     # cross-route: top cohomology of Hom(F, Q) computed over the cover
-    ext = homology_at(hom_complex(F, PresentedModule.ring_module(R.cover)), s)
+    Qm = PresentedModule.ring_module(R.cover)
+    ext = homology_at(hom_map(F.diff(s + 1), Qm), hom_map(D, Qm))
     lo = min(list(E.gens.twists) + list(ext.gens.twists), default=0)
     hi = lo + 8
     hf_desc = hilbert_function_basis(E, lo, hi)
@@ -121,8 +124,7 @@ def char_module(M: PresentedModule) -> PresentedModule:
     _, F, s = _ring_data(M.base)
     if s == 0:
         return M.minimal()
-    cx = tensor_complex(F, M)
-    return homology_at(cx, s)
+    return homology_at(tensor_map(F.diff(s), M), tensor_map(F.diff(s + 1), M))
 
 
 @cached
@@ -132,8 +134,7 @@ def cochar_module(M: PresentedModule) -> PresentedModule:
     _, F, s = _ring_data(M.base)
     if s == 0:
         return M.minimal()
-    cx = hom_complex(F, M)
-    return homology_at(cx, s)
+    return homology_at(hom_map(F.diff(s + 1), M), hom_map(F.diff(s), M))
 
 
 @cached
@@ -158,8 +159,8 @@ def tor_modules(M: PresentedModule) -> List[PresentedModule]:
     """[Tor_0, ..., Tor_s] of (R, M) over the cover ring, so the last entry
     is T(M)."""
     _, F, s = _ring_data(M.base)
-    cx = tensor_complex(F, M)
-    return [homology_at(cx, i) for i in range(s + 1)]
+    maps = [tensor_map(F.diff(i), M) for i in range(s + 2)]
+    return [homology_at(maps[i], maps[i + 1]) for i in range(s + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +235,10 @@ def map_is_identity(f: ModuleMap) -> bool:
     if f.codomain.gens.twists != A.gens.twists:
         return False
     p = A.ring.field.p
-    for j in range(A.gens.rank):
-        col = [(k, c) for k, c in f.matrix.cols[j]]
-        unit = term_key(0, j)
-        found = False
-        out: Vector = []
-        for k, c in col:
-            if k == unit:
-                c = (c - 1) % p
-                found = True
-                if not c:
-                    continue
-            out.append((k, c))
-        if not found:
-            out.append((unit, p - 1))
-            out.sort(reverse=True)
-        if not A.element_is_zero(out):
-            return False
-    return True
+    ctx = A.ring.pack.ctx
+    return all(A.element_is_zero(scaled_merge(list(f.matrix.cols[j]), [(term_key(0, j), 1)],
+                                              p - 1, 0, p, ctx))
+               for j in range(A.gens.rank))
 
 
 def split_identity_check(R, M: PresentedModule) -> Dict[str, bool]:
@@ -394,7 +381,7 @@ def check_type_formula_depth(R, M: PresentedModule) -> CheckReport:
     Rm, F, s = _ring_data(R)
     t = depth_module(Rm)
     tors = tor_modules(M)
-    TM = tors[s] if s < len(tors) else tors[-1]
+    TM = tors[s]
     tor_depths: List[Optional[int]] = []
     for j in range(s):
         tor_depths.append(None if tors[j].is_zero() else depth_module(tors[j]))
@@ -442,7 +429,7 @@ def check_gorenstein(R) -> CheckReport:
     ER = cochar_module(Rm)
     free_t = _free_nonzero(TR)
     free_e = _free_nonzero(ER)
-    gor = is_cohen_macaulay(Rm) and type_of(Rm) == 1
+    gor = is_gorenstein_ring(R)
     witnesses = {
         "is_gorenstein_by_type": gor,
         "T_R_free_nonzero": free_t,
@@ -455,14 +442,12 @@ def check_gorenstein(R) -> CheckReport:
                        "freeness of T(R)/E(R) disagrees with type criterion")
 
 
-def check_cor_id(R, M: PresentedModule,
-                 fin_id_certificate: Optional[str] = None) -> CheckReport:
+def check_cor_id(R, M: PresentedModule) -> CheckReport:
     """nu(T(M)) > nu(M) forces infinite injective dimension.
 
     Refutation would need a finite injective dimension witness, which is
     only certified here for free modules over a Gorenstein ring and for
-    the quasi-canonical module over a CM ring (``fin_id_certificate``
-    may name one of these, or it is auto-detected).  On certified
+    the quasi-canonical module over a CM ring.  On certified
     instances the contrapositive nu(T(M)) <= nu(M) is verified exactly;
     otherwise the verdict is inconclusive and only records the assertion.
     """
@@ -472,14 +457,12 @@ def check_cor_id(R, M: PresentedModule,
     data = quasi_canonical(R)
     n_t = nu(char_module(M))
     n_m = nu(M)
-    gor = is_cohen_macaulay(Rm) and type_of(Rm) == 1
-    cert = fin_id_certificate
-    if cert is None:
-        if gor and _free_nonzero(M):
-            cert = "free_over_gorenstein"
-        elif is_cohen_macaulay(Rm) and iso_probe_shifted(M, data.E)[0].verdict \
-                == "probably_isomorphic":
-            cert = "canonical_over_cm"
+    cert = None
+    if is_gorenstein_ring(R) and _free_nonzero(M):
+        cert = "free_over_gorenstein"
+    elif is_cohen_macaulay(Rm) and iso_probe_shifted(M, data.E)[0].verdict \
+            == "probably_isomorphic":
+        cert = "canonical_over_cm"
     witnesses = {"nu_T_M": n_t, "nu_M": n_m,
                  "finite_id_certificate": cert}
     if cert is not None:

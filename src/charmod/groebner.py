@@ -203,16 +203,15 @@ def _elimination_syzygies(ring: PolyRing, twists: Sequence[int],
 class SubmoduleGB:
     """A submodule of a graded free module together with a Groebner basis.
 
-    ``gens`` are the defining generators, ``gb`` the reduced basis over the
-    ambient base ring.  The lift to the cover (including the ideal columns)
-    is kept internally so normal forms stay exact.
+    ``gb`` is the reduced basis over the ambient base ring.  The lift to the
+    cover (including the ideal columns) is kept internally so normal forms
+    stay exact.
     """
 
-    __slots__ = ("ambient", "gens", "gb", "_qgb", "_reducer")
+    __slots__ = ("ambient", "gb", "_qgb", "_reducer")
 
-    def __init__(self, ambient: GradedFreeModule, gens, gb, qgb=None):
+    def __init__(self, ambient: GradedFreeModule, gb, qgb=None):
         self.ambient = ambient
-        self.gens = tuple(tuple(v) for v in gens)
         self.gb = tuple(tuple(v) for v in gb)
         self._qgb = tuple(tuple(v) for v in (qgb if qgb is not None else gb))
         self._reducer = None
@@ -310,7 +309,7 @@ def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
     qgb = _buchberger_terms(base.cover, ambient.twists, vecs + aug,
                             product=(ambient.rank == 1))
     rgb = [w for w in map(base.normal_form_vector, qgb) if w]
-    return SubmoduleGB(ambient, vecs, rgb, qgb=qgb)
+    return SubmoduleGB(ambient, rgb, qgb=qgb)
 
 
 def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
@@ -328,7 +327,7 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     qgb = _elimination_syzygies(base.cover, ambient.twists,
                                 [list(v) for v in vectors], unmarked)
     gb = [s for s in map(base.normal_form_vector, qgb) if s]
-    return SubmoduleGB(source, gb, gb, qgb=qgb)
+    return SubmoduleGB(source, gb, qgb=qgb)
 
 
 def quotient(sub: SubmoduleGB, e) -> "Ideal":

@@ -1,11 +1,13 @@
-"""Subquotients, complexes and their homology, Hom, tensor, isomorphism probes.
+"""Subquotients, homology at one term, Hom, tensor, isomorphism probes.
 
 Everything here presents derived modules as ``PresentedModule`` instances.
-Hom and tensor are (co)homology of a complex on the presentation
-``F_1 -> F_0`` of their first argument, as Tor and Ext are on a free
-resolution: one routine, ``_homology``, computes every kernel modulo image,
-and the tensor product, a cokernel, is read off the complex's first map,
-which ``tensor_module`` builds alone.
+A free matrix ``d : F -> G`` gives two maps between direct sums of twisted
+copies of a module M: ``tensor_map(d, M)``, which is ``d (x) M``, and
+``hom_map(d, M)``, which is ``Hom(d, M)``.  One routine, ``_homology``,
+computes every kernel modulo image: Tor and Ext at position i of a free
+resolution F are ``homology_at`` of the maps on ``F.diff(i)`` and
+``F.diff(i + 1)``, Hom(A, B) is the kernel of ``hom_map`` on A's
+presentation matrix, and A (x) B is the cokernel of ``tensor_map`` on it.
 Each homology runs at most two eliminations and no other Groebner run: the
 cycles' reduced basis is the first one's marker block, and it generates
 the result (canonical, so Hom bases and trial indices never move); the
@@ -35,7 +37,7 @@ from .freemod import (
 from .groebner import SubmoduleGB, express_in_basis, syzygy_generators
 from .invariants import hilbert_series_leads, q_resolution
 from .kernel import POS_BITS, scaled_merge
-from .resolution import FreeResolution, PresentedModule
+from .resolution import PresentedModule
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +264,54 @@ def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
                                               check=False))
 
 
-def _presentation(A: PresentedModule) -> FreeResolution:
-    """A's presentation ``F_1 -> F_0`` as a one-step free complex."""
-    return FreeResolution(A.base, [A.gens, A.rels.source], [A.rels],
-                          minimal=False, complete=False)
+def tensor_map(d: GradedMatrix, M: PresentedModule) -> ModuleMap:
+    """``d (x) M : F (x) M -> G (x) M`` for a free matrix ``d : F -> G`` over
+    M's base or its cover.
+
+    Both sides are ``_copies`` of M; column ``b*rank(M) + j`` is column b of
+    d grafted onto generator j of M.
+    """
+    rM = M.gens.rank
+    src = _copies(M.base, d.source.twists, M, +1)
+    tgt = _copies(M.base, d.target.twists, M, +1)
+    cols = [_graft(list(col), j, rM) for col in d.cols for j in range(rM)]
+    mat = GradedMatrix(src.gens, tgt.gens, cols, normalize=d.base != M.base, check=False)
+    return ModuleMap(src, tgt, mat, check=False)
+
+
+def hom_map(d: GradedMatrix, M: PresentedModule) -> ModuleMap:
+    """``Hom(d, M) : Hom(G, M) -> Hom(F, M)`` for a free matrix ``d : F -> G``
+    over M's base or its cover.
+
+    Both sides are ``_copies`` of M, twisted down; grid position
+    ``a*rank(M) + j`` sends basis vector a of the free module to generator j
+    of M, and precomposing with d moves the entry ``d[a, b]`` to position
+    ``b*rank(M) + j``.
+    """
+    rM = M.gens.rank
+    src = _copies(M.base, d.target.twists, M, -1)
+    tgt = _copies(M.base, d.source.twists, M, -1)
+    cols: List[Vector] = [[] for _ in range(src.gens.rank)]
+    for b in range(d.source.rank):
+        for key, c in d.cols[b]:
+            a = term_pos(key)
+            okey = term_okey(key)
+            for j in range(rM):
+                cols[a * rM + j].append((term_key(okey, b * rM + j), c))
+    cols = [sorted(col, reverse=True) for col in cols]
+    mat = GradedMatrix(src.gens, tgt.gens, cols, normalize=d.base != M.base, check=False)
+    return ModuleMap(src, tgt, mat, check=False)
 
 
 def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     """A tensor B over the base: the cokernel of ``F_1 (x) B -> F_0 (x) B``
-    on A's presentation.
+    on A's presentation, ``tensor_map(A.rels, B)``.
 
     Grid position ``i*rank(B) + j`` is the generator ``a_i (x) b_j``.  The
     relations of A come first, then those of the copies of B: ``minimal``
     cancels the smallest unit pivot, so the column order reaches the output.
     The cokernel reads only the map's columns and its codomain, so the
-    source ``F_1 (x) B`` is built without its relations.  When B is the
+    relations the source ``F_1 (x) B`` carries are not used.  When B is the
     base ring (one generator in degree 0, no relations) that presentation
     equals A by value, so A itself is returned, with its cached bases and
     its own ``origin``.  Any other result records ``origin`` of kind
@@ -286,18 +321,15 @@ def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
         raise ValueError("tensor factors over different bases")
     if B.gens.twists == (0,) and B.rels.source.rank == 0:
         return A
-    F0B = _copies(A.base, A.gens.twists, B, +1)
-    F1B = PresentedModule(GradedFreeModule(A.base, [b + t for t in A.rels.source.twists
-                                                    for b in B.gens.twists]))
-    mat = _tensor_matrix(A.rels, F1B.gens, F0B.gens, B.gens.rank, normalize=False)
-    out = presented_cokernel(ModuleMap(F1B, F0B, mat, check=False))
+    out = presented_cokernel(tensor_map(A.rels, B))
     out.cache["origin"] = {"kind": "tensor", "A": A, "B": B}
     return out
 
 
 def hom_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
-    """Hom(A, B) over the base: H^0 of ``Hom(F_1 -> F_0, B)`` on A's
-    presentation, not minimalized, so its generators stay tied to maps.
+    """Hom(A, B) over the base: the kernel of ``Hom(F_0, B) -> Hom(F_1, B)``
+    on A's presentation, ``hom_map(A.rels, B)``, not minimalized, so its
+    generators stay tied to maps.
 
     An element of the ambient at grid position ``i*rank(B) + j`` is the
     coefficient of the matrix entry sending generator ``i`` of A to
@@ -309,7 +341,7 @@ def hom_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     """
     if B.base != A.base:
         raise ValueError("Hom factors over different bases")
-    out = _homology(hom_complex(_presentation(A), B), 0)
+    out = _homology(hom_map(A.rels, B))
     out.cache["origin"].update({"kind": "hom", "A": A, "B": B})
     return out
 
@@ -345,124 +377,33 @@ def hom_express(H: PresentedModule, cols: Sequence[Vector]) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# complexes
+# homology
 
 
-class ModuleComplex:
-    """A finite complex of presented modules.
-
-    For a chain complex ``maps[i] : modules[i+1] -> modules[i]``; for a
-    cochain complex ``maps[i] : modules[i] -> modules[i+1]``.
+def _homology(out: ModuleMap, boundaries: Sequence[Vector] = ()) -> PresentedModule:
+    """The kernel of ``out`` modulo its domain's relations and the
+    ``boundaries`` (which are cycles, so they enter as the denominator
+    only).  The cycles' basis is the syzygy basis of ``out``'s columns
+    modulo the codomain's relations, or the unit vectors (in descending key
+    order) when the codomain is zero and every vector is a cycle.
     """
-
-    __slots__ = ("kind", "modules", "maps")
-
-    def __init__(self, kind: str, modules: Sequence[PresentedModule],
-                 maps: Sequence[ModuleMap]):
-        if kind not in ("chain", "cochain"):
-            raise ValueError("kind must be chain or cochain")
-        if len(maps) != max(len(modules) - 1, 0):
-            raise ValueError("need exactly one map per adjacent pair")
-        self.kind = kind
-        self.modules = tuple(modules)
-        self.maps = tuple(maps)
-
-    def __len__(self):
-        return len(self.modules)
-
-    def module(self, i: int) -> PresentedModule:
-        return self.modules[i]
-
-    def outgoing(self, i: int) -> Optional[ModuleMap]:
-        """The differential leaving position i."""
-        if self.kind == "chain":
-            return self.maps[i - 1] if 1 <= i < len(self.modules) else None
-        return self.maps[i] if 0 <= i < len(self.maps) else None
-
-    def incoming(self, i: int) -> Optional[ModuleMap]:
-        """The differential arriving at position i."""
-        if self.kind == "chain":
-            return self.maps[i] if 0 <= i < len(self.maps) else None
-        return self.maps[i - 1] if 1 <= i < len(self.modules) else None
-
-
-def tensor_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
-    """The complex ``F (x) M`` for a free complex F over M's base or its cover.
-
-    Each term is a direct sum of twisted copies of M indexed by the basis
-    of F_i; differentials act by the entries of F's differentials.
-    """
-    rM = M.gens.rank
-    normalize = F.base != M.base
-    modules = [_copies(M.base, fm.twists, M, +1) for fm in F.modules]
-    maps: List[ModuleMap] = []
-    for idx, d in enumerate(F.diffs):
-        src_mod = modules[idx + 1]
-        tgt_mod = modules[idx]
-        mat = _tensor_matrix(d, src_mod.gens, tgt_mod.gens, rM, normalize)
-        maps.append(ModuleMap(src_mod, tgt_mod, mat, check=False))
-    return ModuleComplex("chain", modules, maps)
-
-
-def _tensor_matrix(d: GradedMatrix, src: GradedFreeModule, tgt: GradedFreeModule,
-                   rM: int, normalize: bool) -> GradedMatrix:
-    """The matrix of ``d (x) M`` for a module M of rank ``rM``: column
-    ``b*rM + j`` is column b of d grafted onto generator j of M."""
-    cols = [_graft(list(col), j, rM) for col in d.cols for j in range(rM)]
-    return GradedMatrix(src, tgt, cols, normalize=normalize, check=False)
-
-
-def hom_complex(F: FreeResolution, M: PresentedModule) -> ModuleComplex:
-    """The cochain complex ``Hom(F, M)`` for a free complex F over M's base
-    or its cover."""
-    rM = M.gens.rank
-    normalize = F.base != M.base
-    modules = [_copies(M.base, fm.twists, M, -1) for fm in F.modules]
-    maps: List[ModuleMap] = []
-    for idx, d in enumerate(F.diffs):
-        # delta : Hom(F_idx, M) -> Hom(F_{idx+1}, M)
-        src_mod = modules[idx]
-        tgt_mod = modules[idx + 1]
-        cols: List[Vector] = [[] for _ in range(src_mod.gens.rank)]
-        for b in range(d.source.rank):
-            for key, c in d.cols[b]:
-                a = term_pos(key)
-                okey = term_okey(key)
-                for j in range(rM):
-                    cols[a * rM + j].append((term_key(okey, b * rM + j), c))
-        cols = [sorted(col, reverse=True) for col in cols]
-        mat = GradedMatrix(src_mod.gens, tgt_mod.gens, cols, normalize=normalize,
-                           check=False)
-        maps.append(ModuleMap(src_mod, tgt_mod, mat, check=False))
-    return ModuleComplex("cochain", modules, maps)
-
-
-def _homology(cx: ModuleComplex, i: int) -> PresentedModule:
-    """Homology of the complex at position i: the cycles of the term's
-    generator ambient, modulo its relations and the boundaries (which are
-    cycles, so they enter as the denominator only).  The cycles' basis is the
-    outgoing map's syzygy basis, or the unit vectors (in descending key
-    order) when every vector is a cycle.
-    """
-    X = cx.module(i)
-    out_map = cx.outgoing(i)
-    in_map = cx.incoming(i)
-    if out_map is None or out_map.codomain.gens.rank == 0:
+    X, Y = out.domain, out.codomain
+    if Y.gens.rank == 0:
         units = [X.gens.basis_vector(t) for t in range(X.gens.rank)]
-        num = SubmoduleGB(X.gens, units, units)
+        num = SubmoduleGB(X.gens, units)
     else:
-        tgt = out_map.codomain
-        num = syzygy_generators([list(c) for c in out_map.matrix.cols], tgt.gens, X.gens,
-                                extra_unmarked=[list(c) for c in tgt.rels.cols])
-    den = [list(c) for c in X.rels.cols]
-    if in_map is not None:
-        den += [list(c) for c in in_map.matrix.cols]
+        num = syzygy_generators([list(c) for c in out.matrix.cols], Y.gens, X.gens,
+                                extra_unmarked=[list(c) for c in Y.rels.cols])
+    den = [list(c) for c in X.rels.cols] + [list(c) for c in boundaries]
     return subquotient(num, [d for d in den if d])
 
 
-def homology_at(cx: ModuleComplex, i: int) -> PresentedModule:
-    """Homology of the complex at position i, minimally presented."""
-    return _homology(cx, i).minimal()
+def homology_at(out: ModuleMap, into: ModuleMap) -> PresentedModule:
+    """Homology ``ker out / im into`` at the term between two maps,
+    minimally presented."""
+    if into.codomain.gens != out.domain.gens:
+        raise ValueError("the maps do not meet at one term")
+    return _homology(out, into.matrix.cols).minimal()
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,6 @@ class BettiTable:
 
     @classmethod
     def from_resolution(cls, res: "FreeResolution") -> "BettiTable":
-        if not res.minimal:
-            raise ValueError("Betti numbers require a minimal resolution")
         entries: dict = {}
         for i, mod in enumerate(res.modules):
             for t in mod.twists:
@@ -252,15 +250,15 @@ class BettiTable:
 
 
 class FreeResolution:
-    """A chain of free modules ``F_0 <- F_1 <- ...`` with differentials."""
+    """A minimal free resolution ``F_0 <- F_1 <- ...``, as ``resolve``
+    builds it: its free modules and differentials."""
 
-    __slots__ = ("base", "modules", "diffs", "minimal", "complete")
+    __slots__ = ("base", "modules", "diffs", "complete")
 
-    def __init__(self, base, modules, diffs, minimal: bool, complete: bool):
+    def __init__(self, base, modules, diffs, complete: bool):
         self.base = base
         self.modules = tuple(modules)
         self.diffs = tuple(diffs)
-        self.minimal = minimal
         self.complete = complete
 
     @property
@@ -291,9 +289,8 @@ class FreeResolution:
 
     def __repr__(self):
         ranks = " <- ".join(str(m.rank) for m in self.modules)
-        state = "minimal" if self.minimal else "raw"
         tail = "" if self.complete else " (truncated)"
-        return f"<FreeResolution {ranks} {state}{tail}>"
+        return f"<FreeResolution {ranks}{tail}>"
 
 
 def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResolution:
@@ -314,7 +311,7 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
     modules: List[GradedFreeModule] = [Mm.gens]
     diffs: List[GradedMatrix] = []
     if Mm.gens.rank == 0 or Mm.rels.source.rank == 0:
-        return FreeResolution(base, modules, diffs, minimal=True, complete=True)
+        return FreeResolution(base, modules, diffs, complete=True)
     cols = [list(c) for c in Mm.rels.cols]
     complete = False
     while len(diffs) < limit:
@@ -337,8 +334,6 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
         if not cols:
             complete = True
             break
-        if len(diffs) >= limit:
-            break
     if not over_quotient and not complete:
         raise ResolutionLimitError("resolution over the polynomial ring did not terminate")
-    return FreeResolution(base, modules, diffs, minimal=True, complete=complete)
+    return FreeResolution(base, modules, diffs, complete=complete)

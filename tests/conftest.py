@@ -13,7 +13,7 @@ from charmod import kernel
 from charmod.cmr import load
 from charmod.freemod import GradedFreeModule, GradedMatrix
 from charmod.groebner import QuotientRing
-from charmod.homology import ModuleComplex, _homology, hom_complex, homology_at
+from charmod.homology import _homology, hom_map, homology_at
 from charmod.invariants import _k_resolution
 from charmod.kernel import POS_BITS, scaled_merge
 from charmod.resolution import PresentedModule
@@ -64,16 +64,15 @@ def rational_normal_curve(n):
 
 
 def presented_kernel(f):
-    """Kernel of a map of presented modules, as a subquotient of the domain:
-    H^0 of the two-term cochain complex ``domain -> codomain``."""
-    return _homology(ModuleComplex("cochain", [f.domain, f.codomain], [f]), 0)
+    """Kernel of a map of presented modules, as a subquotient of the domain."""
+    return _homology(f)
 
 
 def ext_k_module(M, i):
     """Ext^i(k, M) over the base of M, minimally presented: the reference
     route to depth and type, through a resolution of the residue field."""
     res = _k_resolution(M.base, i + 1)
-    return homology_at(hom_complex(res, M), i)
+    return homology_at(hom_map(res.diff(i + 1), M), hom_map(res.diff(i), M))
 
 
 def is_injective(f):

@@ -156,14 +156,14 @@ def test_koszul_kernel():
     ker = syzygy_generators([list(c) for c in f.cols], f.target, f.source)
     syzygy = ker.ambient.vector_from_polys([ring.poly("y"), ring.poly("-x")])
     assert ker.contains(syzygy)
-    for v in ker.gens:
+    for v in ker.gb:
         assert f.apply(list(v)) == []
 
 
 def test_syzygies_annihilate_generators(twisted_cubic):
     ring, ideal = twisted_cubic
     sub = ideal.submodule()
-    gens = [list(v) for v in sub.gens]
+    gens = [sub.ambient.vector_from_polys([f]) for f in ideal.gens]
     twists = [sub.ambient.vector_degree(v) for v in gens]
     syz = syzygy_generators(gens, sub.ambient, GradedFreeModule(ring, twists)).gb
     mat = GradedMatrix(GradedFreeModule(ring, twists), sub.ambient, gens)

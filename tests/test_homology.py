@@ -1,4 +1,4 @@
-"""Hom, tensor, subquotients, complexes, and the isomorphism probe."""
+"""Hom, tensor, subquotients, homology at one term, and the isomorphism probe."""
 
 import math
 import random
@@ -14,8 +14,8 @@ from charmod.homology import (
     ModuleMap,
     _series,
     hilbert_function_basis,
-    hom_complex,
     hom_express,
+    hom_map,
     hom_module,
     hom_realize,
     homology_at,
@@ -25,11 +25,11 @@ from charmod.homology import (
     subquotient,
     subquotient_express,
     subquotient_realize,
-    tensor_complex,
+    tensor_map,
     tensor_module,
     vector_coords,
 )
-from charmod.invariants import hilbert_series_leads
+from charmod.invariants import hilbert_series_leads, q_resolution
 from charmod.resolution import PresentedModule, resolve
 from charmod.ring import PolyRing
 
@@ -162,21 +162,28 @@ def test_multiplication_is_injective_over_domain():
 def test_tor_golden_over_polynomial_ring():
     Q = PolyRing(101, ("x", "y"))
     k = PresentedModule.residue_field(Q)
-    cx = tensor_complex(resolve(k), k)
-    dims = [sum(hilbert_function_basis(homology_at(cx, i), 0, 3)) for i in range(3)]
+    K = resolve(k)
+    tors = [homology_at(tensor_map(K.diff(i), k), tensor_map(K.diff(i + 1), k))
+            for i in range(3)]
+    dims = [sum(hilbert_function_basis(t, 0, 3)) for t in tors]
     assert dims == [1, 2, 1]
     # Tor_1(k, k) lives in degree 1, Tor_2 in degree 2
-    assert hilbert_function_basis(homology_at(cx, 1), 0, 2) == [0, 2, 0]
-    assert hilbert_function_basis(homology_at(cx, 2), 0, 2) == [0, 0, 1]
+    assert hilbert_function_basis(tors[1], 0, 2) == [0, 2, 0]
+    assert hilbert_function_basis(tors[2], 0, 2) == [0, 0, 1]
+    with pytest.raises(ValueError):  # d_1 (x) k leaves F_1 (x) k, not F_0 (x) k
+        homology_at(tensor_map(K.diff(1), k), tensor_map(K.diff(1), k))
 
 
 def test_ext_golden_over_polynomial_ring():
     Q = PolyRing(101, ("x", "y"))
     k = PresentedModule.residue_field(Q)
-    cx = hom_complex(resolve(k), PresentedModule.ring_module(Q))
-    assert homology_at(cx, 0).is_zero()
-    assert homology_at(cx, 1).is_zero()
-    top = homology_at(cx, 2)
+    K = resolve(k)
+    Qm = PresentedModule.ring_module(Q)
+    exts = [homology_at(hom_map(K.diff(i + 1), Qm), hom_map(K.diff(i), Qm))
+            for i in range(3)]
+    assert exts[0].is_zero()
+    assert exts[1].is_zero()
+    top = exts[2]
     # Ext^2(k, Q) is one-dimensional, generated in degree -2
     assert hilbert_function_basis(top, -3, 0) == [0, 1, 0, 0]
 
@@ -457,6 +464,28 @@ def test_constructions_match_grid_reference(pool_docs):
                       characteristic.beta_map(M, check=False)):
                 _assert_same_subquotient(presented_kernel(f),
                                          _reference_presented_kernel(f), name)
+            checked += 1
+    assert checked == 39
+
+
+def test_koszul_homology_at_every_position(pool_docs):
+    # with K the resolution of k over Q and M a pool module over Q:
+    # Tor_i(k, M) from the maps d_i (x) M and d_{i+1} (x) M has beta_i(M)
+    # generators, and Ext^i(k, M) from Hom(d_{i+1}, M) and Hom(d_i, M) has
+    # beta_{n-i}(M) (Koszul self-duality), at every position 0 <= i <= n
+    checked = 0
+    for doc in pool_docs:
+        Q = doc.quotient().cover
+        n = Q.n
+        K = resolve(PresentedModule.residue_field(Q))
+        for name, M in corpus.module_pool(doc):
+            betti = q_resolution(M)
+            Mq = M.q_structure()
+            for i in range(n + 1):
+                tor = homology_at(tensor_map(K.diff(i), Mq), tensor_map(K.diff(i + 1), Mq))
+                ext = homology_at(hom_map(K.diff(i + 1), Mq), hom_map(K.diff(i), Mq))
+                assert tor.nu() == betti.module(i).rank, (name, i)
+                assert ext.nu() == betti.module(n - i).rank, (name, i)
             checked += 1
     assert checked == 39
 

@@ -187,6 +187,14 @@ def test_poincare_bass_of_ring_module(e2_doc):
     assert pb["bass"][0] == 1
 
 
+def test_poincare_bass_past_a_finite_resolution():
+    # over GF(101)[x, y] the resolution of k stops at 2, so the positions
+    # past it are zero maps and the Bass numbers there vanish
+    ring = PolyRing(101, ("x", "y"))
+    pb = poincare_bass(PresentedModule.residue_field(ring), 4)
+    assert pb == {"poincare": [1, 2, 1, 0, 0], "bass": [1, 2, 1, 0, 0]}
+
+
 def test_gdim_tiers(e2_doc, hypersurface_doc):
     # finite projective dimension is certified exactly
     ring = PolyRing(101, ("x", "y"))

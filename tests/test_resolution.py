@@ -52,7 +52,7 @@ def test_koszul_resolution_golden():
     M = cyclic_quotient(
         ring, [ring.poly("x"), ring.poly("y"), ring.poly("z")])
     res = resolve(M)
-    assert res.minimal and res.complete
+    assert res.complete
     assert res.length == 3
     assert sorted(res.betti().entries.items()) == [
         ((0, 0), 1), ((1, 1), 3), ((2, 2), 3), ((3, 3), 1)]
@@ -100,7 +100,7 @@ def test_residue_field_resolution_totals():
     R = QuotientRing(ring, [ring.poly("x^2"), ring.poly("x*y")])
     res = resolve(PresentedModule.residue_field(R), max_steps=5)
     assert betti_totals(res, 6) == [1, 2, 3, 5, 8, 13]
-    assert res.minimal and not res.complete
+    assert not res.complete
     check_complex(res)
 
 
