@@ -17,19 +17,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos
+from .freemod import GradedFreeModule, GradedMatrix, term_key
 from .groebner import Vector
 from .homology import (
     IsoProbeResult,
     ModuleMap,
     hilbert_function_basis,
+    hom_cohomology,
     hom_express,
-    hom_map,
     hom_module,
     hom_realize,
-    homology_at,
     iso_probe,
-    tensor_map,
+    tensor_homology,
     tensor_module,
 )
 from .invariants import (
@@ -100,7 +99,7 @@ def quasi_canonical(R) -> CanonicalData:
     E = E_raw.minimal()
     # cross-route: top cohomology of Hom(F, Q) computed over the cover
     Qm = PresentedModule.ring_module(R.cover)
-    ext = homology_at(hom_map(F.diff(s + 1), Qm), hom_map(D, Qm))
+    ext = hom_cohomology(F, Qm, s, s)[0]
     lo = min(list(E.gens.twists) + list(ext.gens.twists), default=0)
     hi = lo + 8
     hf_desc = hilbert_function_basis(E, lo, hi)
@@ -124,7 +123,7 @@ def char_module(M: PresentedModule) -> PresentedModule:
     _, F, s = _ring_data(M.base)
     if s == 0:
         return M.minimal()
-    return homology_at(tensor_map(F.diff(s), M), tensor_map(F.diff(s + 1), M))
+    return tensor_homology(F, M, s, s)[0]
 
 
 @cached
@@ -134,7 +133,7 @@ def cochar_module(M: PresentedModule) -> PresentedModule:
     _, F, s = _ring_data(M.base)
     if s == 0:
         return M.minimal()
-    return homology_at(hom_map(F.diff(s + 1), M), hom_map(F.diff(s), M))
+    return hom_cohomology(F, M, s, s)[0]
 
 
 @cached
@@ -159,8 +158,7 @@ def tor_modules(M: PresentedModule) -> List[PresentedModule]:
     """[Tor_0, ..., Tor_s] of (R, M) over the cover ring, so the last entry
     is T(M)."""
     _, F, s = _ring_data(M.base)
-    maps = [tensor_map(F.diff(i), M) for i in range(s + 2)]
-    return [homology_at(maps[i], maps[i + 1]) for i in range(s + 1)]
+    return tensor_homology(F, M, 0, s)
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +213,12 @@ def tensor_functor_map(f: ModuleMap) -> ModuleMap:
     domain and codomain, on the grid presentations."""
     E = quasi_canonical(f.domain.base).E
     TA, TB = cochar_via_tensor(f.domain), cochar_via_tensor(f.codomain)
-    rA = f.domain.gens.rank
     rB = f.codomain.gens.rank
     cols: List[Vector] = []
     for a in range(E.gens.rank):
-        for b in range(rA):
-            col = [(term_key(term_okey(k), a * rB + term_pos(k)), c)
-                   for k, c in f.matrix.cols[b]]
-            col.sort(reverse=True)
-            cols.append(col)
+        # copy a of B: a constant position shift, which keeps the term order
+        shift = a * rB
+        cols += [[(k - shift, c) for k, c in col] for col in f.matrix.cols]
     mat = GradedMatrix(TA.gens, TB.gens, cols, check=False)
     return ModuleMap(TA, TB, mat, check=False)
 

@@ -54,7 +54,7 @@ class GradedFreeModule:
         return self.base.cover
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, GradedFreeModule)
             and other.base == self.base
             and other.twists == self.twists
@@ -129,17 +129,18 @@ class GradedMatrix:
             raise ValueError("source and target over different bases")
         self.source = source
         self.target = target
-        cols = [list(c) for c in cols]
-        if len(cols) != source.rank:
-            raise ValueError(f"expected {source.rank} columns, got {len(cols)}")
         if normalize:
-            cols = [source.base.normal_form_vector(c) for c in cols]
-        self.cols = tuple(tuple(c) for c in cols)
+            nf = source.base.normal_form_vector
+            self.cols = tuple(tuple(nf(c)) for c in cols)
+        else:
+            self.cols = tuple(map(tuple, cols))
+        if len(self.cols) != source.rank:
+            raise ValueError(f"expected {source.rank} columns, got {len(self.cols)}")
         if check:
             for j, col in enumerate(self.cols):
                 if not col:
                     continue
-                d = target.vector_degree(list(col))
+                d = target.vector_degree(col)
                 if d != source.twists[j]:
                     raise ValueError(
                         f"column {j} has degree {d}, expected twist {source.twists[j]}"

@@ -25,6 +25,9 @@ It returns its syzygy basis as a ``SubmoduleGB``: the marker block of the
 reduced elimination basis is the reduced basis of the syzygy module over
 ``Q``, ideal columns ``I * e_j`` included (the block order is term over
 position, which a position shift keeps), so no caller reruns Buchberger.
+Only that block is autoreduced; the flagged elements are dropped first.
+Each elimination runs once per base ring: ``syzygy_generators`` memoizes
+its bases by value in the base's ``cache``.
 """
 
 from __future__ import annotations
@@ -49,12 +52,17 @@ from .ring import Polynomial, PolyRing
 
 
 def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
-                      product: bool = False) -> List[Vector]:
+                      product: bool = False, below: Optional[int] = None) -> List[Vector]:
     """Reduced Groebner basis of the span of ``vecs`` (term lists over Q).
 
     ``twists`` drive the normal selection strategy for homogeneous input;
     ``product`` enables the coprime-lead criterion and must only be set in
-    ambient rank one, where discarded pairs are genuinely redundant.  Pairs
+    ambient rank one, where discarded pairs are genuinely redundant.  With
+    ``below`` (an elimination's block flag) only the elements with lead key
+    below it are autoreduced and returned: the marker block of the reduced
+    basis.  That block is exactly what autoreducing everything would keep,
+    since a lead at or above the flag sits at a primary position and no
+    marker-block term is at one, so it never divides one.  Pairs
     are formed, and the chain criterion is checked, within the bucket of
     basis indices that share the pair's lead position (``by_pos``); each
     pair is pushed once and ``done`` records the pairs already treated.
@@ -134,6 +142,8 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
         if r:
             add_gen(r)
 
+    if below is not None:
+        G = [g for g in G if g[0][0] < below]
     return _autoreduce(ring, G)
 
 
@@ -166,7 +176,8 @@ def _flag_vector(v: Vector, flag: int) -> Vector:
 def _elimination_syzygies(ring: PolyRing, twists: Sequence[int],
                           marked: Sequence[Vector], unmarked: Sequence[Vector]
                           ) -> List[Vector]:
-    """Generators of ``{c : sum c_j marked_j in <unmarked>}``.
+    """Generators of ``{c : sum c_j marked_j in <unmarked>}``: the reduced
+    marker block of the elimination basis, the only block autoreduced.
 
     Both inputs live in the primary ambient (rank ``len(twists)``); the
     result vectors live in a rank ``len(marked)`` free module whose twists
@@ -186,14 +197,9 @@ def _elimination_syzygies(ring: PolyRing, twists: Sequence[int],
     for v in unmarked:
         if v:
             combined.append(_flag_vector(v, flag))
-    gb = _buchberger_terms(ring, ext_twists, combined)
-    out: List[Vector] = []
-    for g in gb:
-        if g[0][0] >= flag:
-            continue
-        proj = [(term_key(term_okey(k), term_pos(k) - r), c) for k, c in g]
-        out.append(proj)
-    return out
+    # marker position r + j back to j: a constant shift of the position field
+    return [[(k + r, c) for k, c in g]
+            for g in _buchberger_terms(ring, ext_twists, combined, below=flag)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +218,8 @@ class SubmoduleGB:
 
     def __init__(self, ambient: GradedFreeModule, gb, qgb=None):
         self.ambient = ambient
-        self.gb = tuple(tuple(v) for v in gb)
-        self._qgb = tuple(tuple(v) for v in (qgb if qgb is not None else gb))
+        self.gb = tuple(map(tuple, gb))
+        self._qgb = self.gb if qgb is None or qgb is gb else tuple(map(tuple, qgb))
         self._reducer = None
 
     @property
@@ -321,12 +327,28 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     Relations with the ``extra_unmarked`` columns and with the defining
     ideal of the base are allowed but not recorded.  ``_qgb`` is the marker
     block of the elimination basis and ``gb`` its projection modulo the ideal.
+
+    Each elimination runs once per base ring: the bases are memoized by
+    value in ``base.cache["syzygy_generators"]``, keyed by the twists, the
+    vectors and the extra columns (the ideal columns follow from the base
+    and the rank).  An entry holds only the immutable ``gb`` and ``_qgb``
+    tuples, one tuple when they are equal; every call gets a fresh
+    ``SubmoduleGB``, so no reducer is shared.  Callers pass matrices' own
+    column tuples, which the key then shares.
     """
     base = ambient.base
-    unmarked = [list(u) for u in extra_unmarked] + _ideal_aug_vectors(base, ambient.rank)
-    qgb = _elimination_syzygies(base.cover, ambient.twists,
-                                [list(v) for v in vectors], unmarked)
-    gb = [s for s in map(base.normal_form_vector, qgb) if s]
+    vectors = tuple(map(tuple, vectors))
+    extra_unmarked = tuple(map(tuple, extra_unmarked))
+    key = (ambient.twists, source.twists, vectors, extra_unmarked)
+    memo = base.cache.setdefault("syzygy_generators", {})
+    hit = memo.get(key)
+    if hit is None:
+        unmarked = list(extra_unmarked) + _ideal_aug_vectors(base, ambient.rank)
+        qgb = tuple(map(tuple, _elimination_syzygies(base.cover, ambient.twists,
+                                                     vectors, unmarked)))
+        gb = tuple(tuple(s) for s in map(base.normal_form_vector, qgb) if s)
+        hit = memo[key] = (gb, qgb if qgb != gb else gb)
+    gb, qgb = hit
     return SubmoduleGB(source, gb, qgb=qgb)
 
 
@@ -338,7 +360,7 @@ def quotient(sub: SubmoduleGB, e) -> "Ideal":
     base = ambient.base
     ring = base.cover
     e = base.normal_form_vector(list(e))
-    unmarked = [list(v) for v in sub.gb] + _ideal_aug_vectors(base, ambient.rank)
+    unmarked = list(sub.gb) + _ideal_aug_vectors(base, ambient.rank)
     if not e:
         return Ideal(base, [ring.one()])
     syz = _elimination_syzygies(ring, ambient.twists, [e], unmarked)
@@ -509,7 +531,7 @@ class QuotientRing:
         return self.nf(self.cover.poly(text))
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, QuotientRing)
             and other.cover == self.cover
             and other._gb_polys == self._gb_polys

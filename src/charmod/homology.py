@@ -6,7 +6,8 @@ copies of a module M: ``tensor_map(d, M)``, which is ``d (x) M``, and
 ``hom_map(d, M)``, which is ``Hom(d, M)``.  One routine, ``_homology``,
 computes every kernel modulo image: Tor and Ext at position i of a free
 resolution F are ``homology_at`` of the maps on ``F.diff(i)`` and
-``F.diff(i + 1)``, Hom(A, B) is the kernel of ``hom_map`` on A's
+``F.diff(i + 1)`` (``tensor_homology`` and ``hom_cohomology``, which build
+each term once), Hom(A, B) is the kernel of ``hom_map`` on A's
 presentation matrix, and A (x) B is the cokernel of ``tensor_map`` on it.
 Each homology runs at most two eliminations and no other Groebner run: the
 cycles' reduced basis is the first one's marker block, and it generates
@@ -37,7 +38,7 @@ from .freemod import (
 from .groebner import SubmoduleGB, express_in_basis, syzygy_generators
 from .invariants import hilbert_series_leads, q_resolution
 from .kernel import POS_BITS, scaled_merge
-from .resolution import PresentedModule
+from .resolution import FreeResolution, PresentedModule
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +186,9 @@ def subquotient(numerator: SubmoduleGB, denominator: Sequence[Vector]) -> Presen
     for v in denominator:
         if v and not num.contains(list(v)):
             raise ValueError("denominator not contained in numerator")
-    gens_fm = GradedFreeModule(ambient.base,
-                               [ambient.vector_degree(list(g)) for g in num.gb])
-    rels = syzygy_generators([list(g) for g in num.gb], ambient, gens_fm,
-                             extra_unmarked=[list(v) for v in denominator])
-    src = GradedFreeModule(ambient.base, [gens_fm.vector_degree(list(s)) for s in rels.gb])
+    gens_fm = GradedFreeModule(ambient.base, [ambient.vector_degree(g) for g in num.gb])
+    rels = syzygy_generators(num.gb, ambient, gens_fm, extra_unmarked=denominator)
+    src = GradedFreeModule(ambient.base, [gens_fm.vector_degree(s) for s in rels.gb])
     out = PresentedModule(gens_fm, GradedMatrix(src, gens_fm, rels.gb, normalize=False,
                                                 check=False))
     out.cache["origin"] = {"kind": "subquotient", "numerator": num}
@@ -242,55 +241,66 @@ def _graft(col: Vector, j: int, width: int) -> Vector:
 
 
 def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
-            sign: int) -> PresentedModule:
+            sign: int, free: bool = False) -> PresentedModule:
     """The direct sum of the copies ``M(sign * t)``, one per outer twist t.
 
     Grid position ``a*rank(M) + j`` is generator j of copy a; the relations
-    are those of M, copy by copy.
+    are those of M, copy by copy, moved by the constant position shift
+    ``a*rank(M)``, which keeps their term order.  With ``free`` the term is
+    the free module on the same generators: a map out of it has the same
+    image as out of the copies, which is all a cokernel or a boundary reads.
     """
     rM = M.gens.rank
     gens = GradedFreeModule(base, [b + sign * t for t in outer_twists
                                    for b in M.gens.twists])
+    if free:
+        return PresentedModule(gens)
     cols: List[Vector] = []
     twists: List[int] = []
     for a, t in enumerate(outer_twists):
+        shift = a * rM
         for c, tw in zip(M.rels.cols, M.rels.source.twists):
-            shifted = [(term_key(term_okey(k), a * rM + term_pos(k)), cc) for k, cc in c]
-            shifted.sort(reverse=True)
-            cols.append(shifted)
+            cols.append([(k - shift, cc) for k, cc in c])
             twists.append(tw + sign * t)
     src = GradedFreeModule(base, twists)
     return PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False,
                                               check=False))
 
 
-def tensor_map(d: GradedMatrix, M: PresentedModule) -> ModuleMap:
+def tensor_map(d: GradedMatrix, M: PresentedModule, src: Optional[PresentedModule] = None,
+               tgt: Optional[PresentedModule] = None) -> ModuleMap:
     """``d (x) M : F (x) M -> G (x) M`` for a free matrix ``d : F -> G`` over
     M's base or its cover.
 
-    Both sides are ``_copies`` of M; column ``b*rank(M) + j`` is column b of
-    d grafted onto generator j of M.
+    Both sides are ``_copies`` of M, built here unless the caller passes
+    them; column ``b*rank(M) + j`` is column b of d grafted onto generator j
+    of M.
     """
     rM = M.gens.rank
-    src = _copies(M.base, d.source.twists, M, +1)
-    tgt = _copies(M.base, d.target.twists, M, +1)
-    cols = [_graft(list(col), j, rM) for col in d.cols for j in range(rM)]
+    if src is None:
+        src = _copies(M.base, d.source.twists, M, +1)
+    if tgt is None:
+        tgt = _copies(M.base, d.target.twists, M, +1)
+    cols = [_graft(col, j, rM) for col in d.cols for j in range(rM)]
     mat = GradedMatrix(src.gens, tgt.gens, cols, normalize=d.base != M.base, check=False)
     return ModuleMap(src, tgt, mat, check=False)
 
 
-def hom_map(d: GradedMatrix, M: PresentedModule) -> ModuleMap:
+def hom_map(d: GradedMatrix, M: PresentedModule, src: Optional[PresentedModule] = None,
+            tgt: Optional[PresentedModule] = None) -> ModuleMap:
     """``Hom(d, M) : Hom(G, M) -> Hom(F, M)`` for a free matrix ``d : F -> G``
     over M's base or its cover.
 
-    Both sides are ``_copies`` of M, twisted down; grid position
-    ``a*rank(M) + j`` sends basis vector a of the free module to generator j
-    of M, and precomposing with d moves the entry ``d[a, b]`` to position
-    ``b*rank(M) + j``.
+    Both sides are ``_copies`` of M, twisted down, built here unless the
+    caller passes them; grid position ``a*rank(M) + j`` sends basis vector a
+    of the free module to generator j of M, and precomposing with d moves
+    the entry ``d[a, b]`` to position ``b*rank(M) + j``.
     """
     rM = M.gens.rank
-    src = _copies(M.base, d.target.twists, M, -1)
-    tgt = _copies(M.base, d.source.twists, M, -1)
+    if src is None:
+        src = _copies(M.base, d.target.twists, M, -1)
+    if tgt is None:
+        tgt = _copies(M.base, d.source.twists, M, -1)
     cols: List[Vector] = [[] for _ in range(src.gens.rank)]
     for b in range(d.source.rank):
         for key, c in d.cols[b]:
@@ -303,6 +313,32 @@ def hom_map(d: GradedMatrix, M: PresentedModule) -> ModuleMap:
     return ModuleMap(src, tgt, mat, check=False)
 
 
+def tensor_homology(F: FreeResolution, M: PresentedModule, lo: int,
+                    hi: int) -> List[PresentedModule]:
+    """``H_i(F (x) M)`` for i = lo..hi, minimally presented, for a free
+    resolution F.  Each term ``F_i (x) M`` is built once and shared by the
+    maps on both sides of it; the top one, ``F_(hi+1) (x) M``, only gives
+    boundaries, so it is free."""
+    terms = [_copies(M.base, F.module(i).twists, M, +1, free=i > hi)
+             for i in range(lo - 1, hi + 2)]
+    maps = [tensor_map(F.diff(i), M, terms[i - lo + 1], terms[i - lo])
+            for i in range(lo, hi + 2)]
+    return [homology_at(maps[i], maps[i + 1]) for i in range(hi - lo + 1)]
+
+
+def hom_cohomology(F: FreeResolution, M: PresentedModule, lo: int,
+                   hi: int) -> List[PresentedModule]:
+    """``H^i(Hom(F, M))`` for i = lo..hi, minimally presented, for a free
+    resolution F.  Each term ``Hom(F_i, M)`` is built once and shared by the
+    maps on both sides of it; the bottom one, ``Hom(F_(lo-1), M)``, only
+    gives boundaries, so it is free."""
+    terms = [_copies(M.base, F.module(i).twists, M, -1, free=i < lo)
+             for i in range(lo - 1, hi + 2)]
+    maps = [hom_map(F.diff(i), M, terms[i - lo], terms[i - lo + 1])
+            for i in range(lo, hi + 2)]
+    return [homology_at(maps[i + 1], maps[i]) for i in range(hi - lo + 1)]
+
+
 def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     """A tensor B over the base: the cokernel of ``F_1 (x) B -> F_0 (x) B``
     on A's presentation, ``tensor_map(A.rels, B)``.
@@ -311,7 +347,7 @@ def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     relations of A come first, then those of the copies of B: ``minimal``
     cancels the smallest unit pivot, so the column order reaches the output.
     The cokernel reads only the map's columns and its codomain, so the
-    relations the source ``F_1 (x) B`` carries are not used.  When B is the
+    source ``F_1 (x) B`` is built free.  When B is the
     base ring (one generator in degree 0, no relations) that presentation
     equals A by value, so A itself is returned, with its cached bases and
     its own ``origin``.  Any other result records ``origin`` of kind
@@ -321,7 +357,8 @@ def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
         raise ValueError("tensor factors over different bases")
     if B.gens.twists == (0,) and B.rels.source.rank == 0:
         return A
-    out = presented_cokernel(tensor_map(A.rels, B))
+    src = _copies(B.base, A.rels.source.twists, B, +1, free=True)
+    out = presented_cokernel(tensor_map(A.rels, B, src))
     out.cache["origin"] = {"kind": "tensor", "A": A, "B": B}
     return out
 
@@ -370,8 +407,8 @@ def hom_express(H: PresentedModule, cols: Sequence[Vector]) -> Vector:
     rB = H.cache["origin"]["B"].gens.rank
     flat: Vector = []
     for i, col in enumerate(cols):
-        for key, c in col:
-            flat.append((term_key(term_okey(key), i * rB + term_pos(key)), c))
+        shift = i * rB
+        flat += [(key - shift, c) for key, c in col]
     flat.sort(reverse=True)
     return subquotient_express(H, flat)
 
@@ -392,10 +429,9 @@ def _homology(out: ModuleMap, boundaries: Sequence[Vector] = ()) -> PresentedMod
         units = [X.gens.basis_vector(t) for t in range(X.gens.rank)]
         num = SubmoduleGB(X.gens, units)
     else:
-        num = syzygy_generators([list(c) for c in out.matrix.cols], Y.gens, X.gens,
-                                extra_unmarked=[list(c) for c in Y.rels.cols])
-    den = [list(c) for c in X.rels.cols] + [list(c) for c in boundaries]
-    return subquotient(num, [d for d in den if d])
+        num = syzygy_generators(out.matrix.cols, Y.gens, X.gens,
+                                extra_unmarked=Y.rels.cols)
+    return subquotient(num, [c for c in (*X.rels.cols, *boundaries) if c])
 
 
 def homology_at(out: ModuleMap, into: ModuleMap) -> PresentedModule:

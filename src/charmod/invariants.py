@@ -255,10 +255,9 @@ def poincare_bass(M: PresentedModule, bound: int = 6) -> Dict[str, List[int]]:
         return {"poincare": [0] * (bound + 1), "bass": [0] * (bound + 1)}
     res = resolve(M, max_steps=bound)
     poincare = [res.module(i).rank for i in range(bound + 1)]
-    from .homology import hom_map, homology_at
+    from .homology import hom_cohomology
     kres = _k_resolution(M.base, bound + 1)
-    maps = [hom_map(kres.diff(i), M) for i in range(bound + 2)]
-    bass = [homology_at(maps[i + 1], maps[i]).nu() for i in range(bound + 1)]
+    bass = [H.nu() for H in hom_cohomology(kres, M, 0, bound)]
     return {"poincare": poincare, "bass": bass}
 
 
@@ -269,7 +268,7 @@ def gdim_bounded(M: PresentedModule, bound: int = 6) -> Dict[str, object]:
     ``value``), ``bounded_evidence`` (finite and at most ``value`` as far as
     Ext vanishing was observed), or ``inconclusive``.
     """
-    from .homology import hom_map, homology_at
+    from .homology import hom_cohomology
     if M.is_zero():
         return {"status": "certified", "value": 0,
                 "note": "zero module"}
@@ -285,9 +284,8 @@ def gdim_bounded(M: PresentedModule, bound: int = 6) -> Dict[str, object]:
                 "note": "Gorenstein base ring: G-dim = depth R - depth M"}
     # evidence: Ext^i(M, R) vanishing as far as the truncation can see
     # (the last step of a truncated resolution cannot witness a kernel)
-    vanish = [homology_at(hom_map(res.diff(i + 1), ring_mod),
-                          hom_map(res.diff(i), ring_mod)).is_zero()
-              for i in range(1, min(bound, res.length - 1) + 1)]
+    vanish = [H.is_zero()
+              for H in hom_cohomology(res, ring_mod, 1, min(bound, res.length - 1))]
     if all(vanish) and vanish:
         return {"status": "bounded_evidence", "value": 0,
                 "note": f"Ext^i(M, R) = 0 for 1 <= i <= {len(vanish)}"}

@@ -312,7 +312,7 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
     diffs: List[GradedMatrix] = []
     if Mm.gens.rank == 0 or Mm.rels.source.rank == 0:
         return FreeResolution(base, modules, diffs, complete=True)
-    cols = [list(c) for c in Mm.rels.cols]
+    cols = Mm.rels.cols
     complete = False
     while len(diffs) < limit:
         amb = modules[-1]
@@ -330,7 +330,7 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
         diffs.append(new)
         modules.append(new.source)
         # syzygies live on the basis of new.source
-        cols = syzygy_generators([list(c) for c in new.cols], new.target, new.source).gb
+        cols = syzygy_generators(new.cols, new.target, new.source).gb
         if not cols:
             complete = True
             break

@@ -65,7 +65,7 @@ class PrimeField:
         self.p = p
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return other is self or (isinstance(other, PrimeField) and other.p == self.p)
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
@@ -330,7 +330,7 @@ class PolyRing:
         self.cache: dict = {}
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, PolyRing)
             and other.field == self.field
             and other.variables == self.variables

@@ -1,5 +1,6 @@
 """Groebner bases: reduced-basis goldens, membership, colon, intersection,
-syzygies by elimination (the one syzygy engine), reduced bases compared
+syzygies by elimination (the one syzygy engine) and their per-ring memo,
+reduced bases compared
 with sympy's over GF(p), and the position-indexed pair handling compared
 with an engine that scans the whole basis."""
 
@@ -11,6 +12,8 @@ import random
 import pytest
 
 from charmod import corpus, groebner
+from charmod.characteristic import char_module
+from charmod.cmr import load
 from charmod.freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos, v_scale
 from charmod.groebner import (
     Ideal,
@@ -20,10 +23,11 @@ from charmod.groebner import (
     quotient,
     syzygy_generators,
 )
+from charmod.invariants import residue_field_of
 from charmod.kernel import POS_BITS, make_reducer
 from charmod.ring import PolyRing
 
-from conftest import exps_of_degree, matrix_from_columns, monomial_lcm, monomial_mul
+from conftest import FIXTURES, exps_of_degree, matrix_from_columns, monomial_lcm, monomial_mul
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +199,71 @@ def test_syzygy_generators_are_complete():
         [ring.poly("z"), ring.poly("-x"), ring.poly("0")]))
     assert sgb.contains(amb2.vector_from_polys(
         [ring.poly("0"), ring.poly("x"), ring.poly("-y")]))
+
+
+# ---------------------------------------------------------------------------
+# the syzygy memo in the base ring's cache
+
+
+def _memo_docs():
+    """Fresh documents, so their rings have empty caches: the first 10
+    acceptance instances and the four fixtures."""
+    return corpus.generate_corpus(7, 10, "mixed") + [
+        load(FIXTURES / f"{name}.cmr")
+        for name in ("veronese", "e2", "hypersurface", "stanley_reisner")]
+
+
+def _memo_eliminations(M):
+    """Two eliminations on M: the syzygies of its relations, and those of
+    its generators modulo its relations (an ``extra_unmarked`` input)."""
+    units = [M.gens.basis_vector(t) for t in range(M.gens.rank)]
+    return [(M.rels.cols, M.gens, M.rels.source, ()),
+            (units, M.gens, M.gens, M.rels.cols)]
+
+
+def test_syzygy_memo_hit_equals_a_fresh_elimination(monkeypatch):
+    runs = []
+    real = groebner._buchberger_terms
+
+    def counting(*args, **kwargs):
+        runs.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", counting)
+    for doc, fresh in zip(_memo_docs(), _memo_docs()):
+        for (name, M), (_, N) in zip(corpus.module_pool(doc), corpus.module_pool(fresh)):
+            assert M.base is not N.base
+            for args, fresh_args in zip(_memo_eliminations(M), _memo_eliminations(N)):
+                first = syzygy_generators(*args)
+                runs.clear()
+                # equal inputs in new lists: the memo matches by value
+                hit = syzygy_generators([list(v) for v in args[0]], *args[1:3],
+                                        [list(v) for v in args[3]])
+                assert not runs, name
+                want = syzygy_generators(*fresh_args)
+                assert len(runs) == 1, name
+                assert hit is not first and hit._reducer is None
+                assert (hit.ambient, hit.gb, hit._qgb) == (first.ambient, first.gb, first._qgb)
+                assert (hit.ambient, hit.gb, hit._qgb) == (want.ambient, want.gb, want._qgb), name
+
+
+def test_syzygy_memo_is_per_ring_and_holds_tuples():
+    # two rings equal by value keep separate memos, in their own caches;
+    # T(k) eliminates over R and, resolving R, over its cover Q
+    memos = []
+    for _ in range(2):
+        R = load(FIXTURES / "e2.cmr").quotient()
+        char_module(residue_field_of(R))
+        memos.append((R.cache["syzygy_generators"], R.cover.cache["syzygy_generators"]))
+    for a, b in zip(*memos):
+        assert a and a is not b and a.keys() == b.keys()
+        for key, value in a.items():
+            assert value is not b[key]
+            gb, qgb = value
+            for basis in (gb, qgb):
+                assert type(basis) is tuple and all(type(v) is tuple for v in basis)
+            # one tuple when the two bases are equal
+            assert qgb is gb or qgb != gb
 
 
 def test_quotient_ring_normal_forms():
@@ -405,18 +474,21 @@ def _reference_buchberger_terms(ring, twists, vecs, product=False):
 
 def _engine_inputs(monkeypatch, docs):
     """Every ``_buchberger_terms`` call made by the relation bases and the
-    syzygies of the pool modules of ``docs``, as (label, arguments)."""
+    syzygies of the pool modules of ``docs``, as (label, arguments).  The
+    documents' rings may keep eliminations memoized by earlier tests, so
+    their syzygy memos are emptied first."""
     calls = []
     real = groebner._buchberger_terms
 
-    def recording(ring, twists, vecs, product=False):
-        calls.append((ring, tuple(twists), [list(v) for v in vecs], product))
-        return real(ring, twists, vecs, product)
+    def recording(ring, twists, vecs, product=False, below=None):
+        calls.append((ring, tuple(twists), [list(v) for v in vecs], product, below))
+        return real(ring, twists, vecs, product, below)
 
     monkeypatch.setattr(groebner, "_buchberger_terms", recording)
     labelled = []
     for doc in docs:
         for name, M in corpus.module_pool(doc):
+            M.base.cache.pop("syzygy_generators", None)
             for label, run in (
                     ("relations", lambda: buchberger([list(c) for c in M.rels.cols], M.gens)),
                     ("syzygies", lambda: syzygy_generators([list(c) for c in M.rels.cols],
@@ -435,7 +507,9 @@ def test_position_indexed_pairs_match_the_full_scan(monkeypatch, mixed_corpus, v
     # of modules with several generators and every elimination (marked
     # inputs carry one extra position per column) must give the reduced
     # basis of the engine that scans all of G, after reducing as many
-    # S-pairs (two merges each), so the chain criterion prunes as before
+    # S-pairs (two merges each), so the chain criterion prunes as before;
+    # an elimination autoreduces only its marker block, which must be the
+    # reference's full reduced basis cut to the leads below the flag
     docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
                                       stanley_reisner_doc]
     inputs = _engine_inputs(monkeypatch, docs)
@@ -448,12 +522,16 @@ def test_position_indexed_pairs_match_the_full_scan(monkeypatch, mixed_corpus, v
 
     monkeypatch.setattr(groebner, "scaled_merge", counting)
     ranks = {"relations": 0, "syzygies": 0}
-    for label, (ring, twists, vecs, product) in inputs:
+    for label, (ring, twists, vecs, product, below) in inputs:
+        assert (below is not None) == (label.split()[-1] == "syzygies"), label
         merges.clear()
-        ours = groebner._buchberger_terms(ring, twists, vecs, product)
+        ours = groebner._buchberger_terms(ring, twists, vecs, product, below=below)
         ours_merges = len(merges)
         merges.clear()
-        assert ours == _reference_buchberger_terms(ring, twists, vecs, product), label
+        ref = _reference_buchberger_terms(ring, twists, vecs, product)
+        if below is not None:
+            ref = [g for g in ref if g[0][0] < below]
+        assert ours == ref, label
         assert ours_merges == len(merges), label
         if len(twists) > 1:
             ranks[label.split()[-1]] += 1

@@ -14,6 +14,7 @@ from charmod.homology import (
     ModuleMap,
     _series,
     hilbert_function_basis,
+    hom_cohomology,
     hom_express,
     hom_map,
     hom_module,
@@ -25,6 +26,7 @@ from charmod.homology import (
     subquotient,
     subquotient_express,
     subquotient_realize,
+    tensor_homology,
     tensor_map,
     tensor_module,
     vector_coords,
@@ -472,7 +474,9 @@ def test_koszul_homology_at_every_position(pool_docs):
     # with K the resolution of k over Q and M a pool module over Q:
     # Tor_i(k, M) from the maps d_i (x) M and d_{i+1} (x) M has beta_i(M)
     # generators, and Ext^i(k, M) from Hom(d_{i+1}, M) and Hom(d_i, M) has
-    # beta_{n-i}(M) (Koszul self-duality), at every position 0 <= i <= n
+    # beta_{n-i}(M) (Koszul self-duality), at every position 0 <= i <= n;
+    # tensor_homology and hom_cohomology, which build each term once and
+    # the boundary end free, give the same presentations
     checked = 0
     for doc in pool_docs:
         Q = doc.quotient().cover
@@ -481,11 +485,19 @@ def test_koszul_homology_at_every_position(pool_docs):
         for name, M in corpus.module_pool(doc):
             betti = q_resolution(M)
             Mq = M.q_structure()
+            tors, exts = [], []
             for i in range(n + 1):
                 tor = homology_at(tensor_map(K.diff(i), Mq), tensor_map(K.diff(i + 1), Mq))
                 ext = homology_at(hom_map(K.diff(i + 1), Mq), hom_map(K.diff(i), Mq))
                 assert tor.nu() == betti.module(i).rank, (name, i)
                 assert ext.nu() == betti.module(n - i).rank, (name, i)
+                tors.append(tor)
+                exts.append(ext)
+            assert tensor_homology(K, Mq, 0, n) == tors, name
+            assert hom_cohomology(K, Mq, 0, n) == exts, name
+            # a run with nonzero terms past both of its ends
+            assert tensor_homology(K, Mq, 1, n - 1) == tors[1:n], name
+            assert hom_cohomology(K, Mq, 1, n - 1) == exts[1:n], name
             checked += 1
     assert checked == 39
 

@@ -5,8 +5,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charmod import kernel
+from charmod.freemod import term_key, term_okey, term_pos
 from charmod.kernel import (OrderCtx, POS_BITS, POS_MASK, backend_name,
                             divides, epack, make_reducer, pure, scaled_merge)
 from charmod.ring import PolyRing, PrimeField
@@ -112,6 +115,25 @@ def test_divides_matches_componentwise():
         got = divides(epack(ring.pack.okey(u), ctx),
                       epack(ring.pack.okey(v), ctx), ctx.guards)
         assert got == expected, (u, v)
+
+
+# positions at the edges of the 16-bit field, and anywhere in it
+_POSITIONS = st.one_of(st.sampled_from([0, 1, POS_MASK - 1, POS_MASK]),
+                       st.integers(0, POS_MASK))
+
+
+@settings(max_examples=300, deadline=None)
+@given(okey=st.one_of(st.just(0), st.integers(0, 1 << 100)), pos=_POSITIONS,
+       new=_POSITIONS)
+def test_constant_position_shift_is_key_subtraction(okey, pos, new):
+    # the field stores POS_MASK - pos, so moving a term from pos to pos + s
+    # subtracts s from its key whenever pos + s stays in the field, whatever
+    # sits above it (order key, elimination flag), so a constant shift of a
+    # vector's terms keeps their order
+    k = term_key(okey, pos)
+    s = new - pos
+    assert term_key(term_okey(k), term_pos(k) + s) == k - s
+    assert (term_okey(k - s), term_pos(k - s)) == (okey, new)
 
 
 def test_add_scaled_is_sparse_polynomial_sum():
