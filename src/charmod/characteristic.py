@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .freemod import GradedFreeModule, GradedMatrix, term_key
+from .freemod import GradedMatrix, term_key
 from .groebner import Vector
 from .homology import (
     IsoProbeResult,
@@ -29,6 +29,7 @@ from .homology import (
     hom_realize,
     iso_probe,
     tensor_homology,
+    tensor_map,
     tensor_module,
 )
 from .invariants import (
@@ -80,22 +81,18 @@ def quasi_canonical(R) -> CanonicalData:
     """The quasi-canonical module E = coker Hom(d_s, Q) over R.
 
     The transpose of the last differential of the minimal Q-resolution of
-    R is reduced mod I and taken as a relation matrix over R; the result
-    is minimalized.  A second, independent route (top cohomology of
-    Hom(F, Q) over the cover) is computed degreewise and compared on a
-    window; the comparison is stored under ``provenance``.
+    R is reduced mod I and taken as a relation matrix over R (the cokernel
+    of its ``tensor_map`` with R); the result is minimalized.  A second,
+    independent route (top cohomology of Hom(F, Q) over the cover) is
+    computed degreewise and compared on a window; the comparison is stored
+    under ``provenance``.
     """
     Rm, F, s = _ring_data(R)
     if s == 0:
         prov = {"described_route": "R itself (s = 0)",
                 "ext_route": "skipped", "agree": True}
         return CanonicalData(R, 0, Rm.minimal(), Rm, F, prov)
-    D = F.diff(s)
-    DT = D.transpose_dual()
-    gens = GradedFreeModule(R, DT.target.twists)
-    src = GradedFreeModule(R, DT.source.twists)
-    rels = GradedMatrix(src, gens, [list(c) for c in DT.cols])
-    E_raw = PresentedModule(gens, rels)
+    E_raw = tensor_map(F.diff(s).transpose_dual(), Rm).cokernel()
     E = E_raw.minimal()
     # cross-route: top cohomology of Hom(F, Q) computed over the cover
     Qm = PresentedModule.ring_module(R.cover)

@@ -155,15 +155,6 @@ class GradedMatrix:
     def base(self):
         return self.source.base
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        ring = self.source.ring
-        terms = [(term_okey(k), c) for k, c in self.cols[j] if term_pos(k) == i]
-        return Polynomial(ring, terms)
-
-    def entries(self) -> List[List[Polynomial]]:
-        return [[self.entry(i, j) for j in range(self.source.rank)]
-                for i in range(self.target.rank)]
-
     def apply(self, v: Vector) -> Vector:
         """Image of a source vector: substitute columns for basis vectors."""
         ctx = self.source.ring.pack.ctx
@@ -183,14 +174,17 @@ class GradedMatrix:
         return GradedMatrix(other.source, self.target, cols, check=False)
 
     def transpose_dual(self) -> "GradedMatrix":
-        """Matrix of Hom(-, base): transpose with negated twists."""
+        """Matrix of Hom(-, base): transpose with negated twists.  The
+        entries are moved as they are, so for a free F, ``Hom(F, M)`` is
+        ``F* (x) M`` and ``Hom(d, M)`` is ``d.transpose_dual() (x) M``."""
         src = GradedFreeModule(self.base, [-t for t in self.target.twists])
         tgt = GradedFreeModule(self.base, [-t for t in self.source.twists])
-        ent = self.entries()
-        cols = []
-        for i in range(self.target.rank):
-            cols.append(tgt.vector_from_polys([ent[i][j] for j in range(self.source.rank)]))
-        return GradedMatrix(src, tgt, cols, check=False)
+        cols: List[Vector] = [[] for _ in range(self.target.rank)]
+        for j, col in enumerate(self.cols):
+            for k, c in col:
+                cols[term_pos(k)].append((term_key(term_okey(k), j), c))
+        return GradedMatrix(src, tgt, [sorted(c, reverse=True) for c in cols],
+                            normalize=False, check=False)
 
     def delete(self, rows=(), cols=()) -> "GradedMatrix":
         rows = set(rows)

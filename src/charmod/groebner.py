@@ -169,39 +169,6 @@ def _autoreduce(ring: PolyRing, G: Sequence[Vector]) -> List[Vector]:
     return out
 
 
-def _flag_vector(v: Vector, flag: int) -> Vector:
-    return [(k + flag, c) for k, c in v]
-
-
-def _elimination_syzygies(ring: PolyRing, twists: Sequence[int],
-                          marked: Sequence[Vector], unmarked: Sequence[Vector]
-                          ) -> List[Vector]:
-    """Generators of ``{c : sum c_j marked_j in <unmarked>}``: the reduced
-    marker block of the elimination basis, the only block autoreduced.
-
-    Both inputs live in the primary ambient (rank ``len(twists)``); the
-    result vectors live in a rank ``len(marked)`` free module whose twists
-    are the degrees of the marked vectors.
-    """
-    r = len(twists)
-    flag = 1 << ring.pack.block_shift
-    ambient = GradedFreeModule(ring, twists)
-    combined: List[Vector] = []
-    ext_twists = list(twists)
-    for v in marked:
-        ext_twists.append(ambient.vector_degree(v) if v else 0)
-    for j, v in enumerate(marked):
-        w = _flag_vector(v, flag)
-        w.append((term_key(0, r + j), 1))
-        combined.append(w)
-    for v in unmarked:
-        if v:
-            combined.append(_flag_vector(v, flag))
-    # marker position r + j back to j: a constant shift of the position field
-    return [[(k + r, c) for k, c in g]
-            for g in _buchberger_terms(ring, ext_twists, combined, below=flag)]
-
-
 # ---------------------------------------------------------------------------
 # submodule Groebner bases
 
@@ -296,16 +263,10 @@ def _ideal_aug_vectors(base, ambient_rank: int) -> List[Vector]:
 
 
 def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
-    """Reduced Groebner basis of the submodule generated by ``gens``.
-
-    ``gens`` may be vectors (term lists) or sequences of polynomials, one
-    coordinate per ambient position.  All generators must be homogeneous.
-    """
+    """Reduced Groebner basis of the submodule generated by ``gens``, vectors
+    (term lists) of the ambient.  All generators must be homogeneous."""
     vecs = []
-    for g in gens:
-        v = g if isinstance(g, (list, tuple)) and (not g or isinstance(g[0], tuple)) \
-            else ambient.vector_from_polys(list(g))
-        v = list(v)
+    for v in map(list, gens):
         if v and not ambient.vector_is_homogeneous(v):
             raise ValueError("inhomogeneous generator")
         vecs.append(v)
@@ -325,8 +286,12 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     of ``source`` (the free module on the inputs, which sets the twists).
 
     Relations with the ``extra_unmarked`` columns and with the defining
-    ideal of the base are allowed but not recorded.  ``_qgb`` is the marker
-    block of the elimination basis and ``gb`` its projection modulo the ideal.
+    ideal of the base are allowed but not recorded.  Each input ``v_j``
+    enters flagged into the primary block with the marker ``e_(r+j)``
+    appended (r the ambient rank), the other columns flagged alone;
+    ``_qgb`` is the marker block of the elimination basis, the only block
+    autoreduced, moved back to positions j, and ``gb`` its projection
+    modulo the ideal.
 
     Each elimination runs once per base ring: the bases are memoized by
     value in ``base.cache["syzygy_generators"]``, keyed by the twists, the
@@ -343,9 +308,18 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     memo = base.cache.setdefault("syzygy_generators", {})
     hit = memo.get(key)
     if hit is None:
-        unmarked = list(extra_unmarked) + _ideal_aug_vectors(base, ambient.rank)
-        qgb = tuple(map(tuple, _elimination_syzygies(base.cover, ambient.twists,
-                                                     vectors, unmarked)))
+        ring = base.cover
+        r = ambient.rank
+        flag = 1 << ring.pack.block_shift
+        twists = list(ambient.twists) + [ambient.vector_degree(v) if v else 0
+                                         for v in vectors]
+        combined = [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
+                    for j, v in enumerate(vectors)]
+        combined += [[(k + flag, c) for k, c in v]
+                     for v in (*extra_unmarked, *_ideal_aug_vectors(base, r)) if v]
+        marker = _buchberger_terms(ring, twists, combined, below=flag)
+        # marker position r + j back to j: a constant shift of the position field
+        qgb = tuple(tuple((k + r, c) for k, c in g) for g in marker)
         gb = tuple(tuple(s) for s in map(base.normal_form_vector, qgb) if s)
         hit = memo[key] = (gb, qgb if qgb != gb else gb)
     gb, qgb = hit
@@ -360,15 +334,11 @@ def quotient(sub: SubmoduleGB, e) -> "Ideal":
     base = ambient.base
     ring = base.cover
     e = base.normal_form_vector(list(e))
-    unmarked = list(sub.gb) + _ideal_aug_vectors(base, ambient.rank)
     if not e:
         return Ideal(base, [ring.one()])
-    syz = _elimination_syzygies(ring, ambient.twists, [e], unmarked)
-    polys = []
-    for s in syz:
-        terms = [(term_okey(k), c) for k, c in s]
-        polys.append(Polynomial(ring, terms))
-    return Ideal(base, polys)
+    source = GradedFreeModule(base, [ambient.vector_degree(e)])
+    syz = syzygy_generators([e], ambient, source, extra_unmarked=sub.gb).gb
+    return Ideal(base, [Polynomial(ring, [(term_okey(k), c) for k, c in s]) for s in syz])
 
 
 def intersect_ideals(a: "Ideal", b: "Ideal") -> "Ideal":

@@ -1,14 +1,17 @@
 """Subquotients, homology at one term, Hom, tensor, isomorphism probes.
 
 Everything here presents derived modules as ``PresentedModule`` instances.
-A free matrix ``d : F -> G`` gives two maps between direct sums of twisted
-copies of a module M: ``tensor_map(d, M)``, which is ``d (x) M``, and
-``hom_map(d, M)``, which is ``Hom(d, M)``.  One routine, ``_homology``,
-computes every kernel modulo image: Tor and Ext at position i of a free
-resolution F are ``homology_at`` of the maps on ``F.diff(i)`` and
-``F.diff(i + 1)`` (``tensor_homology`` and ``hom_cohomology``, which build
-each term once), Hom(A, B) is the kernel of ``hom_map`` on A's
-presentation matrix, and A (x) B is the cokernel of ``tensor_map`` on it.
+There is one grid builder: a free matrix ``d : F -> G`` gives
+``tensor_map(d, M) = d (x) M`` between direct sums of twisted copies of a
+module M.  Hom out of a free module is tensor with its dual,
+``Hom(F, M) = F* (x) M``, so ``Hom(d, M)`` is
+``tensor_map(d.transpose_dual(), M)``.  One routine, ``_homology``,
+computes every kernel modulo image, and one, ``_free_complex_homology``,
+every homology of a free complex tensored with M: Tor over a free
+resolution F is that of ``F (x) M`` (``tensor_homology``), Ext that of the
+dual complex ``F* (x) M`` (``hom_cohomology``), each term built once.
+Hom(A, B) is the kernel of the map on A's transposed presentation matrix,
+and A (x) B the cokernel of the map on A's presentation matrix.
 Each homology runs at most two eliminations and no other Groebner run: the
 cycles' reduced basis is the first one's marker block, and it generates
 the result (canonical, so Hom bases and trial indices never move); the
@@ -241,8 +244,8 @@ def _graft(col: Vector, j: int, width: int) -> Vector:
 
 
 def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
-            sign: int, free: bool = False) -> PresentedModule:
-    """The direct sum of the copies ``M(sign * t)``, one per outer twist t.
+            free: bool = False) -> PresentedModule:
+    """The direct sum of the copies ``M(t)``, one per outer twist t.
 
     Grid position ``a*rank(M) + j`` is generator j of copy a; the relations
     are those of M, copy by copy, moved by the constant position shift
@@ -251,8 +254,7 @@ def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
     image as out of the copies, which is all a cokernel or a boundary reads.
     """
     rM = M.gens.rank
-    gens = GradedFreeModule(base, [b + sign * t for t in outer_twists
-                                   for b in M.gens.twists])
+    gens = GradedFreeModule(base, [b + t for t in outer_twists for b in M.gens.twists])
     if free:
         return PresentedModule(gens)
     cols: List[Vector] = []
@@ -261,7 +263,7 @@ def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
         shift = a * rM
         for c, tw in zip(M.rels.cols, M.rels.source.twists):
             cols.append([(k - shift, cc) for k, cc in c])
-            twists.append(tw + sign * t)
+            twists.append(tw + t)
     src = GradedFreeModule(base, twists)
     return PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False,
                                               check=False))
@@ -278,65 +280,47 @@ def tensor_map(d: GradedMatrix, M: PresentedModule, src: Optional[PresentedModul
     """
     rM = M.gens.rank
     if src is None:
-        src = _copies(M.base, d.source.twists, M, +1)
+        src = _copies(M.base, d.source.twists, M)
     if tgt is None:
-        tgt = _copies(M.base, d.target.twists, M, +1)
+        tgt = _copies(M.base, d.target.twists, M)
     cols = [_graft(col, j, rM) for col in d.cols for j in range(rM)]
     mat = GradedMatrix(src.gens, tgt.gens, cols, normalize=d.base != M.base, check=False)
     return ModuleMap(src, tgt, mat, check=False)
 
 
-def hom_map(d: GradedMatrix, M: PresentedModule, src: Optional[PresentedModule] = None,
-            tgt: Optional[PresentedModule] = None) -> ModuleMap:
-    """``Hom(d, M) : Hom(G, M) -> Hom(F, M)`` for a free matrix ``d : F -> G``
-    over M's base or its cover.
-
-    Both sides are ``_copies`` of M, twisted down, built here unless the
-    caller passes them; grid position ``a*rank(M) + j`` sends basis vector a
-    of the free module to generator j of M, and precomposing with d moves
-    the entry ``d[a, b]`` to position ``b*rank(M) + j``.
-    """
-    rM = M.gens.rank
-    if src is None:
-        src = _copies(M.base, d.target.twists, M, -1)
-    if tgt is None:
-        tgt = _copies(M.base, d.source.twists, M, -1)
-    cols: List[Vector] = [[] for _ in range(src.gens.rank)]
-    for b in range(d.source.rank):
-        for key, c in d.cols[b]:
-            a = term_pos(key)
-            okey = term_okey(key)
-            for j in range(rM):
-                cols[a * rM + j].append((term_key(okey, b * rM + j), c))
-    cols = [sorted(col, reverse=True) for col in cols]
-    mat = GradedMatrix(src.gens, tgt.gens, cols, normalize=d.base != M.base, check=False)
-    return ModuleMap(src, tgt, mat, check=False)
+def _free_complex_homology(diffs: Sequence[GradedMatrix],
+                           M: PresentedModule) -> List[PresentedModule]:
+    """Homology of ``C (x) M`` at the inner terms ``C_1 .. C_(m-1)`` of a
+    free complex ``C_0 <- C_1 <- ... <- C_m`` given by its matrices
+    ``diffs[k-1] : C_k -> C_(k-1)``, minimally presented.  Each term
+    ``C_k (x) M`` is built once and shared by the maps on both sides of it;
+    the last one, ``C_m (x) M``, only gives boundaries, so it is free.
+    With fewer than two matrices there is no inner term."""
+    m = len(diffs)
+    if m < 2:
+        return []
+    terms = [_copies(M.base, diffs[0].target.twists, M)]
+    terms += [_copies(M.base, d.source.twists, M, free=k == m)
+              for k, d in enumerate(diffs, 1)]
+    maps = [tensor_map(d, M, terms[k + 1], terms[k]) for k, d in enumerate(diffs)]
+    return [homology_at(maps[k], maps[k + 1]) for k in range(m - 1)]
 
 
 def tensor_homology(F: FreeResolution, M: PresentedModule, lo: int,
                     hi: int) -> List[PresentedModule]:
     """``H_i(F (x) M)`` for i = lo..hi, minimally presented, for a free
-    resolution F.  Each term ``F_i (x) M`` is built once and shared by the
-    maps on both sides of it; the top one, ``F_(hi+1) (x) M``, only gives
-    boundaries, so it is free."""
-    terms = [_copies(M.base, F.module(i).twists, M, +1, free=i > hi)
-             for i in range(lo - 1, hi + 2)]
-    maps = [tensor_map(F.diff(i), M, terms[i - lo + 1], terms[i - lo])
-            for i in range(lo, hi + 2)]
-    return [homology_at(maps[i], maps[i + 1]) for i in range(hi - lo + 1)]
+    resolution F: the complex ``F_(lo-1) <- ... <- F_(hi+1)``."""
+    return _free_complex_homology([F.diff(i) for i in range(lo, hi + 2)], M)
 
 
 def hom_cohomology(F: FreeResolution, M: PresentedModule, lo: int,
                    hi: int) -> List[PresentedModule]:
     """``H^i(Hom(F, M))`` for i = lo..hi, minimally presented, for a free
-    resolution F.  Each term ``Hom(F_i, M)`` is built once and shared by the
-    maps on both sides of it; the bottom one, ``Hom(F_(lo-1), M)``, only
-    gives boundaries, so it is free."""
-    terms = [_copies(M.base, F.module(i).twists, M, -1, free=i < lo)
-             for i in range(lo - 1, hi + 2)]
-    maps = [hom_map(F.diff(i), M, terms[i - lo], terms[i - lo + 1])
-            for i in range(lo, hi + 2)]
-    return [homology_at(maps[i + 1], maps[i]) for i in range(hi - lo + 1)]
+    resolution F.  ``Hom(F_i, M)`` is ``F_i* (x) M``, so this is the
+    homology of the dual complex ``F_(hi+1)* <- ... <- F_(lo-1)*``, whose
+    matrices are the transposed differentials, read in reverse."""
+    diffs = [F.diff(i).transpose_dual() for i in range(hi + 1, lo - 1, -1)]
+    return _free_complex_homology(diffs, M)[::-1]
 
 
 def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
@@ -357,7 +341,7 @@ def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
         raise ValueError("tensor factors over different bases")
     if B.gens.twists == (0,) and B.rels.source.rank == 0:
         return A
-    src = _copies(B.base, A.rels.source.twists, B, +1, free=True)
+    src = _copies(B.base, A.rels.source.twists, B, free=True)
     out = presented_cokernel(tensor_map(A.rels, B, src))
     out.cache["origin"] = {"kind": "tensor", "A": A, "B": B}
     return out
@@ -365,8 +349,9 @@ def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
 
 def hom_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     """Hom(A, B) over the base: the kernel of ``Hom(F_0, B) -> Hom(F_1, B)``
-    on A's presentation, ``hom_map(A.rels, B)``, not minimalized, so its
-    generators stay tied to maps.
+    on A's presentation, which is ``tensor_map`` of the transposed
+    presentation matrix, not minimalized, so its generators stay tied to
+    maps.
 
     An element of the ambient at grid position ``i*rank(B) + j`` is the
     coefficient of the matrix entry sending generator ``i`` of A to
@@ -378,7 +363,7 @@ def hom_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     """
     if B.base != A.base:
         raise ValueError("Hom factors over different bases")
-    out = _homology(hom_map(A.rels, B))
+    out = _homology(tensor_map(A.rels.transpose_dual(), B))
     out.cache["origin"].update({"kind": "hom", "A": A, "B": B})
     return out
 

@@ -26,11 +26,10 @@ from .freemod import (
     GradedFreeModule,
     GradedMatrix,
     Vector,
-    term_key,
     term_pos,
 )
 from .kernel import POS_BITS, POS_MASK, scaled_merge
-from .groebner import SubmoduleGB, buchberger, syzygy_generators
+from .groebner import SubmoduleGB, _ideal_aug_vectors, buchberger, syzygy_generators
 from .ring import PolyRing
 
 
@@ -127,13 +126,9 @@ class PresentedModule:
         if ring is base:
             return self
         gens = GradedFreeModule(ring, self.gens.twists)
-        cols = [list(c) for c in self.rels.cols]
-        twists = list(self.rels.source.twists)
-        for g in base.ideal_gb_polys():
-            d = g.homogeneous_degree()
-            for pos in range(gens.rank):
-                cols.append([(term_key(k, pos), c) for k, c in g.terms])
-                twists.append(d + gens.twists[pos])
+        aug = _ideal_aug_vectors(base, gens.rank)
+        cols = [list(c) for c in self.rels.cols] + aug
+        twists = list(self.rels.source.twists) + [gens.vector_degree(v) for v in aug]
         src = GradedFreeModule(ring, twists)
         return PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False))
 

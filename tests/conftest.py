@@ -11,13 +11,13 @@ import pytest
 from charmod import corpus as corpus_mod
 from charmod import kernel
 from charmod.cmr import load
-from charmod.freemod import GradedFreeModule, GradedMatrix
+from charmod.freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos
 from charmod.groebner import QuotientRing
-from charmod.homology import _homology, hom_map, homology_at
+from charmod.homology import ModuleMap, _copies, _homology, homology_at
 from charmod.invariants import _k_resolution
 from charmod.kernel import POS_BITS, scaled_merge
 from charmod.resolution import PresentedModule
-from charmod.ring import PolyRing
+from charmod.ring import Polynomial, PolyRing
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "charmod" / "fixtures"
 KERNEL_C = FIXTURES.parent / "kernel" / "_fast.c"
@@ -45,6 +45,42 @@ def matrix_from_columns(base, target_twists, cols_polys, col_twists=None):
     if col_twists is None:
         col_twists = [target.vector_degree(c) if c else 0 for c in cols]
     return GradedMatrix(GradedFreeModule(base, col_twists), target, cols)
+
+
+def entry(mat, i, j):
+    """The entry of a ``GradedMatrix`` in row i and column j, as a polynomial."""
+    return Polynomial(mat.source.ring, [(term_okey(k), c) for k, c in mat.cols[j]
+                                        if term_pos(k) == i])
+
+
+def entries(mat):
+    """All entries of a ``GradedMatrix``, row by row."""
+    return [[entry(mat, i, j) for j in range(mat.source.rank)]
+            for i in range(mat.target.rank)]
+
+
+def hom_map(d, M):
+    """``Hom(d, M) : Hom(G, M) -> Hom(F, M)`` for a free matrix ``d : F -> G``,
+    built directly: the reference for ``tensor_map(d.transpose_dual(), M)``.
+
+    Both sides are copies of M twisted down; grid position ``a*rank(M) + j``
+    sends basis vector a of the free module to generator j of M, and
+    precomposing with d moves the entry ``d[a, b]`` to position
+    ``b*rank(M) + j``.
+    """
+    rM = M.gens.rank
+    src = _copies(M.base, [-t for t in d.target.twists], M)
+    tgt = _copies(M.base, [-t for t in d.source.twists], M)
+    cols = [[] for _ in range(src.gens.rank)]
+    for b in range(d.source.rank):
+        for key, c in d.cols[b]:
+            a = term_pos(key)
+            okey = term_okey(key)
+            for j in range(rM):
+                cols[a * rM + j].append((term_key(okey, b * rM + j), c))
+    cols = [sorted(col, reverse=True) for col in cols]
+    mat = GradedMatrix(src.gens, tgt.gens, cols, normalize=d.base != M.base, check=False)
+    return ModuleMap(src, tgt, mat, check=False)
 
 
 def cyclic_quotient(base, ideal_gens):

@@ -16,7 +16,6 @@ from charmod.homology import (
     hilbert_function_basis,
     hom_cohomology,
     hom_express,
-    hom_map,
     hom_module,
     hom_realize,
     homology_at,
@@ -37,6 +36,8 @@ from charmod.ring import PolyRing
 
 from conftest import (
     cyclic_quotient,
+    entries,
+    hom_map,
     is_injective,
     matrix_from_columns,
     presented_kernel,
@@ -398,8 +399,8 @@ def _reference_hom_module(A, B):
     sA, sB = A.rels.source.rank, B.rels.source.rank
     H = _reference_grid(base, A.gens.twists, B.gens.twists, -1)
     Hp = _reference_grid(base, A.rels.source.twists, B.gens.twists, -1)
-    a_ent = A.rels.entries() if rA else []
-    b_ent = B.rels.entries() if rB else []
+    a_ent = entries(A.rels) if rA else []
+    b_ent = entries(B.rels) if rB else []
 
     def b_copy(i, m):
         return sorted(((term_key(okey, i * rB + j), c)
@@ -498,6 +499,29 @@ def test_koszul_homology_at_every_position(pool_docs):
             # a run with nonzero terms past both of its ends
             assert tensor_homology(K, Mq, 1, n - 1) == tors[1:n], name
             assert hom_cohomology(K, Mq, 1, n - 1) == exts[1:n], name
+            # empty runs, as gdim_bounded asks for on a truncated resolution
+            assert tensor_homology(K, Mq, 1, 0) == tensor_homology(K, Mq, 2, 0) == []
+            assert hom_cohomology(K, Mq, 1, 0) == hom_cohomology(K, Mq, 2, 0) == []
+            checked += 1
+    assert checked == 39
+
+
+def test_hom_map_is_tensor_with_the_dual(pool_docs):
+    # Hom(d, M) built directly equals d.transpose_dual() (x) M by value, the
+    # matrix and both sides, for every differential of the cover resolution
+    # of each pool module M (the zero ones at both ends included) and for
+    # M's own presentation matrix; transposing twice gives d back
+    checked = 0
+    for doc in pool_docs:
+        for name, M in corpus.module_pool(doc):
+            F = q_resolution(M)
+            for d in [F.diff(i) for i in range(F.length + 2)] + [M.rels]:
+                dual = d.transpose_dual()
+                assert dual.transpose_dual() == d, name
+                got, want = tensor_map(dual, M), hom_map(d, M)
+                assert got.matrix == want.matrix, name
+                assert got.domain == want.domain, name
+                assert got.codomain == want.codomain, name
             checked += 1
     assert checked == 39
 

@@ -16,7 +16,7 @@ from charmod.kernel import POS_BITS, scaled_merge
 from charmod.resolution import BettiTable, PresentedModule, resolve
 from charmod.ring import PolyRing
 
-from conftest import cyclic_quotient, matrix_from_columns
+from conftest import cyclic_quotient, entries, matrix_from_columns
 
 
 def free_dim(ring, twists, d):
@@ -148,7 +148,7 @@ def test_minimality_no_constant_entries():
                             ring.poly("x*y-w*z")])
     res = resolve(PresentedModule.residue_field(R), max_steps=3)
     for i in range(1, res.length + 1):
-        for row in res.diff(i).entries():
+        for row in entries(res.diff(i)):
             for f in row:
                 assert f.is_zero() or f.degree() >= 1
 
