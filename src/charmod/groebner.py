@@ -28,6 +28,14 @@ position, which a position shift keeps), so no caller reruns Buchberger.
 Only that block is autoreduced; the flagged elements are dropped first.
 Each elimination runs once per base ring: ``syzygy_generators`` memoizes
 its bases by value in the base's ``cache``.
+
+The engine takes an internal degree bound (``upto``), which only
+``homology.iso_probe`` sets, through its Hom build: the input is
+homogeneous and pairs are taken lowest S-degree first, so dropping the
+inputs and pairs above the bound leaves exactly the part of the reduced
+basis of degree at most the bound (a degree-truncated Groebner basis, as
+Macaulay2's ``DegreeLimit``).  That part is an order-preserving sub-list
+of the full basis, and the bound is part of the memo key.
 """
 
 from __future__ import annotations
@@ -52,12 +60,19 @@ from .ring import Polynomial, PolyRing
 
 
 def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
-                      product: bool = False, below: Optional[int] = None) -> List[Vector]:
+                      product: bool = False, below: Optional[int] = None,
+                      upto: Optional[int] = None) -> List[Vector]:
     """Reduced Groebner basis of the span of ``vecs`` (term lists over Q).
 
     ``twists`` drive the normal selection strategy for homogeneous input;
     ``product`` enables the coprime-lead criterion and must only be set in
     ambient rank one, where discarded pairs are genuinely redundant.  With
+    ``upto`` only the part of degree at most ``upto`` is computed: inputs of
+    higher degree are dropped and no pair of higher S-degree is pushed.
+    The input is homogeneous, so an S-polynomial and its normal form have
+    the pair's S-degree and a reducer of a vector is of no higher degree:
+    the result is exactly the degree <= ``upto`` part of the reduced basis,
+    an order-preserving sub-list of it (as Macaulay2's ``DegreeLimit``).  With
     ``below`` (an elimination's block flag) only the elements with lead key
     below it are autoreduced and returned: the marker block of the reduced
     basis.  That block is exactly what autoreducing everything would keep,
@@ -108,8 +123,9 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
             low = g - (g >> top)
             w = (lead_ep[i] & low) | (ep & ~low)
             sums = w * ones
-            heapq.heappush(pairs, (((sums >> deg_shift) & fmask) + twist, i, t, w,
-                                   w if lex else sums & mask))
+            sugar = ((sums >> deg_shift) & fmask) + twist
+            if upto is None or sugar <= upto:
+                heapq.heappush(pairs, (sugar, i, t, w, w if lex else sums & mask))
         bucket.append(t)
         G.append(v)
         lead_okey.append(okey & mask)
@@ -119,6 +135,9 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
 
     for v in vecs:
         if not v:
+            continue
+        k = v[0][0]
+        if upto is not None and ctx.deg(term_okey(k)) + twists[term_pos(k)] > upto:
             continue
         r = red.nf(v)
         if r:
@@ -281,7 +300,8 @@ def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
 
 def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
                       source: GradedFreeModule,
-                      extra_unmarked: Sequence[Vector] = ()) -> SubmoduleGB:
+                      extra_unmarked: Sequence[Vector] = (),
+                      upto: Optional[int] = None) -> SubmoduleGB:
     """The syzygy module of ``vectors`` over the ambient base, a submodule
     of ``source`` (the free module on the inputs, which sets the twists).
 
@@ -293,18 +313,26 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     autoreduced, moved back to positions j, and ``gb`` its projection
     modulo the ideal.
 
+    With ``upto`` only the syzygies of degree at most ``upto`` are found
+    (see ``_buchberger_terms``): the inputs whose ``source`` twist is above
+    it are dropped, their marker positions kept, and the engine drops the
+    extra and ideal columns above it.  The source twist, not the engine's
+    degree, decides: a zero input's marker enters with twist 0, while the
+    syzygy it gives has its source twist.
+
     Each elimination runs once per base ring: the bases are memoized by
     value in ``base.cache["syzygy_generators"]``, keyed by the twists, the
-    vectors and the extra columns (the ideal columns follow from the base
-    and the rank).  An entry holds only the immutable ``gb`` and ``_qgb``
-    tuples, one tuple when they are equal; every call gets a fresh
+    vectors, the extra columns and ``upto``, without which a truncated
+    basis would answer a full request (the ideal columns follow from the
+    base and the rank).  An entry holds only the immutable ``gb`` and
+    ``_qgb`` tuples, one tuple when they are equal; every call gets a fresh
     ``SubmoduleGB``, so no reducer is shared.  Callers pass matrices' own
     column tuples, which the key then shares.
     """
     base = ambient.base
     vectors = tuple(map(tuple, vectors))
     extra_unmarked = tuple(map(tuple, extra_unmarked))
-    key = (ambient.twists, source.twists, vectors, extra_unmarked)
+    key = (ambient.twists, source.twists, vectors, extra_unmarked, upto)
     memo = base.cache.setdefault("syzygy_generators", {})
     hit = memo.get(key)
     if hit is None:
@@ -314,10 +342,11 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
         twists = list(ambient.twists) + [ambient.vector_degree(v) if v else 0
                                          for v in vectors]
         combined = [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
-                    for j, v in enumerate(vectors)]
+                    for j, v in enumerate(vectors)
+                    if upto is None or source.twists[j] <= upto]
         combined += [[(k + flag, c) for k, c in v]
                      for v in (*extra_unmarked, *_ideal_aug_vectors(base, r)) if v]
-        marker = _buchberger_terms(ring, twists, combined, below=flag)
+        marker = _buchberger_terms(ring, twists, combined, below=flag, upto=upto)
         # marker position r + j back to j: a constant shift of the position field
         qgb = tuple(tuple((k + r, c) for k, c in g) for g in marker)
         gb = tuple(tuple(s) for s in map(base.normal_form_vector, qgb) if s)

@@ -16,6 +16,13 @@ Each homology runs at most two eliminations and no other Groebner run: the
 cycles' reduced basis is the first one's marker block, and it generates
 the result (canonical, so Hom bases and trial indices never move); the
 relations' reduced basis is the second one's and seeds ``relation_gb``.
+``iso_probe`` reads Hom(A, B) in degree 0 only, so it builds it only
+through degree 0 (``_hom`` with ``upto=0``): the cycles and the relations
+come from degree-bounded eliminations (see ``groebner``), which give the
+degree <= 0 part of the full reduced bases, in the same order, so the
+degree-0 basis, and with it every trial index, is the full Hom's.  That
+module equals Hom(A, B) in degrees <= 0 and nowhere else, so it never
+leaves the probe; ``hom_module`` always builds the whole module.
 Subquotients, Hom modules and tensor products keep their construction
 data in the module cache under ``"origin"``: natural maps are realized as
 matrices from it later, and ``ModuleMap.is_isomorphism`` reads the Hilbert
@@ -174,7 +181,8 @@ def _series(M: PresentedModule):
     return hilbert_series_leads(M)
 
 
-def subquotient(numerator: SubmoduleGB, denominator: Sequence[Vector]) -> PresentedModule:
+def subquotient(numerator: SubmoduleGB, denominator: Sequence[Vector],
+                upto: Optional[int] = None) -> PresentedModule:
     """The module numerator / (span of denominator) in the numerator's ambient.
 
     Generators of the result are the numerator's reduced basis, which is
@@ -184,13 +192,20 @@ def subquotient(numerator: SubmoduleGB, denominator: Sequence[Vector]) -> Presen
     syzygies of the generators modulo the denominator; their elimination
     basis is the reduced relation basis and seeds ``relation_gb``.  The
     construction data is attached for later reference to the generators.
+
+    With ``upto`` the numerator basis must lie in degrees at most ``upto``;
+    only the denominators and relations of such degree are kept, so the
+    result is the true subquotient in those degrees only.
     """
     num, ambient = numerator, numerator.ambient
+    if upto is not None:
+        denominator = [v for v in denominator if v and ambient.vector_degree(v) <= upto]
     for v in denominator:
         if v and not num.contains(list(v)):
             raise ValueError("denominator not contained in numerator")
     gens_fm = GradedFreeModule(ambient.base, [ambient.vector_degree(g) for g in num.gb])
-    rels = syzygy_generators(num.gb, ambient, gens_fm, extra_unmarked=denominator)
+    rels = syzygy_generators(num.gb, ambient, gens_fm, extra_unmarked=denominator,
+                             upto=upto)
     src = GradedFreeModule(ambient.base, [gens_fm.vector_degree(s) for s in rels.gb])
     out = PresentedModule(gens_fm, GradedMatrix(src, gens_fm, rels.gb, normalize=False,
                                                 check=False))
@@ -361,9 +376,17 @@ def hom_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     ``char_via_hom`` memoizes it in B's own cache, so a route result's
     ``origin`` holds its caller's own E and M, never equal copies.
     """
+    return _hom(A, B)
+
+
+def _hom(A: PresentedModule, B: PresentedModule,
+         upto: Optional[int] = None) -> PresentedModule:
+    """``hom_module(A, B)``, or with ``upto`` its generators and relations
+    of degree at most ``upto`` only: a module that equals Hom(A, B) in those
+    degrees and nowhere else, for ``iso_probe``, which reads degree 0."""
     if B.base != A.base:
         raise ValueError("Hom factors over different bases")
-    out = _homology(tensor_map(A.rels.transpose_dual(), B))
+    out = _homology(tensor_map(A.rels.transpose_dual(), B), upto=upto)
     out.cache["origin"].update({"kind": "hom", "A": A, "B": B})
     return out
 
@@ -402,21 +425,25 @@ def hom_express(H: PresentedModule, cols: Sequence[Vector]) -> Vector:
 # homology
 
 
-def _homology(out: ModuleMap, boundaries: Sequence[Vector] = ()) -> PresentedModule:
+def _homology(out: ModuleMap, boundaries: Sequence[Vector] = (),
+              upto: Optional[int] = None) -> PresentedModule:
     """The kernel of ``out`` modulo its domain's relations and the
     ``boundaries`` (which are cycles, so they enter as the denominator
     only).  The cycles' basis is the syzygy basis of ``out``'s columns
     modulo the codomain's relations, or the unit vectors (in descending key
-    order) when the codomain is zero and every vector is a cycle.
+    order) when the codomain is zero and every vector is a cycle.  With
+    ``upto`` the result is built, and is right, in degrees at most ``upto``
+    only (see ``subquotient``).
     """
     X, Y = out.domain, out.codomain
     if Y.gens.rank == 0:
-        units = [X.gens.basis_vector(t) for t in range(X.gens.rank)]
+        units = [X.gens.basis_vector(t) for t, tw in enumerate(X.gens.twists)
+                 if upto is None or tw <= upto]
         num = SubmoduleGB(X.gens, units)
     else:
         num = syzygy_generators(out.matrix.cols, Y.gens, X.gens,
-                                extra_unmarked=Y.rels.cols)
-    return subquotient(num, [c for c in (*X.rels.cols, *boundaries) if c])
+                                extra_unmarked=Y.rels.cols, upto=upto)
+    return subquotient(num, [c for c in (*X.rels.cols, *boundaries) if c], upto=upto)
 
 
 def homology_at(out: ModuleMap, into: ModuleMap) -> PresentedModule:
@@ -520,6 +547,14 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
     window, so a map is bijective in degree d exactly when it is onto B_d.
     A map onto B_t in every generator degree t <= hi of B has an image
     containing all those generators, hence all of B_d for d <= hi.
+
+    Hom(A, B) is built only through degree 0, the one degree read: its
+    generators are the degree <= 0 elements of the full Hom's generator
+    basis, a sub-list in the same order, renumbered monotonically, and its
+    relations those of degree <= 0.  So ``module_basis(H, 0)`` lists the
+    same maps in the same order as on the full Hom, the same random
+    coefficients realize the same matrices, and verdicts, certificates and
+    trial indices are those of the full Hom.
     """
     Am = A.minimal()
     Bm = B.minimal()
@@ -542,7 +577,7 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
     # degrees" short of onto; the window is built to hold them all
     if (hilbert_series_leads(Am) == hilbert_series_leads(Bm)
             and all(lo <= t <= hi for t in Bm.gens.twists)):
-        H = hom_module(Am, Bm)
+        H = _hom(Am, Bm, upto=0)
         basis0 = module_basis(H, 0)
         trial = _winning_trial(Am, Bm, H, basis0, lo, hi, seed)
     if trial is None:
@@ -553,7 +588,7 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
                 "reason": "graded Betti numbers over the cover differ",
                 "betti": [bA.rows(), bB.rows()]})
         if H is None:
-            H = hom_module(Am, Bm)
+            H = _hom(Am, Bm, upto=0)
             basis0 = module_basis(H, 0)
             trial = _winning_trial(Am, Bm, H, basis0, lo, hi, seed)
         if not basis0:

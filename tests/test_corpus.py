@@ -163,9 +163,10 @@ BATTERY_10_GROEBNER_RUNS = 323
 # 1,511 while it read a tensor product's series off the full grid, 1,643
 # and 1,490 while type_of computed Ext^t(k, M) from a resolution of k,
 # 1,446 and 1,309 before syzygy_generators memoized its eliminations,
-# 1,167 and 1,041 while colon ideals ran theirs outside the memo
-BATTERY_10_SPAIRS_FORMED = 1163
-BATTERY_10_SPOLYS_REDUCED = 1037
+# 1,167 and 1,041 while colon ideals ran theirs outside the memo, 1,163
+# and 1,037 while iso_probe built Hom(A, B) in every degree
+BATTERY_10_SPAIRS_FORMED = 797
+BATTERY_10_SPOLYS_REDUCED = 683
 
 
 def _count_groebner_work(monkeypatch):

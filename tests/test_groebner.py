@@ -480,9 +480,9 @@ def _engine_inputs(monkeypatch, docs):
     calls = []
     real = groebner._buchberger_terms
 
-    def recording(ring, twists, vecs, product=False, below=None):
+    def recording(ring, twists, vecs, product=False, below=None, upto=None):
         calls.append((ring, tuple(twists), [list(v) for v in vecs], product, below))
-        return real(ring, twists, vecs, product, below)
+        return real(ring, twists, vecs, product, below, upto)
 
     monkeypatch.setattr(groebner, "_buchberger_terms", recording)
     labelled = []
@@ -536,6 +536,30 @@ def test_position_indexed_pairs_match_the_full_scan(monkeypatch, mixed_corpus, v
         if len(twists) > 1:
             ranks[label.split()[-1]] += 1
     assert ranks == {"relations": 4, "syzygies": 25}, ranks
+
+
+def test_degree_bounded_run_is_the_full_basis_cut(monkeypatch, mixed_corpus, veronese_doc,
+                                                  e2_doc, hypersurface_doc,
+                                                  stanley_reisner_doc):
+    # iso_probe builds Hom(A, B) only through degree 0: on homogeneous input
+    # a run bounded by d, an elimination or not, must return the elements of degree <= d of the full
+    # reduced basis, in order, for every d from below the lowest input
+    # degree (nothing) to the highest basis degree (everything)
+    docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
+                                      stanley_reisner_doc]
+    strict = 0
+    for label, (ring, twists, vecs, product, below) in _engine_inputs(monkeypatch, docs):
+        def degree(v):
+            return ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])]
+
+        full = groebner._buchberger_terms(ring, twists, vecs, product, below=below)
+        degrees = [degree(v) for v in vecs if v] + [degree(g) for g in full]
+        for d in range(min(degrees) - 1, max(degrees) + 1):
+            cut = [g for g in full if degree(g) <= d]
+            got = groebner._buchberger_terms(ring, twists, vecs, product, below=below, upto=d)
+            assert got == cut, (label, d)
+            strict += 0 < len(cut) < len(full)
+    assert strict > 0
 
 
 def _drawn_ideals(order, count, seed):

@@ -12,6 +12,7 @@ from charmod.groebner import QuotientRing, buchberger, syzygy_generators
 from charmod.homology import (
     IsoProbeResult,
     ModuleMap,
+    _hom,
     _series,
     hilbert_function_basis,
     hom_cohomology,
@@ -348,6 +349,50 @@ def test_iso_probe_matches_reference_when_series_differ_past_the_window():
         got, want = iso_probe(A, B), _reference_iso_probe(A, B)
         assert (got.verdict, got.certificate) == (want.verdict, want.certificate)
         assert got.certificate["reason"] == "graded Betti numbers over the cover differ"
+
+
+def test_iso_probe_certifies_no_degree_zero_homomorphism():
+    # Q/(x) and Q/(y) share Hilbert series and Betti tables, and Hom between
+    # them is zero in degree 0: the Hom built only through degree 0 must say so
+    Q = PolyRing(101, ("x", "y"))
+    A, B = cyclic_quotient(Q, [Q.poly("x")]), cyclic_quotient(Q, [Q.poly("y")])
+    for shift in (0, -2):
+        As, Bs = A.twist(shift), B.twist(shift)
+        got, want = iso_probe(As, Bs), _reference_iso_probe(As, Bs)
+        assert (got.verdict, got.certificate) == (want.verdict, want.certificate)
+        assert (got.verdict, got.certificate) == (
+            "certified_nonisomorphic", {"reason": "no nonzero degree-0 homomorphisms"})
+
+
+def test_degree_zero_hom_matches_the_full_hom(battery_pairs):
+    # iso_probe builds Hom(A, B) only through degree 0; there it must have
+    # the full Hom's degree-0 basis, key by key in the same order, so the
+    # same random coefficients realize the same maps
+    pairs = [(label, A, B) for label, TM, HM, EM, XM in battery_pairs
+             for A, B in ((TM, HM), (EM, XM))]
+    # Hom out of a free module has no cycle elimination, only unit cycles,
+    # one of degree 1 here; a free summand of A gives zero columns in Hom's
+    # elimination, and Q (+) Q/(x)(-1) as B gives one of source twist 1
+    Q = PolyRing(101, ("x", "y"))
+    free = PresentedModule.free(Q, (0, 1))
+
+    def summand(twists):
+        rels = matrix_from_columns(Q, twists, [[Q.poly("0"), Q.poly("x")]])
+        return PresentedModule(rels.target, rels)
+
+    pairs += [("free", free, free), ("free summand", summand([0, 0]), summand([0, 1]))]
+    bounded = 0
+    for label, A, B in pairs:
+        Am, Bm = A.minimal(), B.minimal()
+        H, H0 = hom_module(Am, Bm), _hom(Am, Bm, upto=0)
+        assert all(t <= 0 for t in H0.gens.twists), label
+        assert all(t <= 0 for t in H0.rels.source.twists), label
+        basis, basis0 = module_basis(H, 0), module_basis(H0, 0)
+        assert len(basis) == len(basis0), label
+        for key, key0 in zip(basis, basis0):
+            assert hom_realize(H, [(key, 1)]) == hom_realize(H0, [(key0, 1)]), label
+        bounded += H0.gens.rank < H.gens.rank and bool(basis0)
+    assert bounded > 0
 
 
 # ---------------------------------------------------------------------------
