@@ -18,12 +18,13 @@ Check suites: ``thm8``, ``gorenstein``, ``type_formula``,
 R, k and every module block of the document (members whose hypotheses are
 not met are reported as not_applicable).
 
-Exit codes: 0 success/verified, 1 refuted, 2 input error, 3 inconclusive,
-4 resource limit (a degree past the packing cap, a resolution past its step
-limit), 5 internal error (any other exception; its traceback goes to
-stderr).  With ``--json`` codes 2, 4 and 5 print ``{"command", "id",
-"error": {"kind", "message"}}`` with kind ``input``, ``resource_limit`` or
-``internal``; without it the message goes to stderr.
+Exit codes: 0 success/verified, 1 refuted, 2 input error (also a
+``--count`` or ``--max-steps`` below 1 or a ``--degree-bound`` below 0),
+3 inconclusive, 4 resource limit (a degree past the packing cap, a
+resolution past its step limit), 5 internal error (any other exception;
+its traceback goes to stderr).  With ``--json`` codes 2, 4 and 5 print
+``{"command", "id", "error": {"kind", "message"}}`` with kind ``input``,
+``resource_limit`` or ``internal``; without it the message goes to stderr.
 
 JSON reports are deterministic for fixed (command, document, seed, flags)
 except for ``timing_ms`` fields.  The corpus command fans instances out to
@@ -83,6 +84,15 @@ def _require_module(args) -> str:
     return args.module
 
 
+def _check_options(args) -> None:
+    """Reject a count or a step limit below 1 and a degree window below 0."""
+    for flag, value, least in (("--count", args.count, 1),
+                               ("--max-steps", args.max_steps, 1),
+                               ("--degree-bound", args.degree_bound, 0)):
+        if value is not None and value < least:
+            raise InputError(f"{flag} must be at least {least}, got {value}")
+
+
 def _get_module(doc: InputDocument, name: str):
     try:
         return doc.module(name)
@@ -105,7 +115,7 @@ def _cmd_res(doc: InputDocument, args) -> Dict[str, object]:
     R = doc.quotient()
     if args.module:
         M = _get_module(doc, args.module)
-        steps = args.max_steps or (doc.ring().n + 1)
+        steps = args.max_steps if args.max_steps is not None else doc.ring().n + 1
         res = resolve(M, max_steps=steps)
         over = "R"
     else:
@@ -382,6 +392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     t0 = time.perf_counter()
     head = {"command": args.command, "id": None}
     try:
+        _check_options(args)
         if args.command == "corpus":
             head["id"] = f"{args.profile}-{args.seed}"
             report = {**head, **_cmd_corpus(args)}

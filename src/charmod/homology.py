@@ -12,6 +12,8 @@ resolution F is that of ``F (x) M`` (``tensor_homology``), Ext that of the
 dual complex ``F* (x) M`` (``hom_cohomology``), each term built once.
 Hom(A, B) is the kernel of the map on A's transposed presentation matrix,
 and A (x) B the cokernel of the map on A's presentation matrix.
+A map is onto, in ``is_isomorphism`` and for ``iso_probe``'s trial maps
+alike, when its cokernel is zero: one rank over the field (``nu``).
 Each homology runs at most two eliminations and no other Groebner run: the
 cycles' reduced basis is the first one's marker block, and it generates
 the result (canonical, so Hom bases and trial indices never move); the
@@ -34,9 +36,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from . import linalg
 from .freemod import (
     GradedFreeModule,
     GradedMatrix,
@@ -106,15 +105,6 @@ def hilbert_function_basis(M: PresentedModule, lo: int, hi: int) -> List[int]:
     return hilbert_series_leads(M).values(lo, hi)
 
 
-def vector_coords(M: PresentedModule, v: Vector, basis_index: dict) -> np.ndarray:
-    """Coordinates of an element (given as an ambient vector) in a degree basis."""
-    col = np.zeros(len(basis_index), dtype=np.int64)
-    nf = M.relation_gb().normal_form(list(v))
-    for key, c in nf:
-        col[basis_index[key]] = c
-    return col
-
-
 # ---------------------------------------------------------------------------
 # maps of presented modules
 
@@ -144,7 +134,14 @@ class ModuleMap:
                     raise ValueError("matrix does not send relations to relations")
 
     def cokernel(self) -> PresentedModule:
-        return presented_cokernel(self)
+        """The codomain modulo the image: the matrix's columns, then the
+        codomain's relations."""
+        B = self.codomain
+        cols = [list(c) for c in self.matrix.cols] + [list(c) for c in B.rels.cols]
+        twists = list(self.matrix.source.twists) + list(B.rels.source.twists)
+        src = GradedFreeModule(B.base, twists)
+        return PresentedModule(B.gens, GradedMatrix(src, B.gens, cols,
+                                                    normalize=False, check=False))
 
     def is_surjective(self) -> bool:
         return self.cokernel().is_zero()
@@ -235,17 +232,6 @@ def subquotient_express(M: PresentedModule, v: Vector) -> Vector:
     if coords is None:
         raise ValueError("vector is not in the numerator submodule")
     return coords
-
-
-def presented_cokernel(f: ModuleMap) -> PresentedModule:
-    """Cokernel of a map of presented modules: the map's columns, then the
-    codomain's relations."""
-    B = f.codomain
-    cols = [list(c) for c in f.matrix.cols] + [list(c) for c in B.rels.cols]
-    twists = list(f.matrix.source.twists) + list(B.rels.source.twists)
-    src = GradedFreeModule(B.base, twists)
-    return PresentedModule(B.gens, GradedMatrix(src, B.gens, cols,
-                                                normalize=False, check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +343,7 @@ def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     if B.gens.twists == (0,) and B.rels.source.rank == 0:
         return A
     src = _copies(B.base, A.rels.source.twists, B, free=True)
-    out = presented_cokernel(tensor_map(A.rels, B, src))
+    out = tensor_map(A.rels, B, src).cokernel()
     out.cache["origin"] = {"kind": "tensor", "A": A, "B": B}
     return out
 
@@ -479,28 +465,13 @@ class IsoProbeResult:
 ISO_TRIALS = 8
 
 
-def _map_matrix_degree(f: GradedMatrix, B: PresentedModule, basA: List[int],
-                       index: dict) -> np.ndarray:
-    """Matrix of ``f`` on one degree, from the basis ``basA`` of the domain's
-    piece to the codomain basis that ``index`` numbers."""
-    cols = [vector_coords(B, f.apply([(key, 1)]), index) for key in basA]
-    if cols:
-        return np.stack(cols, axis=1)
-    return np.zeros((len(index), 0), dtype=np.int64)
-
-
 def _winning_trial(Am: PresentedModule, Bm: PresentedModule, H: PresentedModule,
-                   basis0: List[int], lo: int, hi: int, seed: int) -> Optional[int]:
-    """Index of the first of ``ISO_TRIALS`` sampled degree-0 maps that is onto
-    ``(Bm)_t`` in every generator degree t of Bm in [lo, hi], or None."""
+                   basis0: List[int], seed: int) -> Optional[int]:
+    """Index of the first of ``ISO_TRIALS`` sampled degree-0 maps
+    ``Am -> Bm`` that is onto, or None."""
     if not basis0:
         return None
     p = Am.ring.field.p
-    # (basis of A_t, index of the basis of B_t) for the generator degrees t
-    pieces = []
-    for t in sorted({t for t in Bm.gens.twists if lo <= t <= hi}):
-        pieces.append((module_basis(Am, t),
-                       {k: i for i, k in enumerate(module_basis(Bm, t))}))
     rng = random.Random(seed)
     for trial in range(ISO_TRIALS):
         coeffs = [rng.randrange(p) for _ in basis0]
@@ -509,8 +480,7 @@ def _winning_trial(Am: PresentedModule, Bm: PresentedModule, H: PresentedModule,
             continue
         # element of Hom in generator coordinates: key encodes mono and gen
         mat = hom_realize(H, sorted(v, reverse=True))
-        if all(linalg.rank(_map_matrix_degree(mat, Bm, basA, index), p) == len(index)
-               for basA, index in pieces):
+        if ModuleMap(Am, Bm, mat, check=False).is_surjective():
             return trial
     return None
 
@@ -523,30 +493,26 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
 
     1. Graded Hilbert functions that differ on the window certify
        non-isomorphism.
-    2. If the full Hilbert series are equal, every generator degree of B
-       lies in the window and a nonzero degree-0 homomorphism exists, up to
-       ``ISO_TRIALS`` sampled degree-0 maps are tried; the first that is
-       bijective on the window yields "probably_isomorphic".
+    2. If the full Hilbert series are equal and a nonzero degree-0
+       homomorphism exists, up to ``ISO_TRIALS`` sampled degree-0 maps are
+       tried; the first that is onto yields "probably_isomorphic".
     3. Otherwise graded Betti tables over the cover ring (homological degree
        at most 3) that differ, or the lack of a nonzero degree-0
        homomorphism, certify non-isomorphism.  Then the trials of step 2
        decide, if they have not run: a winner yields "probably_isomorphic",
        and no winner "inconclusive".  Trials are never sampled twice.
 
-    Step 2 may skip the Betti tables.  A winning map is onto B in every
-    generator degree of B, so its image holds every generator of B and it is
-    onto.  An onto degree-0 map between modules with equal Hilbert series is
-    bijective in every degree, hence an isomorphism, and isomorphic modules
-    have equal Betti tables.  So the Betti comparison could not fail, and
-    verdict and certificate are those of running step 3 first.  Equality on
-    the window alone is not enough: GF(p)[x,y] and GF(p)[x,y]/(x^9) agree in
-    degrees 0..8, and a surjection between them exists.
+    Step 2 may skip the Betti tables.  An onto degree-0 map between modules
+    with equal Hilbert series is bijective in every degree, hence an
+    isomorphism, and isomorphic modules have equal Betti tables.  So the
+    Betti comparison could not fail, and verdict and certificate are those
+    of running step 3 first.  Equality on the window alone is not enough:
+    GF(p)[x,y] and GF(p)[x,y]/(x^9) agree in degrees 0..8, and a surjection
+    between them exists.
 
-    Bijectivity is checked by ranks in the generator degrees of B alone.
-    Once the Hilbert functions agree, dim A_d = dim B_d for every d in the
-    window, so a map is bijective in degree d exactly when it is onto B_d.
-    A map onto B_t in every generator degree t <= hi of B has an image
-    containing all those generators, hence all of B_d for d <= hi.
+    A trial map is onto when its cokernel is zero, which graded Nakayama
+    decides by one rank over the field (``PresentedModule.nu``); with the
+    Hilbert functions equal on the window, an onto map is bijective there.
 
     Hom(A, B) is built only through degree 0, the one degree read: its
     generators are the degree <= 0 elements of the full Hom's generator
@@ -561,8 +527,7 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
     if Am.gens.rank == 0 and Bm.gens.rank == 0:
         return IsoProbeResult("probably_isomorphic", {"reason": "both modules are zero"})
     twists = list(Am.gens.twists) + list(Bm.gens.twists)
-    lo = min(twists) if twists else 0
-    hi = (max(twists) if twists else 0) + 8
+    lo, hi = min(twists), max(twists) + 8
     hfA = hilbert_function_basis(Am, lo, hi)
     hfB = hilbert_function_basis(Bm, lo, hi)
     if hfA != hfB:
@@ -573,13 +538,10 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
                     "degree": lo + off, "dims": [da, db]})
     H = None
     trial = None
-    # a generator of B outside the window would leave "onto in the checked
-    # degrees" short of onto; the window is built to hold them all
-    if (hilbert_series_leads(Am) == hilbert_series_leads(Bm)
-            and all(lo <= t <= hi for t in Bm.gens.twists)):
+    if hilbert_series_leads(Am) == hilbert_series_leads(Bm):
         H = _hom(Am, Bm, upto=0)
         basis0 = module_basis(H, 0)
-        trial = _winning_trial(Am, Bm, H, basis0, lo, hi, seed)
+        trial = _winning_trial(Am, Bm, H, basis0, seed)
     if trial is None:
         bA = q_resolution(Am).betti().restrict(3)
         bB = q_resolution(Bm).betti().restrict(3)
@@ -590,7 +552,7 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
         if H is None:
             H = _hom(Am, Bm, upto=0)
             basis0 = module_basis(H, 0)
-            trial = _winning_trial(Am, Bm, H, basis0, lo, hi, seed)
+            trial = _winning_trial(Am, Bm, H, basis0, seed)
         if not basis0:
             return IsoProbeResult("certified_nonisomorphic", {
                 "reason": "no nonzero degree-0 homomorphisms"})

@@ -1,8 +1,10 @@
 """Dense linear algebra over GF(p) on numpy int64 matrices.
 
-Used for degreewise computations (graded pieces of modules and maps), where
-matrices are small and dense.  Entries are canonical representatives in
-``[0, p)``; products fit int64 for any p below 2^31.
+Used to rank the scalar part of a presentation's relations, which by
+graded Nakayama counts the module's minimal generators
+(``PresentedModule.nu``); the tests also rank degreewise matrices of maps
+with it.  Entries are canonical representatives in ``[0, p)``; products
+fit int64 for any p below 2^31.
 """
 
 from __future__ import annotations

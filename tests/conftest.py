@@ -6,6 +6,7 @@ import sysconfig
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from charmod import corpus as corpus_mod
@@ -114,6 +115,26 @@ def ext_k_module(M, i):
 def is_injective(f):
     """Whether a map of presented modules has zero kernel."""
     return presented_kernel(f).is_zero()
+
+
+def vector_coords(M, v, basis_index):
+    """Coordinates of an element (given as an ambient vector) in a degree basis."""
+    col = np.zeros(len(basis_index), dtype=np.int64)
+    for key, c in M.relation_gb().normal_form(list(v)):
+        col[basis_index[key]] = c
+    return col
+
+
+def reference_nu(M):
+    """Minimal number of generators by cancelling units: the reference for
+    ``PresentedModule.nu``, which counts by graded Nakayama."""
+    return M.minimal().gens.rank
+
+
+def reference_is_surjective(f):
+    """Whether a map of presented modules is onto, by cancelling units in
+    its cokernel: the reference for ``ModuleMap.is_surjective``."""
+    return reference_nu(f.cokernel()) == 0
 
 
 def times_poly(v, f, ctx, p):

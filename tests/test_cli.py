@@ -161,6 +161,17 @@ INPUT_ERRORS = {
     "unknown_profile": (("corpus", "nope"), "nope-0", "unknown profile 'nope'"),
     "checker_rejects_module": (("check", "cor_artinian", VERONESE, "--module", "R"),
                                "veronese", "R is not artinian"),
+    # numeric options are checked before any input is read
+    "max_steps_zero": (("res", E2, "--module", "k", "--max-steps", "0"), None,
+                       "--max-steps must be at least 1, got 0"),
+    "max_steps_negative": (("res", E2, "--module", "k", "--max-steps", "-2"), None,
+                           "--max-steps must be at least 1, got -2"),
+    "count_negative": (("corpus", "mixed", "--count", "-3"), None,
+                       "--count must be at least 1, got -3"),
+    "count_zero": (("hunt-counterexample", "--count", "0"), None,
+                   "--count must be at least 1, got 0"),
+    "degree_bound_negative": (("tmod", E2, "--module", "k", "--degree-bound", "-3"), None,
+                              "--degree-bound must be at least 0, got -3"),
 }
 
 
@@ -178,6 +189,15 @@ def test_input_errors_as_json(case, tmp_path):
     code, out, err = run(*args)
     assert code == 2 and out == ""
     assert err == f"error: {rep['error']['message']}\n"
+
+
+def test_numeric_options_at_their_least_values():
+    # one resolution step is one step, not the default n + 1, and a degree
+    # window of width 0 is one Hilbert-function value
+    code, rep, _ = run_json("res", E2, "--module", "k", "--max-steps", "1")
+    assert code == 0 and rep["length"] == 1 and rep["complete"] is False
+    code, rep, _ = run_json("tmod", E2, "--module", "k", "--degree-bound", "0")
+    assert code == 0 and len(rep["hilbert_function"]) == 1
 
 
 def test_degree_past_packing_cap_is_a_resource_limit(tmp_path):

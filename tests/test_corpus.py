@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmod import groebner
+from charmod import groebner, resolution
 from charmod.characteristic import check_thm8
 from charmod.cmr import InputDocument, ModuleBlock, parse, render
 from charmod.corpus import (
@@ -167,6 +167,9 @@ BATTERY_10_GROEBNER_RUNS = 323
 # and 1,037 while iso_probe built Hom(A, B) in every degree
 BATTERY_10_SPAIRS_FORMED = 797
 BATTERY_10_SPOLYS_REDUCED = 683
+# _cancel_units runs on those instances: 216 while nu, is_zero and
+# is_surjective cancelled units instead of counting by graded Nakayama
+BATTERY_10_UNIT_CANCELLATIONS = 166
 
 
 def _count_groebner_work(monkeypatch):
@@ -203,16 +206,31 @@ def _count_groebner_work(monkeypatch):
     return runs, pushes, merges
 
 
+def _count_unit_cancellations(monkeypatch):
+    """A list that grows by one per ``_cancel_units`` run."""
+    runs = []
+    real = resolution._cancel_units
+
+    def counting(*args):
+        runs.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(resolution, "_cancel_units", counting)
+    return runs
+
+
 def test_battery_groebner_run_count(monkeypatch):
     # a deterministic work gate: wall time on a small shared box is not;
     # fresh documents, so no ring cache from another test is reused
     runs, pushes, merges = _count_groebner_work(monkeypatch)
+    cancels = _count_unit_cancellations(monkeypatch)
     for i, doc in enumerate(generate_corpus(7, 10, "mixed")):
         rep = corpus_battery(doc, instance_id("mixed", 7, i), split=True)
         assert rep["verdict"] == "verified", rep["failures"]
     assert len(runs) == BATTERY_10_GROEBNER_RUNS
     assert (len(pushes), len(merges)) == (BATTERY_10_SPAIRS_FORMED,
                                           2 * BATTERY_10_SPOLYS_REDUCED)
+    assert len(cancels) == BATTERY_10_UNIT_CANCELLATIONS
 
 
 # _buchberger_terms runs of check_thm8 on the rational normal curve in n
@@ -225,21 +243,27 @@ THM8_RNC_GROEBNER_RUNS = {5: 20, 6: 22}
 # formed, S-polynomials reduced); {5: (1650, 1062), 6: (7076, 3752)} on
 # the full grid presentation of beta_E's domain
 THM8_RNC_SPAIR_WORK = {5: (1089, 808), 6: (4179, 2710)}
+# _cancel_units runs of those check_thm8 calls: {5: 15, 6: 16} while nu,
+# is_zero and is_surjective cancelled units
+THM8_RNC_UNIT_CANCELLATIONS = {5: 12, 6: 13}
 
 
 def test_thm8_groebner_run_count_on_rational_normal_curves(monkeypatch):
     # a deterministic work gate for the 5- and 6-variable curves, whose
     # check_thm8 wall time on a small shared box is not one
     runs, pushes, merges = _count_groebner_work(monkeypatch)
-    got, work = {}, {}
+    cancels = _count_unit_cancellations(monkeypatch)
+    got, work, cancelled = {}, {}, {}
     for n in THM8_RNC_GROEBNER_RUNS:
-        for seen in (runs, pushes, merges):
+        for seen in (runs, pushes, merges, cancels):
             seen.clear()
         rep = check_thm8(rational_normal_curve(n))
         assert rep.verdict == "verified" and all(rep.witnesses["conditions"].values())
         got[n] = len(runs)
         work[n] = (len(pushes), len(merges))
+        cancelled[n] = len(cancels)
     assert got == THM8_RNC_GROEBNER_RUNS
+    assert cancelled == THM8_RNC_UNIT_CANCELLATIONS
     assert work == {n: (formed, 2 * reduced)
                     for n, (formed, reduced) in THM8_RNC_SPAIR_WORK.items()}
 

@@ -29,7 +29,6 @@ from charmod.homology import (
     tensor_homology,
     tensor_map,
     tensor_module,
-    vector_coords,
 )
 from charmod.invariants import hilbert_series_leads, q_resolution
 from charmod.resolution import PresentedModule, resolve
@@ -43,6 +42,9 @@ from conftest import (
     matrix_from_columns,
     presented_kernel,
     rational_normal_curve,
+    reference_is_surjective,
+    reference_nu,
+    vector_coords,
 )
 
 
@@ -315,17 +317,22 @@ def test_iso_probe_matches_all_degree_reference(battery_pairs):
     assert "probably_isomorphic" in verdicts
 
 
-def test_iso_probe_matches_reference_when_trials_fail():
-    # over GF(2) most sampled maps are singular: later trials win, or none does
+def _gf2_pairs():
+    """Module pairs over GF(2)[x,y]/(x^2, xy), where most sampled degree-0
+    maps are singular."""
     Q = PolyRing(2, ("x", "y"))
     R = QuotientRing(Q, [Q.poly("x^2"), Q.poly("x*y")])
     k = PresentedModule.residue_field(R)
     mods = [PresentedModule.free(R, (0, 0)), PresentedModule.free(R, (0, 1)),
             tensor_module(PresentedModule.free(R, (0, 1)), k),
             PresentedModule.free(R, (0, 0, 1))]
-    pairs = [(M, M) for M in mods] + [(mods[0], mods[1]), (mods[1], mods[2])]
+    return [(M, M) for M in mods] + [(mods[0], mods[1]), (mods[1], mods[2])]
+
+
+def test_iso_probe_matches_reference_when_trials_fail():
+    # over GF(2) most sampled maps are singular: later trials win, or none does
     outcomes = set()
-    for A, B in pairs:
+    for A, B in _gf2_pairs():
         for seed in range(8):
             got = iso_probe(A, B, seed=seed)
             want = _reference_iso_probe(A, B, seed=seed)
@@ -393,6 +400,40 @@ def test_degree_zero_hom_matches_the_full_hom(battery_pairs):
             assert hom_realize(H, [(key, 1)]) == hom_realize(H0, [(key0, 1)]), label
         bounded += H0.gens.rank < H.gens.rank and bool(basis0)
     assert bounded > 0
+
+
+def test_nu_and_trial_maps_match_unit_cancellation(battery_pairs, monkeypatch):
+    # graded Nakayama counts what cancelling units leaves, on every module
+    # the battery compares and on the cokernel of every trial map its
+    # probes build, and of the mostly singular ones over GF(2); each trial
+    # map sends relations into relations
+    trials = []
+    real = ModuleMap.is_surjective
+
+    def recording(f):
+        trials.append(f)
+        return real(f)
+
+    monkeypatch.setattr(ModuleMap, "is_surjective", recording)
+    for label, TM, HM, EM, XM in battery_pairs:
+        for M in (TM, HM, EM, XM):
+            assert M.nu() == reference_nu(M), label
+        iso_probe(TM, HM)
+        iso_probe(EM, XM)
+    battery_trials = len(trials)
+    for A, B in _gf2_pairs():
+        for seed in range(8):
+            iso_probe(A, B, seed=seed)
+    monkeypatch.undo()
+    outcomes = set()
+    for f in trials:
+        ModuleMap(f.domain, f.codomain, f.matrix)
+        C = f.cokernel()
+        assert C.nu() == reference_nu(C)
+        onto = f.is_surjective()
+        assert onto == reference_is_surjective(f)
+        outcomes.add(onto)
+    assert battery_trials >= len(battery_pairs) and outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +643,9 @@ def test_tensor_with_the_ring_is_the_module_itself(pool_docs):
 
 def test_is_isomorphism_matches_kernel_reference(pool_docs, rings):
     # onto with equal Hilbert series decides as onto with a zero kernel does,
-    # on the natural maps alpha_M and beta_M of every battery pool module
-    # and on a map that is not onto
+    # and onto by the cokernel's scalar rank as by cancelling its units, on
+    # the natural maps alpha_M and beta_M of every battery pool module and
+    # on a map that is not onto
     maps = []
     for doc in pool_docs:
         for name, M in corpus.module_pool(doc):
@@ -615,6 +657,7 @@ def test_is_isomorphism_matches_kernel_reference(pool_docs, rings):
     outcomes = set()
     for name, f in maps:
         onto, iso = f.is_surjective(), f.is_isomorphism()
+        assert onto == reference_is_surjective(f), name
         assert iso == (onto and is_injective(f)), name
         outcomes.add((onto, iso))
     # isomorphisms, onto maps with a kernel, and a map that is not onto

@@ -16,7 +16,7 @@ from charmod.kernel import POS_BITS, scaled_merge
 from charmod.resolution import BettiTable, PresentedModule, resolve
 from charmod.ring import PolyRing
 
-from conftest import cyclic_quotient, entries, matrix_from_columns
+from conftest import cyclic_quotient, entries, matrix_from_columns, reference_nu
 
 
 def free_dim(ring, twists, d):
@@ -371,3 +371,20 @@ def test_one_pass_cancellation_matches_a_rebuild_per_pivot(monkeypatch, mixed_co
         cancelled += out[1].target.rank < new.target.rank
     # calls, calls with a previous differential, calls that cancelled a pivot
     assert (len(calls), steps, cancelled) == (233, 92, 34)
+
+
+def test_nu_is_the_rank_of_the_scalar_part():
+    # e0 + x*e2 and e0 + y*e2 share their scalar part, so only one generator
+    # goes; e0 + e1 beside them takes a second, and a unit relation on a
+    # cyclic module leaves nothing, over Q and over a quotient alike
+    Q = PolyRing(101, ("x", "y"))
+    for base in (Q, QuotientRing(Q, [Q.poly("x^2"), Q.poly("x*y")])):
+        P = base.poly
+        cols = [[P("1"), P("0"), P("x")], [P("1"), P("0"), P("y")], [P("1"), P("1"), P("0")]]
+        for k, want in ((2, 2), (3, 1)):
+            rels = matrix_from_columns(base, (0, 0, -1), cols[:k])
+            M = PresentedModule(rels.target, rels)
+            assert M.nu() == reference_nu(M) == want
+            assert not M.is_zero()
+        unit = cyclic_quotient(base, [P("3")])
+        assert unit.nu() == reference_nu(unit) == 0 and unit.is_zero()
