@@ -51,7 +51,8 @@ from .freemod import (
     term_pos,
     v_scale,
 )
-from .kernel import LEX, POS_BITS, divides, epack, make_reducer, scaled_merge
+from .kernel import (LEX, POS_BITS, compiled_engine, divides, epack, make_reducer,
+                     scaled_merge)
 from .ring import Polynomial, PolyRing
 
 
@@ -77,10 +78,32 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     below it are autoreduced and returned: the marker block of the reduced
     basis.  That block is exactly what autoreducing everything would keep,
     since a lead at or above the flag sits at a primary position and no
-    marker-block term is at one, so it never divides one.  Pairs
-    are formed, and the chain criterion is checked, within the bucket of
-    basis indices that share the pair's lead position (``by_pos``); each
-    pair is pushed once and ``done`` records the pairs already treated.
+    marker-block term is at one, so it never divides one.
+
+    The loop runs compiled (``kernel.compiled_engine``) where the kernel
+    allows it, else in Python (``_buchberger_loop``); both build the same
+    unreduced basis, element for element, which ``_autoreduce`` finishes.
+    """
+    p = ring.field.p
+    ctx = ring.pack.ctx
+    engine = compiled_engine(p, ctx)
+    if engine is None:
+        G = _buchberger_loop(ring, twists, vecs, product, below, upto)
+    else:
+        G = engine(p, ctx.n, ctx.fb, twists, vecs, product, below, upto)
+    return _autoreduce(ring, G)
+
+
+def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
+                     product: bool, below: Optional[int],
+                     upto: Optional[int]) -> List[Vector]:
+    """The pair loop of ``_buchberger_terms``: the unreduced basis, in the
+    order its elements were found, cut to the leads below ``below``.  The
+    reference for ``_fast.buchberger``, and the loop of the pure kernel, of
+    lex rings and of rings whose keys pass a machine word.  Pairs are
+    formed, and the chain criterion is checked, within the bucket of basis
+    indices that share the pair's lead position (``by_pos``); each pair is
+    pushed once and ``done`` records the pairs already treated.
 
     A pair is ``(sugar, i, j, lcm word, lcm key)``: the word is the field-wise
     maximum of the leads' exponent words; times ``ones`` (a 1 in each field)
@@ -163,7 +186,7 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
 
     if below is not None:
         G = [g for g in G if g[0][0] < below]
-    return _autoreduce(ring, G)
+    return G
 
 
 def _autoreduce(ring: PolyRing, G: Sequence[Vector]) -> List[Vector]:

@@ -497,10 +497,12 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
        homomorphism exists, up to ``ISO_TRIALS`` sampled degree-0 maps are
        tried; the first that is onto yields "probably_isomorphic".
     3. Otherwise graded Betti tables over the cover ring (homological degree
-       at most 3) that differ, or the lack of a nonzero degree-0
-       homomorphism, certify non-isomorphism.  Then the trials of step 2
-       decide, if they have not run: a winner yields "probably_isomorphic",
-       and no winner "inconclusive".  Trials are never sampled twice.
+       at most 3) that differ, then full Hilbert series that differ (the
+       tables can agree while the series do not: they differ past
+       homological degree 3, in degrees past the window), then the lack of
+       a nonzero degree-0 homomorphism, certify non-isomorphism.  Then the
+       trials of step 2, which have run, decide: a winner yields
+       "probably_isomorphic", and no winner "inconclusive".
 
     Step 2 may skip the Betti tables.  An onto degree-0 map between modules
     with equal Hilbert series is bijective in every degree, hence an
@@ -536,9 +538,9 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
                 return IsoProbeResult("certified_nonisomorphic", {
                     "reason": "hilbert function differs",
                     "degree": lo + off, "dims": [da, db]})
-    H = None
+    same_series = hilbert_series_leads(Am) == hilbert_series_leads(Bm)
     trial = None
-    if hilbert_series_leads(Am) == hilbert_series_leads(Bm):
+    if same_series:
         H = _hom(Am, Bm, upto=0)
         basis0 = module_basis(H, 0)
         trial = _winning_trial(Am, Bm, H, basis0, seed)
@@ -549,10 +551,9 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
             return IsoProbeResult("certified_nonisomorphic", {
                 "reason": "graded Betti numbers over the cover differ",
                 "betti": [bA.rows(), bB.rows()]})
-        if H is None:
-            H = _hom(Am, Bm, upto=0)
-            basis0 = module_basis(H, 0)
-            trial = _winning_trial(Am, Bm, H, basis0, seed)
+        if not same_series:
+            return IsoProbeResult("certified_nonisomorphic", {
+                "reason": "hilbert series differs"})
         if not basis0:
             return IsoProbeResult("certified_nonisomorphic", {
                 "reason": "no nonzero degree-0 homomorphisms"})

@@ -1,9 +1,10 @@
 """Reduction kernel selection.
 
-The compiled kernel handles key layouts that fit a signed 64-bit word; the
-pure-Python kernel handles everything and is the reference implementation.
-``make_reducer`` and ``scaled_merge`` pick per call site based on the packing
-context, so a ring with many variables transparently falls back.
+The compiled kernel (``_fast``, a hand-written C extension) handles key
+layouts that fit a 64-bit word and primes below 2^31; the pure-Python kernel
+handles everything and is the reference implementation.  ``make_reducer``,
+``scaled_merge`` and ``compiled_engine`` pick per call site based on the
+packing context, so a ring with many variables transparently falls back.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ def backend_name() -> str:
     return "compiled" if HAVE_FAST else "pure"
 
 
+def _compiled(p: int, ctx: OrderCtx) -> bool:
+    return HAVE_FAST and ctx.fits64 and p < _P_CAP
+
+
 def make_reducer(p: int, ctx: OrderCtx, basis=()):
-    if HAVE_FAST and ctx.fits64 and p < _P_CAP:
+    if _compiled(p, ctx):
         red = _fast.Reducer(p, ctx.kind, ctx.n, ctx.fb, basis)
     else:
         red = pure.Reducer(p, ctx, basis)
@@ -57,9 +62,16 @@ def scaled_merge(u, v, c, shift, p, ctx: OrderCtx):
             for k, _ in v:
                 if (k + shift) & guards:
                     raise _degree_overflow(ctx.deg((k + shift) >> POS_BITS), ctx)
-    if HAVE_FAST and ctx.fits64 and p < _P_CAP:
+    if _compiled(p, ctx):
         return _fast.add_scaled(u, v, c, shift, p)
     return pure.add_scaled(u, v, c, shift, p)
+
+
+def compiled_engine(p: int, ctx: OrderCtx):
+    """``_fast.buchberger``, the compiled pair loop of
+    ``groebner._buchberger_loop``, when it applies to grevlex keys of this
+    ring, else None.  Lex rings keep the Python loop and ``LexGuard``."""
+    return _fast.buchberger if _compiled(p, ctx) and ctx.kind == GREVLEX else None
 
 
 def _degree_overflow(deg: int, ctx: OrderCtx) -> OverflowError:
@@ -162,6 +174,7 @@ __all__ = [
     "HAVE_FAST",
     "LexGuard",
     "backend_name",
+    "compiled_engine",
     "make_reducer",
     "scaled_merge",
 ]

@@ -30,7 +30,8 @@ class OrderCtx:
     degree at ``cap``.  Keys and exponent words (``epack``) have ``n`` fields
     of ``fb`` bits, field i at bit ``i * fb``: grevlex keys hold the prefix
     sum ``e_1 + .. + e_(i+1)`` there and their words e_(i+1); lex keys, their
-    own words, hold e_(n-i).  ``_fast`` packs words of its own internally.
+    own words, hold e_(n-i).  ``_fast`` packs the same words, with the same
+    one-subtraction ``epack``.
     """
 
     __slots__ = ("kind", "n", "fb", "cap", "okey_mask", "guards", "fits64")

@@ -175,13 +175,21 @@ def _cancel_units(prev: Optional[GradedMatrix], new: GradedMatrix):
 
     The pivot is always the smallest live (row, col) scalar entry, which is
     the order a rebuild after every cancellation would give, since deleting
-    rows and columns renumbers the rest in order.
+    rows and columns renumbers the rest in order.  ``holders`` maps each row
+    to the columns that may have a term in it, so a pivot visits only those:
+    a column gains terms only in its pivot's rows, and may lose any.  A
+    pivot row's entry in its column is the scalar alone (columns are
+    homogeneous), so the elimination clears that row from every column.
     """
     ring = new.source.ring
     p = ring.field.p
     ctx = ring.pack.ctx
     base = new.base
     cols = list(new.cols)
+    holders: dict = {}
+    for j, col in enumerate(cols):
+        for k, _ in col:
+            holders.setdefault(term_pos(k), set()).add(j)
     # scalar terms are the keys with a zero monomial part, i.e. <= POS_MASK
     heap = [(term_pos(k), j) for j, col in enumerate(cols) for k, _ in col if k <= POS_MASK]
     heapq.heapify(heap)
@@ -198,16 +206,18 @@ def _cancel_units(prev: Optional[GradedMatrix], new: GradedMatrix):
         dead_cols.add(c)
         uinv = pow(u, p - 2, p)
         pivot = cols[c]
-        for j, col in enumerate(cols):
-            if j in dead_cols:
-                continue
+        pivot_rows = {term_pos(k) for k, _ in pivot} - {r}
+        for j in holders.pop(r) - dead_cols:
+            col = cols[j]
             entry = [(k >> POS_BITS, cc) for k, cc in col if (k & POS_MASK) == rk]
-            if not entry:
+            if not entry:  # a stale holder: the row cancelled out of this column
                 continue
             for okey, cc in entry:
                 col = scaled_merge(col, pivot, (p - cc * uinv % p) % p,
                                    okey << POS_BITS, p, ctx)
             cols[j] = col = base.normal_form_vector(col)
+            for row in pivot_rows:
+                holders[row].add(j)
             for k, _ in col:
                 if k <= POS_MASK:
                     heapq.heappush(heap, (term_pos(k), j))

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from charmod import kernel
 from charmod.cli import _EXIT, main
 from charmod.resolution import ResolutionLimitError
+from charmod.ring import PolyRing
 
 from conftest import FIXTURES
 
@@ -217,6 +219,20 @@ def test_degree_past_packing_cap_is_a_resource_limit(tmp_path):
 def test_six_variable_degree_cap_is_a_resource_limit(tmp_path):
     # six variables pack 7-bit fields, so the cap is 63: the S-pair of
     # a^40*b and a*b^40 has degree 80
+    doc = tmp_path / "six.cmr"
+    doc.write_text("field 32003\nring a b c d e f\nideal\na^40*b\na*b^40\nend\n")
+    code, rep, err = run_json("gb", str(doc))
+    assert code == 4
+    assert rep["error"] == {"kind": "resource_limit",
+                            "message": "total degree 80 exceeds packing cap 63"}
+    assert "Traceback" not in err
+
+
+def test_six_variable_degree_cap_under_the_compiled_pair_loop(compiled_kernel, tmp_path):
+    # the same README example where the compiled pair loop, not
+    # scaled_merge, forms the S-polynomial past the cap
+    ctx = PolyRing(32003, tuple("abcdef")).pack.ctx
+    assert kernel.compiled_engine(32003, ctx) is compiled_kernel.buchberger
     doc = tmp_path / "six.cmr"
     doc.write_text("field 32003\nring a b c d e f\nideal\na^40*b\na*b^40\nend\n")
     code, rep, err = run_json("gb", str(doc))

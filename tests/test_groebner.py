@@ -8,11 +8,12 @@ import heapq
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from charmod import corpus, groebner
-from charmod.characteristic import char_module
+from charmod.characteristic import char_module, check_thm8
 from charmod.cmr import load
 from charmod.freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos, v_scale
 from charmod.groebner import (
@@ -27,7 +28,8 @@ from charmod.invariants import residue_field_of
 from charmod.kernel import POS_BITS, make_reducer
 from charmod.ring import PolyRing
 
-from conftest import FIXTURES, exps_of_degree, matrix_from_columns, monomial_lcm, monomial_mul
+from conftest import (FIXTURES, exps_of_degree, matrix_from_columns, monomial_lcm, monomial_mul,
+                      rational_normal_curve)
 
 
 @pytest.fixture(scope="module")
@@ -613,3 +615,117 @@ def test_pairs_past_the_degree_cap_raise_only_when_they_survive(order):
     assert set(Ideal(ring, gens).groebner_basis()) == set(gens)
     with pytest.raises(OverflowError, match="total degree 260 exceeds packing cap 255"):
         Ideal(ring, [ring.poly("x^130*y"), ring.poly("x*y^130")]).groebner_basis()
+
+
+# ---------------------------------------------------------------------------
+# the compiled pair loop against the Python one
+
+
+def _assert_loops_agree(fast, ring, twists, vecs, product, below, upto=None):
+    """``_fast.buchberger`` builds the unreduced basis of the Python loop,
+    element for element, or raises the same ``OverflowError``; returns the
+    basis, or None after an overflow."""
+    ctx = ring.pack.ctx
+    args = (ring.field.p, ctx.n, ctx.fb, twists, vecs, product, below, upto)
+    assert groebner.compiled_engine(ring.field.p, ctx) is fast.buchberger
+    try:
+        ref = groebner._buchberger_loop(ring, twists, vecs, product, below, upto)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(exc))}$"):
+            fast.buchberger(*args)
+        return None
+    assert fast.buchberger(*args) == ref
+    return ref
+
+
+def test_compiled_loop_matches_the_python_loop_on_pool_modules(
+        monkeypatch, compiled_kernel, mixed_corpus, veronese_doc, e2_doc,
+        hypersurface_doc, stanley_reisner_doc):
+    # every engine input of the relation bases and syzygies of the pool
+    # modules, unbounded and bounded below the top degree of the basis and
+    # at its lowest degree
+    docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
+                                      stanley_reisner_doc]
+    compared = strict = 0
+    for label, (ring, twists, vecs, product, below) in _engine_inputs(monkeypatch, docs):
+        full = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below)
+        degrees = sorted({ring.pack.deg(term_okey(g[0][0])) + twists[term_pos(g[0][0])]
+                          for g in full})
+        for d in {degrees[0], degrees[-1] - 1} if degrees else ():
+            cut = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, d)
+            strict += len(cut) < len(full)
+        compared += 1
+    assert compared == 78 and strict > 50, (compared, strict)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_compiled_loop_matches_on_thm8_of_rational_normal_curves(monkeypatch, compiled_kernel, n):
+    calls = []
+    real = groebner._buchberger_terms
+
+    def recording(ring, twists, vecs, product=False, below=None, upto=None):
+        calls.append((ring, tuple(twists), [list(v) for v in vecs], product, below, upto))
+        return real(ring, twists, vecs, product, below, upto)
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+    assert check_thm8(rational_normal_curve(n)).verdict == "verified"
+    monkeypatch.setattr(groebner, "_buchberger_terms", real)
+    assert len(calls) > 10
+    for args in calls:
+        _assert_loops_agree(compiled_kernel, *args)
+
+
+def _random_homogeneous(rng, ring, twists, d):
+    """A random homogeneous vector of degree ``d`` (possibly zero)."""
+    p = ring.field.p
+    terms = {}
+    for pos, t in enumerate(twists):
+        if d >= t and rng.random() < 0.7:
+            for _ in range(rng.randint(1, 3)):
+                okey = ring.pack.okey(exps_of_degree(rng, ring.n, d - t))
+                terms[term_key(okey, pos)] = rng.randrange(1, p)
+    return sorted(terms.items(), reverse=True)
+
+
+def _random_engine_inputs(seed, count):
+    """Engine arguments over random grevlex rings in 3 to 6 variables:
+    ideals under the product criterion, some of degree near the cap of
+    six variables, and eliminations of random module elements (flagged
+    primary block, one marker column each) cut below the flag."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(3, 6)
+        ring = PolyRing(rng.choice((2, 101, 32003, 2147483647)), tuple(f"x{i}" for i in range(n)))
+        if t % 2 == 0:
+            lo = 40 if n == 6 else 2
+            vecs = [_random_homogeneous(rng, ring, (0,), rng.randint(lo, lo + 2))
+                    for _ in range(rng.randint(2, 4))]
+            yield ring, (0,), vecs, True, None
+        else:
+            twists = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
+            vectors = [_random_homogeneous(rng, ring, twists, rng.randint(1, 3))
+                       for _ in range(rng.randint(2, 4))]
+            r = len(twists)
+            flag = 1 << ring.pack.block_shift
+            src = [ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])] if v else 0
+                   for v in vectors]
+            vecs = [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
+                    for j, v in enumerate(vectors)]
+            yield ring, tuple(twists + src), vecs, False, flag
+
+
+def test_compiled_loop_matches_on_random_grevlex_inputs(compiled_kernel):
+    seen = {"overflow": 0, "bounded cut": 0, "eliminations": 0}
+    rng = random.Random(7)
+    for ring, twists, vecs, product, below in _random_engine_inputs(31, 120):
+        full = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below)
+        if full is None:
+            seen["overflow"] += 1
+            continue
+        seen["eliminations"] += below is not None
+        upto = rng.randint(0, 6)
+        cut = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, upto)
+        seen["bounded cut"] += len(cut) < len(full)
+    assert min(seen.values()) >= 3, seen
+    with pytest.raises(OverflowError, match="^total degree 260 exceeds packing cap 255$"):
+        Ideal(PolyRing(32003, ("x", "y")), ["x^130*y", "x*y^130"]).groebner_basis()

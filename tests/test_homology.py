@@ -713,3 +713,31 @@ def test_tensor_products_record_their_origin(rings):
     T = tensor_module(H, k)
     assert T.cache["origin"] == {"kind": "tensor", "A": H, "B": k}
     assert T.cache["origin"]["A"] is H and T.cache["origin"]["B"] is k
+
+
+def test_iso_probe_certifies_unequal_series_behind_equal_betti_tables():
+    # two sums of monomial quotients of GF(101)[a,b,c,d]: equal Hilbert
+    # functions on the window [0, 8] and equal Betti tables through
+    # homological degree 3, but the one fourth syzygy sits in degree 10 on
+    # one side and 9 on the other, so the series differ.  That certifies;
+    # without it the probe of (A, B) tried its maps and ended "inconclusive"
+    Q = PolyRing(101, tuple("abcd"))
+
+    def direct_sum(*ideals):
+        cols = [[Q.poly(g) if j == pos else Q.poly("0") for j in range(len(ideals))]
+                for pos, gens in enumerate(ideals) for g in gens]
+        rels = matrix_from_columns(Q, [0] * len(ideals), cols)
+        return PresentedModule(rels.target, rels)
+
+    A = direct_sum(["b^3*d", "a*b*c*d", "a^3*c"], ["c*d^2", "b*c^3", "b^4", "a*b", "a^2*c"])
+    B = direct_sum(["b*d", "b*c^3", "b^2*c", "a^3"], ["c*d^3", "b^2*c*d", "a*b^2*c", "a^2*c^2"])
+    assert hilbert_function_basis(A, 0, 8) == hilbert_function_basis(B, 0, 8)
+    assert hilbert_series_leads(A) != hilbert_series_leads(B)
+    bA, bB = q_resolution(A).betti(), q_resolution(B).betti()
+    assert bA.restrict(3) == bB.restrict(3)
+    assert [r for r in bA.rows() if r[0] == 4] == [[4, 10, 1]]
+    assert [r for r in bB.rows() if r[0] == 4] == [[4, 9, 1]]
+    for X, Y in ((A, B), (B, A)):
+        got = iso_probe(X, Y)
+        assert (got.verdict, got.certificate) == (
+            "certified_nonisomorphic", {"reason": "hilbert series differs"})
