@@ -173,7 +173,7 @@ def alpha_map(M: PresentedModule, check: bool = True) -> ModuleMap:
         # the hom sending generator a of E to the grid generator (a, j)
         images = [[(term_key(0, a * rM + j), 1)] for a in range(E.gens.rank)]
         cols.append(hom_express(H, images))
-    mat = GradedMatrix(M.gens, H.gens, cols, check=False)
+    mat = GradedMatrix(M.gens, H.gens, cols)
     return ModuleMap(M, H, mat, check=check)
 
 
@@ -189,7 +189,7 @@ def beta_map(M: PresentedModule, check: bool = True) -> ModuleMap:
     for a in range(E.gens.rank):
         for b in range(rH):
             cols.append(list(realized[b].cols[a]))
-    mat = GradedMatrix(T.gens, M.gens, cols, check=False)
+    mat = GradedMatrix(T.gens, M.gens, cols)
     return ModuleMap(T, M, mat, check=check)
 
 
@@ -201,7 +201,7 @@ def hom_functor_map(f: ModuleMap) -> ModuleMap:
     for b in range(HA.gens.rank):
         psi = hom_realize(HA, [(term_key(0, b), 1)])
         cols.append(hom_express(HB, [f.matrix.apply(list(c)) for c in psi.cols]))
-    mat = GradedMatrix(HA.gens, HB.gens, cols, check=False)
+    mat = GradedMatrix(HA.gens, HB.gens, cols)
     return ModuleMap(HA, HB, mat, check=False)
 
 
@@ -216,7 +216,7 @@ def tensor_functor_map(f: ModuleMap) -> ModuleMap:
         # copy a of B: a constant position shift, which keeps the term order
         shift = a * rB
         cols += [[(k - shift, c) for k, c in col] for col in f.matrix.cols]
-    mat = GradedMatrix(TA.gens, TB.gens, cols, check=False)
+    mat = GradedMatrix(TA.gens, TB.gens, cols)
     return ModuleMap(TA, TB, mat, check=False)
 
 

@@ -352,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-steps", type=int, default=None, metavar="N",
                         help="truncation depth for resolutions over R")
     common.add_argument("--degree-bound", type=int, default=8, metavar="N",
-                        help="width of Hilbert-function windows")
+                        help="width of Hilbert-function windows "
+                             "(hunt-counterexample ignores it)")
     common.add_argument("--module", default=None, metavar="NAME",
                         help="module name (R, k, or a document block)")
 

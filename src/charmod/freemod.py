@@ -4,6 +4,9 @@ A vector in ``F = base(-t_1) + ... + base(-t_r)`` is a descending term list
 as described in ``kernel.common``; the degree of a term is the monomial
 degree plus the twist of its position.  Matrices are stored column-wise as
 vectors of the target, so a matrix is precisely a list of generator images.
+A ``GradedMatrix`` stores the columns it is given, homogeneous and in
+normal form modulo the ideal: the few sites that multiply or lift entries
+reduce them, and ``cmr`` reduces and checks documents when read.
 """
 
 from __future__ import annotations
@@ -116,40 +119,29 @@ def v_scale(v: Vector, c: int, p: int) -> Vector:
 class GradedMatrix:
     """Homogeneous matrix between graded free modules, stored by columns.
 
-    Column ``j`` is the image of the ``j``-th source generator and must be
-    homogeneous of degree ``source.twists[j]`` (or zero).  Entries are kept
-    in normal form with respect to the defining ideal of the base.
+    Column ``j`` is the image of the ``j``-th source generator.  Every
+    nonzero column is homogeneous of degree ``source.twists[j] + d`` for one
+    degree ``d`` shared by the whole matrix, and in normal form modulo the
+    defining ideal of the base.  ``d`` is 0 except for the matrices
+    ``hom_realize`` gives for Hom elements of degree ``d``.  The columns
+    are stored as given: a caller whose entries may leave normal form (a
+    product or a lift from the cover) reduces them first.
     """
 
     __slots__ = ("source", "target", "cols")
 
-    def __init__(self, source: GradedFreeModule, target: GradedFreeModule, cols,
-                 normalize: bool = True, check: bool = True):
+    def __init__(self, source: GradedFreeModule, target: GradedFreeModule, cols):
         if source.base != target.base:
             raise ValueError("source and target over different bases")
         self.source = source
         self.target = target
-        if normalize:
-            nf = source.base.normal_form_vector
-            self.cols = tuple(tuple(nf(c)) for c in cols)
-        else:
-            self.cols = tuple(map(tuple, cols))
+        self.cols = tuple(map(tuple, cols))
         if len(self.cols) != source.rank:
             raise ValueError(f"expected {source.rank} columns, got {len(self.cols)}")
-        if check:
-            for j, col in enumerate(self.cols):
-                if not col:
-                    continue
-                d = target.vector_degree(col)
-                if d != source.twists[j]:
-                    raise ValueError(
-                        f"column {j} has degree {d}, expected twist {source.twists[j]}"
-                    )
 
     @classmethod
     def zero(cls, source: GradedFreeModule, target: GradedFreeModule) -> "GradedMatrix":
-        return cls(source, target, [[] for _ in range(source.rank)],
-                   normalize=False, check=False)
+        return cls(source, target, [[] for _ in range(source.rank)])
 
     @property
     def base(self):
@@ -170,8 +162,9 @@ class GradedMatrix:
         """self o other, defined when other.target == self.source."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        cols = [self.apply(list(c)) for c in other.cols]
-        return GradedMatrix(other.source, self.target, cols, check=False)
+        nf = self.base.normal_form_vector
+        cols = [nf(self.apply(list(c))) for c in other.cols]
+        return GradedMatrix(other.source, self.target, cols)
 
     def transpose_dual(self) -> "GradedMatrix":
         """Matrix of Hom(-, base): transpose with negated twists.  The
@@ -183,8 +176,7 @@ class GradedMatrix:
         for j, col in enumerate(self.cols):
             for k, c in col:
                 cols[term_pos(k)].append((term_key(term_okey(k), j), c))
-        return GradedMatrix(src, tgt, [sorted(c, reverse=True) for c in cols],
-                            normalize=False, check=False)
+        return GradedMatrix(src, tgt, [sorted(c, reverse=True) for c in cols])
 
     def delete(self, rows=(), cols=()) -> "GradedMatrix":
         rows = set(rows)
@@ -207,7 +199,7 @@ class GradedMatrix:
             new_cols.append(nc)
             new_twists.append(self.source.twists[j])
         new_source = GradedFreeModule(self.base, new_twists)
-        return GradedMatrix(new_source, new_target, new_cols, normalize=False, check=False)
+        return GradedMatrix(new_source, new_target, new_cols)
 
     def __eq__(self, other):
         return (

@@ -140,8 +140,7 @@ class ModuleMap:
         cols = [list(c) for c in self.matrix.cols] + [list(c) for c in B.rels.cols]
         twists = list(self.matrix.source.twists) + list(B.rels.source.twists)
         src = GradedFreeModule(B.base, twists)
-        return PresentedModule(B.gens, GradedMatrix(src, B.gens, cols,
-                                                    normalize=False, check=False))
+        return PresentedModule(B.gens, GradedMatrix(src, B.gens, cols))
 
     def is_surjective(self) -> bool:
         return self.cokernel().is_zero()
@@ -204,8 +203,7 @@ def subquotient(numerator: SubmoduleGB, denominator: Sequence[Vector],
     rels = syzygy_generators(num.gb, ambient, gens_fm, extra_unmarked=denominator,
                              upto=upto)
     src = GradedFreeModule(ambient.base, [gens_fm.vector_degree(s) for s in rels.gb])
-    out = PresentedModule(gens_fm, GradedMatrix(src, gens_fm, rels.gb, normalize=False,
-                                                check=False))
+    out = PresentedModule(gens_fm, GradedMatrix(src, gens_fm, rels.gb))
     out.cache["origin"] = {"kind": "subquotient", "numerator": num}
     out.cache["relation_gb"] = rels
     return out
@@ -266,8 +264,7 @@ def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
             cols.append([(k - shift, cc) for k, cc in c])
             twists.append(tw + t)
     src = GradedFreeModule(base, twists)
-    return PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False,
-                                              check=False))
+    return PresentedModule(gens, GradedMatrix(src, gens, cols))
 
 
 def tensor_map(d: GradedMatrix, M: PresentedModule, src: Optional[PresentedModule] = None,
@@ -277,7 +274,7 @@ def tensor_map(d: GradedMatrix, M: PresentedModule, src: Optional[PresentedModul
 
     Both sides are ``_copies`` of M, built here unless the caller passes
     them; column ``b*rank(M) + j`` is column b of d grafted onto generator j
-    of M.
+    of M, reduced modulo M's ideal when d lives over the cover.
     """
     rM = M.gens.rank
     if src is None:
@@ -285,7 +282,9 @@ def tensor_map(d: GradedMatrix, M: PresentedModule, src: Optional[PresentedModul
     if tgt is None:
         tgt = _copies(M.base, d.target.twists, M)
     cols = [_graft(col, j, rM) for col in d.cols for j in range(rM)]
-    mat = GradedMatrix(src.gens, tgt.gens, cols, normalize=d.base != M.base, check=False)
+    if d.base != M.base:
+        cols = list(map(M.base.normal_form_vector, cols))
+    mat = GradedMatrix(src.gens, tgt.gens, cols)
     return ModuleMap(src, tgt, mat, check=False)
 
 
@@ -392,19 +391,20 @@ def hom_realize(H: PresentedModule, v: Vector) -> GradedMatrix:
         cols[i].append((term_key(term_okey(key), j), c))
     for col in cols:
         col.sort(reverse=True)
-    return GradedMatrix(A.gens, B.gens, cols, check=False)
+    return GradedMatrix(A.gens, B.gens, cols)
 
 
 def hom_express(H: PresentedModule, cols: Sequence[Vector]) -> Vector:
     """Generator coordinates in a Hom module of a compatible map, given by
-    the images ``cols[i]`` of the generators of A as vectors over ``F_0(B)``."""
+    the images ``cols[i]`` of the generators of A as vectors over ``F_0(B)``,
+    in normal form modulo the ideal."""
     rB = H.cache["origin"]["B"].gens.rank
     flat: Vector = []
     for i, col in enumerate(cols):
         shift = i * rB
         flat += [(key - shift, c) for key, c in col]
     flat.sort(reverse=True)
-    return subquotient_express(H, flat)
+    return H.base.normal_form_vector(subquotient_express(H, flat))
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ class PresentedModule:
         """k = base / (variables), as a module over the base."""
         ring = base.cover
         gens = GradedFreeModule(base, [0])
-        cols = [gens.vector_from_polys([ring.var(i)]) for i in range(ring.n)]
+        cols = [gens.vector_from_polys([base.nf(ring.var(i))]) for i in range(ring.n)]
         src = GradedFreeModule(base, [1] * ring.n)
         return cls(gens, GradedMatrix(src, gens, cols))
 
@@ -134,14 +134,13 @@ class PresentedModule:
         cols = [list(c) for c in self.rels.cols] + aug
         twists = list(self.rels.source.twists) + [gens.vector_degree(v) for v in aug]
         src = GradedFreeModule(ring, twists)
-        return PresentedModule(gens, GradedMatrix(src, gens, cols, normalize=False))
+        return PresentedModule(gens, GradedMatrix(src, gens, cols))
 
     def twist(self, d: int) -> "PresentedModule":
         """The shifted module M(-d): all generator degrees raised by d."""
         gens = self.gens.shift(d)
         src = self.rels.source.shift(d)
-        return PresentedModule(gens, GradedMatrix(src, gens, self.rels.cols,
-                                                  normalize=False, check=False))
+        return PresentedModule(gens, GradedMatrix(src, gens, self.rels.cols))
 
     @cached
     def minimal(self) -> "PresentedModule":
@@ -186,13 +185,14 @@ def _cancel_units(prev: Optional[GradedMatrix], new: GradedMatrix):
     ctx = ring.pack.ctx
     base = new.base
     cols = list(new.cols)
-    holders: dict = {}
-    for j, col in enumerate(cols):
-        for k, _ in col:
-            holders.setdefault(term_pos(k), set()).add(j)
     # scalar terms are the keys with a zero monomial part, i.e. <= POS_MASK
     heap = [(term_pos(k), j) for j, col in enumerate(cols) for k, _ in col if k <= POS_MASK]
-    heapq.heapify(heap)
+    if heap:  # most calls take no pivot and need no row index
+        heapq.heapify(heap)
+        holders: dict = {}
+        for j, col in enumerate(cols):
+            for k, _ in col:
+                holders.setdefault(term_pos(k), set()).add(j)
     dead_rows, dead_cols = set(), set()
     while heap:
         r, c = heapq.heappop(heap)
@@ -227,7 +227,7 @@ def _cancel_units(prev: Optional[GradedMatrix], new: GradedMatrix):
         return prev, new
     if prev is not None and dead_rows:
         prev = prev.delete(cols=dead_rows)
-    out = GradedMatrix(new.source, new.target, cols, normalize=False, check=False)
+    out = GradedMatrix(new.source, new.target, cols)
     return prev, out.delete(rows=dead_rows, cols=dead_cols)
 
 
@@ -333,7 +333,7 @@ def resolve(M: PresentedModule, max_steps: Optional[int] = None) -> FreeResoluti
         amb = modules[-1]
         twists = [amb.vector_degree(c) for c in cols]
         src = GradedFreeModule(base, twists)
-        new = GradedMatrix(src, amb, cols, normalize=False, check=False)
+        new = GradedMatrix(src, amb, cols)
         prev = diffs[-1] if diffs else None
         prev, new = _cancel_units(prev, new)
         if prev is not None:

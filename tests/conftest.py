@@ -39,12 +39,16 @@ def monomial_lcm(u, v):
 
 
 def matrix_from_columns(base, target_twists, cols_polys, col_twists=None):
-    """The homogeneous matrix whose columns are lists of polynomials; column
-    twists default to the columns' degrees."""
+    """The homogeneous matrix whose columns are lists of polynomials, reduced
+    modulo the base's ideal; column twists default to the columns' degrees,
+    and given ones must match them."""
     target = GradedFreeModule(base, target_twists)
-    cols = [target.vector_from_polys(c) for c in cols_polys]
+    cols = [base.normal_form_vector(target.vector_from_polys(c)) for c in cols_polys]
+    degrees = [target.vector_degree(c) if c else 0 for c in cols]
     if col_twists is None:
-        col_twists = [target.vector_degree(c) if c else 0 for c in cols]
+        col_twists = degrees
+    assert all(d == t for c, d, t in zip(cols, degrees, col_twists) if c), \
+        f"column degrees {degrees} differ from the twists {col_twists}"
     return GradedMatrix(GradedFreeModule(base, col_twists), target, cols)
 
 
@@ -80,7 +84,9 @@ def hom_map(d, M):
             for j in range(rM):
                 cols[a * rM + j].append((term_key(okey, b * rM + j), c))
     cols = [sorted(col, reverse=True) for col in cols]
-    mat = GradedMatrix(src.gens, tgt.gens, cols, normalize=d.base != M.base, check=False)
+    if d.base != M.base:
+        cols = [M.base.normal_form_vector(col) for col in cols]
+    mat = GradedMatrix(src.gens, tgt.gens, cols)
     return ModuleMap(src, tgt, mat, check=False)
 
 

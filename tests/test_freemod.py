@@ -1,0 +1,87 @@
+"""``GradedMatrix`` stores its columns as given, so the sites that multiply
+or lift entries reduce them.  These tests record every matrix a battery
+builds and check the stated invariant: each column is in normal form modulo
+the ideal, and the nonzero columns are homogeneous of one offset from their
+twists, which is 0 except for ``hom_realize``'s Hom elements.
+"""
+
+import sys
+
+from charmod import corpus, homology
+from charmod.cmr import load, parse
+from charmod.freemod import GradedMatrix
+from charmod.groebner import QuotientRing
+from charmod.ring import PolyRing
+
+from conftest import FIXTURES, matrix_from_columns
+
+# x is y modulo the ideal, so a variable is not always in normal form
+LINEAR_FORM_DOC = """field 101
+ring x y z
+ideal
+x-y
+x*z
+end
+module M twists 0,0
+[ x , y ]
+[ y*z , z^2 ]
+end
+"""
+
+
+def _record(monkeypatch):
+    """Every ``GradedMatrix`` built from here on, with whether
+    ``hom_realize`` built it."""
+    built = []
+    init = GradedMatrix.__init__
+    realize = homology.hom_realize.__code__
+
+    def recording(self, source, target, cols):
+        init(self, source, target, cols)
+        built.append((self, sys._getframe(1).f_code is realize))
+
+    monkeypatch.setattr(GradedMatrix, "__init__", recording)
+    return built
+
+
+def _offsets(mat):
+    """Degree minus twist of each nonzero column; raises if one is
+    inhomogeneous."""
+    return {mat.target.vector_degree(list(col)) - mat.source.twists[j]
+            for j, col in enumerate(mat.cols) if col}
+
+
+def _violations(built):
+    """Descriptions of the recorded matrices that break the invariant."""
+    bad = []
+    for mat, realized in built:
+        nf = mat.base.normal_form_vector
+        if any(list(col) != nf(list(col)) for col in mat.cols):
+            bad.append(f"{mat!r}: a column is not in normal form")
+        offsets = _offsets(mat)
+        if len(offsets) > 1 or (offsets - {0} and not realized):
+            bad.append(f"{mat!r}: column offsets {sorted(offsets)}")
+    return bad
+
+
+def test_every_matrix_a_battery_builds_is_reduced_and_homogeneous(monkeypatch):
+    # fresh documents, so no memo from another test hides a construction
+    built = _record(monkeypatch)
+    docs = [(corpus.instance_id("mixed", 7, i), doc)
+            for i, doc in enumerate(corpus.generate_corpus(7, 10, "mixed"))]
+    docs += [(name, load(FIXTURES / f"{name}.cmr"))
+             for name in ("e2", "hypersurface", "stanley_reisner", "veronese")]
+    docs.append(("linear form", parse(LINEAR_FORM_DOC)))
+    for name, doc in docs:
+        assert corpus.corpus_battery(doc, name)["verdict"] == "verified", name
+    assert _violations(built) == []
+    # hom_realize's exemption is used: it realizes Hom elements of degree != 0
+    assert any(realized and _offsets(mat) - {0} for mat, realized in built)
+
+
+def test_compose_reduces_modulo_the_ideal():
+    ring = PolyRing(101, ("x", "y"))
+    Q = QuotientRing(ring, [ring.poly("x*y")])
+    mx = matrix_from_columns(Q, (0,), [[Q.poly("x")]], col_twists=[1])
+    my = matrix_from_columns(Q, (1,), [[Q.poly("y")]], col_twists=[2])
+    assert mx.compose(my).cols == ((),)

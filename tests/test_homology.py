@@ -473,8 +473,7 @@ def _reference_tensor_module(A, B):
             twists.append(tw + B.gens.twists[j])
     copy_cols, copy_twists = _reference_copy_rels(A.gens.twists, B)
     src = GradedFreeModule(base, twists + copy_twists)
-    return PresentedModule(gens, GradedMatrix(src, gens, cols + copy_cols,
-                                              normalize=False, check=False))
+    return PresentedModule(gens, GradedMatrix(src, gens, cols + copy_cols))
 
 
 def _reference_hom_module(A, B):

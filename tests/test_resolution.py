@@ -323,7 +323,7 @@ def _schur_cancel(m, r, c, u):
         for okey, cc in entry:
             nc = scaled_merge(nc, pivot, (p - cc * uinv % p) % p, okey << POS_BITS, p, ctx)
         new_cols.append(m.base.normal_form_vector(nc))
-    tmp = GradedMatrix(m.source, m.target, new_cols, normalize=False, check=False)
+    tmp = GradedMatrix(m.source, m.target, new_cols)
     return tmp.delete(rows=[r], cols=[c])
 
 
