@@ -51,8 +51,8 @@ from .freemod import (
     term_pos,
     v_scale,
 )
-from .kernel import (LEX, POS_BITS, compiled_engine, divides, epack, make_reducer,
-                     scaled_merge)
+from .kernel import (LEX, POS_BITS, POS_MASK, compiled_engine, divides, epack,
+                     make_reducer, scaled_merge)
 from .ring import Polynomial, PolyRing
 
 
@@ -487,7 +487,7 @@ class QuotientRing:
     ignored by equality and hashing.
     """
 
-    __slots__ = ("cover", "ideal", "_gb_polys", "_reducer", "cache")
+    __slots__ = ("cover", "ideal", "_gb_polys", "_reducer", "_width", "cache")
 
     def __init__(self, cover: PolyRing, ideal):
         self.cover = cover
@@ -504,9 +504,11 @@ class QuotientRing:
         if gb and gb[0].degree() == 0:
             raise ValueError("ideal is the unit ideal; quotient ring is zero")
         self._gb_polys = gb
-        self._reducer = make_reducer(
-            cover.field.p, cover.pack.ctx,
-            [[(term_key(k, 0), c) for k, c in g.terms] for g in gb])
+        # the columns g * e_pos, appended position by position as vectors
+        # reach them; polynomials live at position 0
+        self._reducer = make_reducer(cover.field.p, cover.pack.ctx)
+        self._width = 0
+        self._widen(1)
         self.cache: dict = {}
 
     @property
@@ -534,20 +536,21 @@ class QuotientRing:
         r = self._reducer.nf(v)
         return Polynomial(self.cover, [(term_okey(k), c) for k, c in r])
 
+    def _widen(self, rank: int):
+        """Let the reducer reach positions 0 .. rank - 1."""
+        for pos in range(self._width, rank):
+            for g in self._gb_polys:
+                self._reducer.append([(term_key(k, pos), c) for k, c in g.terms])
+        self._width = max(self._width, rank)
+
     def normal_form_vector(self, v: Vector) -> Vector:
-        """Componentwise normal form of a vector modulo the defining ideal."""
-        if not self._gb_polys:
+        """Normal form of a vector modulo I times the free module.  A
+        basis element only reduces terms at its own position, so this is
+        the componentwise normal form."""
+        if not self._gb_polys or not v:
             return list(v)
-        coords: dict = {}
-        for key, c in v:
-            coords.setdefault(term_pos(key), []).append((term_key(term_okey(key), 0), c))
-        out: Vector = []
-        for pos, terms in coords.items():
-            r = self._reducer.nf(sorted(terms, reverse=True))
-            for k, c in r:
-                out.append((term_key(term_okey(k), pos), c))
-        out.sort(reverse=True)
-        return out
+        self._widen(POS_MASK + 1 - min(k & POS_MASK for k, _ in v))  # top position + 1
+        return self._reducer.nf(v)
 
     def poly(self, text: str) -> Polynomial:
         return self.nf(self.cover.poly(text))

@@ -55,24 +55,18 @@ from .resolution import FreeResolution, PresentedModule
 
 
 def monomial_okeys(ring, d: int) -> List[int]:
-    """Order keys of all degree-d monomials, descending."""
+    """Order keys of all degree-d monomials, descending.
+
+    Built one variable at a time: each partial exponent tuple carries the
+    degree left for the variables after it, and the last takes the rest.
+    """
     if d < 0:
         return []
-    n = ring.n
-    out: List[int] = []
-    exps = [0] * n
-
-    def rec(i: int, rem: int):
-        if i == n - 1:
-            exps[i] = rem
-            out.append(ring.pack.okey(exps))
-            return
-        for e in range(rem + 1):
-            exps[i] = e
-            rec(i + 1, rem - e)
-        exps[i] = 0
-
-    rec(0, d)
+    parts = [((), d)]
+    for _ in range(ring.n - 1):
+        parts = [(exps + (e,), rem - e) for exps, rem in parts for e in range(rem + 1)]
+    okey = ring.pack.okey
+    out = [okey(exps + (rem,)) for exps, rem in parts]
     out.sort(reverse=True)
     return out
 

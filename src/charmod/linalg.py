@@ -1,48 +1,39 @@
-"""Dense linear algebra over GF(p) on numpy int64 matrices.
+"""Sparse linear algebra over GF(p).
 
 Used to rank the scalar part of a presentation's relations, which by
 graded Nakayama counts the module's minimal generators
-(``PresentedModule.nu``); the tests also rank degreewise matrices of maps
-with it.  Entries are canonical representatives in ``[0, p)``; products
-fit int64 for any p below 2^31.
+(``PresentedModule.nu``).  Those matrices are tiny and sparse, so rows are
+``{column: entry}`` dicts and elimination touches only their nonzero
+entries; columns are any mutually comparable keys.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import Iterable
 
 
-def rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, list]:
-    """Reduced row echelon form and pivot column indices."""
-    m = np.array(a, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m -= np.outer(col, m[r])
-        m %= p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def rank(rows: Iterable[dict], p: int) -> int:
+    """Rank over GF(p) of the matrix with the given sparse rows.
 
-
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    _, piv = rref(a, p)
-    return len(piv)
-
+    Each stored pivot row is monic in its smallest column, which no other
+    stored row has as its pivot; reducing a new row by the pivot at its
+    smallest column only touches larger columns, so the loop ends.
+    """
+    pivots: dict = {}
+    for row in rows:
+        row = {k: e % p for k, e in row.items() if e % p}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(row[col], p - 2, p)
+                pivots[col] = {k: e * inv % p for k, e in row.items()}
+                break
+            f = row[col]
+            for k, e in piv.items():
+                v = (row.get(k, 0) - f * e) % p
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+    return len(pivots)

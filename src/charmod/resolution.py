@@ -22,14 +22,11 @@ import heapq
 from functools import wraps
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import linalg
 from .freemod import (
     GradedFreeModule,
     GradedMatrix,
     Vector,
-    term_key,
     term_pos,
 )
 from .kernel import POS_BITS, POS_MASK, scaled_merge
@@ -161,10 +158,8 @@ class PresentedModule:
         F_0/mF_0 modulo the scalar part of the relations (their terms with
         no monomial part, which normal forms mod I never touch), so nu is
         rank F_0 minus the rank of that part over the field."""
-        keys = [term_key(0, i) for i in range(self.gens.rank)]
         scalar = [{k: c for k, c in col if k <= POS_MASK} for col in self.rels.cols]
-        rows = [[s.get(k, 0) for k in keys] for s in scalar if s]
-        return len(keys) - (linalg.rank(np.array(rows), self.ring.field.p) if rows else 0)
+        return self.gens.rank - linalg.rank(scalar, self.ring.field.p)
 
 
 def _cancel_units(prev: Optional[GradedMatrix], new: GradedMatrix):

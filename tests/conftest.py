@@ -6,7 +6,6 @@ import sysconfig
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from charmod import corpus as corpus_mod
@@ -124,11 +123,23 @@ def is_injective(f):
 
 
 def vector_coords(M, v, basis_index):
-    """Coordinates of an element (given as an ambient vector) in a degree basis."""
-    col = np.zeros(len(basis_index), dtype=np.int64)
-    for key, c in M.relation_gb().normal_form(list(v)):
-        col[basis_index[key]] = c
-    return col
+    """Coordinates of an element (given as an ambient vector) in a degree
+    basis, as a sparse row ``{basis index: coefficient}``."""
+    return {basis_index[key]: c for key, c in M.relation_gb().normal_form(list(v))}
+
+
+def componentwise_normal_form_vector(base, v):
+    """The normal form of a vector modulo the base's ideal, one component
+    at a time through the ideal's own basis: the reference for
+    ``QuotientRing.normal_form_vector``."""
+    coords = {}
+    for key, c in v:
+        coords.setdefault(term_pos(key), []).append((term_okey(key), c))
+    out = []
+    for pos, terms in coords.items():
+        f = base.ideal.normal_form(Polynomial(base.cover, sorted(terms, reverse=True)))
+        out += [(term_key(okey, pos), c) for okey, c in f.terms]
+    return sorted(out, reverse=True)
 
 
 def reference_nu(M):

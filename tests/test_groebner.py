@@ -13,8 +13,8 @@ import re
 import pytest
 
 from charmod import corpus, groebner
-from charmod.characteristic import char_module, check_thm8
-from charmod.cmr import load
+from charmod.characteristic import char_module, check_thm8, quasi_canonical
+from charmod.cmr import load, parse
 from charmod.freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos, v_scale
 from charmod.groebner import (
     Ideal,
@@ -28,8 +28,8 @@ from charmod.invariants import residue_field_of
 from charmod.kernel import POS_BITS, make_reducer
 from charmod.ring import PolyRing
 
-from conftest import (FIXTURES, exps_of_degree, matrix_from_columns, monomial_lcm, monomial_mul,
-                      rational_normal_curve)
+from conftest import (FIXTURES, componentwise_normal_form_vector, exps_of_degree,
+                      matrix_from_columns, monomial_lcm, monomial_mul, rational_normal_curve)
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +277,33 @@ def test_quotient_ring_normal_forms():
     # nf is a ring map on representatives
     f, g = ring.poly("x+y"), ring.poly("x-y")
     assert R.nf(f * g) == R.nf(R.nf(f) * R.nf(g))
+
+
+def test_normal_form_vector_matches_the_componentwise_reference(monkeypatch):
+    # every vector a battery run, a ring with a linear form in its ideal
+    # and a lex ring normalize, against one normal form per component
+    seen = []
+    real = QuotientRing.normal_form_vector
+
+    def recording(self, v):
+        out = real(self, v)
+        seen.append((self, list(v), out))
+        return out
+
+    monkeypatch.setattr(QuotientRing, "normal_form_vector", recording)
+    for i, doc in enumerate(corpus.generate_corpus(7, 10, "mixed")):
+        corpus.corpus_battery(doc, corpus.instance_id("mixed", 7, i), split=True)
+    battery = len(seen)
+    for text in ("field 101\nring x y z w\nideal\nx-2*y+3*w\ny*w-z^2\nend\n",
+                 "field 7\nring x y z\norder lex\nideal\nx*z-y^2\nx^2*y-z^3\nend\n"):
+        R = parse(text).quotient()
+        check_thm8(R)
+    monkeypatch.undo()
+    assert battery > 1000 and len(seen) > battery + 50
+    assert max(term_pos(k) for _, v, _ in seen for k, _ in v) > 10
+    assert sum(v != out for _, v, out in seen) > 100
+    for R, v, out in seen:
+        assert out == componentwise_normal_form_vector(R, v)
 
 
 def test_quotient_ring_rejects_bad_ideals():

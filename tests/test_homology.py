@@ -1,9 +1,10 @@
 """Hom, tensor, subquotients, homology at one term, and the isomorphism probe."""
 
+import gc
+import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from charmod import characteristic, corpus, linalg
@@ -60,6 +61,27 @@ def test_monomial_counts():
     for d in range(6):
         assert len(monomial_okeys(ring, d)) == math.comb(d + 2, 2)
     assert monomial_okeys(ring, -1) == []
+
+
+def test_monomial_okeys_match_a_brute_force_enumeration():
+    for order in ("grevlex", "lex"):
+        for n in range(1, 6):
+            ring = PolyRing(101, [f"x{i}" for i in range(n)], order)
+            for d in range(6):
+                want = sorted((ring.pack.okey(e) for e in itertools.product(range(d + 1), repeat=n)
+                               if sum(e) == d), reverse=True)
+                assert monomial_okeys(ring, d) == want, (order, n, d)
+
+
+def test_monomial_okeys_leave_nothing_for_the_cyclic_collector():
+    ring = PolyRing(101, ("x", "y", "z", "w"))
+    gc.collect()
+    gc.disable()
+    try:
+        monomial_okeys(ring, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _enumerated_hf(M, lo, hi):
@@ -291,9 +313,8 @@ def _reference_iso_probe(A, B, seed=0, trials=8):
         for d in range(lo, hi + 1):
             basA, basB = module_basis(Am, d), module_basis(Bm, d)
             index = {k: t for t, k in enumerate(basB)}
-            cols = [vector_coords(Bm, mat.apply([(key, 1)]), index) for key in basA]
-            m = np.stack(cols, axis=1) if cols else np.zeros((len(basB), 0), dtype=np.int64)
-            if len(basA) != len(basB) or (basA and linalg.rank(m, p) != len(basA)):
+            rows = [vector_coords(Bm, mat.apply([(key, 1)]), index) for key in basA]
+            if len(basA) != len(basB) or linalg.rank(rows, p) != len(basA):
                 ok = False
                 break
         if ok:

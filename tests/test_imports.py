@@ -1,4 +1,5 @@
-"""No module under ``src/charmod`` keeps a module-level import it never uses.
+"""No module under ``src/charmod`` keeps a module-level import it never uses,
+and importing the package and its CLI loads no numpy.
 
 A deletion that leaves its imports behind fails here.  Package
 ``__init__`` files re-export what they import, and so does a name listed
@@ -9,6 +10,9 @@ imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "charmod"
@@ -66,6 +70,16 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "def f(x: Optional[int]) -> List[int]:\n"
         "    return [os.path.sep]\n")
     assert unused_imports(pkg) == ["charmod/a.py:4 g"]
+
+
+def test_import_loads_no_numpy():
+    # charmod has no runtime dependency; numpy alone would double a cold start
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, charmod, charmod.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 if __name__ == "__main__":
