@@ -29,6 +29,17 @@ Only that block is autoreduced; the flagged elements are dropped first.
 Each elimination runs once per base ring: ``syzygy_generators`` memoizes
 its bases by value in the base's ``cache``.
 
+The engine takes a known block (``known``): the first inputs already form
+a reduced Groebner basis.  They enter the basis as given, unreduced, and no
+pair of two of them is formed: each such S-polynomial has a standard
+representation over the block (Buchberger's criterion), so the span, and
+with it the canonical reduced basis, are unchanged.  Such a pair is never
+marked treated either, so the chain criterion never leans on one.  An
+elimination whose unmarked module has a known reduced basis over Q, ideal
+columns included, starts from it instead of working that basis out again
+pair by pair (``homology._homology`` does so for the copies of a module
+that holds its relation basis).
+
 The engine takes an internal degree bound (``upto``), which only
 ``homology.iso_probe`` sets, through its Hom build: the input is
 homogeneous and pairs are taken lowest S-degree first, so dropping the
@@ -62,18 +73,22 @@ from .ring import Polynomial, PolyRing
 
 def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
                       product: bool = False, below: Optional[int] = None,
-                      upto: Optional[int] = None) -> List[Vector]:
+                      upto: Optional[int] = None, known: int = 0) -> List[Vector]:
     """Reduced Groebner basis of the span of ``vecs`` (term lists over Q).
 
     ``twists`` drive the normal selection strategy for homogeneous input;
     ``product`` enables the coprime-lead criterion and must only be set in
-    ambient rank one, where discarded pairs are genuinely redundant.  With
+    ambient rank one, where discarded pairs are genuinely redundant.  The
+    first ``known`` inputs must form a reduced basis: they enter unreduced
+    and no pair of two of them is pushed, since its S-polynomial reduces to
+    zero over them, so the result is the one without ``known``.  With
     ``upto`` only the part of degree at most ``upto`` is computed: inputs of
     higher degree are dropped and no pair of higher S-degree is pushed.
     The input is homogeneous, so an S-polynomial and its normal form have
     the pair's S-degree and a reducer of a vector is of no higher degree:
     the result is exactly the degree <= ``upto`` part of the reduced basis,
-    an order-preserving sub-list of it (as Macaulay2's ``DegreeLimit``).  With
+    an order-preserving sub-list of it (as Macaulay2's ``DegreeLimit``); a
+    known block cut to degree <= ``upto`` is still a truncated basis.  With
     ``below`` (an elimination's block flag) only the elements with lead key
     below it are autoreduced and returned: the marker block of the reduced
     basis.  That block is exactly what autoreducing everything would keep,
@@ -88,22 +103,24 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     ctx = ring.pack.ctx
     engine = compiled_engine(p, ctx)
     if engine is None:
-        G = _buchberger_loop(ring, twists, vecs, product, below, upto)
+        G = _buchberger_loop(ring, twists, vecs, product, below, upto, known)
     else:
-        G = engine(p, ctx.n, ctx.fb, twists, vecs, product, below, upto)
+        G = engine(p, ctx.n, ctx.fb, twists, vecs, product, below, upto, known)
     return _autoreduce(ring, G)
 
 
 def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
                      product: bool, below: Optional[int],
-                     upto: Optional[int]) -> List[Vector]:
+                     upto: Optional[int], known: int = 0) -> List[Vector]:
     """The pair loop of ``_buchberger_terms``: the unreduced basis, in the
     order its elements were found, cut to the leads below ``below``.  The
     reference for ``_fast.buchberger``, and the loop of the pure kernel, of
     lex rings and of rings whose keys pass a machine word.  Pairs are
     formed, and the chain criterion is checked, within the bucket of basis
     indices that share the pair's lead position (``by_pos``); each pair is
-    pushed once and ``done`` records the pairs already treated.
+    pushed once and ``done`` records the pairs already treated.  A known
+    input (index below ``known``) is added as given and pushes no pair; only
+    known inputs come before it, so none of their pairs is ever pushed.
 
     A pair is ``(sugar, i, j, lcm word, lcm key)``: the word is the field-wise
     maximum of the leads' exponent words; times ``ones`` (a 1 in each field)
@@ -130,7 +147,7 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
     pairs: list = []
     done = set()
 
-    def add_gen(v: Vector) -> None:
+    def add_gen(v: Vector, pair: bool = True) -> None:
         k, c = v[0]
         if c != 1:
             v = v_scale(v, ring.field.inv(c), p)
@@ -140,7 +157,7 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
         pos = term_pos(k)
         twist = twists[pos]
         bucket = by_pos.setdefault(pos, [])
-        for i in bucket:
+        for i in bucket if pair else ():
             # guard bit set in each field where lead i's exponent is at least ep's
             g = ((lead_ep[i] | guards) - ep) & guards
             low = g - (g >> top)
@@ -156,11 +173,14 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
         lead_pos.append(pos)
         red.append(v)
 
-    for v in vecs:
+    for t, v in enumerate(vecs):
         if not v:
             continue
         k = v[0][0]
         if upto is not None and ctx.deg(term_okey(k)) + twists[term_pos(k)] > upto:
+            continue
+        if t < known:  # a known element: in normal form, and its pairs reduce to 0
+            add_gen(list(v), False)
             continue
         r = red.nf(v)
         if r:
@@ -324,7 +344,8 @@ def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
 def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
                       source: GradedFreeModule,
                       extra_unmarked: Sequence[Vector] = (),
-                      upto: Optional[int] = None) -> SubmoduleGB:
+                      upto: Optional[int] = None,
+                      known: Sequence[Vector] = ()) -> SubmoduleGB:
     """The syzygy module of ``vectors`` over the ambient base, a submodule
     of ``source`` (the free module on the inputs, which sets the twists).
 
@@ -336,6 +357,13 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     autoreduced, moved back to positions j, and ``gb`` its projection
     modulo the ideal.
 
+    ``known``, when given, is the reduced basis over Q of the unmarked
+    module, the extra columns and the ideal columns together, and takes
+    their place: it enters flagged, first, as the engine's known block, so
+    no pair inside it is formed, and the ideal columns are not appended
+    (they lie in its span).  The unmarked module, hence the result, is the
+    one the columns would give.
+
     With ``upto`` only the syzygies of degree at most ``upto`` are found
     (see ``_buchberger_terms``): the inputs whose ``source`` twist is above
     it are dropped, their marker positions kept, and the engine drops the
@@ -345,17 +373,20 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
 
     Each elimination runs once per base ring: the bases are memoized by
     value in ``base.cache["syzygy_generators"]``, keyed by the twists, the
-    vectors, the extra columns and ``upto``, without which a truncated
-    basis would answer a full request (the ideal columns follow from the
-    base and the rank).  An entry holds only the immutable ``gb`` and
-    ``_qgb`` tuples, one tuple when they are equal; every call gets a fresh
-    ``SubmoduleGB``, so no reducer is shared.  Callers pass matrices' own
-    column tuples, which the key then shares.
+    vectors, the extra columns, ``upto``, without which a truncated basis
+    would answer a full request, and the known block (the ideal columns
+    follow from the base and the rank).  Equal unmarked modules given by
+    different columns share a known block, and so its entry.  An entry
+    holds only the immutable ``gb`` and ``_qgb`` tuples, one tuple when they
+    are equal; every call gets a fresh ``SubmoduleGB``, so no reducer is
+    shared.  Callers pass matrices' own column tuples, which the key then
+    shares.
     """
     base = ambient.base
     vectors = tuple(map(tuple, vectors))
     extra_unmarked = tuple(map(tuple, extra_unmarked))
-    key = (ambient.twists, source.twists, vectors, extra_unmarked, upto)
+    known = tuple(map(tuple, known))
+    key = (ambient.twists, source.twists, vectors, extra_unmarked, upto, known)
     memo = base.cache.setdefault("syzygy_generators", {})
     hit = memo.get(key)
     if hit is None:
@@ -364,12 +395,15 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
         flag = 1 << ring.pack.block_shift
         twists = list(ambient.twists) + [ambient.vector_degree(v) if v else 0
                                          for v in vectors]
-        combined = [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
-                    for j, v in enumerate(vectors)
-                    if upto is None or source.twists[j] <= upto]
-        combined += [[(k + flag, c) for k, c in v]
-                     for v in (*extra_unmarked, *_ideal_aug_vectors(base, r)) if v]
-        marker = _buchberger_terms(ring, twists, combined, below=flag, upto=upto)
+        combined = [[(k + flag, c) for k, c in v] for v in known]
+        combined += [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
+                     for j, v in enumerate(vectors)
+                     if upto is None or source.twists[j] <= upto]
+        if not known:
+            combined += [[(k + flag, c) for k, c in v]
+                         for v in (*extra_unmarked, *_ideal_aug_vectors(base, r)) if v]
+        marker = _buchberger_terms(ring, twists, combined, below=flag, upto=upto,
+                                   known=len(known))
         # marker position r + j back to j: a constant shift of the position field
         qgb = tuple(tuple((k + r, c) for k, c in g) for g in marker)
         gb = tuple(tuple(s) for s in map(base.normal_form_vector, qgb) if s)

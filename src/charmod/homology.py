@@ -18,6 +18,10 @@ Each homology runs at most two eliminations and no other Groebner run: the
 cycles' reduced basis is the first one's marker block, and it generates
 the result (canonical, so Hom bases and trial indices never move); the
 relations' reduced basis is the second one's and seeds ``relation_gb``.
+The codomain of every map here is a sum of copies of a module M
+(``_copies``), and when M holds its relation basis the cycles elimination
+starts from the copies' basis, M's moved copy by copy, as a known block
+(see ``groebner``) instead of from their relation columns.
 ``iso_probe`` reads Hom(A, B) in degree 0 only, so it builds it only
 through degree 0 (``_hom`` with ``upto=0``): the cycles and the relations
 come from degree-bounded eliminations (see ``groebner``), which give the
@@ -245,6 +249,8 @@ def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
     ``a*rank(M)``, which keeps their term order.  With ``free`` the term is
     the free module on the same generators: a map out of it has the same
     image as out of the copies, which is all a cokernel or a boundary reads.
+    Otherwise the result records M under ``"copies"`` in its cache, for
+    ``_copies_relation_qgb``.
     """
     rM = M.gens.rank
     gens = GradedFreeModule(base, [b + t for t in outer_twists for b in M.gens.twists])
@@ -258,7 +264,26 @@ def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
             cols.append([(k - shift, cc) for k, cc in c])
             twists.append(tw + t)
     src = GradedFreeModule(base, twists)
-    return PresentedModule(gens, GradedMatrix(src, gens, cols))
+    out = PresentedModule(gens, GradedMatrix(src, gens, cols))
+    out.cache["copies"] = M
+    return out
+
+
+def _copies_relation_qgb(C: PresentedModule) -> Optional[Sequence[Vector]]:
+    """The reduced relation basis over Q of ``C = _copies(base, twists, M)``,
+    ideal columns included, when M holds its relation basis, else None.
+    The copies sit in disjoint positions, so the reduced basis of their sum
+    is the union of theirs: M's moved copy by copy, sorted descending by
+    lead as ``_autoreduce`` leaves it, which is the ``_qgb`` that
+    ``buchberger`` gives on C's columns."""
+    M = C.cache.get("copies")
+    if M is None or "relation_gb" not in M.cache:
+        return None
+    qgb = M.relation_gb()._qgb
+    out = [tuple([(k - s, c) for k, c in g])
+           for s in range(0, C.gens.rank, M.gens.rank) for g in qgb]
+    out.sort(reverse=True)
+    return out
 
 
 def tensor_map(d: GradedMatrix, M: PresentedModule, src: Optional[PresentedModule] = None,
@@ -411,9 +436,13 @@ def _homology(out: ModuleMap, boundaries: Sequence[Vector] = (),
     ``boundaries`` (which are cycles, so they enter as the denominator
     only).  The cycles' basis is the syzygy basis of ``out``'s columns
     modulo the codomain's relations, or the unit vectors (in descending key
-    order) when the codomain is zero and every vector is a cycle.  With
-    ``upto`` the result is built, and is right, in degrees at most ``upto``
-    only (see ``subquotient``).
+    order) when the codomain is zero and every vector is a cycle.  Its
+    elimination starts from the codomain's relation basis over Q as a known
+    block when ``_copies_relation_qgb`` reads it off a held one, and from
+    the codomain's relation columns and the ideal columns otherwise; it
+    never computes a relation basis just for this, which costs more than it
+    saves.  With ``upto`` the result is built, and is right, in degrees at
+    most ``upto`` only (see ``subquotient``).
     """
     X, Y = out.domain, out.codomain
     if Y.gens.rank == 0:
@@ -421,8 +450,13 @@ def _homology(out: ModuleMap, boundaries: Sequence[Vector] = (),
                  if upto is None or tw <= upto]
         num = SubmoduleGB(X.gens, units)
     else:
-        num = syzygy_generators(out.matrix.cols, Y.gens, X.gens,
-                                extra_unmarked=Y.rels.cols, upto=upto)
+        known = _copies_relation_qgb(Y)
+        if known is None:
+            num = syzygy_generators(out.matrix.cols, Y.gens, X.gens,
+                                    extra_unmarked=Y.rels.cols, upto=upto)
+        else:
+            num = syzygy_generators(out.matrix.cols, Y.gens, X.gens, upto=upto,
+                                    known=known)
     return subquotient(num, [c for c in (*X.rels.cols, *boundaries) if c], upto=upto)
 
 

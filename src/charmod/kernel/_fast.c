@@ -8,10 +8,12 @@ mirrors the pure kernel term for term:
 * ``Reducer(p, kind, n, fb, basis=())`` is ``pure.Reducer``: leads are
   bucketed by position and the first divisor in insertion order reduces,
   so ``find_reducer``, ``nf`` and ``nf_q`` give the same results;
-* ``buchberger(p, n, fb, twists, vecs, product, below, upto)`` is the pair
-  loop of ``groebner._buchberger_loop`` on grevlex keys: the same input
-  reductions, pairs, (sugar, i, j) order and criteria, hence the same
-  unreduced basis, element for element.  Autoreduction stays in Python.
+* ``buchberger(p, n, fb, twists, vecs, product, below, upto, known=0)`` is
+  the pair loop of ``groebner._buchberger_loop`` on grevlex keys: the same
+  input reductions, pairs, (sugar, i, j) order and criteria, hence the same
+  unreduced basis, element for element.  The first ``known`` inputs are a
+  reduced basis: they enter as given and form no pair among themselves.
+  Autoreduction stays in Python.
 
 Keys, exponent words and coefficients are unsigned 64-bit words.  A key is
 below 2^62 and a coefficient below p < 2^31, so a coefficient product plus
@@ -683,9 +685,9 @@ twist_at(const engine_t *e, u64 key, i64 *twist)
 }
 
 /* add_gen: make e->out monic, push its pairs with the leads at its
-   position, and append it to the basis. */
+   position unless ``pair`` is 0, and append it to the basis. */
 static int
-add_gen(engine_t *e)
+add_gen(engine_t *e, int pair)
 {
     basis_t *b = &e->b;
     Py_ssize_t n = e->out.n, t = b->nb, k;
@@ -711,7 +713,7 @@ add_gen(engine_t *e)
         goto fail;
     e->ndone = t + 1;
     bk = key_pos(v[0].k) < b->nbk ? &b->bk[key_pos(v[0].k)] : NULL;
-    for (k = 0; bk && k < bk->n; k++) {
+    for (k = 0; pair && bk && k < bk->n; k++) {
         u64 lep = bk->e[k].ep;
         /* guard bit set in each field where lead i's exponent is at least ep's */
         u64 g = ((lep | guards) - ep) & guards;
@@ -795,12 +797,13 @@ spoly_nf(engine_t *e, Py_ssize_t i, Py_ssize_t j, u64 lk)
 }
 
 static int
-engine_run(engine_t *e, PyObject *vecs, int product)
+engine_run(engine_t *e, PyObject *vecs, int product, Py_ssize_t known)
 {
     basis_t *b = &e->b;
     PyObject *seq = PySequence_Fast(vecs, "vecs is a sequence of vectors");
     Py_ssize_t v, nv;
     i64 twist;
+    vec_t tmp;
 
     if (seq == NULL)
         return -1;
@@ -817,8 +820,14 @@ engine_run(engine_t *e, PyObject *vecs, int product)
             if ((i64)deg + twist > e->upto)
                 continue;
         }
-        if (reduce(b, &e->h, &e->s, &e->out, NULL) < 0
-                || (e->out.n && add_gen(e) < 0))
+        if (v < known) {  /* a known element enters as given */
+            tmp = e->out;
+            e->out = e->h;
+            e->h = tmp;
+        } else if (reduce(b, &e->h, &e->s, &e->out, NULL) < 0) {
+            goto fail;
+        }
+        if (e->out.n && add_gen(e, v >= known) < 0)
             goto fail;
     }
     Py_CLEAR(seq);
@@ -829,7 +838,7 @@ engine_run(engine_t *e, PyObject *vecs, int product)
             continue;
         if (chain(e, pr.i, pr.j, pr.w))
             continue;
-        if (spoly_nf(e, pr.i, pr.j, pr.lk) < 0 || (e->out.n && add_gen(e) < 0))
+        if (spoly_nf(e, pr.i, pr.j, pr.lk) < 0 || (e->out.n && add_gen(e, 1) < 0))
             return -1;
     }
     return 0;
@@ -839,10 +848,11 @@ fail:
 }
 
 PyDoc_STRVAR(buchberger_doc,
-"buchberger(p, n, fb, twists, vecs, product, below, upto)\n\n"
+"buchberger(p, n, fb, twists, vecs, product, below, upto, known=0)\n\n"
 "The pair loop of ``groebner._buchberger_loop`` on grevlex keys: the\n"
 "unreduced basis it builds, in order, keeping only the elements with lead\n"
-"key below ``below`` unless that is None.");
+"key below ``below`` unless that is None.  The first ``known`` vectors are\n"
+"a reduced basis: they enter unreduced and form no pair among themselves.");
 
 static PyObject *
 buchberger(PyObject *Py_UNUSED(self), PyObject *args)
@@ -852,10 +862,10 @@ buchberger(PyObject *Py_UNUSED(self), PyObject *args)
     PyObject *twists, *vecs, *below, *upto, *tw = NULL, *out = NULL, *g;
     engine_t e;
     u64 limit = UINT64_MAX;
-    Py_ssize_t i;
+    Py_ssize_t i, known = 0;
 
-    if (!PyArg_ParseTuple(args, "KiiOOpOO:buchberger", &p, &n, &fb, &twists,
-                          &vecs, &product, &below, &upto))
+    if (!PyArg_ParseTuple(args, "KiiOOpOO|n:buchberger", &p, &n, &fb, &twists,
+                          &vecs, &product, &below, &upto, &known))
         return NULL;
     memset(&e, 0, sizeof e);
     if (basis_init(&e.b, p, 0, n, fb) < 0)
@@ -885,7 +895,7 @@ buchberger(PyObject *Py_UNUSED(self), PyObject *args)
         if (e.twists[i] == -1 && PyErr_Occurred())
             goto done;
     }
-    if (engine_run(&e, vecs, product) < 0 || (out = PyList_New(0)) == NULL)
+    if (engine_run(&e, vecs, product, known) < 0 || (out = PyList_New(0)) == NULL)
         goto done;
     for (i = 0; i < e.b.nb; i++) {
         if (e.b.g[i].t[0].k >= limit)

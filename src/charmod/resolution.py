@@ -39,15 +39,19 @@ class ResolutionLimitError(RuntimeError):
 
 
 def cached(fn):
-    """Memoize ``fn(obj)`` in ``obj.cache`` under ``fn.__name__``."""
+    """Memoize ``fn(obj)`` in ``obj.cache`` under ``fn.__name__``.  A result
+    that is ``obj`` itself is stored as None, so no object holds itself and
+    reference counting alone frees it."""
     key = fn.__name__
 
     @wraps(fn)
     def wrapper(obj):
         cache = obj.cache
         if key not in cache:
-            cache[key] = fn(obj)
-        return cache[key]
+            out = fn(obj)
+            cache[key] = None if out is obj else out
+        out = cache[key]
+        return obj if out is None else out
     return wrapper
 
 
@@ -147,7 +151,7 @@ class PresentedModule:
         if rels is self.rels:
             return self
         out = PresentedModule(rels.target, rels)
-        out.cache["minimal"] = out  # the result is its own minimal presentation
+        out.cache["minimal"] = None  # ``cached``'s mark: its own minimal presentation
         return out
 
     def is_zero(self) -> bool:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from charmod import corpus as corpus_mod
+from charmod import homology as homology_mod
 from charmod import kernel
 from charmod.cmr import load
 from charmod.freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos
@@ -108,6 +109,30 @@ def rational_normal_curve(n):
 def presented_kernel(f):
     """Kernel of a map of presented modules, as a subquotient of the domain."""
     return _homology(f)
+
+
+def homology_calls(monkeypatch):
+    """(map, upto) of every ``_homology`` call with a nonzero codomain that
+    the battery, split identities included, makes on fresh copies of the
+    pool documents: the first 10 acceptance instances and the four
+    fixtures.  A document used before keeps its routes memoized in its
+    ring and makes fewer calls."""
+    calls = []
+    real = homology_mod._homology
+
+    def recording(out, boundaries=(), upto=None):
+        if out.codomain.gens.rank:
+            calls.append((out, upto))
+        return real(out, boundaries, upto)
+
+    docs = corpus_mod.generate_corpus(7, 10, "mixed") + [
+        load(FIXTURES / f"{name}.cmr")
+        for name in ("veronese", "e2", "hypersurface", "stanley_reisner")]
+    monkeypatch.setattr(homology_mod, "_homology", recording)
+    for doc in docs:
+        corpus_mod.corpus_battery(doc)
+    monkeypatch.setattr(homology_mod, "_homology", real)
+    return calls
 
 
 def ext_k_module(M, i):

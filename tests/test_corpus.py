@@ -154,8 +154,11 @@ def test_battery_is_deterministic():
 # its full grid presentation, 475 while type_of computed Ext^t(k, M) over
 # the base from a resolution of k, 439 before syzygy_generators memoized
 # its eliminations in the base ring's cache, 329 while colon ideals ran
-# their eliminations outside that memo
-BATTERY_10_GROEBNER_RUNS = 323
+# their eliminations outside that memo, 323 while every cycles elimination
+# took its codomain's relation columns, even where the copied module held
+# its relation basis (the memo key now holds that basis, which equal
+# modules with different columns share)
+BATTERY_10_GROEBNER_RUNS = 305
 # the S-pair work inside those runs: pairs pushed on the pair heap, and
 # S-polynomials reduced (two scaled merges each); the criteria must prune
 # the same pairs whatever form a pair's lcm takes; 1,755 and 1,585 while
@@ -164,9 +167,11 @@ BATTERY_10_GROEBNER_RUNS = 323
 # and 1,490 while type_of computed Ext^t(k, M) from a resolution of k,
 # 1,446 and 1,309 before syzygy_generators memoized its eliminations,
 # 1,167 and 1,041 while colon ideals ran theirs outside the memo, 1,163
-# and 1,037 while iso_probe built Hom(A, B) in every degree
-BATTERY_10_SPAIRS_FORMED = 797
-BATTERY_10_SPOLYS_REDUCED = 683
+# and 1,037 while iso_probe built Hom(A, B) in every degree, 797 and 683
+# while the cycles eliminations formed the pairs inside a known relation
+# basis
+BATTERY_10_SPAIRS_FORMED = 738
+BATTERY_10_SPOLYS_REDUCED = 624
 # _cancel_units runs on those instances: 216 while nu, is_zero and
 # is_surjective cancelled units instead of counting by graded Nakayama
 BATTERY_10_UNIT_CANCELLATIONS = 166
@@ -241,8 +246,10 @@ def test_battery_groebner_run_count(monkeypatch):
 THM8_RNC_GROEBNER_RUNS = {5: 20, 6: 22}
 # the S-pair work inside those runs, counted as for the battery: (pairs
 # formed, S-polynomials reduced); {5: (1650, 1062), 6: (7076, 3752)} on
-# the full grid presentation of beta_E's domain
-THM8_RNC_SPAIR_WORK = {5: (1089, 808), 6: (4179, 2710)}
+# the full grid presentation of beta_E's domain, {5: (1089, 808),
+# 6: (4179, 2710)} while the cycles eliminations formed the pairs inside a
+# known relation basis
+THM8_RNC_SPAIR_WORK = {5: (849, 624), 6: (2702, 1778)}
 # _cancel_units runs of those check_thm8 calls: {5: 15, 6: 16} while nu,
 # is_zero and is_surjective cancelled units
 THM8_RNC_UNIT_CANCELLATIONS = {5: 12, 6: 13}

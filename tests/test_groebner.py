@@ -24,12 +24,14 @@ from charmod.groebner import (
     quotient,
     syzygy_generators,
 )
+from charmod.homology import _copies_relation_qgb
 from charmod.invariants import residue_field_of
 from charmod.kernel import POS_BITS, make_reducer
 from charmod.ring import PolyRing
 
 from conftest import (FIXTURES, componentwise_normal_form_vector, exps_of_degree,
-                      matrix_from_columns, monomial_lcm, monomial_mul, rational_normal_curve)
+                      homology_calls, matrix_from_columns, monomial_lcm, monomial_mul,
+                      rational_normal_curve)
 
 
 @pytest.fixture(scope="module")
@@ -431,10 +433,12 @@ def test_rational_normal_curve_basis_matches_sympy(order, n):
 # differential test: the engine against one that scans the whole basis
 
 
-def _reference_buchberger_terms(ring, twists, vecs, product=False):
+def _reference_buchberger_terms(ring, twists, vecs, product=False, known=0):
     """The engine before pairs were indexed by lead position: new pairs and
     the chain criterion scan every basis element and skip other positions,
-    and the chain criterion compares exponent tuples, not packed words."""
+    and the chain criterion compares exponent tuples, not packed words.
+    The first ``known`` inputs enter unreduced and form no pair among
+    themselves, as in the engine."""
     p = ring.field.p
     pack = ring.pack
     ctx = pack.ctx
@@ -453,7 +457,7 @@ def _reference_buchberger_terms(ring, twists, vecs, product=False):
             lcm = monomial_lcm(lead_exps[i], et)
             heapq.heappush(pairs, (sum(lcm) + twists[post], i, t, lcm))
 
-    def add_gen(v):
+    def add_gen(v, pair=True):
         k, c = v[0]
         if c != 1:
             v = v_scale(v, ring.field.inv(c), p)
@@ -461,11 +465,14 @@ def _reference_buchberger_terms(ring, twists, vecs, product=False):
         lead_key.append(k)
         lead_exps.append(pack.exps(term_okey(k) & mask))
         lead_pos.append(term_pos(k))
-        push_pairs(len(G) - 1)
+        if pair:
+            push_pairs(len(G) - 1)
         red.append(v)
 
-    for v in vecs:
-        if v:
+    for t, v in enumerate(vecs):
+        if v and t < known:
+            add_gen(list(v), False)
+        elif v:
             r = red.nf(v)
             if r:
                 add_gen(r)
@@ -509,9 +516,9 @@ def _engine_inputs(monkeypatch, docs):
     calls = []
     real = groebner._buchberger_terms
 
-    def recording(ring, twists, vecs, product=False, below=None, upto=None):
-        calls.append((ring, tuple(twists), [list(v) for v in vecs], product, below))
-        return real(ring, twists, vecs, product, below, upto)
+    def recording(ring, twists, vecs, product=False, below=None, upto=None, known=0):
+        calls.append((ring, tuple(twists), [list(v) for v in vecs], product, below, known))
+        return real(ring, twists, vecs, product, below, upto, known)
 
     monkeypatch.setattr(groebner, "_buchberger_terms", recording)
     labelled = []
@@ -551,13 +558,13 @@ def test_position_indexed_pairs_match_the_full_scan(monkeypatch, mixed_corpus, v
 
     monkeypatch.setattr(groebner, "scaled_merge", counting)
     ranks = {"relations": 0, "syzygies": 0}
-    for label, (ring, twists, vecs, product, below) in inputs:
+    for label, (ring, twists, vecs, product, below, known) in inputs:
         assert (below is not None) == (label.split()[-1] == "syzygies"), label
         merges.clear()
-        ours = groebner._buchberger_terms(ring, twists, vecs, product, below=below)
+        ours = groebner._buchberger_terms(ring, twists, vecs, product, below=below, known=known)
         ours_merges = len(merges)
         merges.clear()
-        ref = _reference_buchberger_terms(ring, twists, vecs, product)
+        ref = _reference_buchberger_terms(ring, twists, vecs, product, known)
         if below is not None:
             ref = [g for g in ref if g[0][0] < below]
         assert ours == ref, label
@@ -577,18 +584,30 @@ def test_degree_bounded_run_is_the_full_basis_cut(monkeypatch, mixed_corpus, ver
     docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
                                       stanley_reisner_doc]
     strict = 0
-    for label, (ring, twists, vecs, product, below) in _engine_inputs(monkeypatch, docs):
-        def degree(v):
-            return ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])]
-
-        full = groebner._buchberger_terms(ring, twists, vecs, product, below=below)
-        degrees = [degree(v) for v in vecs if v] + [degree(g) for g in full]
-        for d in range(min(degrees) - 1, max(degrees) + 1):
-            cut = [g for g in full if degree(g) <= d]
-            got = groebner._buchberger_terms(ring, twists, vecs, product, below=below, upto=d)
-            assert got == cut, (label, d)
-            strict += 0 < len(cut) < len(full)
+    for label, args in _engine_inputs(monkeypatch, docs):
+        strict += _assert_bounded_runs_cut_the_full_basis(args, label)
     assert strict > 0
+
+
+def _assert_bounded_runs_cut_the_full_basis(args, label):
+    """A run bounded by d returns the degree <= d part of the full reduced
+    basis, for every d from below the lowest input degree to the highest
+    basis degree; returns how many bounds cut strictly inside the basis."""
+    ring, twists, vecs, product, below, known = args
+
+    def degree(v):
+        return ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])]
+
+    full = groebner._buchberger_terms(ring, twists, vecs, product, below=below, known=known)
+    degrees = [degree(v) for v in vecs if v] + [degree(g) for g in full]
+    strict = 0
+    for d in range(min(degrees) - 1, max(degrees) + 1):
+        cut = [g for g in full if degree(g) <= d]
+        got = groebner._buchberger_terms(ring, twists, vecs, product, below=below, upto=d,
+                                         known=known)
+        assert got == cut, (label, d)
+        strict += 0 < len(cut) < len(full)
+    return strict
 
 
 def _drawn_ideals(order, count, seed):
@@ -648,15 +667,15 @@ def test_pairs_past_the_degree_cap_raise_only_when_they_survive(order):
 # the compiled pair loop against the Python one
 
 
-def _assert_loops_agree(fast, ring, twists, vecs, product, below, upto=None):
+def _assert_loops_agree(fast, ring, twists, vecs, product, below, upto=None, known=0):
     """``_fast.buchberger`` builds the unreduced basis of the Python loop,
     element for element, or raises the same ``OverflowError``; returns the
     basis, or None after an overflow."""
     ctx = ring.pack.ctx
-    args = (ring.field.p, ctx.n, ctx.fb, twists, vecs, product, below, upto)
+    args = (ring.field.p, ctx.n, ctx.fb, twists, vecs, product, below, upto, known)
     assert groebner.compiled_engine(ring.field.p, ctx) is fast.buchberger
     try:
-        ref = groebner._buchberger_loop(ring, twists, vecs, product, below, upto)
+        ref = groebner._buchberger_loop(ring, twists, vecs, product, below, upto, known)
     except OverflowError as exc:
         with pytest.raises(OverflowError, match=f"^{re.escape(str(exc))}$"):
             fast.buchberger(*args)
@@ -674,12 +693,14 @@ def test_compiled_loop_matches_the_python_loop_on_pool_modules(
     docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
                                       stanley_reisner_doc]
     compared = strict = 0
-    for label, (ring, twists, vecs, product, below) in _engine_inputs(monkeypatch, docs):
-        full = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below)
+    for label, (ring, twists, vecs, product, below, known) in _engine_inputs(monkeypatch, docs):
+        full = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below,
+                                   known=known)
         degrees = sorted({ring.pack.deg(term_okey(g[0][0])) + twists[term_pos(g[0][0])]
                           for g in full})
         for d in {degrees[0], degrees[-1] - 1} if degrees else ():
-            cut = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, d)
+            cut = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, d,
+                                      known)
             strict += len(cut) < len(full)
         compared += 1
     assert compared == 78 and strict > 50, (compared, strict)
@@ -690,14 +711,15 @@ def test_compiled_loop_matches_on_thm8_of_rational_normal_curves(monkeypatch, co
     calls = []
     real = groebner._buchberger_terms
 
-    def recording(ring, twists, vecs, product=False, below=None, upto=None):
-        calls.append((ring, tuple(twists), [list(v) for v in vecs], product, below, upto))
-        return real(ring, twists, vecs, product, below, upto)
+    def recording(ring, twists, vecs, product=False, below=None, upto=None, known=0):
+        calls.append((ring, tuple(twists), [list(v) for v in vecs], product, below, upto,
+                      known))
+        return real(ring, twists, vecs, product, below, upto, known)
 
     monkeypatch.setattr(groebner, "_buchberger_terms", recording)
     assert check_thm8(rational_normal_curve(n)).verdict == "verified"
     monkeypatch.setattr(groebner, "_buchberger_terms", real)
-    assert len(calls) > 10
+    assert len(calls) > 10 and sum(args[-1] > 0 for args in calls) == 2
     for args in calls:
         _assert_loops_agree(compiled_kernel, *args)
 
@@ -756,3 +778,120 @@ def test_compiled_loop_matches_on_random_grevlex_inputs(compiled_kernel):
     assert min(seen.values()) >= 3, seen
     with pytest.raises(OverflowError, match="^total degree 260 exceeds packing cap 255$"):
         Ideal(PolyRing(32003, ("x", "y")), ["x^130*y", "x*y^130"]).groebner_basis()
+
+
+# ---------------------------------------------------------------------------
+# eliminations that start from a known reduced block
+
+
+def _known_block_inputs(monkeypatch):
+    """Engine arguments, as ``_engine_inputs`` records them, of the cycles
+    elimination of every ``_homology`` call of the pool documents started
+    from its known block: the relation basis of the copies, after the copied
+    module's own basis is computed where it was not held.  Each runs
+    unbounded with the ring's memo emptied."""
+    inputs = []
+    real = groebner._buchberger_terms
+
+    def recording(ring, twists, vecs, product=False, below=None, upto=None, known=0):
+        inputs.append((ring, tuple(twists), [list(v) for v in vecs], product, below, known))
+        return real(ring, twists, vecs, product, below, upto, known)
+
+    for out, _ in homology_calls(monkeypatch):
+        X, Y = out.domain, out.codomain
+        Y.cache["copies"].relation_gb()
+        block = _copies_relation_qgb(Y)
+        Y.base.cache.pop("syzygy_generators", None)
+        monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+        syzygy_generators(out.matrix.cols, Y.gens, X.gens, known=block)
+        monkeypatch.setattr(groebner, "_buchberger_terms", real)
+        # the block, then one marked input per column: no ideal column
+        # follows, since the block spans them
+        assert (inputs[-1][-1], len(inputs[-1][2])) == (len(block),
+                                                        len(block) + len(out.matrix.cols))
+    return inputs
+
+
+def test_known_block_runs_match_the_full_scan_and_cut_by_degree(monkeypatch):
+    # the known block enters unreduced and none of its pairs is formed:
+    # the marker block must be the reference's, which skips the same pairs,
+    # after reducing as many S-polynomials, and a run bounded by d must
+    # return the degree <= d part of it
+    merges = []
+    real_merge = groebner.scaled_merge
+
+    def counting(*args):
+        merges.append(None)
+        return real_merge(*args)
+
+    inputs = _known_block_inputs(monkeypatch)
+    monkeypatch.setattr(groebner, "scaled_merge", counting)
+    strict = 0
+    for args in inputs:
+        ring, twists, vecs, product, below, known = args
+        merges.clear()
+        ours = groebner._buchberger_terms(ring, twists, vecs, product, below=below, known=known)
+        ours_merges = len(merges)
+        merges.clear()
+        ref = _reference_buchberger_terms(ring, twists, vecs, product, known)
+        assert ours == [g for g in ref if g[0][0] < below]
+        assert ours_merges == len(merges)
+        strict += _assert_bounded_runs_cut_the_full_basis(args, "known block")
+    assert len(inputs) == 157 and all(args[-1] > 0 for args in inputs)
+    assert strict > 0
+
+
+def test_compiled_loop_matches_with_a_known_block_on_homology_eliminations(
+        monkeypatch, compiled_kernel):
+    # every cycles elimination of _homology on the pool documents, started
+    # from its known block, unbounded and through degree 0 (iso_probe's Hom)
+    compared = 0
+    for ring, twists, vecs, product, below, known in _known_block_inputs(monkeypatch):
+        assert known > 0
+        for upto in (None, 0):
+            _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, upto, known)
+        compared += 1
+    assert compared == 157
+
+
+def _random_known_block_inputs(seed, count):
+    """``_random_engine_inputs`` with a known block first: the primary parts
+    (an elimination's flagged terms) of some of the inputs, as they are and
+    as their reduced basis, which all the inputs then follow.  Yields the
+    engine arguments and whether the block is a reduced basis."""
+    rng = random.Random(seed)
+    for ring, twists, vecs, product, below in _random_engine_inputs(seed, count):
+        flag = below or 0
+        some = [[(k, c) for k, c in v if k >= flag]
+                for v in rng.sample(vecs, rng.randint(1, len(vecs)))]
+        try:
+            block = groebner._buchberger_terms(ring, twists, some, product)
+        except OverflowError:
+            continue
+        yield ring, twists, block + vecs, product, below, len(block), True
+        yield ring, twists, some + vecs, product, below, len(some), False
+
+
+def test_compiled_loop_matches_with_a_known_block_on_random_grevlex_inputs(compiled_kernel):
+    # a block that is not a basis, on which skipping its pairs loses
+    # elements, shows that both loops skip the same pairs
+    seen = {"overflow": 0, "bounded cut": 0, "eliminations": 0, "pairs lost": 0}
+    rng = random.Random(11)
+    for ring, twists, vecs, product, below, known, reduced in _random_known_block_inputs(37, 120):
+        full = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below,
+                                   known=known)
+        if full is None:
+            seen["overflow"] += 1
+            continue
+        seen["eliminations"] += below is not None
+        upto = rng.randint(0, 6)
+        cut = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, upto,
+                                  known)
+        seen["bounded cut"] += len(cut) < len(full)
+        # a known reduced block changes the work, never the reduced basis
+        got = groebner._autoreduce(ring, full)
+        want = groebner._autoreduce(ring, groebner._buchberger_loop(
+            ring, twists, vecs, product, below, None))
+        assert got == want or not reduced
+        seen["pairs lost"] += got != want
+    assert min(seen.values()) >= 3, seen

@@ -14,6 +14,7 @@ from charmod.homology import (
     IsoProbeResult,
     ModuleMap,
     _hom,
+    _copies_relation_qgb,
     _series,
     hilbert_function_basis,
     hom_cohomology,
@@ -39,6 +40,7 @@ from conftest import (
     cyclic_quotient,
     entries,
     hom_map,
+    homology_calls,
     is_injective,
     matrix_from_columns,
     presented_kernel,
@@ -79,6 +81,23 @@ def test_monomial_okeys_leave_nothing_for_the_cyclic_collector():
     gc.disable()
     try:
         monomial_okeys(ring, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("method", ["minimal", "q_structure"])
+def test_modules_that_are_their_own_answer_leave_nothing_for_the_cyclic_collector(method):
+    # minimal() of a module with nothing to cancel and q_structure() over a
+    # polynomial ring return the module itself, which its cache must not
+    # hold, or only the cyclic collector frees it
+    M = PresentedModule.free(PolyRing(101, ("x", "y")), [0, 1])
+    gc.collect()
+    gc.disable()
+    try:
+        assert getattr(M, method)() is M
+        assert getattr(M, method)() is M
+        del M
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -575,6 +594,46 @@ def test_constructions_match_grid_reference(pool_docs):
                                          _reference_presented_kernel(f), name)
             checked += 1
     assert checked == 39
+
+
+def test_copies_relation_basis_is_buchberger_on_the_copies_columns(monkeypatch):
+    # the relation basis over Q of a direct sum of copies, read off the
+    # copied module's own, equals the one buchberger gives on the copies'
+    # columns, element for element, for the codomain of every _homology
+    # call of the pool documents
+    checked = over_quotients = 0
+    for out, _ in homology_calls(monkeypatch):
+        Y = out.codomain
+        Y.cache["copies"].relation_gb()
+        got = tuple(_copies_relation_qgb(Y))
+        want = buchberger([list(c) for c in Y.rels.cols], Y.gens)
+        assert got == want._qgb
+        # and its projection modulo the ideal, element by element, is buchberger's gb
+        gb = tuple(tuple(w) for w in map(Y.base.normal_form_vector, map(list, got)) if w)
+        assert gb == want.gb
+        checked += 1
+        over_quotients += gb != got
+    assert (checked, over_quotients) == (157, 54)
+
+
+def test_known_block_elimination_equals_the_raw_columns(monkeypatch):
+    # the cycles elimination of every _homology call of the pool documents,
+    # at the call's own degree bound, gives the same syzygy bases when it
+    # starts from the codomain's relation basis as from its relation columns
+    # and the ideal columns
+    checked = bounded = 0
+    for out, upto in homology_calls(monkeypatch):
+        X, Y = out.domain, out.codomain
+        Y.cache["copies"].relation_gb()
+        block = _copies_relation_qgb(Y)
+        Y.base.cache.pop("syzygy_generators", None)
+        raw = syzygy_generators(out.matrix.cols, Y.gens, X.gens, extra_unmarked=Y.rels.cols,
+                                upto=upto)
+        got = syzygy_generators(out.matrix.cols, Y.gens, X.gens, upto=upto, known=block)
+        assert (got.ambient, got.gb, got._qgb) == (raw.ambient, raw.gb, raw._qgb)
+        checked += 1
+        bounded += upto is not None
+    assert (checked, bounded) == (157, 61)
 
 
 def test_koszul_homology_at_every_position(pool_docs):
