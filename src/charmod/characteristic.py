@@ -22,14 +22,15 @@ from .groebner import Vector
 from .homology import (
     IsoProbeResult,
     ModuleMap,
+    copy_shift,
     hilbert_function_basis,
     hom_cohomology,
     hom_express,
     hom_module,
     hom_realize,
     iso_probe,
+    tensor_cokernel,
     tensor_homology,
-    tensor_map,
     tensor_module,
 )
 from .invariants import (
@@ -81,8 +82,8 @@ def quasi_canonical(R) -> CanonicalData:
     """The quasi-canonical module E = coker Hom(d_s, Q) over R.
 
     The transpose of the last differential of the minimal Q-resolution of
-    R is reduced mod I and taken as a relation matrix over R (the cokernel
-    of its ``tensor_map`` with R); the result is minimalized.  A second,
+    R is reduced mod I and taken as a relation matrix over R (the
+    ``tensor_cokernel`` of it and R); the result is minimalized.  A second,
     independent route (top cohomology of Hom(F, Q) over the cover) is
     computed degreewise and compared on a window; the comparison is stored
     under ``provenance``.
@@ -92,7 +93,7 @@ def quasi_canonical(R) -> CanonicalData:
         prov = {"described_route": "R itself (s = 0)",
                 "ext_route": "skipped", "agree": True}
         return CanonicalData(R, 0, Rm.minimal(), Rm, F, prov)
-    E_raw = tensor_map(F.diff(s).transpose_dual(), Rm).cokernel()
+    E_raw = tensor_cokernel(F.diff(s).transpose_dual(), Rm)
     E = E_raw.minimal()
     # cross-route: top cohomology of Hom(F, Q) computed over the cover
     Qm = PresentedModule.ring_module(R.cover)
@@ -210,12 +211,7 @@ def tensor_functor_map(f: ModuleMap) -> ModuleMap:
     domain and codomain, on the grid presentations."""
     E = quasi_canonical(f.domain.base).E
     TA, TB = cochar_via_tensor(f.domain), cochar_via_tensor(f.codomain)
-    rB = f.codomain.gens.rank
-    cols: List[Vector] = []
-    for a in range(E.gens.rank):
-        # copy a of B: a constant position shift, which keeps the term order
-        shift = a * rB
-        cols += [[(k - shift, c) for k, c in col] for col in f.matrix.cols]
+    cols = copy_shift(f.matrix.cols, E.gens.rank, f.codomain.gens.rank)
     mat = GradedMatrix(TA.gens, TB.gens, cols)
     return ModuleMap(TA, TB, mat, check=False)
 

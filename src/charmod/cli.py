@@ -97,7 +97,7 @@ def _get_module(doc: InputDocument, name: str):
     try:
         return doc.module(name)
     except KeyError as exc:
-        raise InputError(str(exc)) from None
+        raise InputError(exc.args[0]) from None
 
 
 # ---------------------------------------------------------------------------

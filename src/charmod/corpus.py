@@ -302,7 +302,11 @@ def corpus_battery(doc: InputDocument, instance_id: str = "",
 
     nu_reports = {}
     for name, M in pool:
-        rep = characteristic.check_type_formula(R, M)
+        try:
+            rep = characteristic.check_type_formula(R, M)
+        except ValueError as exc:  # the formula is stated for M nonzero
+            nu_reports[name] = {"verdict": "not_applicable", "notes": [str(exc)]}
+            continue
         nu_reports[name] = {"verdict": rep.verdict, **rep.witnesses}
         if rep.verdict != "verified":
             failures.append(f"nu_formula_{name}")

@@ -37,8 +37,9 @@ with it the canonical reduced basis, are unchanged.  Such a pair is never
 marked treated either, so the chain criterion never leans on one.  An
 elimination whose unmarked module has a known reduced basis over Q, ideal
 columns included, starts from it instead of working that basis out again
-pair by pair (``homology._homology`` does so for the copies of a module
-that holds its relation basis).
+pair by pair: ``homology._homology(d, M)`` does so when M holds its
+relation basis, since the basis of the copies' relations is then M's,
+moved copy by copy.
 
 The engine takes an internal degree bound (``upto``), which only
 ``homology.iso_probe`` sets, through its Hom build: the input is

@@ -1,27 +1,30 @@
 """Subquotients, homology at one term, Hom, tensor, isomorphism probes.
 
 Everything here presents derived modules as ``PresentedModule`` instances.
-There is one grid builder: a free matrix ``d : F -> G`` gives
-``tensor_map(d, M) = d (x) M`` between direct sums of twisted copies of a
-module M.  Hom out of a free module is tensor with its dual,
-``Hom(F, M) = F* (x) M``, so ``Hom(d, M)`` is
-``tensor_map(d.transpose_dual(), M)``.  One routine, ``_homology``,
-computes every kernel modulo image, and one, ``_free_complex_homology``,
-every homology of a free complex tensored with M: Tor over a free
-resolution F is that of ``F (x) M`` (``tensor_homology``), Ext that of the
-dual complex ``F* (x) M`` (``hom_cohomology``), each term built once.
-Hom(A, B) is the kernel of the map on A's transposed presentation matrix,
-and A (x) B the cokernel of the map on A's presentation matrix.
+There is one grid builder, from a free matrix ``d : F -> G`` and a module
+M: ``G (x) M`` is the free module on the twisted copies of M's generators,
+one copy per basis vector of G (``_grid``), the copies' relations are M's,
+moved copy by copy (``copy_shift``), and ``d (x) M`` is d's columns grafted
+onto each generator of M (``_grafted``).  Hom out of a free module is
+tensor with its dual, ``Hom(F, M) = F* (x) M``, so ``Hom(d, M)`` is
+``d.transpose_dual() (x) M``.  One routine, ``_homology(d, M, into)``,
+computes every kernel of ``d (x) M`` modulo the image of ``into (x) M``,
+and one, ``tensor_cokernel(d, M)``, every cokernel of ``d (x) M``.  Tor
+over a free resolution F is the homology of ``F (x) M``
+(``tensor_homology``), Ext that of the dual complex ``F* (x) M``
+(``hom_cohomology``), Hom(A, B) the kernel on A's transposed presentation
+matrix, A (x) B the cokernel on A's presentation matrix, and E a cokernel
+over R (``characteristic.quasi_canonical``).
 A map is onto, in ``is_isomorphism`` and for ``iso_probe``'s trial maps
 alike, when its cokernel is zero: one rank over the field (``nu``).
 Each homology runs at most two eliminations and no other Groebner run: the
 cycles' reduced basis is the first one's marker block, and it generates
 the result (canonical, so Hom bases and trial indices never move); the
 relations' reduced basis is the second one's and seeds ``relation_gb``.
-The codomain of every map here is a sum of copies of a module M
-(``_copies``), and when M holds its relation basis the cycles elimination
-starts from the copies' basis, M's moved copy by copy, as a known block
-(see ``groebner``) instead of from their relation columns.
+The known block of the cycles elimination (see ``groebner``) comes from M
+itself: when M holds its relation basis, the copies' basis is M's, moved
+copy by copy, and the elimination starts from it instead of from the
+copies' relation columns.
 ``iso_probe`` reads Hom(A, B) in degree 0 only, so it builds it only
 through degree 0 (``_hom`` with ``upto=0``): the cycles and the relations
 come from degree-bounded eliminations (see ``groebner``), which give the
@@ -38,7 +41,7 @@ series of ``A (x) B`` off the smaller grid of ``A (x) B.minimal()``.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .freemod import (
     GradedFreeModule,
@@ -234,123 +237,69 @@ def subquotient_express(M: PresentedModule, v: Vector) -> Vector:
 # Hom and tensor
 
 
-def _graft(col: Vector, j: int, width: int) -> Vector:
-    """Reindex a vector: position a becomes grid position a*width + j."""
-    return sorted(((term_key(term_okey(k), term_pos(k) * width + j), c)
-                   for k, c in col), reverse=True)
+def _grid(outer_twists: Sequence[int], M: PresentedModule) -> GradedFreeModule:
+    """The free module on the generators of the copies ``M(t)``, one per
+    outer twist t: grid position ``a*rank(M) + j`` is generator j of copy a."""
+    return GradedFreeModule(M.base, [b + t for t in outer_twists for b in M.gens.twists])
 
 
-def _copies(base, outer_twists: Sequence[int], M: PresentedModule,
-            free: bool = False) -> PresentedModule:
-    """The direct sum of the copies ``M(t)``, one per outer twist t.
+def copy_shift(cols: Sequence[Vector], count: int, width: int) -> Tuple[Vector, ...]:
+    """The vectors ``cols`` over a rank-``width`` free module, on each of
+    ``count`` copies of it side by side, copy by copy: copy a moves them by
+    the constant position shift ``a*width``, which keeps their term order."""
+    return tuple([tuple([(k - a * width, c) for k, c in col])
+                  for a in range(count) for col in cols])
 
-    Grid position ``a*rank(M) + j`` is generator j of copy a; the relations
-    are those of M, copy by copy, moved by the constant position shift
-    ``a*rank(M)``, which keeps their term order.  With ``free`` the term is
-    the free module on the same generators: a map out of it has the same
-    image as out of the copies, which is all a cokernel or a boundary reads.
-    Otherwise the result records M under ``"copies"`` in its cache, for
-    ``_copies_relation_qgb``.
-    """
+
+def _grafted(d: GradedMatrix, M: PresentedModule) -> Tuple[Vector, ...]:
+    """The columns of ``d (x) M`` for a free matrix d over M's base or its
+    cover: column ``b*rank(M) + j`` is column b of d grafted onto generator
+    j of M, its position a moved to grid position ``a*rank(M) + j``, and
+    reduced modulo M's ideal when d lives over the cover."""
     rM = M.gens.rank
-    gens = GradedFreeModule(base, [b + t for t in outer_twists for b in M.gens.twists])
-    if free:
-        return PresentedModule(gens)
-    cols: List[Vector] = []
-    twists: List[int] = []
-    for a, t in enumerate(outer_twists):
-        shift = a * rM
-        for c, tw in zip(M.rels.cols, M.rels.source.twists):
-            cols.append([(k - shift, cc) for k, cc in c])
-            twists.append(tw + t)
-    src = GradedFreeModule(base, twists)
-    out = PresentedModule(gens, GradedMatrix(src, gens, cols))
-    out.cache["copies"] = M
-    return out
-
-
-def _copies_relation_qgb(C: PresentedModule) -> Optional[Sequence[Vector]]:
-    """The reduced relation basis over Q of ``C = _copies(base, twists, M)``,
-    ideal columns included, when M holds its relation basis, else None.
-    The copies sit in disjoint positions, so the reduced basis of their sum
-    is the union of theirs: M's moved copy by copy, sorted descending by
-    lead as ``_autoreduce`` leaves it, which is the ``_qgb`` that
-    ``buchberger`` gives on C's columns."""
-    M = C.cache.get("copies")
-    if M is None or "relation_gb" not in M.cache:
-        return None
-    qgb = M.relation_gb()._qgb
-    out = [tuple([(k - s, c) for k, c in g])
-           for s in range(0, C.gens.rank, M.gens.rank) for g in qgb]
-    out.sort(reverse=True)
-    return out
-
-
-def tensor_map(d: GradedMatrix, M: PresentedModule, src: Optional[PresentedModule] = None,
-               tgt: Optional[PresentedModule] = None) -> ModuleMap:
-    """``d (x) M : F (x) M -> G (x) M`` for a free matrix ``d : F -> G`` over
-    M's base or its cover.
-
-    Both sides are ``_copies`` of M, built here unless the caller passes
-    them; column ``b*rank(M) + j`` is column b of d grafted onto generator j
-    of M, reduced modulo M's ideal when d lives over the cover.
-    """
-    rM = M.gens.rank
-    if src is None:
-        src = _copies(M.base, d.source.twists, M)
-    if tgt is None:
-        tgt = _copies(M.base, d.target.twists, M)
-    cols = [_graft(col, j, rM) for col in d.cols for j in range(rM)]
+    cols = [sorted(((term_key(term_okey(k), term_pos(k) * rM + j), c) for k, c in col),
+                   reverse=True)
+            for col in d.cols for j in range(rM)]
     if d.base != M.base:
-        cols = list(map(M.base.normal_form_vector, cols))
-    mat = GradedMatrix(src.gens, tgt.gens, cols)
-    return ModuleMap(src, tgt, mat, check=False)
+        cols = map(M.base.normal_form_vector, cols)
+    return tuple(map(tuple, cols))
 
 
-def _free_complex_homology(diffs: Sequence[GradedMatrix],
-                           M: PresentedModule) -> List[PresentedModule]:
-    """Homology of ``C (x) M`` at the inner terms ``C_1 .. C_(m-1)`` of a
-    free complex ``C_0 <- C_1 <- ... <- C_m`` given by its matrices
-    ``diffs[k-1] : C_k -> C_(k-1)``, minimally presented.  Each term
-    ``C_k (x) M`` is built once and shared by the maps on both sides of it;
-    the last one, ``C_m (x) M``, only gives boundaries, so it is free.
-    With fewer than two matrices there is no inner term."""
-    m = len(diffs)
-    if m < 2:
-        return []
-    terms = [_copies(M.base, diffs[0].target.twists, M)]
-    terms += [_copies(M.base, d.source.twists, M, free=k == m)
-              for k, d in enumerate(diffs, 1)]
-    maps = [tensor_map(d, M, terms[k + 1], terms[k]) for k, d in enumerate(diffs)]
-    return [homology_at(maps[k], maps[k + 1]) for k in range(m - 1)]
+def tensor_cokernel(d: GradedMatrix, M: PresentedModule) -> PresentedModule:
+    """The cokernel of ``d (x) M`` for a free matrix ``d : F -> G``: the grid
+    of ``G (x) M`` modulo d's grafted columns, then the copies' relations.
+    ``minimal`` cancels the smallest unit pivot, so this column order
+    reaches the output."""
+    gens = _grid(d.target.twists, M)
+    twists = [b + t for t in d.source.twists for b in M.gens.twists]
+    twists += [r + t for t in d.target.twists for r in M.rels.source.twists]
+    cols = _grafted(d, M) + copy_shift(M.rels.cols, d.target.rank, M.gens.rank)
+    return PresentedModule(gens, GradedMatrix(GradedFreeModule(M.base, twists), gens, cols))
 
 
 def tensor_homology(F: FreeResolution, M: PresentedModule, lo: int,
                     hi: int) -> List[PresentedModule]:
     """``H_i(F (x) M)`` for i = lo..hi, minimally presented, for a free
-    resolution F: the complex ``F_(lo-1) <- ... <- F_(hi+1)``."""
-    return _free_complex_homology([F.diff(i) for i in range(lo, hi + 2)], M)
+    resolution F."""
+    return [homology_at(F.diff(i), F.diff(i + 1), M) for i in range(lo, hi + 1)]
 
 
 def hom_cohomology(F: FreeResolution, M: PresentedModule, lo: int,
                    hi: int) -> List[PresentedModule]:
     """``H^i(Hom(F, M))`` for i = lo..hi, minimally presented, for a free
     resolution F.  ``Hom(F_i, M)`` is ``F_i* (x) M``, so this is the
-    homology of the dual complex ``F_(hi+1)* <- ... <- F_(lo-1)*``, whose
-    matrices are the transposed differentials, read in reverse."""
-    diffs = [F.diff(i).transpose_dual() for i in range(hi + 1, lo - 1, -1)]
-    return _free_complex_homology(diffs, M)[::-1]
+    homology of the dual complex, whose matrices are the transposed
+    differentials."""
+    return [homology_at(F.diff(i + 1).transpose_dual(), F.diff(i).transpose_dual(), M)
+            for i in range(lo, hi + 1)]
 
 
 def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     """A tensor B over the base: the cokernel of ``F_1 (x) B -> F_0 (x) B``
-    on A's presentation, ``tensor_map(A.rels, B)``.
+    on A's presentation, ``tensor_cokernel(A.rels, B)``.
 
     Grid position ``i*rank(B) + j`` is the generator ``a_i (x) b_j``.  The
-    relations of A come first, then those of the copies of B: ``minimal``
-    cancels the smallest unit pivot, so the column order reaches the output.
-    The cokernel reads only the map's columns and its codomain, so the
-    source ``F_1 (x) B`` is built free.  When B is the
+    relations of A come first, then those of the copies of B.  When B is the
     base ring (one generator in degree 0, no relations) that presentation
     equals A by value, so A itself is returned, with its cached bases and
     its own ``origin``.  Any other result records ``origin`` of kind
@@ -360,17 +309,15 @@ def tensor_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
         raise ValueError("tensor factors over different bases")
     if B.gens.twists == (0,) and B.rels.source.rank == 0:
         return A
-    src = _copies(B.base, A.rels.source.twists, B, free=True)
-    out = tensor_map(A.rels, B, src).cokernel()
+    out = tensor_cokernel(A.rels, B)
     out.cache["origin"] = {"kind": "tensor", "A": A, "B": B}
     return out
 
 
 def hom_module(A: PresentedModule, B: PresentedModule) -> PresentedModule:
     """Hom(A, B) over the base: the kernel of ``Hom(F_0, B) -> Hom(F_1, B)``
-    on A's presentation, which is ``tensor_map`` of the transposed
-    presentation matrix, not minimalized, so its generators stay tied to
-    maps.
+    on A's presentation, which is the transposed presentation matrix
+    tensored with B, not minimalized, so its generators stay tied to maps.
 
     An element of the ambient at grid position ``i*rank(B) + j`` is the
     coefficient of the matrix entry sending generator ``i`` of A to
@@ -390,7 +337,7 @@ def _hom(A: PresentedModule, B: PresentedModule,
     degrees and nowhere else, for ``iso_probe``, which reads degree 0."""
     if B.base != A.base:
         raise ValueError("Hom factors over different bases")
-    out = _homology(tensor_map(A.rels.transpose_dual(), B), upto=upto)
+    out = _homology(A.rels.transpose_dual(), B, upto=upto)
     out.cache["origin"].update({"kind": "hom", "A": A, "B": B})
     return out
 
@@ -430,42 +377,50 @@ def hom_express(H: PresentedModule, cols: Sequence[Vector]) -> Vector:
 # homology
 
 
-def _homology(out: ModuleMap, boundaries: Sequence[Vector] = (),
+def _homology(d: GradedMatrix, M: PresentedModule, into: Optional[GradedMatrix] = None,
               upto: Optional[int] = None) -> PresentedModule:
-    """The kernel of ``out`` modulo its domain's relations and the
-    ``boundaries`` (which are cycles, so they enter as the denominator
-    only).  The cycles' basis is the syzygy basis of ``out``'s columns
-    modulo the codomain's relations, or the unit vectors (in descending key
-    order) when the codomain is zero and every vector is a cycle.  Its
-    elimination starts from the codomain's relation basis over Q as a known
-    block when ``_copies_relation_qgb`` reads it off a held one, and from
-    the codomain's relation columns and the ideal columns otherwise; it
-    never computes a relation basis just for this, which costs more than it
-    saves.  With ``upto`` the result is built, and is right, in degrees at
-    most ``upto`` only (see ``subquotient``).
+    """``ker(d (x) M) / im(into (x) M)`` for free matrices ``into : E -> F``
+    and ``d : F -> G``: a subquotient of the grid ``F (x) M`` whose
+    denominator is the copies' relations, then ``into``'s grafted columns.
+    The cycles' basis is the syzygy basis of d's grafted columns modulo the
+    relations of the copies in ``G (x) M``, or the unit vectors (in
+    descending key order) when that grid is zero.  When M holds its
+    relation basis (``"relation_gb" in M.cache``), the elimination starts
+    from the copies' relation basis over Q as a known block: they sit in
+    disjoint positions, so that basis is M's moved copy by copy, sorted
+    descending by lead as ``_autoreduce`` leaves it.  Otherwise it starts
+    from their relation columns and the ideal columns; it never computes a
+    relation basis just for this, which costs more than it saves.  With
+    ``upto`` the result is built, and is right, in degrees at most ``upto``
+    only (see ``subquotient``).
     """
-    X, Y = out.domain, out.codomain
-    if Y.gens.rank == 0:
-        units = [X.gens.basis_vector(t) for t, tw in enumerate(X.gens.twists)
+    rM = M.gens.rank
+    X = _grid(d.source.twists, M)
+    if d.target.rank * rM == 0:
+        units = [X.basis_vector(t) for t, tw in enumerate(X.twists)
                  if upto is None or tw <= upto]
-        num = SubmoduleGB(X.gens, units)
+        num = SubmoduleGB(X, units)
     else:
-        known = _copies_relation_qgb(Y)
-        if known is None:
-            num = syzygy_generators(out.matrix.cols, Y.gens, X.gens,
-                                    extra_unmarked=Y.rels.cols, upto=upto)
+        Y = _grid(d.target.twists, M)
+        cols = _grafted(d, M)
+        if "relation_gb" in M.cache:
+            known = sorted(copy_shift(M.relation_gb()._qgb, d.target.rank, rM), reverse=True)
+            num = syzygy_generators(cols, Y, X, upto=upto, known=known)
         else:
-            num = syzygy_generators(out.matrix.cols, Y.gens, X.gens, upto=upto,
-                                    known=known)
-    return subquotient(num, [c for c in (*X.rels.cols, *boundaries) if c], upto=upto)
+            rels = copy_shift(M.rels.cols, d.target.rank, rM)
+            num = syzygy_generators(cols, Y, X, extra_unmarked=rels, upto=upto)
+    den = copy_shift(M.rels.cols, d.source.rank, rM)
+    if into is not None:
+        den += _grafted(into, M)
+    return subquotient(num, [c for c in den if c], upto=upto)
 
 
-def homology_at(out: ModuleMap, into: ModuleMap) -> PresentedModule:
-    """Homology ``ker out / im into`` at the term between two maps,
-    minimally presented."""
-    if into.codomain.gens != out.domain.gens:
+def homology_at(d: GradedMatrix, into: GradedMatrix, M: PresentedModule) -> PresentedModule:
+    """Homology ``ker(d (x) M) / im(into (x) M)`` at the term between two
+    free matrices, minimally presented."""
+    if into.target != d.source:
         raise ValueError("the maps do not meet at one term")
-    return _homology(out, into.matrix.cols).minimal()
+    return _homology(d, M, into).minimal()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from charmod import homology as homology_mod
 from charmod import kernel
 from charmod.cmr import load
 from charmod.freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos
-from charmod.groebner import QuotientRing
-from charmod.homology import ModuleMap, _copies, _homology, homology_at
+from charmod.groebner import QuotientRing, buchberger, syzygy_generators
+from charmod.homology import ModuleMap, _grafted, _grid, copy_shift, homology_at, subquotient
 from charmod.invariants import _k_resolution
 from charmod.kernel import POS_BITS, scaled_merge
 from charmod.resolution import PresentedModule
@@ -64,9 +64,24 @@ def entries(mat):
             for i in range(mat.target.rank)]
 
 
+def reference_copies(outer_twists, M):
+    """The direct sum of the copies ``M(t)``, one per outer twist t, built
+    by position arithmetic: grid position ``a*rank(M) + j`` is generator j
+    of copy a, and copy a carries M's relations with each position p moved
+    to ``a*rank(M) + p``.  The reference for ``homology``'s grids and
+    copy-shifted relations."""
+    rM = M.gens.rank
+    gens = GradedFreeModule(M.base, [b + t for t in outer_twists for b in M.gens.twists])
+    cols = [sorted(((term_key(term_okey(k), a * rM + term_pos(k)), c) for k, c in col),
+                   reverse=True)
+            for a in range(len(outer_twists)) for col in M.rels.cols]
+    twists = [r + t for t in outer_twists for r in M.rels.source.twists]
+    return PresentedModule(gens, GradedMatrix(GradedFreeModule(M.base, twists), gens, cols))
+
+
 def hom_map(d, M):
     """``Hom(d, M) : Hom(G, M) -> Hom(F, M)`` for a free matrix ``d : F -> G``,
-    built directly: the reference for ``tensor_map(d.transpose_dual(), M)``.
+    built directly: the reference for ``d.transpose_dual() (x) M``.
 
     Both sides are copies of M twisted down; grid position ``a*rank(M) + j``
     sends basis vector a of the free module to generator j of M, and
@@ -74,8 +89,8 @@ def hom_map(d, M):
     ``b*rank(M) + j``.
     """
     rM = M.gens.rank
-    src = _copies(M.base, [-t for t in d.target.twists], M)
-    tgt = _copies(M.base, [-t for t in d.source.twists], M)
+    src = reference_copies([-t for t in d.target.twists], M)
+    tgt = reference_copies([-t for t in d.source.twists], M)
     cols = [[] for _ in range(src.gens.rank)]
     for b in range(d.source.rank):
         for key, c in d.cols[b]:
@@ -107,23 +122,34 @@ def rational_normal_curve(n):
 
 
 def presented_kernel(f):
-    """Kernel of a map of presented modules, as a subquotient of the domain."""
-    return _homology(f)
+    """Kernel of a map of presented modules, as a subquotient of the domain:
+    the syzygies of the matrix's columns modulo the codomain's relations,
+    whose reduced basis with the domain's relations is the numerator."""
+    A, B = f.domain, f.codomain
+    ker = syzygy_generators([list(c) for c in f.matrix.cols], B.gens, A.gens,
+                            extra_unmarked=[list(c) for c in B.rels.cols]).gb
+    den = [list(c) for c in A.rels.cols]
+    return subquotient(buchberger([list(g) for g in ker] + den, A.gens), den)
+
+
+def is_injective(f):
+    """Whether a map of presented modules has zero kernel."""
+    return presented_kernel(f).is_zero()
 
 
 def homology_calls(monkeypatch):
-    """(map, upto) of every ``_homology`` call with a nonzero codomain that
-    the battery, split identities included, makes on fresh copies of the
-    pool documents: the first 10 acceptance instances and the four
-    fixtures.  A document used before keeps its routes memoized in its
-    ring and makes fewer calls."""
+    """(d, M, into, upto) of every ``_homology`` call with a nonzero grid
+    ``d.target (x) M`` that the battery, split identities included, makes
+    on fresh copies of the pool documents: the first 10 acceptance
+    instances and the four fixtures.  A document used before keeps its
+    routes memoized in its ring and makes fewer calls."""
     calls = []
     real = homology_mod._homology
 
-    def recording(out, boundaries=(), upto=None):
-        if out.codomain.gens.rank:
-            calls.append((out, upto))
-        return real(out, boundaries, upto)
+    def recording(d, M, into=None, upto=None):
+        if d.target.rank * M.gens.rank:
+            calls.append((d, M, into, upto))
+        return real(d, M, into, upto)
 
     docs = corpus_mod.generate_corpus(7, 10, "mixed") + [
         load(FIXTURES / f"{name}.cmr")
@@ -135,16 +161,23 @@ def homology_calls(monkeypatch):
     return calls
 
 
+def cycles_elimination(d, M):
+    """The inputs of the cycles elimination of ``_homology(d, M)``: d's
+    grafted columns, the grids of ``d.target (x) M`` and ``d.source (x) M``,
+    the relation columns of the copies in the first, and their known block,
+    M's relation basis over Q moved copy by copy and sorted descending.  M's
+    relation basis is computed here when M does not hold it."""
+    rM, count = M.gens.rank, d.target.rank
+    block = sorted(copy_shift(M.relation_gb()._qgb, count, rM), reverse=True)
+    return (_grafted(d, M), _grid(d.target.twists, M), _grid(d.source.twists, M),
+            copy_shift(M.rels.cols, count, rM), block)
+
+
 def ext_k_module(M, i):
     """Ext^i(k, M) over the base of M, minimally presented: the reference
     route to depth and type, through a resolution of the residue field."""
     res = _k_resolution(M.base, i + 1)
-    return homology_at(hom_map(res.diff(i + 1), M), hom_map(res.diff(i), M))
-
-
-def is_injective(f):
-    """Whether a map of presented modules has zero kernel."""
-    return presented_kernel(f).is_zero()
+    return homology_at(res.diff(i + 1).transpose_dual(), res.diff(i).transpose_dual(), M)
 
 
 def vector_coords(M, v, basis_index):

@@ -153,6 +153,16 @@ def test_unknown_module_name(tmp_path):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("args", [("tmod", E2, "--module", "M"),
+                                  ("res", E2, "--module", "M"),
+                                  ("check", "type_formula", E2, "--module", "M")])
+def test_unknown_module_message_has_no_added_quotes(args):
+    # the KeyError's message itself, not its repr with added quotes
+    code, rep, _ = run_json(*args)
+    assert code == 2
+    assert rep["error"] == {"kind": "input", "message": "no module named 'M' in document"}
+
+
 INPUT_ERRORS = {
     # case: (arguments, report id, part of the message)
     "missing_file": (("invariants", "{tmp}/absent.cmr"), None, "absent.cmr"),

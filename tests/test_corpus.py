@@ -138,6 +138,18 @@ def test_battery_on_single_instances():
     assert isinstance(out["is_cm"], bool)
 
 
+def test_battery_on_a_zero_module_leaves_the_nu_formula_not_applicable():
+    # nu(E(M)) = type(R) nu(M) is stated for M nonzero; the other checks
+    # run on the zero module, and the battery still verifies
+    doc = parse("field 101\nring x y\nideal\nx^2\nend\nmodule Z twists 0\n[ 1 ]\nend\n")
+    assert doc.module("Z").is_zero()
+    out = corpus_battery(doc, "zero")
+    assert (out["verdict"], out["failures"]) == ("verified", [])
+    assert out["checks"]["nu_formula"]["Z"] == {"verdict": "not_applicable",
+                                                "notes": ["M must be nonzero"]}
+    assert out["checks"]["split"]["Z"] == {"t_beta_alpha": True, "beta_e_alpha": True}
+
+
 def test_battery_is_deterministic():
     doc = generate_corpus(2, 1, "monomial")[0]
     a = corpus_battery(doc, "t", degree_bound=8, seed=2, split=False)

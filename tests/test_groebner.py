@@ -24,14 +24,13 @@ from charmod.groebner import (
     quotient,
     syzygy_generators,
 )
-from charmod.homology import _copies_relation_qgb
 from charmod.invariants import residue_field_of
 from charmod.kernel import POS_BITS, make_reducer
 from charmod.ring import PolyRing
 
-from conftest import (FIXTURES, componentwise_normal_form_vector, exps_of_degree,
-                      homology_calls, matrix_from_columns, monomial_lcm, monomial_mul,
-                      rational_normal_curve)
+from conftest import (FIXTURES, componentwise_normal_form_vector, cycles_elimination,
+                      exps_of_degree, homology_calls, matrix_from_columns, monomial_lcm,
+                      monomial_mul, rational_normal_curve)
 
 
 @pytest.fixture(scope="module")
@@ -788,8 +787,9 @@ def _known_block_inputs(monkeypatch):
     """Engine arguments, as ``_engine_inputs`` records them, of the cycles
     elimination of every ``_homology`` call of the pool documents started
     from its known block: the relation basis of the copies, after the copied
-    module's own basis is computed where it was not held.  Each runs
-    unbounded with the ring's memo emptied."""
+    module's own basis is computed where it was not held
+    (``cycles_elimination``).  Each runs unbounded with the ring's memo
+    emptied."""
     inputs = []
     real = groebner._buchberger_terms
 
@@ -797,18 +797,15 @@ def _known_block_inputs(monkeypatch):
         inputs.append((ring, tuple(twists), [list(v) for v in vecs], product, below, known))
         return real(ring, twists, vecs, product, below, upto, known)
 
-    for out, _ in homology_calls(monkeypatch):
-        X, Y = out.domain, out.codomain
-        Y.cache["copies"].relation_gb()
-        block = _copies_relation_qgb(Y)
+    for d, M, _, _ in homology_calls(monkeypatch):
+        cols, Y, X, _, block = cycles_elimination(d, M)
         Y.base.cache.pop("syzygy_generators", None)
         monkeypatch.setattr(groebner, "_buchberger_terms", recording)
-        syzygy_generators(out.matrix.cols, Y.gens, X.gens, known=block)
+        syzygy_generators(cols, Y, X, known=block)
         monkeypatch.setattr(groebner, "_buchberger_terms", real)
         # the block, then one marked input per column: no ideal column
         # follows, since the block spans them
-        assert (inputs[-1][-1], len(inputs[-1][2])) == (len(block),
-                                                        len(block) + len(out.matrix.cols))
+        assert (inputs[-1][-1], len(inputs[-1][2])) == (len(block), len(block) + len(cols))
     return inputs
 
 
