@@ -87,21 +87,18 @@ class GradedFreeModule:
         return terms
 
     def vector_degree(self, v: Vector):
-        """Common degree of a homogeneous vector; None for zero; raises otherwise."""
+        """Degree of a homogeneous vector, read off its lead term; None for
+        zero.  Homogeneity is checked where vectors come in
+        (``vector_is_homogeneous``), not here."""
         if not v:
             return None
-        pack = self.ring.pack
-        degs = {pack.deg(term_okey(k)) + self.twists[term_pos(k)] for k, _ in v}
-        if len(degs) != 1:
-            raise ValueError("vector is not homogeneous")
-        return degs.pop()
+        k = v[0][0]
+        return self.ring.pack.deg(term_okey(k)) + self.twists[term_pos(k)]
 
     def vector_is_homogeneous(self, v: Vector) -> bool:
-        try:
-            self.vector_degree(v)
-            return True
-        except ValueError:
-            return False
+        """Whether all terms of ``v`` have one degree."""
+        deg = self.ring.pack.deg
+        return len({deg(term_okey(k)) + self.twists[term_pos(k)] for k, _ in v}) <= 1
 
     def shift(self, d: int) -> "GradedFreeModule":
         return GradedFreeModule(self.base, [t + d for t in self.twists])

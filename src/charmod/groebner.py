@@ -13,8 +13,9 @@ gives an lcm word's order key and degree.
 Reduced bases are canonical, so every result is independent of input order.
 
 Computations over ``R`` lift to ``Q``: the defining ideal enters as extra
-columns ``g * e_pos`` and results are projected back and kept in normal
-form with respect to ``I``.  Over ``Q`` (a ``PolyRing``) there are no such
+columns ``g * e_pos``, built by the engine from the ideal's basis at
+position 0 (``ideal_columns()``), and results are projected back and kept
+in normal form with respect to ``I``.  Over ``Q`` (a ``PolyRing``) there are no such
 columns and every normal form is the identity.
 
 There is one syzygy engine, elimination (``syzygy_generators``): syzygies,
@@ -28,6 +29,14 @@ position, which a position shift keeps), so no caller reruns Buchberger.
 Only that block is autoreduced; the flagged elements are dropped first.
 Each elimination runs once per base ring: ``syzygy_generators`` memoizes
 its bases by value in the base's ``cache``.
+
+The engine (``_buchberger_terms``) takes the raw parts of a run: the
+ambient twists, the marked vectors and their source twists, the unmarked
+columns, the ideal's basis and a known block.  On the compiled kernel two
+calls do the whole run, flags, markers, ideal columns, pair loop and
+autoreduction, and hand back the finished basis as the tuples a
+``SubmoduleGB`` stores; the pure branch builds the same inputs in Python
+and is the reference for both calls.
 
 The engine takes a known block (``known``): the first inputs already form
 a reduced Groebner basis.  They enter the basis as given, unreduced, and no
@@ -73,49 +82,84 @@ from .ring import Polynomial, PolyRing
 
 
 def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
-                      product: bool = False, below: Optional[int] = None,
-                      upto: Optional[int] = None, known: int = 0) -> List[Vector]:
-    """Reduced Groebner basis of the span of ``vecs`` (term lists over Q).
+                      ideal: Sequence[Vector] = (), marked: Optional[Sequence[Vector]] = None,
+                      sources: Sequence[int] = (), known: Sequence[Vector] = (),
+                      product: bool = False, upto: Optional[int] = None) -> Tuple[tuple, ...]:
+    """Reduced Groebner basis over Q, as a tuple of term tuples, from the
+    raw parts of a run in the free module with ``twists`` (rank r).
 
-    ``twists`` drive the normal selection strategy for homogeneous input;
-    ``product`` enables the coprime-lead criterion and must only be set in
-    ambient rank one, where discarded pairs are genuinely redundant.  The
-    first ``known`` inputs must form a reduced basis: they enter unreduced
-    and no pair of two of them is pushed, since its S-polynomial reduces to
-    zero over them, so the result is the one without ``known``.  With
-    ``upto`` only the part of degree at most ``upto`` is computed: inputs of
-    higher degree are dropped and no pair of higher S-degree is pushed.
-    The input is homogeneous, so an S-polynomial and its normal form have
-    the pair's S-degree and a reducer of a vector is of no higher degree:
-    the result is exactly the degree <= ``upto`` part of the reduced basis,
-    an order-preserving sub-list of it (as Macaulay2's ``DegreeLimit``); a
-    known block cut to degree <= ``upto`` is still a truncated basis.  With
-    ``below`` (an elimination's block flag) only the elements with lead key
-    below it are autoreduced and returned: the marker block of the reduced
-    basis.  That block is exactly what autoreducing everything would keep,
-    since a lead at or above the flag sits at a primary position and no
-    marker-block term is at one, so it never divides one.
+    The inputs are the ``known`` block, the ``marked`` vectors, the columns
+    ``vecs`` and, with no known block, the ideal columns ``g * e_pos`` for
+    each term list g of ``ideal`` (at position 0) and each pos < r, in that
+    order.  ``product`` enables the coprime-lead criterion and must only be
+    set in ambient rank one, where discarded pairs are genuinely redundant.
 
-    The loop runs compiled (``kernel.compiled_engine``) where the kernel
-    allows it, else in Python (``_buchberger_loop``); both build the same
-    unreduced basis, element for element, which ``_autoreduce`` finishes.
+    With ``marked`` a sequence the run is an elimination: every input is
+    flagged into the primary block (its keys raised above all marker-block
+    keys), ``marked[j]`` enters with the marker ``e_(r+j)`` appended, whose
+    twist is the degree of ``marked[j]``'s lead (0 when it is zero), and
+    the result is the marker block of the reduced basis, moved back to
+    positions j.  That block is exactly what autoreducing everything would
+    keep, since a lead at or above the flag sits at a primary position and
+    no marker-block term is at one, so it never divides one; so only the
+    elements with lead below the flag are autoreduced.
+
+    The ``known`` inputs must form a reduced basis whose span holds the
+    ideal columns, which they replace: they enter unreduced and no pair of
+    two of them is pushed, since its S-polynomial reduces to zero over them,
+    so the result is the one without ``known``.
+
+    With ``upto`` only the part of degree at most ``upto`` is computed:
+    marked inputs whose ``sources`` twist is above it are dropped (their
+    marker positions kept), so are inputs of higher degree, and no pair of
+    higher S-degree is pushed.  The input is homogeneous, so an
+    S-polynomial and its normal form have the pair's S-degree and a reducer
+    of a vector is of no higher degree: the result is exactly the degree
+    <= ``upto`` part of the reduced basis, an order-preserving sub-list of
+    it (as Macaulay2's ``DegreeLimit``); a known block cut to degree <=
+    ``upto`` is still a truncated basis.
+
+    Where the kernel allows it (``kernel.compiled_engine``) two compiled
+    calls do all of it: ``_fast.buchberger`` builds the inputs and runs the
+    pair loop, and ``_fast.autoreduce`` finishes its basis.  Otherwise the
+    inputs are built here, ``_buchberger_loop`` runs the pair loop and
+    ``_autoreduce`` finishes; this branch is the reference, element for
+    element for the loop and term for term for the result.
     """
     p = ring.field.p
     ctx = ring.pack.ctx
+    r = len(twists)
     engine = compiled_engine(p, ctx)
-    if engine is None:
-        G = _buchberger_loop(ring, twists, vecs, product, below, upto, known)
-    else:
-        G = engine(p, ctx.n, ctx.fb, twists, vecs, product, below, upto, known)
-    return _autoreduce(ring, G)
+    if engine is not None:
+        loop, finish = engine
+        G = loop(p, ctx.n, ctx.fb, twists, vecs, ideal, marked, sources, known, product, upto)
+        return finish(p, ctx.n, ctx.fb, G, 0 if marked is None else r)
+    flag = 0
+    if marked is not None:
+        flag = 1 << ring.pack.block_shift
+        twists = list(twists) + [ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])]
+                                 if v else 0 for v in marked]
+    combined = [[(k + flag, c) for k, c in v] for v in known]
+    combined += [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
+                 for j, v in enumerate(marked or ())
+                 if upto is None or sources[j] <= upto]
+    combined += [[(k + flag, c) for k, c in v]
+                 for v in (*vecs, *(() if known else _ideal_aug_vectors(ideal, r))) if v]
+    G = _autoreduce(ring, _buchberger_loop(ring, twists, combined, product, flag or None,
+                                           upto, len(known)))
+    if not flag:
+        return tuple(map(tuple, G))
+    # marker position r + j back to j: a constant shift of the position field
+    return tuple(tuple((k + r, c) for k, c in g) for g in G)
 
 
 def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
                      product: bool, below: Optional[int],
                      upto: Optional[int], known: int = 0) -> List[Vector]:
-    """The pair loop of ``_buchberger_terms``: the unreduced basis, in the
-    order its elements were found, cut to the leads below ``below``.  The
-    reference for ``_fast.buchberger``, and the loop of the pure kernel, of
+    """The pair loop of ``_buchberger_terms``, on the inputs it builds: the
+    unreduced basis, in the order its elements were found, cut to the leads
+    below ``below``.  The reference for ``_fast.buchberger``, which builds
+    the same inputs itself, and the loop of the pure kernel, of
     lex rings and of rings whose keys pass a machine word.  Pairs are
     formed, and the chain criterion is checked, within the bucket of basis
     indices that share the pair's lead position (``by_pos``); each pair is
@@ -241,16 +285,17 @@ class SubmoduleGB:
 
     ``gb`` is the reduced basis over the ambient base ring.  The lift to the
     cover (including the ideal columns) is kept internally so normal forms
-    stay exact.
+    stay exact.  Both are tuples of term tuples, stored as given.
     """
 
-    __slots__ = ("ambient", "gb", "_qgb", "_reducer")
+    __slots__ = ("ambient", "gb", "_qgb", "_reducer", "_express")
 
-    def __init__(self, ambient: GradedFreeModule, gb, qgb=None):
+    def __init__(self, ambient: GradedFreeModule, gb: tuple, qgb: Optional[tuple] = None):
         self.ambient = ambient
-        self.gb = tuple(map(tuple, gb))
-        self._qgb = self.gb if qgb is None or qgb is gb else tuple(map(tuple, qgb))
+        self.gb = gb
+        self._qgb = gb if qgb is None else qgb
         self._reducer = None
+        self._express = None  # express_in_basis's reducer
 
     @property
     def base(self):
@@ -295,34 +340,30 @@ def express_in_basis(gb: SubmoduleGB, v: Vector) -> Optional[Vector]:
     ``gb``, or None if ``v`` is not a member.  The coordinates are only well
     defined modulo the defining ideal, and the ideal's contribution is
     dropped."""
-    ambient = gb.ambient
     base = gb.base
-    ring = ambient.ring
-    basis = [list(g) for g in gb.gb]
-    m = len(basis)
     v = base.normal_form_vector(list(v))
-    basis += _ideal_aug_vectors(base, ambient.rank)
     if not v:
         return []
-    red = make_reducer(ring.field.p, ring.pack.ctx, basis)
-    r, quots = red.nf_q(list(v))
+    if gb._express is None:
+        ambient = gb.ambient
+        ring = ambient.ring
+        basis = [*gb.gb, *_ideal_aug_vectors(base.ideal_columns(), ambient.rank)]
+        gb._express = make_reducer(ring.field.p, ring.pack.ctx, basis)
+    r, quots = gb._express.nf_q(v)
     if r:
         return None
     out: Vector = []
-    for t in range(m):
+    for t in range(len(gb.gb)):
         for okey, c in quots[t]:
             out.append((term_key(okey, t), c))
     out.sort(reverse=True)
     return out
 
 
-def _ideal_aug_vectors(base, ambient_rank: int) -> List[Vector]:
-    """Columns ``g * e_pos`` for the defining ideal of the base."""
-    out: List[Vector] = []
-    for g in base.ideal_gb_polys():
-        for pos in range(ambient_rank):
-            out.append([(term_key(okey, pos), c) for okey, c in g.terms])
-    return out
+def _ideal_aug_vectors(columns: Sequence[Vector], rank: int) -> List[Vector]:
+    """Columns ``g * e_pos``, pos < rank, for each term list g of
+    ``columns`` (the ideal's basis at position 0, ``ideal_columns()``)."""
+    return [[(k - pos, c) for k, c in g] for g in columns for pos in range(rank)]
 
 
 def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
@@ -335,10 +376,9 @@ def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
         vecs.append(v)
     base = ambient.base
     vecs = [base.normal_form_vector(v) for v in vecs]
-    aug = _ideal_aug_vectors(base, ambient.rank)
-    qgb = _buchberger_terms(base.cover, ambient.twists, vecs + aug,
+    qgb = _buchberger_terms(base.cover, ambient.twists, vecs, base.ideal_columns(),
                             product=(ambient.rank == 1))
-    rgb = [w for w in map(base.normal_form_vector, qgb) if w]
+    rgb = tuple(tuple(w) for w in map(base.normal_form_vector, qgb) if w)
     return SubmoduleGB(ambient, rgb, qgb=qgb)
 
 
@@ -351,26 +391,21 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     of ``source`` (the free module on the inputs, which sets the twists).
 
     Relations with the ``extra_unmarked`` columns and with the defining
-    ideal of the base are allowed but not recorded.  Each input ``v_j``
-    enters flagged into the primary block with the marker ``e_(r+j)``
-    appended (r the ambient rank), the other columns flagged alone;
-    ``_qgb`` is the marker block of the elimination basis, the only block
-    autoreduced, moved back to positions j, and ``gb`` its projection
-    modulo the ideal.
+    ideal of the base are allowed but not recorded: an elimination of
+    ``_buchberger_terms`` marks the inputs and leaves those columns
+    unmarked; ``_qgb`` is the marker block it returns and ``gb`` its
+    projection modulo the ideal.
 
     ``known``, when given, is the reduced basis over Q of the unmarked
     module, the extra columns and the ideal columns together, and takes
-    their place: it enters flagged, first, as the engine's known block, so
-    no pair inside it is formed, and the ideal columns are not appended
-    (they lie in its span).  The unmarked module, hence the result, is the
-    one the columns would give.
+    their place as the engine's known block, so no pair inside it is
+    formed.  The unmarked module, hence the result, is the one the columns
+    would give.
 
     With ``upto`` only the syzygies of degree at most ``upto`` are found
-    (see ``_buchberger_terms``): the inputs whose ``source`` twist is above
-    it are dropped, their marker positions kept, and the engine drops the
-    extra and ideal columns above it.  The source twist, not the engine's
-    degree, decides: a zero input's marker enters with twist 0, while the
-    syzygy it gives has its source twist.
+    (see ``_buchberger_terms``).  The ``source`` twist, not the engine's
+    degree, decides which inputs are dropped: a zero input's marker enters
+    with twist 0, while the syzygy it gives has its source twist.
 
     Each elimination runs once per base ring: the bases are memoized by
     value in ``base.cache["syzygy_generators"]``, keyed by the twists, the
@@ -391,22 +426,9 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     memo = base.cache.setdefault("syzygy_generators", {})
     hit = memo.get(key)
     if hit is None:
-        ring = base.cover
-        r = ambient.rank
-        flag = 1 << ring.pack.block_shift
-        twists = list(ambient.twists) + [ambient.vector_degree(v) if v else 0
-                                         for v in vectors]
-        combined = [[(k + flag, c) for k, c in v] for v in known]
-        combined += [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
-                     for j, v in enumerate(vectors)
-                     if upto is None or source.twists[j] <= upto]
-        if not known:
-            combined += [[(k + flag, c) for k, c in v]
-                         for v in (*extra_unmarked, *_ideal_aug_vectors(base, r)) if v]
-        marker = _buchberger_terms(ring, twists, combined, below=flag, upto=upto,
-                                   known=len(known))
-        # marker position r + j back to j: a constant shift of the position field
-        qgb = tuple(tuple((k + r, c) for k, c in g) for g in marker)
+        qgb = _buchberger_terms(base.cover, ambient.twists, () if known else extra_unmarked,
+                                base.ideal_columns(), vectors, source.twists, known,
+                                upto=upto)
         gb = tuple(tuple(s) for s in map(base.normal_form_vector, qgb) if s)
         hit = memo[key] = (gb, qgb if qgb != gb else gb)
     gb, qgb = hit
@@ -522,7 +544,7 @@ class QuotientRing:
     ignored by equality and hashing.
     """
 
-    __slots__ = ("cover", "ideal", "_gb_polys", "_reducer", "_width", "cache")
+    __slots__ = ("cover", "ideal", "_gb_polys", "_columns", "_reducer", "_width", "cache")
 
     def __init__(self, cover: PolyRing, ideal):
         self.cover = cover
@@ -539,6 +561,7 @@ class QuotientRing:
         if gb and gb[0].degree() == 0:
             raise ValueError("ideal is the unit ideal; quotient ring is zero")
         self._gb_polys = gb
+        self._columns = tuple(tuple((term_key(k, 0), c) for k, c in g.terms) for g in gb)
         # the columns g * e_pos, appended position by position as vectors
         # reach them; polynomials live at position 0
         self._reducer = make_reducer(cover.field.p, cover.pack.ctx)
@@ -561,6 +584,10 @@ class QuotientRing:
     def ideal_gb_polys(self) -> Tuple[Polynomial, ...]:
         return self._gb_polys
 
+    def ideal_columns(self) -> Tuple[tuple, ...]:
+        """The ideal's reduced basis as term tuples at position 0."""
+        return self._columns
+
     def is_polynomial_ring(self) -> bool:
         return not self._gb_polys
 
@@ -574,8 +601,8 @@ class QuotientRing:
     def _widen(self, rank: int):
         """Let the reducer reach positions 0 .. rank - 1."""
         for pos in range(self._width, rank):
-            for g in self._gb_polys:
-                self._reducer.append([(term_key(k, pos), c) for k, c in g.terms])
+            for g in self._columns:
+                self._reducer.append([(k - pos, c) for k, c in g])
         self._width = max(self._width, rank)
 
     def normal_form_vector(self, v: Vector) -> Vector:

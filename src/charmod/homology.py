@@ -185,10 +185,12 @@ def subquotient(numerator: SubmoduleGB, denominator: Sequence[Vector],
     Generators of the result are the numerator's reduced basis, which is
     canonical, so Hom bases and ``iso_probe``'s trial indices do not depend
     on how the numerator was found (minimal generators would move them).
-    The denominator must lie in the numerator.  The relations are the
-    syzygies of the generators modulo the denominator; their elimination
-    basis is the reduced relation basis and seeds ``relation_gb``.  The
-    construction data is attached for later reference to the generators.
+    The denominator must lie in the numerator; this is not checked, since
+    the denominators ``_homology`` passes are cycles by construction.  The
+    relations are the syzygies of the generators modulo the denominator;
+    their elimination basis is the reduced relation basis and seeds
+    ``relation_gb``.  The construction data is attached for later reference
+    to the generators.
 
     With ``upto`` the numerator basis must lie in degrees at most ``upto``;
     only the denominators and relations of such degree are kept, so the
@@ -197,9 +199,6 @@ def subquotient(numerator: SubmoduleGB, denominator: Sequence[Vector],
     num, ambient = numerator, numerator.ambient
     if upto is not None:
         denominator = [v for v in denominator if v and ambient.vector_degree(v) <= upto]
-    for v in denominator:
-        if v and not num.contains(list(v)):
-            raise ValueError("denominator not contained in numerator")
     gens_fm = GradedFreeModule(ambient.base, [ambient.vector_degree(g) for g in num.gb])
     rels = syzygy_generators(num.gb, ambient, gens_fm, extra_unmarked=denominator,
                              upto=upto)
@@ -397,9 +396,8 @@ def _homology(d: GradedMatrix, M: PresentedModule, into: Optional[GradedMatrix] 
     rM = M.gens.rank
     X = _grid(d.source.twists, M)
     if d.target.rank * rM == 0:
-        units = [X.basis_vector(t) for t, tw in enumerate(X.twists)
-                 if upto is None or tw <= upto]
-        num = SubmoduleGB(X, units)
+        num = SubmoduleGB(X, tuple(tuple(X.basis_vector(t)) for t, tw in enumerate(X.twists)
+                                   if upto is None or tw <= upto))
     else:
         Y = _grid(d.target.twists, M)
         cols = _grafted(d, M)

@@ -68,10 +68,15 @@ def scaled_merge(u, v, c, shift, p, ctx: OrderCtx):
 
 
 def compiled_engine(p: int, ctx: OrderCtx):
-    """``_fast.buchberger``, the compiled pair loop of
-    ``groebner._buchberger_loop``, when it applies to grevlex keys of this
-    ring, else None.  Lex rings keep the Python loop and ``LexGuard``."""
-    return _fast.buchberger if _compiled(p, ctx) and ctx.kind == GREVLEX else None
+    """The compiled engine of ``groebner._buchberger_terms`` when it applies
+    to grevlex keys of this ring, else None: ``_fast.buchberger``, which
+    builds the inputs from their parts and runs the pair loop of
+    ``groebner._buchberger_loop``, and ``_fast.autoreduce``, which finishes
+    its basis as ``groebner._autoreduce`` does.  Lex rings keep the Python
+    engine and ``LexGuard``."""
+    if _compiled(p, ctx) and ctx.kind == GREVLEX:
+        return _fast.buchberger, _fast.autoreduce
+    return None
 
 
 def _degree_overflow(deg: int, ctx: OrderCtx) -> OverflowError:

@@ -8,12 +8,19 @@ mirrors the pure kernel term for term:
 * ``Reducer(p, kind, n, fb, basis=())`` is ``pure.Reducer``: leads are
   bucketed by position and the first divisor in insertion order reduces,
   so ``find_reducer``, ``nf`` and ``nf_q`` give the same results;
-* ``buchberger(p, n, fb, twists, vecs, product, below, upto, known=0)`` is
-  the pair loop of ``groebner._buchberger_loop`` on grevlex keys: the same
-  input reductions, pairs, (sugar, i, j) order and criteria, hence the same
-  unreduced basis, element for element.  The first ``known`` inputs are a
-  reduced basis: they enter as given and form no pair among themselves.
-  Autoreduction stays in Python.
+* ``buchberger(p, n, fb, twists, vecs, ideal, marked, sources, known,
+  product, upto)`` takes the raw parts of ``groebner._buchberger_terms``
+  and builds its inputs as they are read: the known block, the marked
+  vectors with their markers e_(r+j) (whose twists are the leads'
+  degrees), the columns ``vecs`` and the ideal columns g * e_pos, every
+  term flagged in an elimination.  On them it runs the pair loop of
+  ``groebner._buchberger_loop`` on grevlex keys: the same input reductions,
+  pairs, (sugar, i, j) order and criteria, hence the same unreduced basis,
+  element for element.  The known inputs are a reduced basis: they enter
+  as given and form no pair among themselves;
+* ``autoreduce(p, n, fb, G, shift)`` is ``groebner._autoreduce`` followed
+  by the move of every key by ``shift``: it finishes what ``buchberger``
+  returns into the tuples a ``SubmoduleGB`` stores.
 
 Keys, exponent words and coefficients are unsigned 64-bit words.  A key is
 below 2^62 and a coefficient below p < 2^31, so a coefficient product plus
@@ -25,6 +32,7 @@ PyMem, so a run under ``PYTHONMALLOC=debug`` catches overruns.
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef uint64_t u64;
@@ -796,41 +804,139 @@ spoly_nf(engine_t *e, Py_ssize_t i, Py_ssize_t j, u64 lk)
     return reduce(b, &e->s, &e->h, &e->out, NULL);
 }
 
+/* Enter the input held in e->h: drop it when the bound puts its lead above
+   ``upto``, else reduce it (a known element enters as given) and add what
+   is left. */
 static int
-engine_run(engine_t *e, PyObject *vecs, int product, Py_ssize_t known)
+engine_input(engine_t *e, int known)
 {
-    basis_t *b = &e->b;
-    PyObject *seq = PySequence_Fast(vecs, "vecs is a sequence of vectors");
-    Py_ssize_t v, nv;
     i64 twist;
     vec_t tmp;
 
+    if (e->h.n == 0)
+        return 0;
+    if (e->bounded) {
+        u64 deg = ((e->h.t[0].k >> POS_BITS) >> e->deg_shift) & e->fmask;
+        if (twist_at(e, e->h.t[0].k, &twist) < 0)
+            return -1;
+        if ((i64)deg + twist > e->upto)
+            return 0;
+    }
+    if (known) {
+        tmp = e->out;
+        e->out = e->h;
+        e->h = tmp;
+    } else if (reduce(&e->b, &e->h, &e->s, &e->out, NULL) < 0) {
+        return -1;
+    }
+    return e->out.n ? add_gen(e, !known) : 0;
+}
+
+/* The terms of the vector v into e->h, each key raised by flag. */
+static int
+read_flagged(engine_t *e, PyObject *v, u64 flag)
+{
+    Py_ssize_t k;
+
+    if (vec_from_py(v, &e->h) < 0)
+        return -1;
+    for (k = 0; k < e->h.n; k++)
+        e->h.t[k].k += flag;
+    return 0;
+}
+
+/* Enter every vector of the sequence vs, flagged. */
+static int
+feed(engine_t *e, PyObject *vs, u64 flag, int known)
+{
+    PyObject *seq = PySequence_Fast(vs, "a sequence of vectors");
+    Py_ssize_t i;
+    int rc = 0;
+
     if (seq == NULL)
         return -1;
-    nv = PySequence_Fast_GET_SIZE(seq);
-    for (v = 0; v < nv; v++) {
-        if (vec_from_py(PySequence_Fast_GET_ITEM(seq, v), &e->h) < 0)
-            goto fail;
-        if (e->h.n == 0)
-            continue;
-        if (e->bounded) {
-            u64 deg = ((e->h.t[0].k >> POS_BITS) >> e->deg_shift) & e->fmask;
-            if (twist_at(e, e->h.t[0].k, &twist) < 0)
-                goto fail;
-            if ((i64)deg + twist > e->upto)
+    for (i = 0; rc == 0 && i < PySequence_Fast_GET_SIZE(seq); i++) {
+        rc = read_flagged(e, PySequence_Fast_GET_ITEM(seq, i), flag);
+        if (rc == 0)
+            rc = engine_input(e, known);
+    }
+    Py_DECREF(seq);
+    return rc;
+}
+
+/* Enter the marked vectors of mk, flagged, with the marker e_(r+j) appended
+   to vector j; its twist is the degree of the vector's lead, 0 when it is
+   zero.  With src (the source twists, when bounded) an input whose source
+   twist is above ``upto`` is dropped and its marker position kept.  Marker
+   j's twist is set when vector j is read: only markers of vectors read so
+   far occur in the basis, so no twist is looked up before it is set. */
+static int
+feed_marked(engine_t *e, PyObject *mk, PyObject *src, Py_ssize_t r, u64 flag)
+{
+    Py_ssize_t j, pos;
+    i64 source;
+
+    for (j = 0; j < PySequence_Fast_GET_SIZE(mk); j++) {
+        if (src != NULL) {
+            source = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(src, j));
+            if (source == -1 && PyErr_Occurred())
+                return -1;
+            if (source > e->upto)
                 continue;
         }
-        if (v < known) {  /* a known element enters as given */
-            tmp = e->out;
-            e->out = e->h;
-            e->h = tmp;
-        } else if (reduce(b, &e->h, &e->s, &e->out, NULL) < 0) {
-            goto fail;
+        if (read_flagged(e, PySequence_Fast_GET_ITEM(mk, j), flag) < 0)
+            return -1;
+        if (e->h.n) {
+            if ((pos = key_pos(e->h.t[0].k)) >= r) {
+                PyErr_SetString(PyExc_IndexError, "position has no twist");
+                return -1;
+            }
+            e->twists[r + j] = (i64)(((e->h.t[0].k >> POS_BITS) >> e->deg_shift)
+                                     & e->fmask) + e->twists[pos];
         }
-        if (e->out.n && add_gen(e, v >= known) < 0)
-            goto fail;
+        if (RESERVE(e->h.t, e->h.cap, e->h.n + 1) < 0)
+            return -1;
+        e->h.t[e->h.n++] = (term_t){POS_MASK - (u64)(r + j), 1};
+        if (engine_input(e, 0) < 0)
+            return -1;
     }
-    Py_CLEAR(seq);
+    return 0;
+}
+
+/* Enter the columns g * e_pos, flagged, for each term list g of ideal (at
+   position 0) and each pos < r, in that order. */
+static int
+feed_ideal(engine_t *e, PyObject *ideal, Py_ssize_t r, u64 flag)
+{
+    PyObject *seq = PySequence_Fast(ideal, "a sequence of vectors");
+    vec_t g = {0};
+    Py_ssize_t i, pos, k;
+    int rc = 0;
+
+    if (seq == NULL)
+        return -1;
+    for (i = 0; rc == 0 && i < PySequence_Fast_GET_SIZE(seq); i++) {
+        rc = vec_from_py(PySequence_Fast_GET_ITEM(seq, i), &g);
+        for (pos = 0; rc == 0 && pos < r; pos++) {
+            if ((rc = RESERVE(e->h.t, e->h.cap, g.n)) < 0)
+                break;
+            for (k = 0; k < g.n; k++)
+                e->h.t[k] = (term_t){g.t[k].k - (u64)pos + flag, g.t[k].c};
+            e->h.n = g.n;
+            rc = engine_input(e, 0);
+        }
+    }
+    PyMem_Free(g.t);
+    Py_DECREF(seq);
+    return rc;
+}
+
+/* The pair loop, once every input is in. */
+static int
+engine_pairs(engine_t *e, int product)
+{
+    basis_t *b = &e->b;
+
     while (e->nh) {
         pair_t pr = heap_pop(e);
         e->done[pr.j][pr.i >> 6] |= 1ull << (pr.i & 63);
@@ -842,30 +948,31 @@ engine_run(engine_t *e, PyObject *vecs, int product, Py_ssize_t known)
             return -1;
     }
     return 0;
-fail:
-    Py_XDECREF(seq);
-    return -1;
 }
 
 PyDoc_STRVAR(buchberger_doc,
-"buchberger(p, n, fb, twists, vecs, product, below, upto, known=0)\n\n"
-"The pair loop of ``groebner._buchberger_loop`` on grevlex keys: the\n"
-"unreduced basis it builds, in order, keeping only the elements with lead\n"
-"key below ``below`` unless that is None.  The first ``known`` vectors are\n"
-"a reduced basis: they enter unreduced and form no pair among themselves.");
+"buchberger(p, n, fb, twists, vecs, ideal, marked, sources, known, product, upto)\n\n"
+"The pair loop of ``groebner._buchberger_loop`` on grevlex keys, on the\n"
+"inputs that ``groebner._buchberger_terms`` builds from its parts: the\n"
+"unreduced basis, in order.  The inputs are the known block, the marked\n"
+"vectors, ``vecs`` and, with no known block, the ideal columns.  With\n"
+"``marked`` a sequence (an elimination) every input is flagged, marked\n"
+"vector j carries e_(r+j), and only the elements with lead below the flag\n"
+"are returned.");
 
 static PyObject *
 buchberger(PyObject *Py_UNUSED(self), PyObject *args)
 {
     unsigned long long p;
     int n, fb, product;
-    PyObject *twists, *vecs, *below, *upto, *tw = NULL, *out = NULL, *g;
+    PyObject *twists, *vecs, *ideal, *marked, *sources, *known, *upto;
+    PyObject *tw = NULL, *mk = NULL, *src = NULL, *kn = NULL, *out = NULL, *g;
     engine_t e;
-    u64 limit = UINT64_MAX;
-    Py_ssize_t i, known = 0;
+    u64 flag = 0, limit = UINT64_MAX;
+    Py_ssize_t i, r, m = 0;
 
-    if (!PyArg_ParseTuple(args, "KiiOOpOO|n:buchberger", &p, &n, &fb, &twists,
-                          &vecs, &product, &below, &upto, &known))
+    if (!PyArg_ParseTuple(args, "KiiOOOOOOpO:buchberger", &p, &n, &fb, &twists, &vecs,
+                          &ideal, &marked, &sources, &known, &product, &upto))
         return NULL;
     memset(&e, 0, sizeof e);
     if (basis_init(&e.b, p, 0, n, fb) < 0)
@@ -875,27 +982,46 @@ buchberger(PyObject *Py_UNUSED(self), PyObject *args)
     e.deg_shift = (n - 1) * fb;
     e.fmask = (1ull << fb) - 1;
     e.cap = (1ull << (fb - 1)) - 1;
-    if (below != Py_None && as_u64(below, &limit) < 0)
-        goto done;
     if (upto != Py_None) {
         e.bounded = 1;
         e.upto = PyLong_AsLongLong(upto);
         if (e.upto == -1 && PyErr_Occurred())
             goto done;
     }
-    if ((tw = PySequence_Fast(twists, "twists is a sequence of ints")) == NULL)
+    if ((tw = PySequence_Fast(twists, "twists is a sequence of ints")) == NULL
+            || (kn = PySequence_Fast(known, "known is a sequence of vectors")) == NULL)
         goto done;
-    e.ntw = PySequence_Fast_GET_SIZE(tw);
-    if ((e.twists = PyMem_Malloc((size_t)(e.ntw + 1) * sizeof(i64))) == NULL) {
+    r = PySequence_Fast_GET_SIZE(tw);
+    if (marked != Py_None) {
+        if ((mk = PySequence_Fast(marked, "marked is a sequence of vectors")) == NULL)
+            goto done;
+        m = PySequence_Fast_GET_SIZE(mk);
+        flag = limit = 1ull << (n * fb + POS_BITS);
+        if (e.bounded) {
+            if ((src = PySequence_Fast(sources, "sources is a sequence of ints")) == NULL)
+                goto done;
+            if (PySequence_Fast_GET_SIZE(src) < m) {
+                PyErr_SetString(PyExc_ValueError, "a marked vector has no source twist");
+                goto done;
+            }
+        }
+    }
+    e.ntw = r + m;
+    if ((e.twists = PyMem_Calloc((size_t)(e.ntw + 1), sizeof(i64))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < e.ntw; i++) {
+    for (i = 0; i < r; i++) {
         e.twists[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(tw, i));
         if (e.twists[i] == -1 && PyErr_Occurred())
             goto done;
     }
-    if (engine_run(&e, vecs, product, known) < 0 || (out = PyList_New(0)) == NULL)
+    if (feed(&e, kn, flag, 1) < 0
+            || (mk != NULL && feed_marked(&e, mk, src, r, flag) < 0)
+            || feed(&e, vecs, flag, 0) < 0
+            || (PySequence_Fast_GET_SIZE(kn) == 0 && feed_ideal(&e, ideal, r, flag) < 0)
+            || engine_pairs(&e, product) < 0
+            || (out = PyList_New(0)) == NULL)
         goto done;
     for (i = 0; i < e.b.nb; i++) {
         if (e.b.g[i].t[0].k >= limit)
@@ -910,7 +1036,110 @@ buchberger(PyObject *Py_UNUSED(self), PyObject *args)
     }
 done:
     Py_XDECREF(tw);
+    Py_XDECREF(mk);
+    Py_XDECREF(src);
+    Py_XDECREF(kn);
     engine_free(&e);
+    return out;
+}
+
+/* ------------------------------------------------------------------ */
+/* autoreduction */
+
+typedef struct { u64 key; Py_ssize_t idx; } order_t;
+
+static int
+order_cmp(const void *x, const void *y)
+{
+    const order_t *a = x, *b = y;
+
+    if (a->key != b->key)
+        return a->key < b->key ? -1 : 1;
+    return (a->idx > b->idx) - (a->idx < b->idx);
+}
+
+PyDoc_STRVAR(autoreduce_doc,
+"autoreduce(p, n, fb, G, shift)\n\n"
+"``groebner._autoreduce`` on grevlex keys: the reduced basis from the basis\n"
+"G, as a tuple of term tuples in descending lead order, with ``shift``\n"
+"added to every key (r moves marker position r + j back to j).");
+
+static PyObject *
+autoreduce(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    unsigned long long p, shift;
+    int n, fb;
+    PyObject *G, *seq, *out = NULL, *v, *t;
+    basis_t b;
+    vec_t *elts = NULL, h = {0}, s = {0}, tail = {0};
+    order_t *order = NULL;
+    Py_ssize_t i, k, m = 0;
+
+    if (!PyArg_ParseTuple(args, "KiiOK:autoreduce", &p, &n, &fb, &G, &shift))
+        return NULL;
+    if (basis_init(&b, p, 0, n, fb) < 0)
+        return NULL;
+    if ((seq = PySequence_Fast(G, "G is a sequence of vectors")) == NULL)
+        goto done;
+    m = PySequence_Fast_GET_SIZE(seq);
+    elts = PyMem_Calloc((size_t)(m + 1), sizeof *elts);
+    order = PyMem_Malloc((size_t)(m + 1) * sizeof *order);
+    if (elts == NULL || order == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* minimal leads: in ascending lead order, keep an element unless a kept
+       lead divides its own; the kept ones, in that order, are the reducer */
+    for (i = 0; i < m; i++) {
+        if (vec_from_py(PySequence_Fast_GET_ITEM(seq, i), &elts[i]) < 0)
+            goto done;
+        if (elts[i].n == 0) {
+            PyErr_SetString(PyExc_ValueError, "cannot reduce by the zero vector");
+            goto done;
+        }
+        order[i] = (order_t){elts[i].t[0].k, i};
+    }
+    qsort(order, (size_t)m, sizeof *order, order_cmp);
+    for (i = 0; i < m; i++) {
+        vec_t *g = &elts[order[i].idx];
+        if (basis_find(&b, g->t[0].k) >= 0)
+            continue;
+        if (basis_append(&b, g->t, g->n) < 0)
+            goto done;
+        g->t = NULL;  /* the basis owns it */
+    }
+    /* tails in normal form, descending by lead */
+    if ((out = PyTuple_New(b.nb)) == NULL)
+        goto done;
+    for (i = 0; i < b.nb; i++) {
+        const elt_t *g = &b.g[i];
+        if (RESERVE(h.t, h.cap, g->n) < 0)
+            goto fail;
+        memcpy(h.t, g->t + 1, (size_t)(g->n - 1) * sizeof *h.t);
+        h.n = g->n - 1;
+        if (reduce(&b, &h, &s, &tail, NULL) < 0 || (v = PyTuple_New(tail.n + 1)) == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(out, b.nb - 1 - i, v);
+        for (k = 0; k <= tail.n; k++) {
+            const term_t *x = k ? &tail.t[k - 1] : &g->t[0];
+            if ((t = term_obj(x->k + shift, x->c)) == NULL)
+                goto fail;
+            PyTuple_SET_ITEM(v, k, t);
+        }
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    for (i = 0; elts != NULL && i < m; i++)
+        PyMem_Free(elts[i].t);
+    PyMem_Free(elts);
+    PyMem_Free(order);
+    PyMem_Free(h.t);
+    PyMem_Free(s.t);
+    PyMem_Free(tail.t);
+    basis_free(&b);
+    Py_XDECREF(seq);
     return out;
 }
 
@@ -919,6 +1148,7 @@ done:
 static PyMethodDef module_methods[] = {
     {"add_scaled", add_scaled, METH_VARARGS, add_scaled_doc},
     {"buchberger", buchberger, METH_VARARGS, buchberger_doc},
+    {"autoreduce", autoreduce, METH_VARARGS, autoreduce_doc},
     {NULL, NULL, 0, NULL}
 };
 

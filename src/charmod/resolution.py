@@ -131,7 +131,7 @@ class PresentedModule:
         if ring is base:
             return self
         gens = GradedFreeModule(ring, self.gens.twists)
-        aug = _ideal_aug_vectors(base, gens.rank)
+        aug = _ideal_aug_vectors(base.ideal_columns(), gens.rank)
         cols = [list(c) for c in self.rels.cols] + aug
         twists = list(self.rels.source.twists) + [gens.vector_degree(v) for v in aug]
         src = GradedFreeModule(ring, twists)

@@ -348,7 +348,7 @@ class PolyRing:
     def cover(self) -> "PolyRing":
         return self
 
-    def ideal_gb_polys(self) -> tuple:
+    def ideal_columns(self) -> tuple:
         return ()
 
     def is_polynomial_ring(self) -> bool:

@@ -242,7 +242,8 @@ def test_six_variable_degree_cap_under_the_compiled_pair_loop(compiled_kernel, t
     # the same README example where the compiled pair loop, not
     # scaled_merge, forms the S-polynomial past the cap
     ctx = PolyRing(32003, tuple("abcdef")).pack.ctx
-    assert kernel.compiled_engine(32003, ctx) is compiled_kernel.buchberger
+    assert kernel.compiled_engine(32003, ctx) == (compiled_kernel.buchberger,
+                                                  compiled_kernel.autoreduce)
     doc = tmp_path / "six.cmr"
     doc.write_text("field 32003\nring a b c d e f\nideal\na^40*b\na*b^40\nend\n")
     code, rep, err = run_json("gb", str(doc))

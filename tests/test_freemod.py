@@ -46,8 +46,12 @@ def _record(monkeypatch):
 
 def _offsets(mat):
     """Degree minus twist of each nonzero column; raises if one is
-    inhomogeneous."""
-    return {mat.target.vector_degree(list(col)) - mat.source.twists[j]
+    inhomogeneous (``vector_degree`` reads only the lead term)."""
+    target = mat.target
+    for col in mat.cols:
+        if not target.vector_is_homogeneous(col):
+            raise ValueError(f"{mat!r}: a column is not homogeneous")
+    return {target.vector_degree(col) - mat.source.twists[j]
             for j, col in enumerate(mat.cols) if col}
 
 

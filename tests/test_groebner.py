@@ -5,6 +5,7 @@ with sympy's over GF(p), and the position-indexed pair handling compared
 with an engine that scans the whole basis."""
 
 import heapq
+import inspect
 import itertools
 import math
 import random
@@ -507,19 +508,73 @@ def _reference_buchberger_terms(ring, twists, vecs, product=False, known=0):
     return groebner._autoreduce(ring, G)
 
 
+_TERMS = inspect.signature(groebner._buchberger_terms)
+
+
+def _parts(*args, **kwargs):
+    """The arguments of a ``_buchberger_terms`` call by name, defaults
+    filled in; the ring, when given, among them."""
+    bound = _TERMS.bind_partial(*args, **kwargs)
+    bound.apply_defaults()
+    return dict(bound.arguments)
+
+
+def _recorder(calls):
+    """A stand-in for ``groebner._buchberger_terms`` that appends the ring
+    and the raw parts (``_parts``) of each call to ``calls``."""
+    real = groebner._buchberger_terms
+
+    def recording(*args, **kwargs):
+        parts = _parts(*args, **kwargs)
+        calls.append((parts.pop("ring"), parts))
+        return real(*args, **kwargs)
+
+    return recording
+
+
+def _pure_run(ring, parts):
+    """The pure branch of ``_buchberger_terms`` on raw ``parts``: its result,
+    the arguments it passes ``_buchberger_loop`` (the ring first) and the
+    unreduced basis that returns."""
+    seen = []
+    loop = groebner._buchberger_loop
+
+    def recording(*args):
+        seen.append(args)
+        seen.append(loop(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groebner, "compiled_engine", lambda p, ctx: None)
+        m.setattr(groebner, "_buchberger_loop", recording)
+        out = groebner._buchberger_terms(ring, **parts)
+    return out, seen[0], seen[1]
+
+
+def _finished(ring, twists, vecs, product, below, upto, known):
+    """The reduced basis from the loop's arguments, cut to the leads below
+    ``below`` and not moved."""
+    return groebner._autoreduce(ring, groebner._buchberger_loop(
+        ring, twists, vecs, product, below, upto, known))
+
+
+def _moved(basis, below, rank):
+    """A reduced basis as ``_buchberger_terms`` returns it: in an
+    elimination (``below`` set) cut to the leads below the flag and moved
+    back from marker position rank + j to j."""
+    if below is None:
+        return [tuple(g) for g in basis]
+    return [tuple((k + rank, c) for k, c in g) for g in basis if g[0][0] < below]
+
+
 def _engine_inputs(monkeypatch, docs):
     """Every ``_buchberger_terms`` call made by the relation bases and the
-    syzygies of the pool modules of ``docs``, as (label, arguments).  The
-    documents' rings may keep eliminations memoized by earlier tests, so
+    syzygies of the pool modules of ``docs``, as (label, ring, raw parts).
+    The documents' rings may keep eliminations memoized by earlier tests, so
     their syzygy memos are emptied first."""
     calls = []
     real = groebner._buchberger_terms
-
-    def recording(ring, twists, vecs, product=False, below=None, upto=None, known=0):
-        calls.append((ring, tuple(twists), [list(v) for v in vecs], product, below, known))
-        return real(ring, twists, vecs, product, below, upto, known)
-
-    monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+    monkeypatch.setattr(groebner, "_buchberger_terms", _recorder(calls))
     labelled = []
     for doc in docs:
         for name, M in corpus.module_pool(doc):
@@ -530,7 +585,7 @@ def _engine_inputs(monkeypatch, docs):
                                                            M.gens, M.rels.source))):
                 calls.clear()
                 run()
-                labelled += [(f"{name} {label}", args) for args in calls]
+                labelled += [(f"{name} {label}", ring, parts) for ring, parts in calls]
     monkeypatch.setattr(groebner, "_buchberger_terms", real)
     return labelled
 
@@ -544,7 +599,8 @@ def test_position_indexed_pairs_match_the_full_scan(monkeypatch, mixed_corpus, v
     # basis of the engine that scans all of G, after reducing as many
     # S-pairs (two merges each), so the chain criterion prunes as before;
     # an elimination autoreduces only its marker block, which must be the
-    # reference's full reduced basis cut to the leads below the flag
+    # reference's full reduced basis cut to the leads below the flag and
+    # moved back to the marked inputs' positions
     docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
                                       stanley_reisner_doc]
     inputs = _engine_inputs(monkeypatch, docs)
@@ -557,16 +613,14 @@ def test_position_indexed_pairs_match_the_full_scan(monkeypatch, mixed_corpus, v
 
     monkeypatch.setattr(groebner, "scaled_merge", counting)
     ranks = {"relations": 0, "syzygies": 0}
-    for label, (ring, twists, vecs, product, below, known) in inputs:
+    for label, ring, parts in inputs:
+        merges.clear()
+        ours, (_, twists, vecs, product, below, _, known), _ = _pure_run(ring, parts)
+        ours_merges = len(merges)
         assert (below is not None) == (label.split()[-1] == "syzygies"), label
         merges.clear()
-        ours = groebner._buchberger_terms(ring, twists, vecs, product, below=below, known=known)
-        ours_merges = len(merges)
-        merges.clear()
         ref = _reference_buchberger_terms(ring, twists, vecs, product, known)
-        if below is not None:
-            ref = [g for g in ref if g[0][0] < below]
-        assert ours == ref, label
+        assert list(ours) == _moved(ref, below, len(parts["twists"])), label
         assert ours_merges == len(merges), label
         if len(twists) > 1:
             ranks[label.split()[-1]] += 1
@@ -583,27 +637,27 @@ def test_degree_bounded_run_is_the_full_basis_cut(monkeypatch, mixed_corpus, ver
     docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
                                       stanley_reisner_doc]
     strict = 0
-    for label, args in _engine_inputs(monkeypatch, docs):
-        strict += _assert_bounded_runs_cut_the_full_basis(args, label)
+    for label, ring, parts in _engine_inputs(monkeypatch, docs):
+        strict += _assert_bounded_runs_cut_the_full_basis(_pure_run(ring, parts)[1], label)
     assert strict > 0
 
 
 def _assert_bounded_runs_cut_the_full_basis(args, label):
     """A run bounded by d returns the degree <= d part of the full reduced
     basis, for every d from below the lowest input degree to the highest
-    basis degree; returns how many bounds cut strictly inside the basis."""
-    ring, twists, vecs, product, below, known = args
+    basis degree; returns how many bounds cut strictly inside the basis.
+    ``args`` are the arguments of an unbounded ``_buchberger_loop`` run."""
+    ring, twists, vecs, product, below, _, known = args
 
     def degree(v):
         return ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])]
 
-    full = groebner._buchberger_terms(ring, twists, vecs, product, below=below, known=known)
+    full = _finished(ring, twists, vecs, product, below, None, known)
     degrees = [degree(v) for v in vecs if v] + [degree(g) for g in full]
     strict = 0
     for d in range(min(degrees) - 1, max(degrees) + 1):
         cut = [g for g in full if degree(g) <= d]
-        got = groebner._buchberger_terms(ring, twists, vecs, product, below=below, upto=d,
-                                         known=known)
+        got = _finished(ring, twists, vecs, product, below, d, known)
         assert got == cut, (label, d)
         strict += 0 < len(cut) < len(full)
     return strict
@@ -644,10 +698,11 @@ def test_packed_chain_criterion_prunes_as_the_exponent_tuples(monkeypatch, order
     for ring, gens in _drawn_ideals(order, 40, 5):
         vecs = [[(term_key(k, 0), c) for k, c in ring.from_dict(g).terms] for g in gens]
         merges.clear()
-        ours = groebner._buchberger_terms(ring, (0,), vecs, True)
+        ours = groebner._buchberger_terms(ring, (0,), vecs, product=True)
         ours_merges = len(merges)
         merges.clear()
-        assert ours == _reference_buchberger_terms(ring, (0,), vecs, True), gens
+        assert list(ours) == _moved(_reference_buchberger_terms(ring, (0,), vecs, True),
+                                    None, 1), gens
         assert ours_merges == len(merges), gens
 
 
@@ -663,24 +718,35 @@ def test_pairs_past_the_degree_cap_raise_only_when_they_survive(order):
 
 
 # ---------------------------------------------------------------------------
-# the compiled pair loop against the Python one
+# the compiled engine against the Python one
 
 
-def _assert_loops_agree(fast, ring, twists, vecs, product, below, upto=None, known=0):
-    """``_fast.buchberger`` builds the unreduced basis of the Python loop,
-    element for element, or raises the same ``OverflowError``; returns the
+def _assert_engines_agree(fast, ring, parts):
+    """The compiled engine against the pure branch of ``_buchberger_terms``
+    on raw ``parts``: ``_fast.buchberger`` builds the unreduced basis of
+    ``_buchberger_loop``, element for element, ``_fast.autoreduce``
+    finishes it as ``_autoreduce`` does, and ``_buchberger_terms`` returns
+    the same basis on both kernels; or every run raises the same
+    ``OverflowError``.  Returns the arguments of the loop and its unreduced
     basis, or None after an overflow."""
     ctx = ring.pack.ctx
-    args = (ring.field.p, ctx.n, ctx.fb, twists, vecs, product, below, upto, known)
-    assert groebner.compiled_engine(ring.field.p, ctx) is fast.buchberger
+    p = ring.field.p
+    assert groebner.compiled_engine(p, ctx) == (fast.buchberger, fast.autoreduce)
+    raw = (p, ctx.n, ctx.fb, *(parts[name] for name in (
+        "twists", "vecs", "ideal", "marked", "sources", "known", "product", "upto")))
     try:
-        ref = groebner._buchberger_loop(ring, twists, vecs, product, below, upto, known)
+        want, args, G = _pure_run(ring, parts)
     except OverflowError as exc:
-        with pytest.raises(OverflowError, match=f"^{re.escape(str(exc))}$"):
-            fast.buchberger(*args)
+        for run in (lambda: fast.buchberger(*raw),
+                    lambda: groebner._buchberger_terms(ring, **parts)):
+            with pytest.raises(OverflowError, match=f"^{re.escape(str(exc))}$"):
+                run()
         return None
-    assert fast.buchberger(*args) == ref
-    return ref
+    assert fast.buchberger(*raw) == G
+    shift = 0 if parts["marked"] is None else len(parts["twists"])
+    assert fast.autoreduce(p, ctx.n, ctx.fb, G, shift) == want
+    assert groebner._buchberger_terms(ring, **parts) == want
+    return args, G
 
 
 def test_compiled_loop_matches_the_python_loop_on_pool_modules(
@@ -692,14 +758,12 @@ def test_compiled_loop_matches_the_python_loop_on_pool_modules(
     docs = list(mixed_corpus[:10]) + [veronese_doc, e2_doc, hypersurface_doc,
                                       stanley_reisner_doc]
     compared = strict = 0
-    for label, (ring, twists, vecs, product, below, known) in _engine_inputs(monkeypatch, docs):
-        full = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below,
-                                   known=known)
+    for label, ring, parts in _engine_inputs(monkeypatch, docs):
+        (_, twists, *_), full = _assert_engines_agree(compiled_kernel, ring, parts)
         degrees = sorted({ring.pack.deg(term_okey(g[0][0])) + twists[term_pos(g[0][0])]
                           for g in full})
         for d in {degrees[0], degrees[-1] - 1} if degrees else ():
-            cut = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, d,
-                                      known)
+            _, cut = _assert_engines_agree(compiled_kernel, ring, dict(parts, upto=d))
             strict += len(cut) < len(full)
         compared += 1
     assert compared == 78 and strict > 50, (compared, strict)
@@ -709,18 +773,14 @@ def test_compiled_loop_matches_the_python_loop_on_pool_modules(
 def test_compiled_loop_matches_on_thm8_of_rational_normal_curves(monkeypatch, compiled_kernel, n):
     calls = []
     real = groebner._buchberger_terms
-
-    def recording(ring, twists, vecs, product=False, below=None, upto=None, known=0):
-        calls.append((ring, tuple(twists), [list(v) for v in vecs], product, below, upto,
-                      known))
-        return real(ring, twists, vecs, product, below, upto, known)
-
-    monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+    monkeypatch.setattr(groebner, "_buchberger_terms", _recorder(calls))
     assert check_thm8(rational_normal_curve(n)).verdict == "verified"
     monkeypatch.setattr(groebner, "_buchberger_terms", real)
-    assert len(calls) > 10 and sum(args[-1] > 0 for args in calls) == 2
-    for args in calls:
-        _assert_loops_agree(compiled_kernel, *args)
+    assert len(calls) > 10 and sum(bool(parts["known"]) for _, parts in calls) == 2
+    # subquotient relations mark the numerator and carry the denominators
+    assert any(parts["vecs"] and parts["marked"] for _, parts in calls)
+    for ring, parts in calls:
+        _assert_engines_agree(compiled_kernel, ring, parts)
 
 
 def _random_homogeneous(rng, ring, twists, d):
@@ -736,10 +796,10 @@ def _random_homogeneous(rng, ring, twists, d):
 
 
 def _random_engine_inputs(seed, count):
-    """Engine arguments over random grevlex rings in 3 to 6 variables:
-    ideals under the product criterion, some of degree near the cap of
-    six variables, and eliminations of random module elements (flagged
-    primary block, one marker column each) cut below the flag."""
+    """Rings and raw parts of engine runs over random grevlex rings in 3 to
+    6 variables: ideals under the product criterion, some of degree near
+    the cap of six variables, and eliminations of random module elements,
+    each marked with its lead degree as its source twist."""
     rng = random.Random(seed)
     for t in range(count):
         n = rng.randint(3, 6)
@@ -748,32 +808,28 @@ def _random_engine_inputs(seed, count):
             lo = 40 if n == 6 else 2
             vecs = [_random_homogeneous(rng, ring, (0,), rng.randint(lo, lo + 2))
                     for _ in range(rng.randint(2, 4))]
-            yield ring, (0,), vecs, True, None
+            yield ring, _parts(twists=(0,), vecs=vecs, product=True)
         else:
             twists = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
             vectors = [_random_homogeneous(rng, ring, twists, rng.randint(1, 3))
                        for _ in range(rng.randint(2, 4))]
-            r = len(twists)
-            flag = 1 << ring.pack.block_shift
             src = [ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])] if v else 0
                    for v in vectors]
-            vecs = [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
-                    for j, v in enumerate(vectors)]
-            yield ring, tuple(twists + src), vecs, False, flag
+            yield ring, _parts(twists=tuple(twists), vecs=(), marked=vectors, sources=src)
 
 
 def test_compiled_loop_matches_on_random_grevlex_inputs(compiled_kernel):
     seen = {"overflow": 0, "bounded cut": 0, "eliminations": 0}
     rng = random.Random(7)
-    for ring, twists, vecs, product, below in _random_engine_inputs(31, 120):
-        full = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below)
-        if full is None:
+    for ring, parts in _random_engine_inputs(31, 120):
+        agreed = _assert_engines_agree(compiled_kernel, ring, parts)
+        if agreed is None:
             seen["overflow"] += 1
             continue
-        seen["eliminations"] += below is not None
+        seen["eliminations"] += parts["marked"] is not None
         upto = rng.randint(0, 6)
-        cut = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, upto)
-        seen["bounded cut"] += len(cut) < len(full)
+        _, cut = _assert_engines_agree(compiled_kernel, ring, dict(parts, upto=upto))
+        seen["bounded cut"] += len(cut) < len(agreed[1])
     assert min(seen.values()) >= 3, seen
     with pytest.raises(OverflowError, match="^total degree 260 exceeds packing cap 255$"):
         Ideal(PolyRing(32003, ("x", "y")), ["x^130*y", "x*y^130"]).groebner_basis()
@@ -784,7 +840,7 @@ def test_compiled_loop_matches_on_random_grevlex_inputs(compiled_kernel):
 
 
 def _known_block_inputs(monkeypatch):
-    """Engine arguments, as ``_engine_inputs`` records them, of the cycles
+    """Rings and raw parts, as ``_engine_inputs`` records them, of the cycles
     elimination of every ``_homology`` call of the pool documents started
     from its known block: the relation basis of the copies, after the copied
     module's own basis is computed where it was not held
@@ -792,20 +848,16 @@ def _known_block_inputs(monkeypatch):
     emptied."""
     inputs = []
     real = groebner._buchberger_terms
-
-    def recording(ring, twists, vecs, product=False, below=None, upto=None, known=0):
-        inputs.append((ring, tuple(twists), [list(v) for v in vecs], product, below, known))
-        return real(ring, twists, vecs, product, below, upto, known)
-
+    recording = _recorder(inputs)
     for d, M, _, _ in homology_calls(monkeypatch):
         cols, Y, X, _, block = cycles_elimination(d, M)
         Y.base.cache.pop("syzygy_generators", None)
         monkeypatch.setattr(groebner, "_buchberger_terms", recording)
         syzygy_generators(cols, Y, X, known=block)
         monkeypatch.setattr(groebner, "_buchberger_terms", real)
-        # the block, then one marked input per column: no ideal column
-        # follows, since the block spans them
-        assert (inputs[-1][-1], len(inputs[-1][2])) == (len(block), len(block) + len(cols))
+        parts = inputs[-1][1]
+        assert (len(parts["known"]), len(parts["marked"]), parts["vecs"]) == (
+            len(block), len(cols), ())
     return inputs
 
 
@@ -824,17 +876,20 @@ def test_known_block_runs_match_the_full_scan_and_cut_by_degree(monkeypatch):
     inputs = _known_block_inputs(monkeypatch)
     monkeypatch.setattr(groebner, "scaled_merge", counting)
     strict = 0
-    for args in inputs:
-        ring, twists, vecs, product, below, known = args
+    for ring, parts in inputs:
         merges.clear()
-        ours = groebner._buchberger_terms(ring, twists, vecs, product, below=below, known=known)
+        ours, args, _ = _pure_run(ring, parts)
         ours_merges = len(merges)
+        _, twists, vecs, product, below, _, known = args
+        # the block, then one marked input per column: no ideal column
+        # follows, since the block spans them
+        assert len(vecs) == known + len(parts["marked"])
         merges.clear()
         ref = _reference_buchberger_terms(ring, twists, vecs, product, known)
-        assert ours == [g for g in ref if g[0][0] < below]
+        assert list(ours) == _moved(ref, below, len(parts["twists"]))
         assert ours_merges == len(merges)
         strict += _assert_bounded_runs_cut_the_full_basis(args, "known block")
-    assert len(inputs) == 157 and all(args[-1] > 0 for args in inputs)
+    assert len(inputs) == 157 and all(parts["known"] for _, parts in inputs)
     assert strict > 0
 
 
@@ -843,30 +898,30 @@ def test_compiled_loop_matches_with_a_known_block_on_homology_eliminations(
     # every cycles elimination of _homology on the pool documents, started
     # from its known block, unbounded and through degree 0 (iso_probe's Hom)
     compared = 0
-    for ring, twists, vecs, product, below, known in _known_block_inputs(monkeypatch):
-        assert known > 0
+    for ring, parts in _known_block_inputs(monkeypatch):
+        assert parts["known"]
         for upto in (None, 0):
-            _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, upto, known)
+            _assert_engines_agree(compiled_kernel, ring, dict(parts, upto=upto))
         compared += 1
     assert compared == 157
 
 
 def _random_known_block_inputs(seed, count):
-    """``_random_engine_inputs`` with a known block first: the primary parts
-    (an elimination's flagged terms) of some of the inputs, as they are and
-    as their reduced basis, which all the inputs then follow.  Yields the
-    engine arguments and whether the block is a reduced basis."""
+    """``_random_engine_inputs`` with a known block first: some of the
+    inputs (an elimination's marked vectors), as they are and as their
+    reduced basis, which all the inputs then follow.  Yields the ring, the
+    raw parts and whether the block is a reduced basis."""
     rng = random.Random(seed)
-    for ring, twists, vecs, product, below in _random_engine_inputs(seed, count):
-        flag = below or 0
-        some = [[(k, c) for k, c in v if k >= flag]
-                for v in rng.sample(vecs, rng.randint(1, len(vecs)))]
+    for ring, parts in _random_engine_inputs(seed, count):
+        pool = parts["vecs"] if parts["marked"] is None else parts["marked"]
+        some = rng.sample(pool, rng.randint(1, len(pool)))
         try:
-            block = groebner._buchberger_terms(ring, twists, some, product)
+            block = groebner._buchberger_terms(ring, parts["twists"], some,
+                                               product=parts["product"])
         except OverflowError:
             continue
-        yield ring, twists, block + vecs, product, below, len(block), True
-        yield ring, twists, some + vecs, product, below, len(some), False
+        yield ring, dict(parts, known=block), True
+        yield ring, dict(parts, known=some), False
 
 
 def test_compiled_loop_matches_with_a_known_block_on_random_grevlex_inputs(compiled_kernel):
@@ -874,21 +929,20 @@ def test_compiled_loop_matches_with_a_known_block_on_random_grevlex_inputs(compi
     # elements, shows that both loops skip the same pairs
     seen = {"overflow": 0, "bounded cut": 0, "eliminations": 0, "pairs lost": 0}
     rng = random.Random(11)
-    for ring, twists, vecs, product, below, known, reduced in _random_known_block_inputs(37, 120):
-        full = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below,
-                                   known=known)
-        if full is None:
+    for ring, parts, reduced in _random_known_block_inputs(37, 120):
+        agreed = _assert_engines_agree(compiled_kernel, ring, parts)
+        if agreed is None:
             seen["overflow"] += 1
             continue
-        seen["eliminations"] += below is not None
+        seen["eliminations"] += parts["marked"] is not None
         upto = rng.randint(0, 6)
-        cut = _assert_loops_agree(compiled_kernel, ring, twists, vecs, product, below, upto,
-                                  known)
-        seen["bounded cut"] += len(cut) < len(full)
-        # a known reduced block changes the work, never the reduced basis
-        got = groebner._autoreduce(ring, full)
-        want = groebner._autoreduce(ring, groebner._buchberger_loop(
-            ring, twists, vecs, product, below, None))
+        _, cut = _assert_engines_agree(compiled_kernel, ring, dict(parts, upto=upto))
+        seen["bounded cut"] += len(cut) < len(agreed[1])
+        # a known reduced block changes the work, never the reduced basis,
+        # which the block entering as unmarked columns gives too
+        got = groebner._buchberger_terms(ring, **parts)
+        want = groebner._buchberger_terms(
+            ring, **dict(parts, known=(), vecs=(*parts["known"], *parts["vecs"])))
         assert got == want or not reduced
         seen["pairs lost"] += got != want
     assert min(seen.values()) >= 3, seen

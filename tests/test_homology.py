@@ -8,6 +8,8 @@ import random
 import pytest
 
 from charmod import characteristic, corpus, linalg
+from charmod import homology as homology_mod
+from charmod.cmr import load
 from charmod.freemod import GradedFreeModule, GradedMatrix, term_key, term_okey, term_pos
 from charmod.groebner import QuotientRing, buchberger, syzygy_generators
 from charmod.homology import (
@@ -38,6 +40,7 @@ from charmod.resolution import PresentedModule, resolve
 from charmod.ring import PolyRing
 
 from conftest import (
+    FIXTURES,
     cycles_elimination,
     cyclic_quotient,
     entries,
@@ -182,8 +185,35 @@ def test_subquotient_and_coordinates():
     assert subquotient_realize(M, coords) == u
     with pytest.raises(ValueError):
         subquotient_express(M, amb.vector_from_polys([Q.poly("1")]))
-    with pytest.raises(ValueError):
-        subquotient(buchberger(num[:1], amb), den[2:])  # y^2 is not a multiple of x
+
+
+def test_battery_subquotient_denominators_lie_in_their_numerators(monkeypatch):
+    # subquotient does not check that its denominator lies in the numerator:
+    # its caller, _homology, passes the copies' relations and the grafted
+    # columns of the incoming map, which are cycles by construction; every
+    # subquotient the battery builds on fresh pool documents (the first 10
+    # acceptance instances and the four fixtures) bears that out, in the
+    # degrees a bounded one is built in
+    seen = []
+    real = homology_mod.subquotient
+
+    def recording(numerator, denominator, upto=None):
+        seen.append((numerator, denominator, upto))
+        return real(numerator, denominator, upto)
+
+    monkeypatch.setattr(homology_mod, "subquotient", recording)
+    for doc in corpus.generate_corpus(7, 10, "mixed") + [
+            load(FIXTURES / f"{name}.cmr")
+            for name in ("veronese", "e2", "hypersurface", "stanley_reisner")]:
+        corpus.corpus_battery(doc)
+    monkeypatch.setattr(homology_mod, "subquotient", real)
+    checked = 0
+    for num, den, upto in seen:
+        for v in den:
+            if upto is None or num.ambient.vector_degree(v) <= upto:
+                assert num.contains(list(v))
+                checked += 1
+    assert (len(seen), checked) == (286, 680)
 
 
 def test_module_map_kernel_cokernel(rings):

@@ -443,7 +443,7 @@ def test_compiled_kernel_exports_what_the_dispatch_uses(fast_module):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "_fast"}
     exported = {name for name in dir(fast_module) if not name.startswith("_")}
-    assert used == exported == {"Reducer", "add_scaled", "buchberger"}
+    assert used == exported == {"Reducer", "add_scaled", "autoreduce", "buchberger"}
     red = fast_module.Reducer(32003, kernel.GREVLEX, 3, 9)
     assert {name for name in dir(red) if not name.startswith("_")} == {
         "append", "find_reducer", "nf", "nf_q"}

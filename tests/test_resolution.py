@@ -215,7 +215,7 @@ def test_polynomial_ring_is_its_own_zero_quotient(veronese_doc, e2_doc, hypersur
                       for _, M in corpus.module_pool(doc)]
     for M in presentations:
         Q = M.base
-        assert Q.cover is Q and Q.ideal_gb_polys() == ()
+        assert Q.cover is Q and Q.ideal_columns() == ()
         M0 = _over(QuotientRing(Q, []), M)
         assert M.relation_gb().gb == M0.relation_gb().gb
         rels = [list(c) for c in M.rels.cols]
