@@ -12,19 +12,20 @@ exponent tuples: both criteria compare exponent words, and one multiplication
 gives an lcm word's order key and degree.
 Reduced bases are canonical, so every result is independent of input order.
 
-Computations over ``R`` lift to ``Q``: the defining ideal enters as extra
-columns ``g * e_pos``, built by the engine from the ideal's basis at
-position 0 (``ideal_columns()``), and results are projected back and kept
-in normal form with respect to ``I``.  Over ``Q`` (a ``PolyRing``) there are no such
-columns and every normal form is the identity.
+Computations over ``R`` reduce modulo ``I`` inside the reducers, as in
+Singular's ``qring`` (Greuel & Pfister, *A Singular Introduction to
+Commutative Algebra*, 2002): a reducer holds the ideal's reduced basis once,
+at position 0 (``ideal_columns()``), and reduces by it at every position,
+and every basis is the reduced basis over ``R``.  Over ``Q`` (a
+``PolyRing``) the ideal is empty.
 
 There is one syzygy engine, elimination (``syzygy_generators``): syzygies,
 kernels, colon ideals and intersections come from a single Groebner basis in
 a block-elimination order, realized by flagging primary-block keys above all
-marker-block keys, which keeps the single kernel usable for both blocks.
-It returns its syzygy basis as a ``SubmoduleGB``: the marker block of the
-reduced elimination basis is the reduced basis of the syzygy module over
-``Q``, ideal columns ``I * e_j`` included (the block order is term over
+marker-block keys, which keeps the single kernel usable for both blocks;
+the ideal reduces in both.  It returns its syzygy basis as a
+``SubmoduleGB``: the marker block of the reduced elimination basis is the
+reduced basis of the syzygy module over ``R`` (the block order is term over
 position, which a position shift keeps), so no caller reruns Buchberger.
 Only that block is autoreduced; the flagged elements are dropped first.
 Each elimination runs once per base ring: ``syzygy_generators`` memoizes
@@ -33,22 +34,23 @@ its bases by value in the base's ``cache``.
 The engine (``_buchberger_terms``) takes the raw parts of a run: the
 ambient twists, the marked vectors and their source twists, the unmarked
 columns, the ideal's basis and a known block.  On the compiled kernel two
-calls do the whole run, flags, markers, ideal columns, pair loop and
-autoreduction, and hand back the finished basis as the tuples a
-``SubmoduleGB`` stores; the pure branch builds the same inputs in Python
-and is the reference for both calls.
+calls do the whole run, flags, markers, pair loop and autoreduction, and
+hand back the finished basis as the tuples a ``SubmoduleGB`` stores; the
+pure branch builds the same inputs in Python and is the reference for both
+calls.
 
 The engine takes a known block (``known``): the first inputs already form
-a reduced Groebner basis.  They enter the basis as given, unreduced, and no
-pair of two of them is formed: each such S-polynomial has a standard
-representation over the block (Buchberger's criterion), so the span, and
-with it the canonical reduced basis, are unchanged.  Such a pair is never
-marked treated either, so the chain criterion never leans on one.  An
-elimination whose unmarked module has a known reduced basis over Q, ideal
-columns included, starts from it instead of working that basis out again
-pair by pair: ``homology._homology(d, M)`` does so when M holds its
-relation basis, since the basis of the copies' relations is then M's,
-moved copy by copy.
+a reduced Groebner basis over ``R``.  They enter the basis as given,
+unreduced, and no pair of two of them, or of one of them and the ideal, is
+formed: each such S-polynomial has a standard representation over the
+block and the ideal (Buchberger's criterion), so the span, and with it the
+canonical reduced basis, are unchanged.  The chain criterion counts a pair
+of a known element and the ideal as treated, but never leans on a pair of
+two known elements.  An
+elimination whose unmarked module has a known reduced basis starts from it
+instead of working that basis out again pair by pair:
+``homology._homology(d, M)`` does so when M holds its relation basis,
+since the basis of the copies' relations is then M's, moved copy by copy.
 
 The engine takes an internal degree bound (``upto``), which only
 ``homology.iso_probe`` sets, through its Hom build: the input is
@@ -72,8 +74,8 @@ from .freemod import (
     term_pos,
     v_scale,
 )
-from .kernel import (LEX, POS_BITS, POS_MASK, compiled_engine, divides, epack,
-                     make_reducer, scaled_merge)
+from .kernel import (LEX, POS_BITS, compiled_engine, divides, epack, make_reducer,
+                     scaled_merge)
 from .ring import Polynomial, PolyRing
 
 
@@ -85,14 +87,14 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
                       ideal: Sequence[Vector] = (), marked: Optional[Sequence[Vector]] = None,
                       sources: Sequence[int] = (), known: Sequence[Vector] = (),
                       product: bool = False, upto: Optional[int] = None) -> Tuple[tuple, ...]:
-    """Reduced Groebner basis over Q, as a tuple of term tuples, from the
-    raw parts of a run in the free module with ``twists`` (rank r).
+    """Reduced Groebner basis over R = Q/I, as a tuple of term tuples, from
+    the raw parts of a run in the free module with ``twists`` (rank r).
 
-    The inputs are the ``known`` block, the ``marked`` vectors, the columns
-    ``vecs`` and, with no known block, the ideal columns ``g * e_pos`` for
-    each term list g of ``ideal`` (at position 0) and each pos < r, in that
-    order.  ``product`` enables the coprime-lead criterion and must only be
-    set in ambient rank one, where discarded pairs are genuinely redundant.
+    The inputs are the ``known`` block, the ``marked`` vectors and the
+    columns ``vecs``, in that order; ``ideal`` is the reduced basis of I at
+    position 0.  ``product`` enables the coprime-lead criterion and must
+    only be set in ambient rank one, where discarded pairs are genuinely
+    redundant.
 
     With ``marked`` a sequence the run is an elimination: every input is
     flagged into the primary block (its keys raised above all marker-block
@@ -104,10 +106,10 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     no marker-block term is at one, so it never divides one; so only the
     elements with lead below the flag are autoreduced.
 
-    The ``known`` inputs must form a reduced basis whose span holds the
-    ideal columns, which they replace: they enter unreduced and no pair of
-    two of them is pushed, since its S-polynomial reduces to zero over them,
-    so the result is the one without ``known``.
+    The ``known`` inputs must form a reduced basis over R: they enter
+    unreduced and no pair of two of them, or of one of them and I, is
+    pushed, since its S-polynomial reduces to zero over them and I, so the
+    result is the one without ``known``.
 
     With ``upto`` only the part of degree at most ``upto`` is computed:
     marked inputs whose ``sources`` twist is above it are dropped (their
@@ -133,7 +135,7 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     if engine is not None:
         loop, finish = engine
         G = loop(p, ctx.n, ctx.fb, twists, vecs, ideal, marked, sources, known, product, upto)
-        return finish(p, ctx.n, ctx.fb, G, 0 if marked is None else r)
+        return finish(p, ctx.n, ctx.fb, G, ideal, 0 if marked is None else r)
     flag = 0
     if marked is not None:
         flag = 1 << ring.pack.block_shift
@@ -143,10 +145,9 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     combined += [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
                  for j, v in enumerate(marked or ())
                  if upto is None or sources[j] <= upto]
-    combined += [[(k + flag, c) for k, c in v]
-                 for v in (*vecs, *(() if known else _ideal_aug_vectors(ideal, r))) if v]
-    G = _autoreduce(ring, _buchberger_loop(ring, twists, combined, product, flag or None,
-                                           upto, len(known)))
+    combined += [[(k + flag, c) for k, c in v] for v in vecs if v]
+    G = _autoreduce(ring, _buchberger_loop(ring, twists, combined, ideal, product,
+                                           flag or None, upto, len(known)), ideal)
     if not flag:
         return tuple(map(tuple, G))
     # marker position r + j back to j: a constant shift of the position field
@@ -154,7 +155,7 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
 
 
 def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
-                     product: bool, below: Optional[int],
+                     ideal: Sequence[Vector], product: bool, below: Optional[int],
                      upto: Optional[int], known: int = 0) -> List[Vector]:
     """The pair loop of ``_buchberger_terms``, on the inputs it builds: the
     unreduced basis, in the order its elements were found, cut to the leads
@@ -167,12 +168,19 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
     input (index below ``known``) is added as given and pushes no pair; only
     known inputs come before it, so none of their pairs is ever pushed.
 
-    A pair is ``(sugar, i, j, lcm word, lcm key)``: the word is the field-wise
-    maximum of the leads' exponent words; times ``ones`` (a 1 in each field)
-    it holds the lcm's degree in field ``n - 1`` and, for grevlex, its key
-    below (a lex key is the word).  No field carries at twice the cap; when a
-    pair that survives the criteria has its lcm past the cap, ``scaled_merge``
-    raises ``OverflowError`` on the first term of its S-polynomial.
+    ``ideal`` comes first in the basis (indices below nid) and, as in the
+    reducer, stands at every position.  A new element pairs with the ideal
+    elements whose leads are not coprime to its own (the product criterion
+    is exact for the others); pairs inside the ideal, the coprime ones and
+    a known element's count as treated for the chain criterion.
+
+    A pair is ``(sugar, i, j, lcm word, lcm key)``, i < j: the word is the
+    field-wise maximum of the leads' exponent words; times ``ones`` (a 1 in
+    each field) it holds the lcm's degree in field ``n - 1`` and, for
+    grevlex, its key below (a lex key is the word).  No field carries at
+    twice the cap; when a pair that survives the criteria has its lcm past
+    the cap, ``scaled_merge`` raises ``OverflowError`` on the first term of
+    its S-polynomial.
     """
     p = ring.field.p
     ctx = ring.pack.ctx
@@ -183,12 +191,13 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
     deg_shift = (ctx.n - 1) * ctx.fb
     fmask = (1 << ctx.fb) - 1
     lex = ctx.kind == LEX
-    red = make_reducer(p, ctx)
-    G: List[Vector] = []
-    lead_okey: List[int] = []  # order keys of the leads, block flags dropped
-    lead_ep: List[int] = []  # exponent words of the leads
-    lead_pos: List[int] = []
-    by_pos: dict = {}  # lead position -> indices of G with a lead there
+    red = make_reducer(p, ctx, (), ideal)
+    nid = len(ideal)
+    G: List[Vector] = list(ideal)
+    lead_okey: List[int] = [term_okey(g[0][0]) for g in ideal]  # block flags dropped
+    lead_ep: List[int] = [epack(okey, ctx) for okey in lead_okey]  # exponent words
+    lead_pos: List[int] = [0] * nid
+    by_pos: dict = {}  # lead position -> indices of G past the ideal with a lead there
     pairs: list = []
     done = set()
 
@@ -202,11 +211,17 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
         pos = term_pos(k)
         twist = twists[pos]
         bucket = by_pos.setdefault(pos, [])
-        for i in bucket if pair else ():
+        if not pair:  # a known element's pairs with the ideal need nothing
+            done.update((i, t) for i in range(nid))
+        for i in (*range(nid), *bucket) if pair else ():
+            e = lead_ep[i]
             # guard bit set in each field where lead i's exponent is at least ep's
-            g = ((lead_ep[i] | guards) - ep) & guards
+            g = ((e | guards) - ep) & guards
             low = g - (g >> top)
-            w = (lead_ep[i] & low) | (ep & ~low)
+            w = (e & low) | (ep & ~low)
+            if i < nid and w == e + ep:  # coprime to an ideal lead: nothing to do
+                done.add((i, t))
+                continue
             sums = w * ones
             sugar = ((sums >> deg_shift) & fmask) + twist
             if upto is None or sugar <= upto:
@@ -234,44 +249,37 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
     while pairs:
         _, i, j, lcm_ep, lk = heapq.heappop(pairs)
         done.add((i, j))
-        if product and lcm_ep == lead_ep[i] + lead_ep[j]:
+        if product and i >= nid and lcm_ep == lead_ep[i] + lead_ep[j]:
             continue
         if any(t != i and t != j and divides(lead_ep[t], lcm_ep, guards)
-               and ((i, t) if i < t else (t, i)) in done
+               and (i < nid and t < nid or ((i, t) if i < t else (t, i)) in done)
                and ((j, t) if j < t else (t, j)) in done
-               for t in by_pos[lead_pos[i]]):
+               for t in (*by_pos[lead_pos[j]], *range(nid))):
             continue
-        sh_i = (lk - lead_okey[i]) << POS_BITS
+        # i moves to the lcm at j's position and block: key - lead key
         sh_j = (lk - lead_okey[j]) << POS_BITS
+        sh_i = G[j][0][0] + sh_j - G[i][0][0]
         s = scaled_merge([], G[i], 1, sh_i, p, ctx)
         s = scaled_merge(s, G[j], p - 1, sh_j, p, ctx)
         r = red.nf(s)
         if r:
             add_gen(r)
 
-    if below is not None:
-        G = [g for g in G if g[0][0] < below]
-    return G
+    return [g for g in G[nid:] if below is None or g[0][0] < below]
 
 
-def _autoreduce(ring: PolyRing, G: Sequence[Vector]) -> List[Vector]:
-    """Reduced basis from a basis: minimal leads, tails in normal form."""
-    if not G:
-        return []
-    p = ring.field.p
+def _autoreduce(ring: PolyRing, G: Sequence[Vector], ideal: Sequence[Vector]) -> List[Vector]:
+    """Reduced basis from a basis whose leads lie outside the ideal's:
+    minimal leads, tails in normal form modulo the kept elements and the
+    ideal."""
     ctx = ring.pack.ctx
-    order = sorted(range(len(G)), key=lambda t: G[t][0][0])
+    red = make_reducer(ring.field.p, ctx, (), ideal)
     keep: List[Vector] = []
-    probe = make_reducer(p, ctx)
-    for t in order:
-        if probe.find_reducer(G[t][0][0]) < 0:
-            keep.append(G[t])
-            probe.append(G[t])
-    red = make_reducer(p, ctx, keep)
-    out = []
-    for g in keep:
-        tail = red.nf(list(g[1:]))
-        out.append([g[0]] + tail)
+    for g in sorted(G, key=lambda v: v[0][0]):
+        if red.find_reducer(g[0][0]) < 0:
+            keep.append(g)
+            red.append(g)
+    out = [[g[0]] + red.nf(list(g[1:])) for g in keep]
     out.sort(key=lambda v: v[0][0], reverse=True)
     return out
 
@@ -283,19 +291,19 @@ def _autoreduce(ring: PolyRing, G: Sequence[Vector]) -> List[Vector]:
 class SubmoduleGB:
     """A submodule of a graded free module together with a Groebner basis.
 
-    ``gb`` is the reduced basis over the ambient base ring.  The lift to the
-    cover (including the ideal columns) is kept internally so normal forms
-    stay exact.  Both are tuples of term tuples, stored as given.
+    ``gb`` is the reduced basis over the ambient base ring R = Q/I, a tuple
+    of term tuples stored as given; with I's basis at every position it is
+    a Groebner basis over Q of the submodule plus I times the free module.
+    One reducer, over ``gb`` modulo I, serves normal forms, lead probes and
+    ``express_in_basis``.
     """
 
-    __slots__ = ("ambient", "gb", "_qgb", "_reducer", "_express")
+    __slots__ = ("ambient", "gb", "_reducer")
 
-    def __init__(self, ambient: GradedFreeModule, gb: tuple, qgb: Optional[tuple] = None):
+    def __init__(self, ambient: GradedFreeModule, gb: tuple):
         self.ambient = ambient
         self.gb = gb
-        self._qgb = gb if qgb is None else qgb
         self._reducer = None
-        self._express = None  # express_in_basis's reducer
 
     @property
     def base(self):
@@ -321,7 +329,8 @@ class SubmoduleGB:
     def _red(self):
         if self._reducer is None:
             ring = self.ambient.ring
-            self._reducer = make_reducer(ring.field.p, ring.pack.ctx, self._qgb)
+            self._reducer = make_reducer(ring.field.p, ring.pack.ctx, self.gb,
+                                         self.base.ideal_columns())
         return self._reducer
 
     def normal_form(self, v: Vector) -> Vector:
@@ -331,7 +340,7 @@ class SubmoduleGB:
         return not self.normal_form(v)
 
     def lead_reducible(self, key: int) -> bool:
-        """Whether a term key is divisible by some basis lead (incl. ideal)."""
+        """Whether a term key is divisible by some basis lead or ideal lead."""
         return self._red().find_reducer(key) >= 0
 
 
@@ -340,30 +349,18 @@ def express_in_basis(gb: SubmoduleGB, v: Vector) -> Optional[Vector]:
     ``gb``, or None if ``v`` is not a member.  The coordinates are only well
     defined modulo the defining ideal, and the ideal's contribution is
     dropped."""
-    base = gb.base
-    v = base.normal_form_vector(list(v))
+    v = gb.base.normal_form_vector(list(v))
     if not v:
         return []
-    if gb._express is None:
-        ambient = gb.ambient
-        ring = ambient.ring
-        basis = [*gb.gb, *_ideal_aug_vectors(base.ideal_columns(), ambient.rank)]
-        gb._express = make_reducer(ring.field.p, ring.pack.ctx, basis)
-    r, quots = gb._express.nf_q(v)
+    r, quots = gb._red().nf_q(v)
     if r:
         return None
     out: Vector = []
-    for t in range(len(gb.gb)):
-        for okey, c in quots[t]:
+    for t, quot in enumerate(quots):
+        for okey, c in quot:
             out.append((term_key(okey, t), c))
     out.sort(reverse=True)
     return out
-
-
-def _ideal_aug_vectors(columns: Sequence[Vector], rank: int) -> List[Vector]:
-    """Columns ``g * e_pos``, pos < rank, for each term list g of
-    ``columns`` (the ideal's basis at position 0, ``ideal_columns()``)."""
-    return [[(k - pos, c) for k, c in g] for g in columns for pos in range(rank)]
 
 
 def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
@@ -375,11 +372,9 @@ def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
             raise ValueError("inhomogeneous generator")
         vecs.append(v)
     base = ambient.base
-    vecs = [base.normal_form_vector(v) for v in vecs]
-    qgb = _buchberger_terms(base.cover, ambient.twists, vecs, base.ideal_columns(),
-                            product=(ambient.rank == 1))
-    rgb = tuple(tuple(w) for w in map(base.normal_form_vector, qgb) if w)
-    return SubmoduleGB(ambient, rgb, qgb=qgb)
+    return SubmoduleGB(ambient, _buchberger_terms(base.cover, ambient.twists, vecs,
+                                                  base.ideal_columns(),
+                                                  product=(ambient.rank == 1)))
 
 
 def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
@@ -392,15 +387,14 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
 
     Relations with the ``extra_unmarked`` columns and with the defining
     ideal of the base are allowed but not recorded: an elimination of
-    ``_buchberger_terms`` marks the inputs and leaves those columns
-    unmarked; ``_qgb`` is the marker block it returns and ``gb`` its
-    projection modulo the ideal.
+    ``_buchberger_terms`` marks the inputs, leaves those columns unmarked
+    and reduces modulo the ideal in both blocks; the marker block it
+    returns is the reduced syzygy basis over the base.
 
-    ``known``, when given, is the reduced basis over Q of the unmarked
-    module, the extra columns and the ideal columns together, and takes
-    their place as the engine's known block, so no pair inside it is
-    formed.  The unmarked module, hence the result, is the one the columns
-    would give.
+    ``known``, when given, is the reduced basis over the base of the
+    unmarked module, the extra columns included, and takes their place as
+    the engine's known block, so no pair inside it is formed.  The unmarked
+    module, hence the result, is the one the columns would give.
 
     With ``upto`` only the syzygies of degree at most ``upto`` are found
     (see ``_buchberger_terms``).  The ``source`` twist, not the engine's
@@ -410,13 +404,12 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     Each elimination runs once per base ring: the bases are memoized by
     value in ``base.cache["syzygy_generators"]``, keyed by the twists, the
     vectors, the extra columns, ``upto``, without which a truncated basis
-    would answer a full request, and the known block (the ideal columns
-    follow from the base and the rank).  Equal unmarked modules given by
-    different columns share a known block, and so its entry.  An entry
-    holds only the immutable ``gb`` and ``_qgb`` tuples, one tuple when they
-    are equal; every call gets a fresh ``SubmoduleGB``, so no reducer is
-    shared.  Callers pass matrices' own column tuples, which the key then
-    shares.
+    would answer a full request, and the known block (the ideal follows
+    from the base).  Equal unmarked modules given by different columns
+    share a known block, and so its entry.  An entry holds only the
+    immutable ``gb`` tuple; every call gets a fresh ``SubmoduleGB``, so no
+    reducer is shared.  Callers pass matrices' own column tuples, which the
+    key then shares.
     """
     base = ambient.base
     vectors = tuple(map(tuple, vectors))
@@ -424,15 +417,13 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     known = tuple(map(tuple, known))
     key = (ambient.twists, source.twists, vectors, extra_unmarked, upto, known)
     memo = base.cache.setdefault("syzygy_generators", {})
-    hit = memo.get(key)
-    if hit is None:
-        qgb = _buchberger_terms(base.cover, ambient.twists, () if known else extra_unmarked,
-                                base.ideal_columns(), vectors, source.twists, known,
-                                upto=upto)
-        gb = tuple(tuple(s) for s in map(base.normal_form_vector, qgb) if s)
-        hit = memo[key] = (gb, qgb if qgb != gb else gb)
-    gb, qgb = hit
-    return SubmoduleGB(source, gb, qgb=qgb)
+    gb = memo.get(key)
+    if gb is None:
+        gb = memo[key] = _buchberger_terms(base.cover, ambient.twists,
+                                           () if known else extra_unmarked,
+                                           base.ideal_columns(), vectors, source.twists,
+                                           known, upto=upto)
+    return SubmoduleGB(source, gb)
 
 
 def quotient(sub: SubmoduleGB, e) -> "Ideal":
@@ -544,7 +535,7 @@ class QuotientRing:
     ignored by equality and hashing.
     """
 
-    __slots__ = ("cover", "ideal", "_gb_polys", "_columns", "_reducer", "_width", "cache")
+    __slots__ = ("cover", "ideal", "_gb_polys", "_columns", "_reducer", "cache")
 
     def __init__(self, cover: PolyRing, ideal):
         self.cover = cover
@@ -562,11 +553,8 @@ class QuotientRing:
             raise ValueError("ideal is the unit ideal; quotient ring is zero")
         self._gb_polys = gb
         self._columns = tuple(tuple((term_key(k, 0), c) for k, c in g.terms) for g in gb)
-        # the columns g * e_pos, appended position by position as vectors
-        # reach them; polynomials live at position 0
-        self._reducer = make_reducer(cover.field.p, cover.pack.ctx)
-        self._width = 0
-        self._widen(1)
+        # the ideal alone, which reduces at every position
+        self._reducer = make_reducer(cover.field.p, cover.pack.ctx, (), self._columns)
         self.cache: dict = {}
 
     @property
@@ -598,20 +586,10 @@ class QuotientRing:
         r = self._reducer.nf(v)
         return Polynomial(self.cover, [(term_okey(k), c) for k, c in r])
 
-    def _widen(self, rank: int):
-        """Let the reducer reach positions 0 .. rank - 1."""
-        for pos in range(self._width, rank):
-            for g in self._columns:
-                self._reducer.append([(k - pos, c) for k, c in g])
-        self._width = max(self._width, rank)
-
     def normal_form_vector(self, v: Vector) -> Vector:
-        """Normal form of a vector modulo I times the free module.  A
-        basis element only reduces terms at its own position, so this is
-        the componentwise normal form."""
-        if not self._gb_polys or not v:
-            return list(v)
-        self._widen(POS_MASK + 1 - min(k & POS_MASK for k, _ in v))  # top position + 1
+        """Normal form of a vector modulo I times the free module.  An
+        ideal element reduces a term into terms at the term's own position,
+        so this is the componentwise normal form."""
         return self._reducer.nf(v)
 
     def poly(self, text: str) -> Polynomial:

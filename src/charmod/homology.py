@@ -385,11 +385,11 @@ def _homology(d: GradedMatrix, M: PresentedModule, into: Optional[GradedMatrix] 
     relations of the copies in ``G (x) M``, or the unit vectors (in
     descending key order) when that grid is zero.  When M holds its
     relation basis (``"relation_gb" in M.cache``), the elimination starts
-    from the copies' relation basis over Q as a known block: they sit in
-    disjoint positions, so that basis is M's moved copy by copy, sorted
+    from the copies' relation basis as a known block: they sit in disjoint
+    positions, so that basis is M's ``gb`` moved copy by copy, sorted
     descending by lead as ``_autoreduce`` leaves it.  Otherwise it starts
-    from their relation columns and the ideal columns; it never computes a
-    relation basis just for this, which costs more than it saves.  With
+    from their relation columns; it never computes a relation basis just
+    for this, which costs more than it saves.  With
     ``upto`` the result is built, and is right, in degrees at most ``upto``
     only (see ``subquotient``).
     """
@@ -402,7 +402,7 @@ def _homology(d: GradedMatrix, M: PresentedModule, into: Optional[GradedMatrix] 
         Y = _grid(d.target.twists, M)
         cols = _grafted(d, M)
         if "relation_gb" in M.cache:
-            known = sorted(copy_shift(M.relation_gb()._qgb, d.target.rank, rM), reverse=True)
+            known = sorted(copy_shift(M.relation_gb().gb, d.target.rank, rM), reverse=True)
             num = syzygy_generators(cols, Y, X, upto=upto, known=known)
         else:
             rels = copy_shift(M.rels.cols, d.target.rank, rM)

@@ -160,12 +160,13 @@ def _monomial_numerator(gens: frozenset, n: int) -> Tuple[Tuple[int, int], ...]:
 
 @cached
 def hilbert_series_leads(M: PresentedModule) -> HilbertSeries:
-    """Hilbert series from the lead terms of the relation basis, cached."""
-    gb = M.relation_gb()
+    """Hilbert series from the lead terms of the relation basis and of the
+    defining ideal at every position, cached."""
     ring = M.ring
     n = ring.n
-    per_pos: Dict[int, list] = {pos: [] for pos in range(M.gens.rank)}
-    for v in gb._qgb:
+    ideal = [ring.pack.exps(term_okey(g[0][0])) for g in M.base.ideal_columns()]
+    per_pos: Dict[int, list] = {pos: list(ideal) for pos in range(M.gens.rank)}
+    for v in M.relation_gb().gb:
         key = v[0][0]
         per_pos[term_pos(key)].append(ring.pack.exps(term_okey(key)))
     num: Dict[int, int] = {}

@@ -33,11 +33,12 @@ def _compiled(p: int, ctx: OrderCtx) -> bool:
     return HAVE_FAST and ctx.fits64 and p < _P_CAP
 
 
-def make_reducer(p: int, ctx: OrderCtx, basis=()):
+def make_reducer(p: int, ctx: OrderCtx, basis=(), ideal=()):
+    """A reducer over ``basis`` modulo the ideal with basis ``ideal``."""
     if _compiled(p, ctx):
-        red = _fast.Reducer(p, ctx.kind, ctx.n, ctx.fb, basis)
+        red = _fast.Reducer(p, ctx.kind, ctx.n, ctx.fb, basis, ideal)
     else:
-        red = pure.Reducer(p, ctx, basis)
+        red = pure.Reducer(p, ctx, basis, ideal)
     return LexGuard(red, ctx, basis) if ctx.kind == LEX else red
 
 
@@ -49,13 +50,13 @@ def scaled_merge(u, v, c, shift, p, ctx: OrderCtx):
     of both operands is below its guard bit, so a field sum never carries
     and sets a guard bit exactly when it passes the cap.  Lex fields are
     exponents, which each stay below the guard long after the total degree
-    passes the cap, so there the degrees themselves are compared.
+    passes the cap, so there the degrees themselves are compared.  Both
+    tests read the moved keys, so a shift may also move ``v``'s position.
     """
     if shift:
         if ctx.kind == LEX:
-            room = ctx.cap - ctx.deg(shift >> POS_BITS)
             for k, _ in v:
-                if ctx.deg(k >> POS_BITS) > room:
+                if ctx.deg((k + shift) >> POS_BITS) > ctx.cap:
                     raise _degree_overflow(ctx.deg((k + shift) >> POS_BITS), ctx)
         else:
             guards = ctx.guards << POS_BITS
@@ -98,6 +99,8 @@ class LexGuard:
     ``-d_j`` relative to the other positions linked to j, and a term can be
     reduced only into positions linked to its own.  ``nf`` and ``nf_q``
     check every term of their input against the highest level it can reach.
+    An ideal element links nothing: it reduces a term into terms of the
+    same degree at the same position.
     """
 
     __slots__ = ("inner", "ctx", "level", "linked", "slack")

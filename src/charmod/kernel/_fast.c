@@ -5,22 +5,23 @@ packing context allows (``OrderCtx.fits64`` and a prime below 2^31).  It
 mirrors the pure kernel term for term:
 
 * ``add_scaled(u, v, c, shift, p)`` is ``pure.add_scaled``;
-* ``Reducer(p, kind, n, fb, basis=())`` is ``pure.Reducer``: leads are
-  bucketed by position and the first divisor in insertion order reduces,
-  so ``find_reducer``, ``nf`` and ``nf_q`` give the same results;
+* ``Reducer(p, kind, n, fb, basis=(), ideal=())`` is ``pure.Reducer``:
+  leads are bucketed by position, the first divisor in insertion order
+  reduces, and the ideal, first and out of the buckets, reduces at every
+  position; so ``find_reducer``, ``nf`` and ``nf_q`` give the same results;
 * ``buchberger(p, n, fb, twists, vecs, ideal, marked, sources, known,
   product, upto)`` takes the raw parts of ``groebner._buchberger_terms``
   and builds its inputs as they are read: the known block, the marked
   vectors with their markers e_(r+j) (whose twists are the leads'
-  degrees), the columns ``vecs`` and the ideal columns g * e_pos, every
-  term flagged in an elimination.  On them it runs the pair loop of
-  ``groebner._buchberger_loop`` on grevlex keys: the same input reductions,
-  pairs, (sugar, i, j) order and criteria, hence the same unreduced basis,
+  degrees) and the columns ``vecs``, every term flagged in an elimination.
+  On them it runs the pair loop of ``groebner._buchberger_loop`` on
+  grevlex keys, the ideal first: the same input reductions, pairs,
+  (sugar, i, j) order and criteria, hence the same unreduced basis,
   element for element.  The known inputs are a reduced basis: they enter
-  as given and form no pair among themselves;
-* ``autoreduce(p, n, fb, G, shift)`` is ``groebner._autoreduce`` followed
-  by the move of every key by ``shift``: it finishes what ``buchberger``
-  returns into the tuples a ``SubmoduleGB`` stores.
+  as given and form no pair among themselves or with the ideal;
+* ``autoreduce(p, n, fb, G, ideal, shift)`` is ``groebner._autoreduce``
+  followed by the move of every key by ``shift``: it finishes what
+  ``buchberger`` returns into the tuples a ``SubmoduleGB`` stores.
 
 Keys, exponent words and coefficients are unsigned 64-bit words.  A key is
 below 2^62 and a coefficient below p < 2^31, so a coefficient product plus
@@ -280,6 +281,7 @@ typedef struct {
     Py_ssize_t nb, cap;
     bucket_t *bk;          /* bk[pos]: the leads at position pos */
     Py_ssize_t nbk, bkcap;
+    Py_ssize_t nid;        /* g[0 .. nid - 1]: the ideal, out of the buckets */
 } basis_t;
 
 static int
@@ -331,23 +333,23 @@ key_pos(u64 key)
     return (Py_ssize_t)(POS_MASK - (key & POS_MASK));
 }
 
-/* Index of the first element whose lead divides key, or -1. */
+/* Index of the first element whose lead divides key, else of the first
+   ideal element whose lead monomial divides key's, else -1. */
 static Py_ssize_t
 basis_find(const basis_t *b, u64 key)
 {
     Py_ssize_t pos = key_pos(key), t;
-    const bucket_t *bk;
-    u64 ep, guards = b->guards;
+    const bucket_t *bk = pos < b->nbk ? &b->bk[pos] : NULL;
+    u64 guards = b->guards, ep = epack(b, key >> POS_BITS) | guards;
 
-    if (pos >= b->nbk || b->bk[pos].n == 0)
-        return -1;
-    bk = &b->bk[pos];
-    ep = epack(b, key >> POS_BITS) | guards;
-    for (t = 0; t < bk->n; t++) {
+    for (t = 0; bk != NULL && t < bk->n; t++) {
         const lead_t *l = &bk->e[t];
         if (l->key <= key && ((ep - l->ep) & guards) == guards)
             return l->idx;
     }
+    for (t = 0; t < b->nid; t++)
+        if (((ep - b->g[t].ep) & guards) == guards)
+            return t;
     return -1;
 }
 
@@ -375,12 +377,55 @@ basis_append(basis_t *b, term_t *t, Py_ssize_t n)
     return 0;
 }
 
+/* Append the term list g, a Python sequence. */
+static int
+basis_append_py(basis_t *b, PyObject *g)
+{
+    vec_t v = {0};
+
+    if (vec_from_py(g, &v) < 0 || v.n == 0 || basis_append(b, v.t, v.n) < 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "cannot reduce by the zero vector");
+        PyMem_Free(v.t);
+        return -1;
+    }
+    return 0;
+}
+
+/* Append the term lists of the sequence vs. */
+static int
+basis_extend(basis_t *b, PyObject *vs)
+{
+    PyObject *seq = PySequence_Fast(vs, "a sequence of vectors");
+    Py_ssize_t i;
+    int rc = seq == NULL ? -1 : 0;
+
+    for (i = 0; rc == 0 && i < PySequence_Fast_GET_SIZE(seq); i++)
+        rc = basis_append_py(b, PySequence_Fast_GET_ITEM(seq, i));
+    Py_XDECREF(seq);
+    return rc;
+}
+
+/* Put the ideal's term lists (at position 0) first, out of the buckets:
+   their leads reach every position. */
+static int
+basis_set_ideal(basis_t *b, PyObject *ideal)
+{
+    int rc = basis_extend(b, ideal);
+
+    b->nid = b->nb;
+    if (b->nbk)
+        b->bk[0].n = 0;
+    return rc;
+}
+
 typedef struct { Py_ssize_t idx; u64 okey, q; } quot_t;
 typedef struct { quot_t *e; Py_ssize_t n, cap; } quots_t;
 
 /* Normal form of h into out, as ``pure.Reducer.nf``; h and s are work
    buffers (swapped as the reduction goes).  With qs, every reduction step
-   records its basis index, monomial and coefficient. */
+   by a basis element records its index past the ideal, monomial and
+   coefficient. */
 static int
 reduce(const basis_t *b, vec_t *h, vec_t *s, vec_t *out, quots_t *qs)
 {
@@ -401,10 +446,10 @@ reduce(const basis_t *b, vec_t *h, vec_t *s, vec_t *out, quots_t *qs)
         const elt_t *g = &b->g[idx];
         shift = key - g->t[0].k;
         q = h->t[i].c * g->inv % p;
-        if (qs) {
+        if (qs && idx >= b->nid) {
             if (RESERVE(qs->e, qs->cap, qs->n + 1) < 0)
                 return -1;
-            qs->e[qs->n++] = (quot_t){idx, shift >> POS_BITS, q};
+            qs->e[qs->n++] = (quot_t){idx - b->nid, shift >> POS_BITS, q};
         }
         if (RESERVE(s->t, s->cap, h->n - i + g->n) < 0)
             return -1;
@@ -427,42 +472,28 @@ typedef struct {
 
 static PyTypeObject ReducerType;
 
-static PyObject *Reducer_append(ReducerObject *self, PyObject *g);
-
 static PyObject *
 Reducer_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"p", "kind", "n", "fb", "basis", NULL};
+    static char *kwlist[] = {"p", "kind", "n", "fb", "basis", "ideal", NULL};
     unsigned long long p;
     int kind, n, fb;
-    PyObject *basis = NULL, *it, *g, *r;
+    PyObject *basis = NULL, *ideal = NULL;
     ReducerObject *self;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Kiii|O:Reducer", kwlist,
-                                     &p, &kind, &n, &fb, &basis))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Kiii|OO:Reducer", kwlist,
+                                     &p, &kind, &n, &fb, &basis, &ideal))
         return NULL;
     self = (ReducerObject *)type->tp_alloc(type, 0);
     if (self == NULL)
         return NULL;
-    if (basis_init(&self->b, p, kind, n, fb) < 0)
-        goto fail;
-    if (basis == NULL)
-        return (PyObject *)self;
-    if ((it = PyObject_GetIter(basis)) == NULL)
-        goto fail;
-    while ((g = PyIter_Next(it)) != NULL) {
-        r = Reducer_append(self, g);
-        Py_DECREF(g);
-        if (r == NULL)
-            break;
-        Py_DECREF(r);
+    if (basis_init(&self->b, p, kind, n, fb) < 0
+            || (ideal != NULL && basis_set_ideal(&self->b, ideal) < 0)
+            || (basis != NULL && basis_extend(&self->b, basis) < 0)) {
+        Py_DECREF(self);
+        return NULL;
     }
-    Py_DECREF(it);
-    if (!PyErr_Occurred())
-        return (PyObject *)self;
-fail:
-    Py_DECREF(self);
-    return NULL;
+    return (PyObject *)self;
 }
 
 static void
@@ -475,26 +506,15 @@ Reducer_dealloc(ReducerObject *self)
 static Py_ssize_t
 Reducer_len(ReducerObject *self)
 {
-    return self->b.nb;
+    return self->b.nb - self->b.nid;
 }
 
 static PyObject *
 Reducer_append(ReducerObject *self, PyObject *g)
 {
-    vec_t v = {0};
-
-    if (vec_from_py(g, &v) < 0)
-        goto fail;
-    if (v.n == 0) {
-        PyErr_SetString(PyExc_ValueError, "cannot reduce by the zero vector");
-        goto fail;
-    }
-    if (basis_append(&self->b, v.t, v.n) < 0)
-        goto fail;
+    if (basis_append_py(&self->b, g) < 0)
+        return NULL;
     Py_RETURN_NONE;
-fail:
-    PyMem_Free(v.t);
-    return NULL;
 }
 
 static PyObject *
@@ -532,9 +552,9 @@ Reducer_nf_q(ReducerObject *self, PyObject *v)
     if (vec_from_py(v, &h) < 0 || reduce(&self->b, &h, &s, &out, &qs) < 0)
         goto done;
     if ((r = vec_to_list(out.t, out.n)) == NULL
-            || (quots = PyList_New(self->b.nb)) == NULL)
+            || (quots = PyList_New(self->b.nb - self->b.nid)) == NULL)
         goto done;
-    for (i = 0; i < self->b.nb; i++) {
+    for (i = 0; i < self->b.nb - self->b.nid; i++) {
         if ((t = PyList_New(0)) == NULL)
             goto done;
         PyList_SET_ITEM(quots, i, t);
@@ -563,9 +583,10 @@ static PyMethodDef Reducer_methods[] = {
     {"append", (PyCFunction)Reducer_append, METH_O,
      "Add a basis element (a nonzero term list)."},
     {"find_reducer", (PyCFunction)Reducer_find_reducer, METH_O,
-     "Index of the first basis element whose lead divides ``key``, or -1."},
+     "Index of the first basis element whose lead divides ``key``, else of\n"
+     "the first such ideal element, or -1; the ideal comes first."},
     {"nf", (PyCFunction)Reducer_nf, METH_O,
-     "Fully reduced normal form of ``v`` against the basis."},
+     "Fully reduced normal form of ``v`` against the basis and the ideal."},
     {"nf_q", (PyCFunction)Reducer_nf_q, METH_O,
      "Normal form plus division quotients, as in the pure kernel."},
     {NULL, NULL, 0, NULL}
@@ -578,8 +599,8 @@ static PySequenceMethods Reducer_as_sequence = {
 static PyTypeObject ReducerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "charmod.kernel._fast.Reducer",
-    .tp_doc = "Reducer(p, kind, n, fb, basis=())\n\n"
-              "Normal-form engine over a growable basis, C-array backed.",
+    .tp_doc = "Reducer(p, kind, n, fb, basis=(), ideal=())\n\n"
+              "Normal-form engine over a growable basis modulo an ideal.",
     .tp_basicsize = sizeof(ReducerObject),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = Reducer_new,
@@ -591,6 +612,8 @@ static PyTypeObject ReducerType = {
 /* ------------------------------------------------------------------ */
 /* the Buchberger pair loop */
 
+/* A pair of elements i < j; the ideal's elements come first, at every
+   position (index k < nid). */
 typedef struct { i64 sugar; Py_ssize_t i, j; u64 w, lk; } pair_t;
 
 typedef struct {
@@ -603,7 +626,7 @@ typedef struct {
     i64 upto;
     pair_t *heap;          /* min-heap on (sugar, i, j) */
     Py_ssize_t nh, hcap;
-    u64 **done;            /* done[t] bit i: the pair (i, t) was popped */
+    u64 **done;            /* done[t] bit i: the pair (i, t) is treated */
     Py_ssize_t ndone, dcap;
     vec_t h, s, out;
 } engine_t;
@@ -613,9 +636,9 @@ engine_free(engine_t *e)
 {
     Py_ssize_t i;
 
-    basis_free(&e->b);
-    for (i = 0; i < e->ndone; i++)
+    for (i = e->b.nid; i < e->ndone; i++)  /* the ideal's rows are never set */
         PyMem_Free(e->done[i]);
+    basis_free(&e->b);
     PyMem_Free(e->done);
     PyMem_Free(e->twists);
     PyMem_Free(e->heap);
@@ -668,6 +691,7 @@ heap_pop(engine_t *e)
     return top;
 }
 
+/* Whether the pair (a, b) is treated; one inside the ideal needs nothing. */
 static inline int
 is_done(const engine_t *e, Py_ssize_t a, Py_ssize_t b)
 {
@@ -676,7 +700,7 @@ is_done(const engine_t *e, Py_ssize_t a, Py_ssize_t b)
         a = b;
         b = t;
     }
-    return (int)((e->done[b][a >> 6] >> (a & 63)) & 1);
+    return b < e->b.nid || (int)((e->done[b][a >> 6] >> (a & 63)) & 1);
 }
 
 static int
@@ -692,8 +716,10 @@ twist_at(const engine_t *e, u64 key, i64 *twist)
     return 0;
 }
 
-/* add_gen: make e->out monic, push its pairs with the leads at its
-   position unless ``pair`` is 0, and append it to the basis. */
+/* add_gen: make e->out monic, push its pairs with the ideal elements
+   whose leads are not coprime to its own and with the leads at its
+   position unless ``pair`` is 0 (the ideal pairs not pushed are treated),
+   and append it to the basis. */
 static int
 add_gen(engine_t *e, int pair)
 {
@@ -721,19 +747,20 @@ add_gen(engine_t *e, int pair)
         goto fail;
     e->ndone = t + 1;
     bk = key_pos(v[0].k) < b->nbk ? &b->bk[key_pos(v[0].k)] : NULL;
-    for (k = 0; pair && bk && k < bk->n; k++) {
-        u64 lep = bk->e[k].ep;
+    for (k = 0; k < b->nid + (pair && bk ? bk->n : 0); k++) {
+        Py_ssize_t i = k < b->nid ? k : bk->e[k - b->nid].idx;
+        u64 lep = b->g[i].ep;
         /* guard bit set in each field where lead i's exponent is at least ep's */
         u64 g = ((lep | guards) - ep) & guards;
         u64 low = g - (g >> e->top);
         u64 w = (lep & low) | (ep & ~low);
         u64 sums = w * e->ones;
         i64 sugar = (i64)((sums >> e->deg_shift) & e->fmask) + twist;
-        if (!e->bounded || sugar <= e->upto) {
-            if (heap_push(e, (pair_t){sugar, bk->e[k].idx, t, w,
-                                      sums & b->okey_mask}) < 0)
-                goto fail;
-        }
+        if (i < b->nid && (!pair || w == lep + ep))  /* nothing to do for this pair */
+            e->done[t][i >> 6] |= 1ull << (i & 63);
+        else if ((!e->bounded || sugar <= e->upto)
+                 && heap_push(e, (pair_t){sugar, i, t, w, sums & b->okey_mask}) < 0)
+            goto fail;
     }
     if (basis_append(b, v, n) < 0)
         goto fail;
@@ -745,18 +772,19 @@ fail:
     return -1;
 }
 
-/* Chain criterion: some other lead at the pair's position divides its lcm
-   and both of its pairs with i and j were treated already. */
+/* Chain criterion: some other lead at the pair's position, or of the
+   ideal, divides its lcm and both of its pairs with i and j are treated. */
 static int
 chain(const engine_t *e, Py_ssize_t i, Py_ssize_t j, u64 lcm)
 {
-    const bucket_t *bk = &e->b.bk[key_pos(e->b.g[i].t[0].k)];
-    u64 guards = e->b.guards, word = lcm | guards;
+    const basis_t *b = &e->b;
+    const bucket_t *bk = &b->bk[key_pos(b->g[j].t[0].k)];
+    u64 guards = b->guards, word = lcm | guards;
     Py_ssize_t k, t;
 
-    for (k = 0; k < bk->n; k++) {
-        t = bk->e[k].idx;
-        if (t != i && t != j && ((word - bk->e[k].ep) & guards) == guards
+    for (k = 0; k < bk->n + b->nid; k++) {
+        t = k < bk->n ? bk->e[k].idx : k - bk->n;
+        if (t != i && t != j && ((word - b->g[t].ep) & guards) == guards
                 && is_done(e, i, t) && is_done(e, j, t))
             return 1;
     }
@@ -784,14 +812,16 @@ check_cap(const engine_t *e, const elt_t *g, u64 shift)
     return 0;
 }
 
-/* S-polynomial of the pair (i, j) with lcm key lk, reduced into e->out. */
+/* S-polynomial of the pair (i, j) with lcm key lk, reduced into e->out;
+   i moves to the lcm at j's position and block (an ideal element's are
+   position 0, unflagged) by the shift key - lead key. */
 static int
 spoly_nf(engine_t *e, Py_ssize_t i, Py_ssize_t j, u64 lk)
 {
     const basis_t *b = &e->b;
     const elt_t *gi = &b->g[i], *gj = &b->g[j];
-    u64 sh_i = (lk - ((gi->t[0].k >> POS_BITS) & b->okey_mask)) << POS_BITS;
     u64 sh_j = (lk - ((gj->t[0].k >> POS_BITS) & b->okey_mask)) << POS_BITS;
+    u64 sh_i = gj->t[0].k + sh_j - gi->t[0].k;
     Py_ssize_t k;
 
     if (check_cap(e, gi, sh_i) < 0 || check_cap(e, gj, sh_j) < 0
@@ -903,34 +933,6 @@ feed_marked(engine_t *e, PyObject *mk, PyObject *src, Py_ssize_t r, u64 flag)
     return 0;
 }
 
-/* Enter the columns g * e_pos, flagged, for each term list g of ideal (at
-   position 0) and each pos < r, in that order. */
-static int
-feed_ideal(engine_t *e, PyObject *ideal, Py_ssize_t r, u64 flag)
-{
-    PyObject *seq = PySequence_Fast(ideal, "a sequence of vectors");
-    vec_t g = {0};
-    Py_ssize_t i, pos, k;
-    int rc = 0;
-
-    if (seq == NULL)
-        return -1;
-    for (i = 0; rc == 0 && i < PySequence_Fast_GET_SIZE(seq); i++) {
-        rc = vec_from_py(PySequence_Fast_GET_ITEM(seq, i), &g);
-        for (pos = 0; rc == 0 && pos < r; pos++) {
-            if ((rc = RESERVE(e->h.t, e->h.cap, g.n)) < 0)
-                break;
-            for (k = 0; k < g.n; k++)
-                e->h.t[k] = (term_t){g.t[k].k - (u64)pos + flag, g.t[k].c};
-            e->h.n = g.n;
-            rc = engine_input(e, 0);
-        }
-    }
-    PyMem_Free(g.t);
-    Py_DECREF(seq);
-    return rc;
-}
-
 /* The pair loop, once every input is in. */
 static int
 engine_pairs(engine_t *e, int product)
@@ -940,7 +942,7 @@ engine_pairs(engine_t *e, int product)
     while (e->nh) {
         pair_t pr = heap_pop(e);
         e->done[pr.j][pr.i >> 6] |= 1ull << (pr.i & 63);
-        if (product && pr.w == b->g[pr.i].ep + b->g[pr.j].ep)
+        if (product && pr.i >= b->nid && pr.w == b->g[pr.i].ep + b->g[pr.j].ep)
             continue;
         if (chain(e, pr.i, pr.j, pr.w))
             continue;
@@ -955,10 +957,10 @@ PyDoc_STRVAR(buchberger_doc,
 "The pair loop of ``groebner._buchberger_loop`` on grevlex keys, on the\n"
 "inputs that ``groebner._buchberger_terms`` builds from its parts: the\n"
 "unreduced basis, in order.  The inputs are the known block, the marked\n"
-"vectors, ``vecs`` and, with no known block, the ideal columns.  With\n"
-"``marked`` a sequence (an elimination) every input is flagged, marked\n"
-"vector j carries e_(r+j), and only the elements with lead below the flag\n"
-"are returned.");
+"vectors and ``vecs``; ``ideal`` reduces at every position and pairs with\n"
+"each new element.  With ``marked`` a sequence (an elimination) every\n"
+"input is flagged, marked vector j carries e_(r+j), and only the elements\n"
+"with lead below the flag are returned.");
 
 static PyObject *
 buchberger(PyObject *Py_UNUSED(self), PyObject *args)
@@ -977,6 +979,8 @@ buchberger(PyObject *Py_UNUSED(self), PyObject *args)
     memset(&e, 0, sizeof e);
     if (basis_init(&e.b, p, 0, n, fb) < 0)
         return NULL;
+    if (basis_set_ideal(&e.b, ideal) < 0)
+        goto done;
     e.top = fb - 1;
     e.ones = e.b.guards >> e.top;
     e.deg_shift = (n - 1) * fb;
@@ -1019,11 +1023,10 @@ buchberger(PyObject *Py_UNUSED(self), PyObject *args)
     if (feed(&e, kn, flag, 1) < 0
             || (mk != NULL && feed_marked(&e, mk, src, r, flag) < 0)
             || feed(&e, vecs, flag, 0) < 0
-            || (PySequence_Fast_GET_SIZE(kn) == 0 && feed_ideal(&e, ideal, r, flag) < 0)
             || engine_pairs(&e, product) < 0
             || (out = PyList_New(0)) == NULL)
         goto done;
-    for (i = 0; i < e.b.nb; i++) {
+    for (i = e.b.nid; i < e.b.nb; i++) {
         if (e.b.g[i].t[0].k >= limit)
             continue;
         if ((g = vec_to_list(e.b.g[i].t, e.b.g[i].n)) == NULL
@@ -1059,27 +1062,29 @@ order_cmp(const void *x, const void *y)
 }
 
 PyDoc_STRVAR(autoreduce_doc,
-"autoreduce(p, n, fb, G, shift)\n\n"
+"autoreduce(p, n, fb, G, ideal, shift)\n\n"
 "``groebner._autoreduce`` on grevlex keys: the reduced basis from the basis\n"
-"G, as a tuple of term tuples in descending lead order, with ``shift``\n"
-"added to every key (r moves marker position r + j back to j).");
+"G modulo ``ideal``, as a tuple of term tuples in descending lead order,\n"
+"with ``shift`` added to every key (r moves marker position r + j back to\n"
+"j).");
 
 static PyObject *
 autoreduce(PyObject *Py_UNUSED(self), PyObject *args)
 {
     unsigned long long p, shift;
     int n, fb;
-    PyObject *G, *seq, *out = NULL, *v, *t;
+    PyObject *G, *ideal, *seq = NULL, *out = NULL, *v, *t;
     basis_t b;
     vec_t *elts = NULL, h = {0}, s = {0}, tail = {0};
     order_t *order = NULL;
     Py_ssize_t i, k, m = 0;
 
-    if (!PyArg_ParseTuple(args, "KiiOK:autoreduce", &p, &n, &fb, &G, &shift))
+    if (!PyArg_ParseTuple(args, "KiiOOK:autoreduce", &p, &n, &fb, &G, &ideal, &shift))
         return NULL;
     if (basis_init(&b, p, 0, n, fb) < 0)
         return NULL;
-    if ((seq = PySequence_Fast(G, "G is a sequence of vectors")) == NULL)
+    if (basis_set_ideal(&b, ideal) < 0
+            || (seq = PySequence_Fast(G, "G is a sequence of vectors")) == NULL)
         goto done;
     m = PySequence_Fast_GET_SIZE(seq);
     elts = PyMem_Calloc((size_t)(m + 1), sizeof *elts);
@@ -1089,7 +1094,8 @@ autoreduce(PyObject *Py_UNUSED(self), PyObject *args)
         goto done;
     }
     /* minimal leads: in ascending lead order, keep an element unless a kept
-       lead divides its own; the kept ones, in that order, are the reducer */
+       lead divides its own (no lead of G lies in the ideal's); the kept
+       ones, in that order, and the ideal are the reducer */
     for (i = 0; i < m; i++) {
         if (vec_from_py(PySequence_Fast_GET_ITEM(seq, i), &elts[i]) < 0)
             goto done;
@@ -1109,9 +1115,9 @@ autoreduce(PyObject *Py_UNUSED(self), PyObject *args)
         g->t = NULL;  /* the basis owns it */
     }
     /* tails in normal form, descending by lead */
-    if ((out = PyTuple_New(b.nb)) == NULL)
+    if ((out = PyTuple_New(b.nb - b.nid)) == NULL)
         goto done;
-    for (i = 0; i < b.nb; i++) {
+    for (i = b.nid; i < b.nb; i++) {
         const elt_t *g = &b.g[i];
         if (RESERVE(h.t, h.cap, g->n) < 0)
             goto fail;

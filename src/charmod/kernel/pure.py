@@ -50,7 +50,8 @@ def add_scaled(u, v, c, shift, p, start=0):
 
 
 class Reducer:
-    """Normal-form engine over a growable basis of term lists.
+    """Normal-form engine over a growable basis of term lists, modulo an
+    ideal.
 
     Basis elements need not be monic; leading coefficients are inverted on
     insertion.  Reduction always cancels against the first basis element
@@ -59,22 +60,32 @@ class Reducer:
     position, each entry holding its key, exponent word and basis index: a
     lead at another position never divides, so the first divisor in the
     head's bucket is the first in the whole basis.
+
+    ``ideal``, an ideal's basis at position 0, comes first (indices below
+    ``nid``), out of the buckets: after the head's bucket its leads are
+    tried by exponent words alone, at any position and block, and the
+    shift ``key - lead key`` moves one to the head.  ``len`` and ``nf_q``'s
+    quotients count the basis elements only.
     """
 
-    __slots__ = ("p", "ctx", "basis", "lead_keys", "lead_inv", "buckets")
+    __slots__ = ("p", "ctx", "basis", "lead_keys", "lead_inv", "buckets", "ideal", "nid")
 
-    def __init__(self, p: int, ctx: OrderCtx, basis=()):
+    def __init__(self, p: int, ctx: OrderCtx, basis=(), ideal=()):
         self.p = p
         self.ctx = ctx
         self.basis = []
         self.lead_keys = []
         self.lead_inv = []
         self.buckets = {}
+        for g in ideal:
+            self.append(g)
+        self.ideal = self.buckets.pop(POS_MASK, [])  # the bucket of position 0
+        self.nid = len(self.basis)
         for g in basis:
             self.append(g)
 
     def __len__(self):
-        return len(self.basis)
+        return len(self.basis) - self.nid
 
     def append(self, g):
         if not g:
@@ -87,44 +98,39 @@ class Reducer:
         self.lead_inv.append(pow(c, self.p - 2, self.p))
 
     def find_reducer(self, key: int) -> int:
-        """Index of the first basis element whose lead divides ``key``, or -1."""
+        """Index in ``basis``, the ideal first, of the first basis element
+        whose lead divides ``key``, else of the first ideal element whose
+        lead monomial divides it, or -1."""
         bucket = self.buckets.get(key & POS_MASK)
-        if bucket:
-            guards = self.ctx.guards
-            ep = epack(key >> POS_BITS, self.ctx)
-            for gk, ge, idx in bucket:
-                if gk <= key and divides(ge, ep, guards):
-                    return idx
+        if not bucket and not self.nid:
+            return -1
+        ep = epack(key >> POS_BITS, self.ctx)
+        guards = self.ctx.guards
+        for gk, ge, idx in bucket or ():
+            if gk <= key and divides(ge, ep, guards):
+                return idx
+        for _, ge, idx in self.ideal:
+            if divides(ge, ep, guards):
+                return idx
         return -1
 
     def nf(self, v):
-        """Fully reduced normal form of ``v`` against the basis."""
-        p = self.p
-        out = []
-        h = list(v)
-        i = 0
-        while i < len(h):
-            key, c = h[i]
-            idx = self.find_reducer(key)
-            if idx < 0:
-                out.append((key, c))
-                i += 1
-            else:
-                shift = key - self.lead_keys[idx]
-                cc = (-c * self.lead_inv[idx]) % p
-                h = add_scaled(h, self.basis[idx], cc, shift, p, start=i)
-                i = 0
-        return out
+        """Fully reduced normal form of ``v`` against the basis and the ideal."""
+        return self._reduce(v, None)
 
     def nf_q(self, v):
         """Normal form plus division quotients.
 
-        Returns ``(r, quots)`` with ``v = sum_k quots[k] * basis[k] + r``;
-        each quotient is a descending list of ``(okey, coeff)`` pairs.
+        Returns ``(r, quots)`` with ``v = sum_k quots[k] * basis[nid + k] +
+        r`` modulo the ideal; each quotient is a descending list of
+        ``(okey, coeff)`` pairs.
         """
+        quots = [[] for _ in range(len(self))]
+        return self._reduce(v, quots), quots
+
+    def _reduce(self, v, quots):
         p = self.p
         out = []
-        quots = [[] for _ in self.basis]
         h = list(v)
         i = 0
         while i < len(h):
@@ -136,7 +142,8 @@ class Reducer:
             else:
                 shift = key - self.lead_keys[idx]
                 q = (c * self.lead_inv[idx]) % p
-                quots[idx].append((shift >> POS_BITS, q))
+                if quots is not None and idx >= self.nid:
+                    quots[idx - self.nid].append((shift >> POS_BITS, q))
                 h = add_scaled(h, self.basis[idx], p - q, shift, p, start=i)
                 i = 0
-        return out, quots
+        return out

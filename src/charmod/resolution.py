@@ -30,7 +30,7 @@ from .freemod import (
     term_pos,
 )
 from .kernel import POS_BITS, POS_MASK, scaled_merge
-from .groebner import SubmoduleGB, _ideal_aug_vectors, buchberger, syzygy_generators
+from .groebner import SubmoduleGB, buchberger, syzygy_generators
 from .ring import PolyRing
 
 
@@ -131,7 +131,9 @@ class PresentedModule:
         if ring is base:
             return self
         gens = GradedFreeModule(ring, self.gens.twists)
-        aug = _ideal_aug_vectors(base.ideal_columns(), gens.rank)
+        # I times the free module: g * e_pos for each ideal element g
+        aug = [[(k - pos, c) for k, c in g] for g in base.ideal_columns()
+               for pos in range(gens.rank)]
         cols = [list(c) for c in self.rels.cols] + aug
         twists = list(self.rels.source.twists) + [gens.vector_degree(v) for v in aug]
         src = GradedFreeModule(ring, twists)

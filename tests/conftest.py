@@ -165,10 +165,10 @@ def cycles_elimination(d, M):
     """The inputs of the cycles elimination of ``_homology(d, M)``: d's
     grafted columns, the grids of ``d.target (x) M`` and ``d.source (x) M``,
     the relation columns of the copies in the first, and their known block,
-    M's relation basis over Q moved copy by copy and sorted descending.  M's
+    M's relation basis moved copy by copy and sorted descending.  M's
     relation basis is computed here when M does not hold it."""
     rM, count = M.gens.rank, d.target.rank
-    block = sorted(copy_shift(M.relation_gb()._qgb, count, rM), reverse=True)
+    block = sorted(copy_shift(M.relation_gb().gb, count, rM), reverse=True)
     return (_grafted(d, M), _grid(d.target.twists, M), _grid(d.source.twists, M),
             copy_shift(M.rels.cols, count, rM), block)
 

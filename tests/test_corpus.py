@@ -169,8 +169,9 @@ def test_battery_is_deterministic():
 # their eliminations outside that memo, 323 while every cycles elimination
 # took its codomain's relation columns, even where the copied module held
 # its relation basis (the memo key now holds that basis, which equal
-# modules with different columns share)
-BATTERY_10_GROEBNER_RUNS = 305
+# modules with different columns share), 305 while the bases over a
+# quotient ring kept the elements whose leads lie in in(I) * F
+BATTERY_10_GROEBNER_RUNS = 306
 # the S-pair work inside those runs: pairs pushed on the pair heap, and
 # S-polynomials reduced (two scaled merges each); the criteria must prune
 # the same pairs whatever form a pair's lcm takes; 1,755 and 1,585 while
@@ -181,9 +182,10 @@ BATTERY_10_GROEBNER_RUNS = 305
 # 1,167 and 1,041 while colon ideals ran theirs outside the memo, 1,163
 # and 1,037 while iso_probe built Hom(A, B) in every degree, 797 and 683
 # while the cycles eliminations formed the pairs inside a known relation
-# basis
-BATTERY_10_SPAIRS_FORMED = 738
-BATTERY_10_SPOLYS_REDUCED = 624
+# basis, 738 and 624 while the ideal entered as columns g * e_pos (each
+# reduced on entry, unpushed and uncounted, where its pairs are now counted)
+BATTERY_10_SPAIRS_FORMED = 1582
+BATTERY_10_SPOLYS_REDUCED = 1177
 # _cancel_units runs on those instances: 216 while nu, is_zero and
 # is_surjective cancelled units instead of counting by graded Nakayama
 BATTERY_10_UNIT_CANCELLATIONS = 166
@@ -254,14 +256,17 @@ def test_battery_groebner_run_count(monkeypatch):
 # variables over GF(32003), unrescaled: {5: 26, 6: 28} while is_isomorphism
 # built the kernel and E (x) R was a new object (Hom(E, E) built twice),
 # {5: 21, 6: 23} while is_isomorphism read the Hilbert series of beta_E's
-# domain E (x) Hom(E, E) off its full grid presentation
-THM8_RNC_GROEBNER_RUNS = {5: 20, 6: 22}
+# domain E (x) Hom(E, E) off its full grid presentation, {5: 20, 6: 22}
+# while the bases over a quotient ring kept the elements whose leads lie in
+# in(I) * F
+THM8_RNC_GROEBNER_RUNS = {5: 19, 6: 21}
 # the S-pair work inside those runs, counted as for the battery: (pairs
 # formed, S-polynomials reduced); {5: (1650, 1062), 6: (7076, 3752)} on
 # the full grid presentation of beta_E's domain, {5: (1089, 808),
 # 6: (4179, 2710)} while the cycles eliminations formed the pairs inside a
-# known relation basis
-THM8_RNC_SPAIR_WORK = {5: (849, 624), 6: (2702, 1778)}
+# known relation basis, {5: (849, 624), 6: (2702, 1778)} while the ideal
+# entered as columns g * e_pos
+THM8_RNC_SPAIR_WORK = {5: (827, 669), 6: (2440, 1873)}
 # _cancel_units runs of those check_thm8 calls: {5: 15, 6: 16} while nu,
 # is_zero and is_surjective cancelled units
 THM8_RNC_UNIT_CANCELLATIONS = {5: 12, 6: 13}

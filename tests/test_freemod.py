@@ -2,7 +2,9 @@
 or lift entries reduce them.  These tests record every matrix a battery
 builds and check the stated invariant: each column is in normal form modulo
 the ideal, and the nonzero columns are homogeneous of one offset from their
-twists, which is 0 except for ``hom_realize``'s Hom elements.
+twists, which is 0 except for ``hom_realize``'s Hom elements.  The same walk
+checks that every ``SubmoduleGB`` basis over a quotient ring is minimal
+over it: no lead is divisible by another's or by an ideal lead.
 """
 
 import sys
@@ -10,7 +12,8 @@ import sys
 from charmod import corpus, homology
 from charmod.cmr import load, parse
 from charmod.freemod import GradedMatrix
-from charmod.groebner import QuotientRing
+from charmod.groebner import QuotientRing, SubmoduleGB
+from charmod.kernel import divides, epack
 from charmod.ring import PolyRing
 
 from conftest import FIXTURES, matrix_from_columns
@@ -68,9 +71,39 @@ def _violations(built):
     return bad
 
 
+def _bases(monkeypatch):
+    """Every ``SubmoduleGB`` built from here on."""
+    built = []
+    init = SubmoduleGB.__init__
+
+    def recording(self, ambient, gb):
+        init(self, ambient, gb)
+        built.append(self)
+
+    monkeypatch.setattr(SubmoduleGB, "__init__", recording)
+    return built
+
+
+def _redundant_leads(sub):
+    """Leads of ``sub.gb`` divisible by another lead at their position or by
+    a lead of the base's ideal."""
+    ctx = sub.ambient.ring.pack.ctx
+    leads = [v[0][0] for v in sub.gb]
+    ideal = [epack(g[0][0] >> 16, ctx) for g in sub.base.ideal_columns()]
+
+    def word(key):
+        return epack(key >> 16, ctx)
+
+    return [k for k in leads
+            if any(divides(e, word(k), ctx.guards) for e in ideal)
+            or any(o != k and not (o ^ k) & 0xFFFF and divides(word(o), word(k), ctx.guards)
+                   for o in leads)]
+
+
 def test_every_matrix_a_battery_builds_is_reduced_and_homogeneous(monkeypatch):
     # fresh documents, so no memo from another test hides a construction
     built = _record(monkeypatch)
+    bases = _bases(monkeypatch)
     docs = [(corpus.instance_id("mixed", 7, i), doc)
             for i, doc in enumerate(corpus.generate_corpus(7, 10, "mixed"))]
     docs += [(name, load(FIXTURES / f"{name}.cmr"))
@@ -81,6 +114,9 @@ def test_every_matrix_a_battery_builds_is_reduced_and_homogeneous(monkeypatch):
     assert _violations(built) == []
     # hom_realize's exemption is used: it realizes Hom elements of degree != 0
     assert any(realized and _offsets(mat) - {0} for mat, realized in built)
+    quotient = [sub for sub in bases if sub.base.ideal_columns() and sub.gb]
+    assert len(quotient) > 500
+    assert [sub for sub in quotient if _redundant_leads(sub)] == []
 
 
 def test_compose_reduces_modulo_the_ideal():

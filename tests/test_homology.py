@@ -213,7 +213,9 @@ def test_battery_subquotient_denominators_lie_in_their_numerators(monkeypatch):
             if upto is None or num.ambient.vector_degree(v) <= upto:
                 assert num.contains(list(v))
                 checked += 1
-    assert (len(seen), checked) == (286, 680)
+    # (subquotients, denominators checked): (286, 680) while the bases over
+    # a quotient ring kept the elements whose leads lie in in(I) * F
+    assert (len(seen), checked) == (286, 678)
 
 
 def test_module_map_kernel_cokernel(rings):
@@ -577,13 +579,13 @@ def _assert_same_subquotient(got, want, label):
     """Same presentation as the reference, whose numerator basis comes from
     ``buchberger`` on the cycles and the boundaries; the relation basis that
     ``subquotient`` seeds from its elimination is the one ``buchberger``
-    gives on the relation columns, before and after projection mod I."""
+    gives on the relation columns."""
     assert (got.gens, got.rels) == (want.gens, want.rels), label
     num, ref = got.cache["origin"]["numerator"], want.cache["origin"]["numerator"]
-    assert (num.ambient, num.gb, num._qgb) == (ref.ambient, ref.gb, ref._qgb), label
+    assert (num.ambient, num.gb) == (ref.ambient, ref.gb), label
     rel_gb = buchberger([list(c) for c in got.rels.cols], got.gens)
     assert got.relation_gb() is got.cache["relation_gb"], label
-    assert (got.relation_gb().gb, got.relation_gb()._qgb) == (rel_gb.gb, rel_gb._qgb), label
+    assert got.relation_gb().gb == rel_gb.gb, label
 
 
 def _assert_matches_grid(A, B, T, H, label):
@@ -616,39 +618,32 @@ def test_constructions_match_grid_reference(pool_docs):
 
 
 def test_copies_relation_basis_is_buchberger_on_the_copies_columns(monkeypatch):
-    # the relation basis over Q of a direct sum of copies, M's own moved by
+    # the relation basis of a direct sum of copies, M's own moved by
     # copy_shift, equals the one buchberger gives on the copies' columns,
     # element for element, for the grid d.target (x) M of every _homology
     # call of the pool documents; the grid and its copy-shifted relations
     # are those of the copies built by position arithmetic
-    checked = over_quotients = 0
+    checked = 0
     for d, M, _, _ in homology_calls(monkeypatch):
         _, Y, _, rels, block = cycles_elimination(d, M)
         C = reference_copies(d.target.twists, M)
         assert (Y, rels) == (C.gens, C.rels.cols)
-        got = tuple(block)
-        want = buchberger([list(c) for c in C.rels.cols], C.gens)
-        assert got == want._qgb
-        # and its projection modulo the ideal, element by element, is buchberger's gb
-        gb = tuple(tuple(w) for w in map(Y.base.normal_form_vector, map(list, got)) if w)
-        assert gb == want.gb
+        assert tuple(block) == buchberger([list(c) for c in C.rels.cols], C.gens).gb
         checked += 1
-        over_quotients += gb != got
-    assert (checked, over_quotients) == (157, 54)
+    assert checked == 157
 
 
 def test_known_block_elimination_equals_the_raw_columns(monkeypatch):
     # the cycles elimination of every _homology call of the pool documents,
-    # at the call's own degree bound, gives the same syzygy bases when it
+    # at the call's own degree bound, gives the same syzygy basis when it
     # starts from the copies' relation basis as from their relation columns
-    # and the ideal columns
     checked = bounded = 0
     for d, M, _, upto in homology_calls(monkeypatch):
         cols, Y, X, rels, block = cycles_elimination(d, M)
         Y.base.cache.pop("syzygy_generators", None)
         raw = syzygy_generators(cols, Y, X, extra_unmarked=rels, upto=upto)
         got = syzygy_generators(cols, Y, X, upto=upto, known=block)
-        assert (got.ambient, got.gb, got._qgb) == (raw.ambient, raw.gb, raw._qgb)
+        assert (got.ambient, got.gb) == (raw.ambient, raw.gb)
         checked += 1
         bounded += upto is not None
     assert (checked, bounded) == (157, 61)

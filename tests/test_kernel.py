@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from charmod import kernel
 from charmod.freemod import term_key, term_okey, term_pos
+from charmod.groebner import QuotientRing
 from charmod.kernel import (OrderCtx, POS_BITS, POS_MASK, backend_name,
                             divides, epack, make_reducer, pure, scaled_merge)
 from charmod.ring import PolyRing, PrimeField
@@ -320,6 +321,97 @@ def test_backend_parity_on_large_bases(compiled_kernel):
             assert rf == rs and list(qf) == list(qs)
         compared += 1
     assert compared == 48
+
+
+def _ideal_cases(seed, count):
+    """``(p, ring, ideal, basis, probes, rank)``: the reduced basis of a
+    random ideal at position 0, a basis over positions below ``rank`` with
+    the elimination flag on some elements, and probes that add moved
+    multiples of basis and ideal elements to a random vector, flagged at
+    the positions below ``rank`` or not, with terms at two positions past
+    it, where only the ideal reduces (marker positions)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice([2, 101, 32003])
+        n = rng.randint(2, 5)
+        ring = _ring(p=p, n=n, order=rng.choice(["grevlex", "lex"]))
+        forms = [ring.from_dict({tuple(exps_of_degree(rng, n, d)): rng.randrange(1, p)
+                                 for _ in range(rng.randint(1, 3))})
+                 for d in (rng.randint(2, 3) for _ in range(rng.randint(1, 3)))]
+        ideal = QuotientRing(ring, forms).ideal_columns()
+        flag = 1 << ring.pack.block_shift
+        rank = rng.randint(1, 3)
+
+        def flagged(v, on):
+            return [(k + flag if on and term_pos(k) < rank else k, c) for k, c in v]
+
+        basis = [flagged(_random_vector(rng, ring, p, maxlen=4, positions=rank),
+                         rng.random() < 0.5) for _ in range(rng.randint(0, 6))]
+        probes = []
+        for _ in range(6):
+            on = rng.random() < 0.5
+            v = flagged(_random_vector(rng, ring, p, width=3, positions=rank + 2), on)
+            for _ in range(2):
+                m = ring.pack.okey([rng.randrange(0, 2) for _ in range(n)]) << POS_BITS
+                g = rng.choice(ideal)
+                pos = rng.randrange(rank + 2)
+                moved = flagged([(k - pos, c) for k, c in g], on)
+                v = pure.add_scaled(v, moved, rng.randrange(1, p), m, p)
+                if basis:
+                    v = pure.add_scaled(v, rng.choice(basis), rng.randrange(1, p), m, p)
+            if v:
+                probes.append(v)
+        yield p, ring, ideal, basis, probes, rank
+
+
+def test_reducer_with_an_ideal_matches_the_ideal_columns():
+    # the ideal held once reduces as the columns g * e_pos did, flagged and
+    # not, appended after the basis at every position (QuotientRing's
+    # widened reducer and express_in_basis's): the same normal forms, the
+    # same quotients by the basis, and the first divisor in the same order
+    ideal_steps = 0
+    for p, ring, ideal, basis, probes, rank in _ideal_cases(51, 120):
+        ctx = ring.pack.ctx
+        flag = 1 << ring.pack.block_shift
+        width = rank + 2
+        columns = [[(k - pos + f, c) for k, c in g]
+                   for g in ideal for pos in range(width) for f in (flag, 0)]
+        ref = pure.Reducer(p, ctx, basis + columns)
+        red = pure.Reducer(p, ctx, basis, ideal)
+        for key in {k for v in probes for k, _ in v}:
+            # the reducer puts the ideal first, the reference after the basis
+            want = ref.find_reducer(key)
+            if want >= len(basis):
+                want = (want - len(basis)) // (2 * width)
+            elif want >= 0:
+                want += len(ideal)
+            assert red.find_reducer(key) == want
+        for v in probes:
+            assert red.nf(v) == ref.nf(v)
+            r, quots = red.nf_q(v)
+            rr, qq = ref.nf_q(v)
+            assert (r, quots) == (rr, qq[:len(basis)])
+            ideal_steps += sum(map(len, qq[len(basis):]))
+    assert ideal_steps > 500, ideal_steps
+
+
+def test_backend_parity_with_an_ideal(compiled_kernel):
+    compared = 0
+    for p, ring, ideal, basis, probes, _ in _ideal_cases(52, 120):
+        ctx = ring.pack.ctx
+        fast = compiled_kernel.Reducer(p, ctx.kind, ring.n, ctx.fb, basis, ideal)
+        slow = pure.Reducer(p, ctx, basis, ideal)
+        assert len(fast) == len(slow) == len(basis)
+        for key in {k for v in probes + basis for k, _ in v}:
+            assert fast.find_reducer(key) == slow.find_reducer(key)
+        for v in probes:
+            assert fast.nf(v) == slow.nf(v)
+            rf, qf = fast.nf_q(v)
+            assert (rf, list(qf)) == slow.nf_q(v)
+        compared += 1
+    assert compared == 120
+    with pytest.raises(ValueError, match="zero vector"):
+        compiled_kernel.Reducer(32003, kernel.GREVLEX, 3, 9, (), [[]])
 
 
 def test_width_and_prime_gates(compiled_kernel):

@@ -369,8 +369,10 @@ def test_one_pass_cancellation_matches_a_rebuild_per_pivot(monkeypatch, mixed_co
         assert out == _reference_cancel_units(prev, new)
         steps += prev is not None
         cancelled += out[1].target.rank < new.target.rank
-    # calls, calls with a previous differential, calls that cancelled a pivot
-    assert (len(calls), steps, cancelled) == (233, 92, 34)
+    # calls, calls with a previous differential, calls that cancelled a
+    # pivot; (233, 92, 34) while the syzygy bases over a quotient ring kept
+    # the elements whose leads lie in in(I) * F
+    assert (len(calls), steps, cancelled) == (233, 92, 33)
 
 
 def test_nu_is_the_rank_of_the_scalar_part():
