@@ -43,7 +43,7 @@ class GradedFreeModule:
 
     def __init__(self, base, twists: Sequence[int]):
         self.base = base
-        self.twists = tuple(int(t) for t in twists)
+        self.twists = tuple(map(int, twists))
         if len(self.twists) > POS_MASK:
             raise ValueError("free module rank exceeds position field")
 

@@ -3,7 +3,10 @@ quotient ``R = Q/I`` of a polynomial ring, with ``Q`` itself as ``Q/0``.
 
 The engine is Buchberger's algorithm on packed term lists with the chain
 criterion, the product criterion in ambient rank one, and normal-strategy
-pair selection (lowest S-degree first).  Only elements whose leads share a
+pair selection (lowest S-degree first).  A pair of two single terms is
+never formed: both are monic, so its S-polynomial is exactly 0, and it
+counts as treated (Gebauer & Moeller, *J. Symb. Comput.* 6, 1988, count
+such pairs without forming them).  Only elements whose leads share a
 position form pairs, so the basis is kept in one bucket per lead position:
 new pairs and the chain criterion look only at the bucket of their
 position, which in an elimination ambient (one position per marked column)
@@ -172,7 +175,10 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
     reducer, stands at every position.  A new element pairs with the ideal
     elements whose leads are not coprime to its own (the product criterion
     is exact for the others); pairs inside the ideal, the coprime ones and
-    a known element's count as treated for the chain criterion.
+    a known element's count as treated for the chain criterion.  So does a
+    pair of two single terms, an ideal element or one at the new
+    element's position: both are monic, so its S-polynomial is exactly 0,
+    and it is never pushed.
 
     A pair is ``(sugar, i, j, lcm word, lcm key)``, i < j: the word is the
     field-wise maximum of the leads' exponent words; times ``ones`` (a 1 in
@@ -180,7 +186,7 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
     grevlex, its key below (a lex key is the word).  No field carries at
     twice the cap; when a pair that survives the criteria has its lcm past
     the cap, ``scaled_merge`` raises ``OverflowError`` on the first term of
-    its S-polynomial.
+    its S-polynomial, and a pair that is never pushed forms no key.
     """
     p = ring.field.p
     ctx = ring.pack.ctx
@@ -213,13 +219,16 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
         bucket = by_pos.setdefault(pos, [])
         if not pair:  # a known element's pairs with the ideal need nothing
             done.update((i, t) for i in range(nid))
+        one = len(v) == 1
         for i in (*range(nid), *bucket) if pair else ():
             e = lead_ep[i]
             # guard bit set in each field where lead i's exponent is at least ep's
             g = ((e | guards) - ep) & guards
             low = g - (g >> top)
             w = (e & low) | (ep & ~low)
-            if i < nid and w == e + ep:  # coprime to an ideal lead: nothing to do
+            # coprime to an ideal lead, or two monic terms at one position
+            # (S-polynomial 0): nothing to do
+            if one and len(G[i]) == 1 or i < nid and w == e + ep:
                 done.add((i, t))
                 continue
             sums = w * ones

@@ -53,7 +53,7 @@ from .freemod import (
 )
 from .groebner import SubmoduleGB, express_in_basis, syzygy_generators
 from .invariants import hilbert_series_leads, q_resolution
-from .kernel import POS_BITS, scaled_merge
+from .kernel import POS_BITS, POS_MASK, scaled_merge
 from .resolution import FreeResolution, PresentedModule
 
 
@@ -254,10 +254,11 @@ def _grafted(d: GradedMatrix, M: PresentedModule) -> Tuple[Vector, ...]:
     """The columns of ``d (x) M`` for a free matrix d over M's base or its
     cover: column ``b*rank(M) + j`` is column b of d grafted onto generator
     j of M, its position a moved to grid position ``a*rank(M) + j``, and
-    reduced modulo M's ideal when d lives over the cover."""
+    reduced modulo M's ideal when d lives over the cover.  That move takes
+    key k to ``k - a*(rank(M) - 1) - j``; it is increasing in a, so each
+    column keeps its term order."""
     rM = M.gens.rank
-    cols = [sorted(((term_key(term_okey(k), term_pos(k) * rM + j), c) for k, c in col),
-                   reverse=True)
+    cols = [[(k - (POS_MASK - (k & POS_MASK)) * (rM - 1) - j, c) for k, c in col]
             for col in d.cols for j in range(rM)]
     if d.base != M.base:
         cols = map(M.base.normal_form_vector, cols)
@@ -473,7 +474,8 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
     highest plus 8.  In order:
 
     1. Graded Hilbert functions that differ on the window certify
-       non-isomorphism.
+       non-isomorphism.  They are compared only when the full Hilbert
+       series differ: equal series give equal values on any window.
     2. If the full Hilbert series are equal and a nonzero degree-0
        homomorphism exists, up to ``ISO_TRIALS`` sampled degree-0 maps are
        tried; the first that is onto yields "probably_isomorphic".
@@ -511,15 +513,15 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
         return IsoProbeResult("probably_isomorphic", {"reason": "both modules are zero"})
     twists = list(Am.gens.twists) + list(Bm.gens.twists)
     lo, hi = min(twists), max(twists) + 8
-    hfA = hilbert_function_basis(Am, lo, hi)
-    hfB = hilbert_function_basis(Bm, lo, hi)
-    if hfA != hfB:
+    same_series = hilbert_series_leads(Am) == hilbert_series_leads(Bm)
+    if not same_series:  # equal series give equal values on any window
+        hfA = hilbert_function_basis(Am, lo, hi)
+        hfB = hilbert_function_basis(Bm, lo, hi)
         for off, (da, db) in enumerate(zip(hfA, hfB)):
             if da != db:
                 return IsoProbeResult("certified_nonisomorphic", {
                     "reason": "hilbert function differs",
                     "degree": lo + off, "dims": [da, db]})
-    same_series = hilbert_series_leads(Am) == hilbert_series_leads(Bm)
     trial = None
     if same_series:
         H = _hom(Am, Bm, upto=0)

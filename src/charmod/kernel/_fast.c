@@ -18,7 +18,10 @@ mirrors the pure kernel term for term:
   grevlex keys, the ideal first: the same input reductions, pairs,
   (sugar, i, j) order and criteria, hence the same unreduced basis,
   element for element.  The known inputs are a reduced basis: they enter
-  as given and form no pair among themselves or with the ideal;
+  as given and form no pair among themselves or with the ideal.  A new
+  single term forms no pair with another single term, an ideal element or
+  one at its position: both are monic, so the S-polynomial is exactly 0,
+  and the pair counts as treated;
 * ``autoreduce(p, n, fb, G, ideal, shift)`` is ``groebner._autoreduce``
   followed by the move of every key by ``shift``: it finishes what
   ``buchberger`` returns into the tuples a ``SubmoduleGB`` stores.
@@ -718,8 +721,9 @@ twist_at(const engine_t *e, u64 key, i64 *twist)
 
 /* add_gen: make e->out monic, push its pairs with the ideal elements
    whose leads are not coprime to its own and with the leads at its
-   position unless ``pair`` is 0 (the ideal pairs not pushed are treated),
-   and append it to the basis. */
+   position unless ``pair`` is 0, and append it to the basis.  The ideal
+   pairs it does not push are treated, and so is each pair of two single
+   terms it meets. */
 static int
 add_gen(engine_t *e, int pair)
 {
@@ -756,7 +760,9 @@ add_gen(engine_t *e, int pair)
         u64 w = (lep & low) | (ep & ~low);
         u64 sums = w * e->ones;
         i64 sugar = (i64)((sums >> e->deg_shift) & e->fmask) + twist;
-        if (i < b->nid && (!pair || w == lep + ep))  /* nothing to do for this pair */
+        /* nothing to do: a known element's or coprime ideal pair, or two
+           monic terms at one position (S-polynomial 0) */
+        if ((i < b->nid && (!pair || w == lep + ep)) || (n == 1 && b->g[i].n == 1))
             e->done[t][i >> 6] |= 1ull << (i & 63);
         else if ((!e->bounded || sugar <= e->upto)
                  && heap_push(e, (pair_t){sugar, i, t, w, sums & b->okey_mask}) < 0)

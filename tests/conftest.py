@@ -22,6 +22,9 @@ from charmod.ring import Polynomial, PolyRing
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "charmod" / "fixtures"
 KERNEL_C = FIXTURES.parent / "kernel" / "_fast.c"
+# the test build of KERNEL_C: unoptimized, so memory checks see every access,
+# and warning-free
+CFLAGS = ("-O0", "-Wall", "-Wextra", "-Werror", "-fwrapv", "-fPIC", "-shared")
 
 
 def exps_of_degree(rng, n, d):
@@ -225,14 +228,16 @@ def fast_module(request, tmp_path_factory):
     """The compiled kernel module.
 
     An installed extension is used as is.  Otherwise the committed
-    ``_fast.c`` is compiled with ``gcc -O0`` into pytest's cache directory,
-    once per content hash, and loaded from there; with no build cached,
-    the test skips when gcc or the Python headers are missing.
+    ``_fast.c`` is compiled with ``gcc -O0`` (``CFLAGS``: every warning is
+    an error) into pytest's cache directory, once per content hash and
+    flags, and loaded from there; with no build cached, the test skips
+    when gcc or the Python headers are missing.
     """
     if kernel.HAVE_FAST:
         return kernel._fast
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    digest = hashlib.sha256(KERNEL_C.read_bytes() + suffix.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(KERNEL_C.read_bytes() + " ".join(CFLAGS).encode()
+                            + suffix.encode()).hexdigest()[:16]
     cache = getattr(request.config, "cache", None)
     root = cache.mkdir("charmod-kernel") if cache else tmp_path_factory.mktemp("kernel")
     target = Path(root) / digest / f"_fast{suffix}"
@@ -242,8 +247,7 @@ def fast_module(request, tmp_path_factory):
             pytest.skip("gcc or the Python headers are missing")
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.with_name(target.name + ".tmp")
-        res = subprocess.run(["gcc", "-O0", "-fwrapv", "-fPIC", "-shared", f"-I{include}",
-                              str(KERNEL_C), "-o", str(tmp)],
+        res = subprocess.run(["gcc", *CFLAGS, f"-I{include}", str(KERNEL_C), "-o", str(tmp)],
                              capture_output=True, text=True)
         if res.returncode != 0:
             pytest.fail(f"compiling _fast.c failed:\n{res.stderr[-2000:]}")

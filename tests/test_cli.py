@@ -226,11 +226,25 @@ def test_degree_past_packing_cap_is_a_resource_limit(tmp_path):
     assert "resource limit" in err
 
 
+def _assert_gb_is_the_input(tmp_path, text, gens):
+    """``charmod gb`` on a document whose ideal is already its reduced
+    basis of single terms returns those terms and exits 0: no pair of two
+    single terms is formed, however far its lcm passes the degree cap."""
+    doc = tmp_path / "terms.cmr"
+    doc.write_text(text)
+    code, rep, _ = run_json("gb", str(doc))
+    assert code == 0
+    assert sorted(rep["gb"]) == sorted(gens)
+
+
 def test_six_variable_degree_cap_is_a_resource_limit(tmp_path):
     # six variables pack 7-bit fields, so the cap is 63: the S-pair of
-    # a^40*b and a*b^40 has degree 80
+    # a^40*b + c^41 and a*b^40 has degree 80; the single terms a^40*b and
+    # a*b^40 form no pair (this exited 4 while such pairs were formed)
+    _assert_gb_is_the_input(tmp_path, "field 32003\nring a b c d e f\nideal\n"
+                            "a^40*b\na*b^40\nend\n", ["a^40*b", "a*b^40"])
     doc = tmp_path / "six.cmr"
-    doc.write_text("field 32003\nring a b c d e f\nideal\na^40*b\na*b^40\nend\n")
+    doc.write_text("field 32003\nring a b c d e f\nideal\na^40*b + c^41\na*b^40\nend\n")
     code, rep, err = run_json("gb", str(doc))
     assert code == 4
     assert rep["error"] == {"kind": "resource_limit",
@@ -244,8 +258,10 @@ def test_six_variable_degree_cap_under_the_compiled_pair_loop(compiled_kernel, t
     ctx = PolyRing(32003, tuple("abcdef")).pack.ctx
     assert kernel.compiled_engine(32003, ctx) == (compiled_kernel.buchberger,
                                                   compiled_kernel.autoreduce)
+    _assert_gb_is_the_input(tmp_path, "field 32003\nring a b c d e f\nideal\n"
+                            "a^40*b\na*b^40\nend\n", ["a^40*b", "a*b^40"])
     doc = tmp_path / "six.cmr"
-    doc.write_text("field 32003\nring a b c d e f\nideal\na^40*b\na*b^40\nend\n")
+    doc.write_text("field 32003\nring a b c d e f\nideal\na^40*b + c^41\na*b^40\nend\n")
     code, rep, err = run_json("gb", str(doc))
     assert code == 4
     assert rep["error"] == {"kind": "resource_limit",
@@ -253,16 +269,25 @@ def test_six_variable_degree_cap_under_the_compiled_pair_loop(compiled_kernel, t
     assert "Traceback" not in err
 
 
-def test_lex_s_pair_degree_cap_is_a_resource_limit(tmp_path):
+def test_lex_s_pair_degree_cap_is_a_resource_limit(tmp_path, request):
     # lex fields are exponents: the lcm x^130*y^130 of this S-pair keeps
-    # every field below its guard bit while its degree passes the cap
+    # every field below its guard bit while its degree passes the cap; the
+    # single terms x^130*y and x*y^130 form no pair (this exited 4 while
+    # such pairs were formed); under the kernel the run starts with, then
+    # under the compiled kernel's reducer
     doc = tmp_path / "steep_lex.cmr"
-    doc.write_text("field 32003\nring x y\norder lex\nideal\nx^130*y\nx*y^130\nend\n")
-    code, rep, err = run_json("gb", str(doc))
-    assert code == 4
-    assert rep["error"] == {"kind": "resource_limit",
-                            "message": "total degree 260 exceeds packing cap 255"}
-    assert "Traceback" not in err
+    doc.write_text("field 32003\nring x y\norder lex\nideal\nx^130*y + y^131\n"
+                   "x*y^130\nend\n")
+    for fixture in (None, "compiled_kernel"):
+        if fixture:
+            request.getfixturevalue(fixture)
+        _assert_gb_is_the_input(tmp_path, "field 32003\nring x y\norder lex\nideal\n"
+                                "x^130*y\nx*y^130\nend\n", ["x^130*y", "x*y^130"])
+        code, rep, err = run_json("gb", str(doc))
+        assert code == 4
+        assert rep["error"] == {"kind": "resource_limit",
+                                "message": "total degree 260 exceeds packing cap 255"}
+        assert "Traceback" not in err
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch):

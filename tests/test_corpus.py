@@ -183,9 +183,11 @@ BATTERY_10_GROEBNER_RUNS = 306
 # and 1,037 while iso_probe built Hom(A, B) in every degree, 797 and 683
 # while the cycles eliminations formed the pairs inside a known relation
 # basis, 738 and 624 while the ideal entered as columns g * e_pos (each
-# reduced on entry, unpushed and uncounted, where its pairs are now counted)
-BATTERY_10_SPAIRS_FORMED = 1582
-BATTERY_10_SPOLYS_REDUCED = 1177
+# reduced on entry, unpushed and uncounted, where its pairs are now counted),
+# 1,582 and 1,177 while a pair of two single terms (S-polynomial 0) was
+# pushed and reduced
+BATTERY_10_SPAIRS_FORMED = 572
+BATTERY_10_SPOLYS_REDUCED = 391
 # _cancel_units runs on those instances: 216 while nu, is_zero and
 # is_surjective cancelled units instead of counting by graded Nakayama
 BATTERY_10_UNIT_CANCELLATIONS = 166
@@ -265,8 +267,9 @@ THM8_RNC_GROEBNER_RUNS = {5: 19, 6: 21}
 # the full grid presentation of beta_E's domain, {5: (1089, 808),
 # 6: (4179, 2710)} while the cycles eliminations formed the pairs inside a
 # known relation basis, {5: (849, 624), 6: (2702, 1778)} while the ideal
-# entered as columns g * e_pos
-THM8_RNC_SPAIR_WORK = {5: (827, 669), 6: (2440, 1873)}
+# entered as columns g * e_pos, {5: (827, 669), 6: (2440, 1873)} while a
+# pair of two single terms was pushed and reduced
+THM8_RNC_SPAIR_WORK = {5: (702, 544), 6: (2129, 1562)}
 # _cancel_units runs of those check_thm8 calls: {5: 15, 6: 16} while nu,
 # is_zero and is_surjective cancelled units
 THM8_RNC_UNIT_CANCELLATIONS = {5: 12, 6: 13}

@@ -443,8 +443,10 @@ def _reference_buchberger_terms(ring, twists, vecs, product=False, known=0, idea
     0), whose element h has index h - len(ideal) and a lead at every
     position: each new element pairs with those whose leads are not coprime
     to its own, the pairs not pushed count as treated and the chain
-    criterion scans them too, as in the engine.  Returns the reduced
-    basis."""
+    criterion scans them too, as in the engine.  A new single term pairs
+    with no other single term, ideal element or at its position: both are
+    monic, so the pair's S-polynomial is 0 and it counts as treated.
+    Returns the reduced basis."""
     p = ring.field.p
     pack = ring.pack
     ctx = pack.ctx
@@ -474,6 +476,8 @@ def _reference_buchberger_terms(ring, twists, vecs, product=False, known=0, idea
             lcm = monomial_lcm(lead_exps[i], et)
             if i < 0 and (not pair or lcm == monomial_mul(lead_exps[i], et)):
                 done.add((i, t))
+            elif len(v) == 1 and len(G[i] if i >= 0 else ideal[i]) == 1:
+                done.add((i, t))  # two monic terms at one position: S-polynomial 0
             else:
                 heapq.heappush(pairs, (sum(lcm) + twists[lead_pos[t]], i, t, lcm))
         red.append(v)
@@ -751,14 +755,22 @@ def test_packed_chain_criterion_prunes_as_the_exponent_tuples(monkeypatch, order
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
-def test_pairs_past_the_degree_cap_raise_only_when_they_survive(order):
+def test_pairs_past_the_degree_cap_raise_only_when_they_survive(order, request):
     # the coprime pair x^200, y^100 has an lcm of degree 300 > 255, but the
-    # product criterion drops it before any term of that degree is formed
+    # product criterion drops it before any term of that degree is formed;
+    # the single terms x^130*y and x*y^130 (lcm of degree 260) form no pair,
+    # since its S-polynomial is 0 (this raised while such pairs were
+    # formed); x^130*y + y^131 and x*y^130 survive and must raise; under
+    # the kernel the run starts with, then under the compiled one
     ring = PolyRing(32003, ("x", "y"), order)
-    gens = [ring.poly("x^200"), ring.poly("y^100")]
-    assert set(Ideal(ring, gens).groebner_basis()) == set(gens)
-    with pytest.raises(OverflowError, match="total degree 260 exceeds packing cap 255"):
-        Ideal(ring, [ring.poly("x^130*y"), ring.poly("x*y^130")]).groebner_basis()
+    for fixture in (None, "compiled_kernel"):
+        if fixture:
+            request.getfixturevalue(fixture)
+        for gens in (["x^200", "y^100"], ["x^130*y", "x*y^130"]):
+            gens = [ring.poly(g) for g in gens]
+            assert set(Ideal(ring, gens).groebner_basis()) == set(gens)
+        with pytest.raises(OverflowError, match="total degree 260 exceeds packing cap 255"):
+            Ideal(ring, [ring.poly("x^130*y + y^131"), ring.poly("x*y^130")]).groebner_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +894,7 @@ def test_compiled_loop_matches_on_random_grevlex_inputs(compiled_kernel):
         seen["bounded cut"] += len(cut) < len(agreed[1])
     assert min(seen.values()) >= 3, seen
     with pytest.raises(OverflowError, match="^total degree 260 exceeds packing cap 255$"):
-        Ideal(PolyRing(32003, ("x", "y")), ["x^130*y", "x*y^130"]).groebner_basis()
+        Ideal(PolyRing(32003, ("x", "y")), ["x^130*y + y^131", "x*y^130"]).groebner_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -1106,3 +1118,49 @@ def test_compiled_loop_matches_with_an_ideal_on_random_grevlex_inputs(compiled_k
             _assert_engines_agree(compiled_kernel, ring, dict(parts, known=block))
             seen["known"] += 1
     assert min(seen.values()) >= 3, seen
+
+
+def test_single_term_pairs_are_never_pushed(compiled_kernel):
+    # two monic single terms at one position (an ideal element stands at
+    # every position) have S-polynomial 0: over a monomial ideal, with
+    # single-term columns, the Python loop must push no such pair, while it
+    # pushes the others, and the compiled loop must build its unreduced
+    # basis; a relation basis and an elimination whose unmarked columns
+    # are the single terms
+    ring = PolyRing(32003, ("x", "y", "z"))
+    R = QuotientRing(ring, ["x^2", "x*y", "y*z^2"])
+    F = GradedFreeModule(R, [0, 1])
+    terms = [F.vector_from_polys([ring.poly(a), ring.poly(b)])
+             for a, b in (("y^2", "0"), ("z^2", "0"), ("y*z", "0"), ("0", "x"),
+                          ("0", "y*z"), ("0", "z^2"), ("x*z^2", "0"))]
+    binomials = [F.vector_from_polys([ring.poly(a), ring.poly(b)])
+                 for a, b in (("x*z", "y"), ("y*z", "z"), ("z^3", "y^2"))]
+    ideal = R.ideal_columns()
+    mask = ring.pack.ctx.okey_mask
+
+    def exps(k):
+        return ring.pack.exps(term_okey(k) & mask)
+
+    runs = (_parts(twists=F.twists, vecs=terms + binomials, ideal=ideal),
+            _parts(twists=F.twists, vecs=terms, ideal=ideal, marked=binomials,
+                   sources=[F.vector_degree(v) for v in binomials]))
+    for parts in runs:
+        _, (_, twists, vecs, _, product, _, upto, known), _ = _pure_run(ring, parts)
+        pushed = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(groebner, "heapq", SimpleNamespace(
+                heappush=lambda h, pair: pushed.append(pair) or heapq.heappush(h, pair),
+                heappop=heapq.heappop))
+            # the whole basis, above an elimination's flag too
+            G = list(ideal) + groebner._buchberger_loop(ring, twists, vecs, ideal, product,
+                                                        None, upto, known)
+        single = [len(g) == 1 for g in G]
+        assert pushed and not any(single[i] and single[j] for _, i, j, *_ in pushed)
+        # the pairs the rule leaves out: single terms at one position, or a
+        # single term and an ideal lead it is not coprime to
+        skipped = sum(single[i] and single[t] and (
+            term_pos(G[i][0][0]) == term_pos(G[t][0][0]) if i >= len(ideal)
+            else any(map(min, exps(G[i][0][0]), exps(G[t][0][0]))))
+            for t in range(len(ideal), len(G)) for i in range(t))
+        assert skipped >= 10, skipped
+        _assert_engines_agree(compiled_kernel, ring, parts)

@@ -17,7 +17,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # the tests that take the compiled_kernel or fast_module fixture
-PARITY = "compiled or parity or exports or past_degree_cap or lex_reduction"
+PARITY = ("compiled or parity or exports or past_degree_cap or lex_reduction"
+          " or past_the_degree_cap or single_term")
 
 
 def test_compiled_kernel_parity_under_the_debug_allocator(fast_module):
@@ -28,4 +29,4 @@ def test_compiled_kernel_parity_under_the_debug_allocator(fast_module):
          "tests/test_kernel.py", "tests/test_groebner.py", "-k", PARITY],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, (res.stdout[-3000:], res.stderr[-3000:])
-    assert "\n18 passed, " in res.stdout, res.stdout[-3000:]
+    assert "\n21 passed, " in res.stdout, res.stdout[-3000:]
