@@ -16,7 +16,9 @@ over a free resolution F is the homology of ``F (x) M``
 matrix, A (x) B the cokernel on A's presentation matrix, and E a cokernel
 over R (``characteristic.quasi_canonical``).
 A map is onto, in ``is_isomorphism`` and for ``iso_probe``'s trial maps
-alike, when its cokernel is zero: one rank over the field (``nu``).
+alike, when its cokernel is zero: one rank over the field of the scalar
+part of its columns and the codomain's relations (``scalar_rank``, as
+``nu`` counts); no cokernel module is built.
 Each homology runs at most two eliminations and no other Groebner run: the
 cycles' reduced basis is the first one's marker block, and it generates
 the result (canonical, so Hom bases and trial indices never move); the
@@ -25,13 +27,16 @@ The known block of the cycles elimination (see ``groebner``) comes from M
 itself: when M holds its relation basis, the copies' basis is M's, moved
 copy by copy, and the elimination starts from it instead of from the
 copies' relation columns.
-``iso_probe`` reads Hom(A, B) in degree 0 only, so it builds it only
-through degree 0 (``_hom`` with ``upto=0``): the cycles and the relations
-come from degree-bounded eliminations (see ``groebner``), which give the
-degree <= 0 part of the full reduced bases, in the same order, so the
-degree-0 basis, and with it every trial index, is the full Hom's.  That
-module equals Hom(A, B) in degrees <= 0 and nowhere else, so it never
-leaves the probe; ``hom_module`` always builds the whole module.
+``iso_probe`` reads Hom(A, B) in degree 0 only.  Between two cyclic
+modules R/J(-t) and R/J'(-t) it builds nothing: Hom is (J' : J)/J', so
+its degree-0 part is the scalars when the relation bases are equal and 0
+otherwise.  For any other pair it builds Hom only through degree 0
+(``_hom`` with ``upto=0``): the cycles and the relations come from
+degree-bounded eliminations (see ``groebner``), which give the degree <= 0
+part of the full reduced bases, in the same order, so the degree-0 basis,
+and with it every trial index, is the full Hom's.  That module equals
+Hom(A, B) in degrees <= 0 and nowhere else, so it never leaves the probe;
+``hom_module`` always builds the whole module.
 Subquotients, Hom modules and tensor products keep their construction
 data in the module cache under ``"origin"``: natural maps are realized as
 matrices from it later, and ``ModuleMap.is_isomorphism`` reads the Hilbert
@@ -41,7 +46,7 @@ series of ``A (x) B`` off the smaller grid of ``A (x) B.minimal()``.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .freemod import (
     GradedFreeModule,
@@ -54,7 +59,7 @@ from .freemod import (
 from .groebner import SubmoduleGB, express_in_basis, syzygy_generators
 from .invariants import hilbert_series_leads, q_resolution
 from .kernel import POS_BITS, POS_MASK, scaled_merge
-from .resolution import FreeResolution, PresentedModule
+from .resolution import FreeResolution, PresentedModule, scalar_rank
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +139,12 @@ class ModuleMap:
                 if not gb.contains(matrix.apply(list(col))):
                     raise ValueError("matrix does not send relations to relations")
 
-    def cokernel(self) -> PresentedModule:
-        """The codomain modulo the image: the matrix's columns, then the
-        codomain's relations."""
-        B = self.codomain
-        cols = [list(c) for c in self.matrix.cols] + [list(c) for c in B.rels.cols]
-        twists = list(self.matrix.source.twists) + list(B.rels.source.twists)
-        src = GradedFreeModule(B.base, twists)
-        return PresentedModule(B.gens, GradedMatrix(src, B.gens, cols))
-
     def is_surjective(self) -> bool:
-        return self.cokernel().is_zero()
+        """Onto when the cokernel, the codomain modulo the matrix's columns
+        and its relations, is zero: by graded Nakayama, when the scalar
+        part of those columns has full rank (``PresentedModule.nu``)."""
+        B = self.codomain
+        return scalar_rank(self.matrix.cols + B.rels.cols, B.ring.field.p) == B.gens.rank
 
     def is_isomorphism(self) -> bool:
         """Onto, with equal Hilbert series: the graded pieces have finite
@@ -447,22 +447,25 @@ class IsoProbeResult:
 ISO_TRIALS = 8
 
 
-def _winning_trial(Am: PresentedModule, Bm: PresentedModule, H: PresentedModule,
-                   basis0: List[int], seed: int) -> Optional[int]:
+def _winning_trial(Am: PresentedModule, Bm: PresentedModule, size: int,
+                   realize: Callable[[List[int]], GradedMatrix], seed: int) -> Optional[int]:
     """Index of the first of ``ISO_TRIALS`` sampled degree-0 maps
-    ``Am -> Bm`` that is onto, or None."""
-    if not basis0:
+    ``Am -> Bm`` that is onto, or None.
+
+    Each trial draws ``size`` coefficients, one per element of a basis of
+    Hom(Am, Bm) in degree 0, and ``realize`` turns a draw that is not all
+    zero into the map's matrix; an all-zero draw is skipped.  The draws and
+    the onto test are the same for every basis, so two bases listing the
+    same maps in the same order give the same index."""
+    if not size:
         return None
     p = Am.ring.field.p
     rng = random.Random(seed)
     for trial in range(ISO_TRIALS):
-        coeffs = [rng.randrange(p) for _ in basis0]
-        v: Vector = [(key, c) for key, c in zip(basis0, coeffs) if c]
-        if not v:
+        coeffs = [rng.randrange(p) for _ in range(size)]
+        if not any(coeffs):
             continue
-        # element of Hom in generator coordinates: key encodes mono and gen
-        mat = hom_realize(H, sorted(v, reverse=True))
-        if ModuleMap(Am, Bm, mat, check=False).is_surjective():
+        if ModuleMap(Am, Bm, realize(coeffs), check=False).is_surjective():
             return trial
     return None
 
@@ -496,16 +499,27 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
     between them exists.
 
     A trial map is onto when its cokernel is zero, which graded Nakayama
-    decides by one rank over the field (``PresentedModule.nu``); with the
+    decides by one rank over the field (``ModuleMap.is_surjective``); with the
     Hilbert functions equal on the window, an onto map is bijective there.
 
-    Hom(A, B) is built only through degree 0, the one degree read: its
-    generators are the degree <= 0 elements of the full Hom's generator
-    basis, a sub-list in the same order, renumbered monotonically, and its
-    relations those of degree <= 0.  So ``module_basis(H, 0)`` lists the
-    same maps in the same order as on the full Hom, the same random
-    coefficients realize the same matrices, and verdicts, certificates and
-    trial indices are those of the full Hom.
+    Step 2 reads Hom(A, B) in degree 0 only, the minimal presentations'
+    maps.  When both are cyclic with one twist, R/J(-t) and R/J'(-t), it
+    builds no Hom: Hom(R/J, R/J') = (J' :_R J)/J' (Eisenbud, GTM 150), whose
+    degree-0 part is the scalars when J is in J' and 0 otherwise, and J in
+    J' with equal Hilbert series forces J = J'.  The relation bases are
+    reduced, so canonical, and already cached by the series comparison;
+    J = J' exactly when they are equal.  Then the full Hom's degree-0 basis
+    is the identity alone, so each trial draws one coefficient c, as it
+    would there, and tries c * identity: verdicts, certificates and trial
+    indices are those of the full Hom.
+
+    Otherwise Hom(A, B) is built only through degree 0: its generators are
+    the degree <= 0 elements of the full Hom's generator basis, a sub-list
+    in the same order, renumbered monotonically, and its relations those
+    of degree <= 0.  So ``module_basis(H, 0)`` lists the same maps in the
+    same order as on the full Hom, the same random coefficients realize
+    the same matrices, and verdicts, certificates and trial indices are
+    those of the full Hom.
     """
     Am = A.minimal()
     Bm = B.minimal()
@@ -524,9 +538,22 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
                     "degree": lo + off, "dims": [da, db]})
     trial = None
     if same_series:
-        H = _hom(Am, Bm, upto=0)
-        basis0 = module_basis(H, 0)
-        trial = _winning_trial(Am, Bm, H, basis0, seed)
+        if Am.gens.rank == 1 and Am.gens == Bm.gens:
+            # R/J(-t) and R/J'(-t): Hom is (J' : J)/J', so in degree 0 the
+            # scalars when J = J' and 0 otherwise; a map is c * identity
+            size = int(Am.relation_gb().gb == Bm.relation_gb().gb)
+
+            def realize(coeffs: List[int]) -> GradedMatrix:
+                return GradedMatrix(Am.gens, Bm.gens, [[(term_key(0, 0), coeffs[0])]])
+        else:
+            H = _hom(Am, Bm, upto=0)
+            basis0 = module_basis(H, 0)
+            size = len(basis0)
+
+            def realize(coeffs: List[int]) -> GradedMatrix:
+                # element of Hom in generator coordinates: key encodes mono and gen
+                return hom_realize(H, [(key, c) for key, c in zip(basis0, coeffs) if c])
+        trial = _winning_trial(Am, Bm, size, realize, seed)
     if trial is None:
         bA = q_resolution(Am).betti().restrict(3)
         bB = q_resolution(Bm).betti().restrict(3)
@@ -537,7 +564,7 @@ def iso_probe(A: PresentedModule, B: PresentedModule, seed: int = 0) -> IsoProbe
         if not same_series:
             return IsoProbeResult("certified_nonisomorphic", {
                 "reason": "hilbert series differs"})
-        if not basis0:
+        if not size:
             return IsoProbeResult("certified_nonisomorphic", {
                 "reason": "no nonzero degree-0 homomorphisms"})
     if trial is None:

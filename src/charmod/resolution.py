@@ -164,8 +164,13 @@ class PresentedModule:
         F_0/mF_0 modulo the scalar part of the relations (their terms with
         no monomial part, which normal forms mod I never touch), so nu is
         rank F_0 minus the rank of that part over the field."""
-        scalar = [{k: c for k, c in col if k <= POS_MASK} for col in self.rels.cols]
-        return self.gens.rank - linalg.rank(scalar, self.ring.field.p)
+        return self.gens.rank - scalar_rank(self.rels.cols, self.ring.field.p)
+
+
+def scalar_rank(cols: Sequence[Vector], p: int) -> int:
+    """Rank over GF(p) of the scalar part of the columns: their terms with
+    no monomial part, the keys at most ``POS_MASK``."""
+    return linalg.rank([{k: c for k, c in col if k <= POS_MASK} for col in cols], p)
 
 
 def _cancel_units(prev: Optional[GradedMatrix], new: GradedMatrix):

@@ -170,8 +170,10 @@ def test_battery_is_deterministic():
 # took its codomain's relation columns, even where the copied module held
 # its relation basis (the memo key now holds that basis, which equal
 # modules with different columns share), 305 while the bases over a
-# quotient ring kept the elements whose leads lie in in(I) * F
-BATTERY_10_GROEBNER_RUNS = 306
+# quotient ring kept the elements whose leads lie in in(I) * F, 306 while
+# iso_probe built Hom(A, B) through degree 0 for two cyclic modules too
+# (those 23 runs formed no S-pair)
+BATTERY_10_GROEBNER_RUNS = 283
 # the S-pair work inside those runs: pairs pushed on the pair heap, and
 # S-polynomials reduced (two scaled merges each); the criteria must prune
 # the same pairs whatever form a pair's lcm takes; 1,755 and 1,585 while

@@ -16,7 +16,7 @@ from charmod.groebner import QuotientRing, SubmoduleGB
 from charmod.kernel import divides, epack
 from charmod.ring import PolyRing
 
-from conftest import FIXTURES, matrix_from_columns
+from conftest import FIXTURES, hom_on_cyclic_probes, matrix_from_columns
 
 # x is y modulo the ideal, so a variable is not always in normal form
 LINEAR_FORM_DOC = """field 101
@@ -101,9 +101,11 @@ def _redundant_leads(sub):
 
 
 def test_every_matrix_a_battery_builds_is_reduced_and_homogeneous(monkeypatch):
-    # fresh documents, so no memo from another test hides a construction
+    # fresh documents, so no memo from another test hides a construction,
+    # and the Hom of every cyclic probe pair built too
     built = _record(monkeypatch)
     bases = _bases(monkeypatch)
+    hom_on_cyclic_probes(monkeypatch)
     docs = [(corpus.instance_id("mixed", 7, i), doc)
             for i, doc in enumerate(corpus.generate_corpus(7, 10, "mixed"))]
     docs += [(name, load(FIXTURES / f"{name}.cmr"))

@@ -41,10 +41,12 @@ from charmod.ring import PolyRing
 
 from conftest import (
     FIXTURES,
+    cokernel,
     cycles_elimination,
     cyclic_quotient,
     entries,
     hom_map,
+    hom_on_cyclic_probes,
     homology_calls,
     is_injective,
     matrix_from_columns,
@@ -192,8 +194,9 @@ def test_battery_subquotient_denominators_lie_in_their_numerators(monkeypatch):
     # its caller, _homology, passes the copies' relations and the grafted
     # columns of the incoming map, which are cycles by construction; every
     # subquotient the battery builds on fresh pool documents (the first 10
-    # acceptance instances and the four fixtures) bears that out, in the
-    # degrees a bounded one is built in
+    # acceptance instances and the four fixtures), with the Hom of every
+    # cyclic probe pair built too, bears that out, in the degrees a bounded
+    # one is built in
     seen = []
     real = homology_mod.subquotient
 
@@ -202,6 +205,7 @@ def test_battery_subquotient_denominators_lie_in_their_numerators(monkeypatch):
         return real(numerator, denominator, upto)
 
     monkeypatch.setattr(homology_mod, "subquotient", recording)
+    hom_on_cyclic_probes(monkeypatch)
     for doc in corpus.generate_corpus(7, 10, "mixed") + [
             load(FIXTURES / f"{name}.cmr")
             for name in ("veronese", "e2", "hypersurface", "stanley_reisner")]:
@@ -226,7 +230,7 @@ def test_module_map_kernel_cokernel(rings):
     assert not is_injective(f) and not f.is_surjective()
     assert hilbert_function_basis(presented_kernel(f), 0, 4) == [0, 0, 2, 1, 1]
     # image of x is the socle, so the cokernel loses one dimension in degree 1
-    assert hilbert_function_basis(f.cokernel(), 0, 4) == [1, 1, 1, 1, 1]
+    assert hilbert_function_basis(cokernel(f), 0, 4) == [1, 1, 1, 1, 1]
     my = matrix_from_columns(R, (0,), [[R.poly("y")]], col_twists=[1])
     g = ModuleMap(Rm.twist(1), Rm, my)
     assert not is_injective(g)  # x*y = 0 in R
@@ -238,7 +242,7 @@ def test_multiplication_is_injective_over_domain():
     mx = matrix_from_columns(Q, (0,), [[Q.poly("x")]], col_twists=[1])
     f = ModuleMap(Qm.twist(1), Qm, mx)
     assert is_injective(f) and not f.is_surjective()
-    assert hilbert_function_basis(f.cokernel(), 0, 3) == [1, 1, 1, 1]
+    assert hilbert_function_basis(cokernel(f), 0, 3) == [1, 1, 1, 1]
 
 
 def test_tor_golden_over_polynomial_ring():
@@ -379,9 +383,40 @@ def _reference_iso_probe(A, B, seed=0, trials=8):
         "trials": trials, "degree_range": [lo, hi]})
 
 
-def test_iso_probe_matches_all_degree_reference(battery_pairs):
-    # rank checks in the generator degrees of B decide as the full window does
+# iso_probe trial loops on the battery pairs: on two cyclic modules, and
+# on the other pairs, which build Hom through degree 0
+CYCLIC_PROBES = 57
+GENERAL_PROBES = 20
+
+
+def _count_probe_branches(monkeypatch):
+    """Lists that grow by one per ``iso_probe`` trial loop on two cyclic
+    modules (read off their relation bases) and on any other pair (through
+    ``_hom(..., upto=0)``)."""
+    cyclic, general = [], []
+    real_trial, real_hom = homology_mod._winning_trial, homology_mod._hom
+
+    def trial(Am, Bm, size, realize, seed):
+        if Am.gens.rank == 1 and Am.gens == Bm.gens:
+            cyclic.append(None)
+        return real_trial(Am, Bm, size, realize, seed)
+
+    def hom(A, B, upto=None):
+        if upto == 0:
+            general.append(None)
+        return real_hom(A, B, upto)
+
+    monkeypatch.setattr(homology_mod, "_winning_trial", trial)
+    monkeypatch.setattr(homology_mod, "_hom", hom)
+    return cyclic, general
+
+
+def test_iso_probe_matches_all_degree_reference(battery_pairs, monkeypatch):
+    # rank checks in the generator degrees of B decide as the full window
+    # does, on the cyclic pairs read off their relation bases as on the
+    # pairs whose Hom is built through degree 0
     verdicts = set()
+    cyclic, general = _count_probe_branches(monkeypatch)
     for label, TM, HM, EM, XM in battery_pairs:
         for A, B in ((TM, HM), (EM, XM)):
             got = iso_probe(A, B)
@@ -389,6 +424,7 @@ def test_iso_probe_matches_all_degree_reference(battery_pairs):
             assert (got.verdict, got.certificate) == (want.verdict, want.certificate), label
             verdicts.add(got.verdict)
     assert "probably_isomorphic" in verdicts
+    assert (len(cyclic), len(general)) == (CYCLIC_PROBES, GENERAL_PROBES)
 
 
 def _gf2_pairs():
@@ -443,6 +479,77 @@ def test_iso_probe_certifies_no_degree_zero_homomorphism():
         assert (got.verdict, got.certificate) == (want.verdict, want.certificate)
         assert (got.verdict, got.certificate) == (
             "certified_nonisomorphic", {"reason": "no nonzero degree-0 homomorphisms"})
+
+
+def _cyclic_pairs():
+    """Pairs of cyclic modules with equal relation bases over GF(2) and
+    GF(3), given by different presentations: other generators of one
+    ideal, a redundant relation, a second generator that a scalar relation
+    cancels, and twists."""
+    out = []
+    for p in (2, 3):
+        Q = PolyRing(p, ("x", "y"))
+        R = QuotientRing(Q, [Q.poly("x^2"), Q.poly("x*y")])
+        for base in (Q, R):
+            A = cyclic_quotient(base, [base.poly("x^2-y^2"), base.poly("x*y")])
+            B = cyclic_quotient(base, [base.poly("x^2+x*y-y^2"), base.poly("x*y"),
+                                       base.poly("y^3")])
+            rels = matrix_from_columns(base, [0, 0], [[base.poly("1"), base.poly("-1")],
+                                                      [base.poly("y^2"), base.poly("0")]])
+            C = PresentedModule(rels.target, rels)
+            out += [(A, B), (B.twist(2), A.twist(2)),
+                    (C, cyclic_quotient(base, [base.poly("y^2")])),
+                    (PresentedModule.ring_module(base),) * 2]
+    return out
+
+
+def test_iso_probe_on_cyclic_modules_matches_reference(monkeypatch):
+    # the probe reads Hom in degree 0 off the relation bases: c * identity,
+    # drawn as the general branch draws the coefficient of its one basis
+    # element, so over GF(2) and GF(3) later trials win, as in the reference
+    cyclic, general = _count_probe_branches(monkeypatch)
+    later = 0
+    for A, B in _cyclic_pairs():
+        assert A.minimal().gens.rank == B.minimal().gens.rank == 1
+        for seed in range(8):
+            got = iso_probe(A, B, seed=seed)
+            want = _reference_iso_probe(A, B, seed=seed)
+            assert (got.verdict, got.certificate) == (want.verdict, want.certificate)
+            assert got.verdict == "probably_isomorphic"
+            later += got.certificate["trial"] > 0
+    assert later > 0
+    assert len(cyclic) == 8 * len(_cyclic_pairs()) and not general
+
+
+def test_iso_probe_on_cyclic_modules_is_inconclusive_when_every_draw_is_zero():
+    # over GF(2), seed 15 draws 0 in all eight trials (the first such seed):
+    # no map is tried, as in the reference, which builds the full Hom
+    seed = 15
+    rng = random.Random(seed)
+    assert not any(rng.randrange(2) for _ in range(8))
+    for A, B in _cyclic_pairs()[:4]:
+        got = iso_probe(A, B, seed=seed)
+        want = _reference_iso_probe(A, B, seed=seed)
+        assert (got.verdict, got.certificate) == (want.verdict, want.certificate)
+        assert got.verdict == "inconclusive"
+
+
+def test_iso_probe_on_cyclic_modules_with_different_ideals_over_a_quotient():
+    # over R = Q/(z^2), R/(x) and R/(y) (and R/(x^2, xz) and R/(y^2, yz))
+    # have equal Hilbert series and Betti tables over Q, and their
+    # relation bases differ: Hom is zero in degree 0, as the full Hom says
+    Q = PolyRing(101, ("x", "y", "z"))
+    R = QuotientRing(Q, [Q.poly("z^2")])
+    pairs = [(["x"], ["y"]), (["x^2", "x*z"], ["y^2", "y*z"])]
+    for a, b in pairs:
+        A = cyclic_quotient(R, [R.poly(f) for f in a])
+        B = cyclic_quotient(R, [R.poly(f) for f in b])
+        assert hilbert_series_leads(A) == hilbert_series_leads(B)
+        for shift in (0, 3):
+            As, Bs = A.twist(shift), B.twist(shift)
+            got, want = iso_probe(As, Bs), _reference_iso_probe(As, Bs)
+            assert (got.verdict, got.certificate) == (want.verdict, want.certificate)
+            assert got.certificate == {"reason": "no nonzero degree-0 homomorphisms"}
 
 
 def test_degree_zero_hom_matches_the_full_hom(battery_pairs):
@@ -502,7 +609,7 @@ def test_nu_and_trial_maps_match_unit_cancellation(battery_pairs, monkeypatch):
     outcomes = set()
     for f in trials:
         ModuleMap(f.domain, f.codomain, f.matrix)
-        C = f.cokernel()
+        C = cokernel(f)
         assert C.nu() == reference_nu(C)
         onto = f.is_surjective()
         assert onto == reference_is_surjective(f)
