@@ -70,11 +70,8 @@ class GradedFreeModule:
         return f"GradedFreeModule({self.base!r}, {list(self.twists)})"
 
     # -- vector helpers --------------------------------------------------
-    def basis_vector(self, pos: int, okey: int = 0, coeff: int = 1) -> Vector:
-        coeff %= self.ring.field.p
-        if coeff == 0:
-            return []
-        return [(term_key(okey, pos), coeff)]
+    def basis_vector(self, pos: int) -> Vector:
+        return [(term_key(0, pos), 1)]
 
     def vector_from_polys(self, polys: Sequence[Polynomial]) -> Vector:
         if len(polys) != self.rank:

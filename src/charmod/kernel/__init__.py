@@ -5,12 +5,18 @@ layouts that fit a 64-bit word and primes below 2^31; the pure-Python kernel
 handles everything and is the reference implementation.  ``make_reducer``,
 ``scaled_merge`` and ``compiled_engine`` pick per call site based on the
 packing context, so a ring with many variables transparently falls back.
+
+Under either order, no kernel forms a term past the degree cap: a product
+of a vector by a monomial (``scaled_merge``) or a reduction step of either
+reducer (see ``pure.Reducer``) that would form one raises ``OverflowError``
+instead, with the same message on both kernels.
 """
 
 from __future__ import annotations
 
 from . import pure
-from .common import GREVLEX, LEX, POS_BITS, POS_MASK, OrderCtx, divides, epack
+from .common import (GREVLEX, LEX, POS_BITS, POS_MASK, OrderCtx, _degree_overflow,
+                     divides, epack)
 
 try:  # pragma: no cover - exercised when the extension is built
     from . import _fast
@@ -36,10 +42,8 @@ def _compiled(p: int, ctx: OrderCtx) -> bool:
 def make_reducer(p: int, ctx: OrderCtx, basis=(), ideal=()):
     """A reducer over ``basis`` modulo the ideal with basis ``ideal``."""
     if _compiled(p, ctx):
-        red = _fast.Reducer(p, ctx.kind, ctx.n, ctx.fb, basis, ideal)
-    else:
-        red = pure.Reducer(p, ctx, basis, ideal)
-    return LexGuard(red, ctx, basis) if ctx.kind == LEX else red
+        return _fast.Reducer(p, ctx.kind, ctx.n, ctx.fb, basis, ideal)
+    return pure.Reducer(p, ctx, basis, ideal)
 
 
 def scaled_merge(u, v, c, shift, p, ctx: OrderCtx):
@@ -74,101 +78,10 @@ def compiled_engine(p: int, ctx: OrderCtx):
     builds the inputs from their parts and runs the pair loop of
     ``groebner._buchberger_loop``, and ``_fast.autoreduce``, which finishes
     its basis as ``groebner._autoreduce`` does.  Lex rings keep the Python
-    engine and ``LexGuard``."""
+    engine: the compiled pair loop is written for grevlex keys."""
     if _compiled(p, ctx) and ctx.kind == GREVLEX:
         return _fast.buchberger, _fast.autoreduce
     return None
-
-
-def _degree_overflow(deg: int, ctx: OrderCtx) -> OverflowError:
-    return OverflowError(f"total degree {deg} exceeds packing cap {ctx.cap}")
-
-
-class LexGuard:
-    """A lex reducer that raises ``OverflowError`` before a reduction would
-    create a term past the degree cap.
-
-    A grevlex lead term has the largest degree of its vector, so reducing a
-    vector never creates a term of higher degree than its own.  A lex lead
-    term need not: reducing ``x^56 e_0`` by ``x e_0 + y^201 e_1`` (twists 200
-    and 0) creates ``x^55 y^201 e_1`` of degree 256, and ``(x - y) e_1``
-    then turns it into ``y^256``, one exponent past its field.  Every vector
-    is homogeneous, so a term at position j of a vector of degree D has
-    degree D - d_j with d_j the twist of position j.  Each basis element
-    fixes the twist differences of the positions it links; ``level`` holds
-    ``-d_j`` relative to the other positions linked to j, and a term can be
-    reduced only into positions linked to its own.  ``nf`` and ``nf_q``
-    check every term of their input against the highest level it can reach.
-    An ideal element links nothing: it reduces a term into terms of the
-    same degree at the same position.
-    """
-
-    __slots__ = ("inner", "ctx", "level", "linked", "slack")
-
-    def __init__(self, inner, ctx: OrderCtx, basis=()):
-        self.inner = inner
-        self.ctx = ctx
-        self.level = {}   # position field -> relative level
-        self.linked = {}  # position field -> shared list of its linked positions
-        self.slack = {}   # position field -> highest linked level minus its own, if > 0
-        for g in basis:
-            self._link(g)
-
-    def __len__(self):
-        return len(self.inner)
-
-    def append(self, g):
-        self.inner.append(g)
-        self._link(g)
-
-    def find_reducer(self, key: int) -> int:
-        return self.inner.find_reducer(key)
-
-    def nf(self, v):
-        if self.slack:
-            self._check(v)
-        return self.inner.nf(v)
-
-    def nf_q(self, v):
-        if self.slack:
-            self._check(v)
-        return self.inner.nf_q(v)
-
-    def _link(self, g):
-        deg = self.ctx.deg
-        level = self.level
-        linked = self.linked
-        terms = [(k & POS_MASK, deg(k >> POS_BITS)) for k, _ in g]
-        known = next((j for j, _ in terms if j in level), None)
-        if known is None:
-            group, shift = [], 0
-        else:
-            group = linked[known]
-            shift = level[known] - dict(terms)[known]
-        for j, e in terms:
-            if j not in level:
-                level[j] = e + shift
-                linked[j] = group
-                group.append(j)
-            elif linked[j] is not group:
-                other = linked[j]
-                move = e + shift - level[j]
-                for q in other:
-                    level[q] += move
-                    linked[q] = group
-                group.extend(other)
-        top = max(level[q] for q in group)
-        for q in group:
-            if top > level[q]:
-                self.slack[q] = top - level[q]
-
-    def _check(self, v):
-        ctx = self.ctx
-        slack = self.slack
-        for k, _ in v:
-            s = slack.get(k & POS_MASK)
-            if s and ctx.deg(k >> POS_BITS) + s > ctx.cap:
-                raise _degree_overflow(ctx.deg(k >> POS_BITS) + s, ctx)
 
 
 __all__ = [
@@ -180,7 +93,6 @@ __all__ = [
     "divides",
     "epack",
     "HAVE_FAST",
-    "LexGuard",
     "backend_name",
     "compiled_engine",
     "make_reducer",

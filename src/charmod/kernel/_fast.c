@@ -7,8 +7,10 @@ mirrors the pure kernel term for term:
 * ``add_scaled(u, v, c, shift, p)`` is ``pure.add_scaled``;
 * ``Reducer(p, kind, n, fb, basis=(), ideal=())`` is ``pure.Reducer``:
   leads are bucketed by position, the first divisor in insertion order
-  reduces, and the ideal, first and out of the buckets, reduces at every
-  position; so ``find_reducer``, ``nf`` and ``nf_q`` give the same results;
+  reduces, the ideal, first and out of the buckets, reduces at every
+  position, and a step that would form a term past the degree cap (the
+  head's degree plus the reducer's rise) raises the same OverflowError;
+  so ``find_reducer``, ``nf`` and ``nf_q`` give the same results;
 * ``buchberger(p, n, fb, twists, vecs, ideal, marked, sources, known,
   product, upto)`` takes the raw parts of ``groebner._buchberger_terms``
   and builds its inputs as they are read: the known block, the marked
@@ -275,11 +277,11 @@ done:
 
 typedef struct { u64 key, ep; Py_ssize_t idx; } lead_t;
 typedef struct { lead_t *e; Py_ssize_t n, cap; } bucket_t;
-typedef struct { term_t *t; Py_ssize_t n; u64 inv, ep; } elt_t;
+typedef struct { term_t *t; Py_ssize_t n; u64 inv, ep, rise; } elt_t;
 
 typedef struct {
-    u64 p, okey_mask, guards;
-    int kind, fb;
+    u64 p, okey_mask, guards, fmask, degcap;
+    int kind, fb, deg_shift;
     elt_t *g;              /* elements in insertion order */
     Py_ssize_t nb, cap;
     bucket_t *bk;          /* bk[pos]: the leads at position pos */
@@ -301,6 +303,9 @@ basis_init(basis_t *b, u64 p, int kind, int n, int fb)
     b->p = p;
     b->kind = kind;
     b->fb = fb;
+    b->deg_shift = (n - 1) * fb;
+    b->fmask = (1ull << fb) - 1;
+    b->degcap = (1ull << (fb - 1)) - 1;
     b->okey_mask = (1ull << (n * fb)) - 1;
     for (i = 0; i < n; i++)
         b->guards |= 1ull << (i * fb + fb - 1);
@@ -330,6 +335,28 @@ epack(const basis_t *b, u64 okey)
     return (okey - (okey << b->fb)) & b->okey_mask;
 }
 
+/* Total degree of the monomial packed in okey, as ``OrderCtx.deg``. */
+static inline u64
+okey_deg(const basis_t *b, u64 okey)
+{
+    u64 d = 0;
+
+    if (b->kind != LEX_KIND)
+        return (okey >> b->deg_shift) & b->fmask;
+    for (okey &= b->okey_mask; okey; okey >>= b->fb)
+        d += okey & b->fmask;
+    return d;
+}
+
+/* The OverflowError of ``common._degree_overflow``; returns -1. */
+static int
+degree_overflow(const basis_t *b, u64 deg)
+{
+    PyErr_Format(PyExc_OverflowError, "total degree %llu exceeds packing cap %llu",
+                 (unsigned long long)deg, (unsigned long long)b->degcap);
+    return -1;
+}
+
 static inline Py_ssize_t
 key_pos(u64 key)
 {
@@ -356,6 +383,28 @@ basis_find(const basis_t *b, u64 key)
     return -1;
 }
 
+/* How far the degree of the highest of the n terms at t exceeds the
+   lead's, as ``pure.Reducer.append``: 0 for an unflagged grevlex lead; for
+   a flagged one, read the first term below the flag; under lex, all. */
+static u64
+rise(const basis_t *b, const term_t *t, Py_ssize_t n)
+{
+    u64 lead = okey_deg(b, t[0].k >> POS_BITS), top = 0, d;
+    Py_ssize_t k = 1;
+
+    if (b->kind != LEX_KIND) {
+        if ((t[0].k >> POS_BITS) <= b->okey_mask)
+            return 0;
+        while (k < n && (t[k].k >> POS_BITS) > b->okey_mask)
+            k++;
+        n = k + (k < n);
+    }
+    for (; k < n; k++)
+        if ((d = okey_deg(b, t[k].k >> POS_BITS)) > top)
+            top = d;
+    return top > lead ? top - lead : 0;
+}
+
 /* Append the n terms at t, which the basis owns on success. */
 static int
 basis_append(basis_t *b, term_t *t, Py_ssize_t n)
@@ -376,7 +425,7 @@ basis_append(basis_t *b, term_t *t, Py_ssize_t n)
     if (RESERVE(bk->e, bk->cap, bk->n + 1) < 0)
         return -1;
     bk->e[bk->n++] = (lead_t){t[0].k, ep, b->nb};
-    b->g[b->nb++] = (elt_t){t, n, powmod(t[0].c, b->p - 2, b->p), ep};
+    b->g[b->nb++] = (elt_t){t, n, powmod(t[0].c, b->p - 2, b->p), ep, rise(b, t, n)};
     return 0;
 }
 
@@ -426,9 +475,10 @@ typedef struct { Py_ssize_t idx; u64 okey, q; } quot_t;
 typedef struct { quot_t *e; Py_ssize_t n, cap; } quots_t;
 
 /* Normal form of h into out, as ``pure.Reducer.nf``; h and s are work
-   buffers (swapped as the reduction goes).  With qs, every reduction step
-   by a basis element records its index past the ideal, monomial and
-   coefficient. */
+   buffers (swapped as the reduction goes).  A step whose head degree plus
+   the reducer's rise passes the cap raises OverflowError before it forms a
+   term.  With qs, every reduction step by a basis element records its
+   index past the ideal, monomial and coefficient. */
 static int
 reduce(const basis_t *b, vec_t *h, vec_t *s, vec_t *out, quots_t *qs)
 {
@@ -447,6 +497,8 @@ reduce(const basis_t *b, vec_t *h, vec_t *s, vec_t *out, quots_t *qs)
             continue;
         }
         const elt_t *g = &b->g[idx];
+        if (g->rise && okey_deg(b, key >> POS_BITS) + g->rise > b->degcap)
+            return degree_overflow(b, okey_deg(b, key >> POS_BITS) + g->rise);
         shift = key - g->t[0].k;
         q = h->t[i].c * g->inv % p;
         if (qs && idx >= b->nid) {
@@ -621,8 +673,8 @@ typedef struct { i64 sugar; Py_ssize_t i, j; u64 w, lk; } pair_t;
 
 typedef struct {
     basis_t b;             /* the basis G, also the reducer */
-    int top, deg_shift;
-    u64 ones, fmask, cap;
+    int top;
+    u64 ones;
     i64 *twists;
     Py_ssize_t ntw;
     int bounded;
@@ -759,7 +811,7 @@ add_gen(engine_t *e, int pair)
         u64 low = g - (g >> e->top);
         u64 w = (lep & low) | (ep & ~low);
         u64 sums = w * e->ones;
-        i64 sugar = (i64)((sums >> e->deg_shift) & e->fmask) + twist;
+        i64 sugar = (i64)((sums >> b->deg_shift) & b->fmask) + twist;
         /* nothing to do: a known element's or coprime ideal pair, or two
            monic terms at one position (S-polynomial 0) */
         if ((i < b->nid && (!pair || w == lep + ep)) || (n == 1 && b->g[i].n == 1))
@@ -807,13 +859,8 @@ check_cap(const engine_t *e, const elt_t *g, u64 shift)
 
     for (t = 0; shift && t < g->n; t++) {
         k = g->t[t].k + shift;
-        if (k & guards) {
-            PyErr_Format(PyExc_OverflowError,
-                         "total degree %llu exceeds packing cap %llu",
-                         (unsigned long long)(((k >> POS_BITS) >> e->deg_shift) & e->fmask),
-                         (unsigned long long)e->cap);
-            return -1;
-        }
+        if (k & guards)
+            return degree_overflow(&e->b, okey_deg(&e->b, k >> POS_BITS));
     }
     return 0;
 }
@@ -852,7 +899,7 @@ engine_input(engine_t *e, int known)
     if (e->h.n == 0)
         return 0;
     if (e->bounded) {
-        u64 deg = ((e->h.t[0].k >> POS_BITS) >> e->deg_shift) & e->fmask;
+        u64 deg = okey_deg(&e->b, e->h.t[0].k >> POS_BITS);
         if (twist_at(e, e->h.t[0].k, &twist) < 0)
             return -1;
         if ((i64)deg + twist > e->upto)
@@ -927,8 +974,8 @@ feed_marked(engine_t *e, PyObject *mk, PyObject *src, Py_ssize_t r, u64 flag)
                 PyErr_SetString(PyExc_IndexError, "position has no twist");
                 return -1;
             }
-            e->twists[r + j] = (i64)(((e->h.t[0].k >> POS_BITS) >> e->deg_shift)
-                                     & e->fmask) + e->twists[pos];
+            e->twists[r + j] = (i64)okey_deg(&e->b, e->h.t[0].k >> POS_BITS)
+                               + e->twists[pos];
         }
         if (RESERVE(e->h.t, e->h.cap, e->h.n + 1) < 0)
             return -1;
@@ -989,9 +1036,6 @@ buchberger(PyObject *Py_UNUSED(self), PyObject *args)
         goto done;
     e.top = fb - 1;
     e.ones = e.b.guards >> e.top;
-    e.deg_shift = (n - 1) * fb;
-    e.fmask = (1ull << fb) - 1;
-    e.cap = (1ull << (fb - 1)) - 1;
     if (upto != Py_None) {
         e.bounded = 1;
         e.upto = PyLong_AsLongLong(upto);

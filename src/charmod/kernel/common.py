@@ -63,6 +63,10 @@ class OrderCtx:
         return d
 
 
+def _degree_overflow(deg: int, ctx: OrderCtx) -> OverflowError:
+    return OverflowError(f"total degree {deg} exceeds packing cap {ctx.cap}")
+
+
 def epack(okey: int, ctx: OrderCtx) -> int:
     """Exponent word of okey, block flags dropped (layout in ``OrderCtx``).
 

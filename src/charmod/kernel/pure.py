@@ -7,7 +7,7 @@ key layout fits a machine word.  See ``common`` for the key layout.
 
 from __future__ import annotations
 
-from .common import POS_MASK, POS_BITS, OrderCtx, divides, epack
+from .common import LEX, POS_MASK, POS_BITS, OrderCtx, _degree_overflow, divides, epack
 
 
 def add_scaled(u, v, c, shift, p, start=0):
@@ -66,9 +66,18 @@ class Reducer:
     tried by exponent words alone, at any position and block, and the
     shift ``key - lead key`` moves one to the head.  ``len`` and ``nf_q``'s
     quotients count the basis elements only.
+
+    Each element records its rise, how far the degree of its highest term
+    exceeds its lead's, and a reduction step whose head degree plus the
+    reducer's rise passes the degree cap raises ``OverflowError`` before
+    it forms a term.  An unflagged grevlex lead has the highest degree of
+    its vector, so its rise is 0; a flagged one has the highest of its
+    block, and the first term below the flag the highest of the rest.  A
+    lex lead need not, and every term is read.
     """
 
-    __slots__ = ("p", "ctx", "basis", "lead_keys", "lead_inv", "buckets", "ideal", "nid")
+    __slots__ = ("p", "ctx", "basis", "lead_keys", "lead_inv", "rise", "buckets",
+                 "ideal", "nid")
 
     def __init__(self, p: int, ctx: OrderCtx, basis=(), ideal=()):
         self.p = p
@@ -76,6 +85,7 @@ class Reducer:
         self.basis = []
         self.lead_keys = []
         self.lead_inv = []
+        self.rise = []
         self.buckets = {}
         for g in ideal:
             self.append(g)
@@ -91,11 +101,20 @@ class Reducer:
         if not g:
             raise ValueError("cannot reduce by the zero vector")
         key, c = g[0]
+        ctx = self.ctx
         self.buckets.setdefault(key & POS_MASK, []).append(
-            (key, epack(key >> POS_BITS, self.ctx), len(self.basis)))
+            (key, epack(key >> POS_BITS, ctx), len(self.basis)))
         self.basis.append(list(g))
         self.lead_keys.append(key)
         self.lead_inv.append(pow(c, self.p - 2, self.p))
+        if ctx.kind == LEX:
+            top = max(ctx.deg(k >> POS_BITS) for k, _ in g)
+        elif key >> POS_BITS > ctx.okey_mask:  # flagged
+            below = (ctx.okey_mask + 1) << POS_BITS  # the least flagged key
+            top = next((ctx.deg(k >> POS_BITS) for k, _ in g if k < below), 0)
+        else:
+            top = 0
+        self.rise.append(top and max(0, top - ctx.deg(key >> POS_BITS)))
 
     def find_reducer(self, key: int) -> int:
         """Index in ``basis``, the ideal first, of the first basis element
@@ -130,6 +149,8 @@ class Reducer:
 
     def _reduce(self, v, quots):
         p = self.p
+        ctx = self.ctx
+        rise = self.rise
         out = []
         h = list(v)
         i = 0
@@ -140,6 +161,8 @@ class Reducer:
                 out.append((key, c))
                 i += 1
             else:
+                if rise[idx] and ctx.deg(key >> POS_BITS) + rise[idx] > ctx.cap:
+                    raise _degree_overflow(ctx.deg(key >> POS_BITS) + rise[idx], ctx)
                 shift = key - self.lead_keys[idx]
                 q = (c * self.lead_inv[idx]) % p
                 if quots is not None and idx >= self.nid:

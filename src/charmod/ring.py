@@ -17,7 +17,7 @@ total degree is capped at ``2^(fb-1) - 1``:
 
 Every key that would pass the cap raises ``OverflowError``; see
 ``kernel.scaled_merge`` for the check on products of vectors and
-``kernel.LexGuard`` for the one on lex reductions.
+``kernel.pure.Reducer`` for the one on reduction steps.
 """
 
 from __future__ import annotations

@@ -192,8 +192,17 @@ def test_zero_vector_rejected():
         red.append([])
 
 
+def _outcome(method, v):
+    """``method(v)``, or the message of the ``OverflowError`` it raises."""
+    try:
+        return method(v)
+    except OverflowError as exc:
+        return str(exc)
+
+
 def test_backend_parity_randomized(compiled_kernel):
     rng = random.Random(12)
+    raised = 0
     for _ in range(160):
         p = rng.choice([2, 3, 13, 101, 32003, 2147483647])
         n = rng.randint(1, 6)
@@ -201,31 +210,38 @@ def test_backend_parity_randomized(compiled_kernel):
         ctx = ring.pack.ctx
         assert ctx.fits64
         # half the trials keep every term within a few degrees of the cap;
-        # there v adds shifted basis elements, so reductions still happen
+        # there v adds shifted basis elements, so reductions still happen,
+        # and a reducer whose highest term is above its lead can pass the
+        # cap: a lex one, or one with the elimination flag on some terms
         near = rng.random() < 0.5
         top = ring.pack.cap - n if near else None
-        basis = [_random_vector(rng, ring, p, top=top) for _ in range(rng.randrange(1, 4))]
-        # the backends themselves: random vectors are not homogeneous, which
-        # the lex guard of make_reducer assumes
+        flag = (1 << ring.pack.block_shift) if rng.random() < 0.5 else 0
+
+        def flagged(v):
+            return sorted(((k + flag if rng.random() < 0.5 else k, c) for k, c in v),
+                          reverse=True)
+
+        basis = [flagged(_random_vector(rng, ring, p, top=top))
+                 for _ in range(rng.randrange(1, 4))]
         fast = compiled_kernel.Reducer(p, ctx.kind, n, ctx.fb, basis)
         slow = pure.Reducer(p, ctx, basis)
-        red = make_reducer(p, ctx, basis)
-        if ctx.kind == kernel.LEX:
-            assert isinstance(red, kernel.LexGuard)
-            red = red.inner
-        assert isinstance(red, compiled_kernel.Reducer)
+        assert isinstance(make_reducer(p, ctx, basis), compiled_kernel.Reducer)
         for _ in range(4):
-            v = _random_vector(rng, ring, p, top=top)
+            v = flagged(_random_vector(rng, ring, p, top=top))
             for g in basis if near else ():
                 m = [rng.randrange(0, 2) for _ in range(n)]
                 v = pure.add_scaled(v, g, rng.randrange(1, p),
                                     ring.pack.okey(m) << POS_BITS, p)
             if not v:
                 continue
-            assert fast.nf(v) == slow.nf(v)
-            rf, qf = fast.nf_q(v)
-            rs, qs = slow.nf_q(v)
-            assert rf == rs and list(qf) == list(qs)
+            out = _outcome(slow.nf, v)
+            assert _outcome(fast.nf, v) == out
+            assert _outcome(fast.nf_q, v) == _outcome(slow.nf_q, v)
+            if isinstance(out, str):
+                assert out.endswith(f"exceeds packing cap {ctx.cap}"), out
+                raised += 1
+            else:
+                assert all(ctx.deg(k >> POS_BITS) <= ctx.cap for k, _ in out)
             assert fast.find_reducer(v[0][0]) == slow.find_reducer(v[0][0])
         u, w = _random_vector(rng, ring, p, top=top), _random_vector(rng, ring, p, top=top)
         sh = ring.pack.okey([1] * n) << POS_BITS
@@ -235,6 +251,7 @@ def test_backend_parity_randomized(compiled_kernel):
     wide = _ring(n=7).pack.ctx
     assert not wide.fits64
     assert isinstance(make_reducer(32003, wide), pure.Reducer)
+    assert raised > 0
 
 
 def _reference_divisors(red, key):
@@ -497,33 +514,45 @@ def test_lex_reduction_past_degree_cap_raises(backend, names, request):
     h = [term(0, 1, 1), term(n - 1, 1, 1, p - 1)]
     red = make_reducer(p, lex.pack.ctx, [g])
     red.append(h)
-    assert isinstance(red, kernel.LexGuard)
-    assert type(red.inner).__module__.endswith("_fast" if backend == "compiled" else "pure")
+    assert type(red).__module__.endswith("_fast" if backend == "compiled" else "pure")
     assert red.nf([term(0, 55, 0)]) == [term(n - 1, cap, 1, p - 1)]
     for method in (red.nf, red.nf_q):
         with pytest.raises(OverflowError,
                            match=f"total degree {cap + 1} exceeds packing cap {cap}"):
             method([term(0, 56, 0)])
-    # without the link to position 1 nothing can pass the cap
+    # the last variable's power at position 0 has no reducer, whatever the
+    # degrees the basis could reach from there
+    assert red.nf([term(n - 1, 56, 0)]) == [term(n - 1, 56, 0)]
     flat = make_reducer(p, lex.pack.ctx, [h])
     assert flat.nf([term(0, cap, 1)]) == [term(n - 1, cap, 1)]
 
 
-def test_lex_guard_links_positions_through_the_basis():
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_flagged_grevlex_reduction_past_degree_cap_raises(backend, request):
+    if backend == "compiled":
+        request.getfixturevalue("compiled_kernel")
     p = 32003
-    lex = PolyRing(PrimeField(p), "xy", "lex")
-    twists = [3, 0, 5, 1]
+    six = PolyRing(PrimeField(p), "abcdef")
+    ctx = six.pack.ctx
+    flag = 1 << six.pack.block_shift
 
-    def g(a, b):
-        # x at position a plus the power of y at position b of equal degree
-        return [(_key(lex, (1, 0), a), 1), (_key(lex, (0, 1 + twists[a] - twists[b]), b), 1)]
+    def term(exps, pos, c=1, on=0):
+        return (_key(six, exps, pos) + on, c)
 
-    red = make_reducer(p, lex.pack.ctx, [g(0, 1), g(2, 3)])
-    pos = {0xFFFF - j: j for j in range(4)}
-    # two groups so far: {0, 1} and {2, 3}
-    assert {pos[j]: s for j, s in red.slack.items()} == {0: 3, 2: 4}
-    red.append(g(2, 1))
-    assert {pos[j]: s for j, s in red.slack.items()} == {0: 3, 2: 5, 3: 1}
+    # an elimination element: the flagged lead f*e1 tops its vector, but
+    # a^6*e3 below the flag has a higher degree, so reducing a flagged term
+    # of degree D by it forms a term of degree D + 5
+    g = [term((0, 0, 0, 0, 0, 1), 1, on=flag), term((6, 0, 0, 0, 0, 0), 3, p - 1),
+         term((0,) * 6, 2)]
+    red = make_reducer(p, ctx, [g])
+    assert type(red).__module__.endswith("_fast" if backend == "compiled" else "pure")
+    assert red.nf([term((0, 0, 0, 1, 0, 57), 1, on=flag)]) == [
+        term((6, 0, 0, 1, 0, 56), 3), term((0, 0, 0, 1, 0, 56), 2, p - 1)]
+    for method in (red.nf, red.nf_q):
+        with pytest.raises(OverflowError, match="total degree 67 exceeds packing cap 63"):
+            method([term((0, 0, 0, 1, 0, 61), 1, on=flag)])
+    # below the flag the lead has the highest degree: nothing can pass the cap
+    assert red.nf([term((0, 0, 0, 1, 0, 61), 3)]) == [term((0, 0, 0, 1, 0, 61), 3)]
 
 
 def test_compiled_kernel_exports_what_the_dispatch_uses(fast_module):

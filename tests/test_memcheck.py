@@ -29,4 +29,4 @@ def test_compiled_kernel_parity_under_the_debug_allocator(fast_module):
          "tests/test_kernel.py", "tests/test_groebner.py", "-k", PARITY],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, (res.stdout[-3000:], res.stderr[-3000:])
-    assert "\n21 passed, " in res.stdout, res.stdout[-3000:]
+    assert "\n23 passed, " in res.stdout, res.stdout[-3000:]
