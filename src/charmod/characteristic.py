@@ -58,15 +58,11 @@ class CanonicalData:
     the two independent construction routes and whether they agreed.
     """
 
-    __slots__ = ("ring", "s", "E", "E_raw", "resolution", "provenance")
+    __slots__ = ("s", "E", "provenance")
 
-    def __init__(self, ring, s: int, E: PresentedModule, E_raw: PresentedModule,
-                 resolution: FreeResolution, provenance: Dict[str, object]):
-        self.ring = ring
+    def __init__(self, s: int, E: PresentedModule, provenance: Dict[str, object]):
         self.s = s
         self.E = E
-        self.E_raw = E_raw
-        self.resolution = resolution
         self.provenance = provenance
 
 
@@ -92,9 +88,8 @@ def quasi_canonical(R) -> CanonicalData:
     if s == 0:
         prov = {"described_route": "R itself (s = 0)",
                 "ext_route": "skipped", "agree": True}
-        return CanonicalData(R, 0, Rm.minimal(), Rm, F, prov)
-    E_raw = tensor_cokernel(F.diff(s).transpose_dual(), Rm)
-    E = E_raw.minimal()
+        return CanonicalData(0, Rm.minimal(), prov)
+    E = tensor_cokernel(F.diff(s).transpose_dual(), Rm).minimal()
     # cross-route: top cohomology of Hom(F, Q) computed over the cover
     Qm = PresentedModule.ring_module(R.cover)
     ext = hom_cohomology(F, Qm, s, s)[0]
@@ -108,7 +103,7 @@ def quasi_canonical(R) -> CanonicalData:
         "window": [lo, hi],
         "agree": hf_desc == hf_ext,
     }
-    return CanonicalData(R, s, E, E_raw, F, prov)
+    return CanonicalData(s, E, prov)
 
 
 @cached

@@ -32,6 +32,12 @@ def term_okey(key: int) -> int:
     return key >> POS_BITS
 
 
+def check_rank(rank: int) -> None:
+    """Raise unless positions 0 .. rank - 1 fit the position field."""
+    if rank > POS_MASK:
+        raise ValueError("free module rank exceeds position field")
+
+
 class GradedFreeModule:
     """A free module with integer generator twists over a base ring.
 
@@ -44,8 +50,7 @@ class GradedFreeModule:
     def __init__(self, base, twists: Sequence[int]):
         self.base = base
         self.twists = tuple(map(int, twists))
-        if len(self.twists) > POS_MASK:
-            raise ValueError("free module rank exceeds position field")
+        check_rank(len(self.twists))
 
     @property
     def rank(self) -> int:

@@ -34,13 +34,14 @@ Only that block is autoreduced; the flagged elements are dropped first.
 Each elimination runs once per base ring: ``syzygy_generators`` memoizes
 its bases by value in the base's ``cache``.
 
-The engine (``_buchberger_terms``) takes the raw parts of a run: the
-ambient twists, the marked vectors and their source twists, the unmarked
-columns, the ideal's basis and a known block.  On the compiled kernel two
-calls do the whole run, flags, markers, pair loop and autoreduction, and
-hand back the finished basis as the tuples a ``SubmoduleGB`` stores; the
-pure branch builds the same inputs in Python and is the reference for both
-calls.
+The engine (``_buchberger_terms``) takes only what the caller knows: the
+ambient twists, the marked vectors and their source twists (the markers'
+twists), the unmarked columns, the ideal's basis and a known block; the
+product criterion follows from the rank.  On the compiled kernel two calls
+do the whole run under either order, flags, markers, pair loop and
+autoreduction, and hand back the finished basis as the tuples a
+``SubmoduleGB`` stores; the pure branch builds the same inputs in Python,
+runs one loop over a ``pure.Reducer`` and is the reference for both calls.
 
 The engine takes a known block (``known``): the first inputs already form
 a reduced Groebner basis over ``R``.  They enter the basis as given,
@@ -72,13 +73,14 @@ from typing import List, Optional, Sequence, Tuple
 from .freemod import (
     GradedFreeModule,
     Vector,
+    check_rank,
     term_key,
     term_okey,
     term_pos,
     v_scale,
 )
-from .kernel import (LEX, POS_BITS, compiled_engine, divides, epack, make_reducer,
-                     scaled_merge)
+from .kernel import (LEX, POS_BITS, POS_MASK, compiled_engine, divides, epack,
+                     make_reducer, pure, scaled_merge)
 from .ring import Polynomial, PolyRing
 
 
@@ -89,25 +91,25 @@ from .ring import Polynomial, PolyRing
 def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
                       ideal: Sequence[Vector] = (), marked: Optional[Sequence[Vector]] = None,
                       sources: Sequence[int] = (), known: Sequence[Vector] = (),
-                      product: bool = False, upto: Optional[int] = None) -> Tuple[tuple, ...]:
+                      upto: Optional[int] = None) -> Tuple[tuple, ...]:
     """Reduced Groebner basis over R = Q/I, as a tuple of term tuples, from
     the raw parts of a run in the free module with ``twists`` (rank r).
 
     The inputs are the ``known`` block, the ``marked`` vectors and the
     columns ``vecs``, in that order; ``ideal`` is the reduced basis of I at
-    position 0.  ``product`` enables the coprime-lead criterion and must
-    only be set in ambient rank one, where discarded pairs are genuinely
-    redundant.
+    position 0.  The product criterion applies when the run has rank one,
+    where discarded pairs are genuinely redundant.
 
     With ``marked`` a sequence the run is an elimination: every input is
     flagged into the primary block (its keys raised above all marker-block
     keys), ``marked[j]`` enters with the marker ``e_(r+j)`` appended, whose
-    twist is the degree of ``marked[j]``'s lead (0 when it is zero), and
-    the result is the marker block of the reduced basis, moved back to
-    positions j.  That block is exactly what autoreducing everything would
-    keep, since a lead at or above the flag sits at a primary position and
-    no marker-block term is at one, so it never divides one; so only the
-    elements with lead below the flag are autoreduced.
+    twist is its source twist ``sources[j]`` (a nonzero ``marked[j]`` is
+    homogeneous of that degree), and the result is the marker block of the
+    reduced basis, moved back to positions j.  That block is exactly what
+    autoreducing everything would keep, since a lead at or above the flag
+    sits at a primary position and no marker-block term is at one, so it
+    never divides one; so only the elements with lead below the flag are
+    autoreduced.  The markers' positions must fit the position field.
 
     The ``known`` inputs must form a reduced basis over R: they enter
     unreduced and no pair of two of them, or of one of them and I, is
@@ -115,14 +117,13 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     result is the one without ``known``.
 
     With ``upto`` only the part of degree at most ``upto`` is computed:
-    marked inputs whose ``sources`` twist is above it are dropped (their
-    marker positions kept), so are inputs of higher degree, and no pair of
-    higher S-degree is pushed.  The input is homogeneous, so an
-    S-polynomial and its normal form have the pair's S-degree and a reducer
-    of a vector is of no higher degree: the result is exactly the degree
-    <= ``upto`` part of the reduced basis, an order-preserving sub-list of
-    it (as Macaulay2's ``DegreeLimit``); a known block cut to degree <=
-    ``upto`` is still a truncated basis.
+    inputs of higher degree are dropped (a marked one keeps its marker
+    position), and no pair of higher S-degree is pushed.  The input is
+    homogeneous, so an S-polynomial and its normal form have the pair's
+    S-degree and a reducer of a vector is of no higher degree: the result
+    is exactly the degree <= ``upto`` part of the reduced basis, an
+    order-preserving sub-list of it (as Macaulay2's ``DegreeLimit``); a
+    known block cut to degree <= ``upto`` is still a truncated basis.
 
     Where the kernel allows it (``kernel.compiled_engine``) two compiled
     calls do all of it: ``_fast.buchberger`` builds the inputs and runs the
@@ -134,23 +135,22 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
     p = ring.field.p
     ctx = ring.pack.ctx
     r = len(twists)
-    engine = compiled_engine(p, ctx)
-    if engine is not None:
-        loop, finish = engine
-        G = loop(p, ctx.n, ctx.fb, twists, vecs, ideal, marked, sources, known, product, upto)
-        return finish(p, ctx.n, ctx.fb, G, ideal, 0 if marked is None else r)
     flag = 0
     if marked is not None:
         flag = 1 << ring.pack.block_shift
-        twists = list(twists) + [ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])]
-                                 if v else 0 for v in marked]
+        twists = (*twists, *sources)
+    check_rank(len(twists))
+    engine = compiled_engine(p, ctx)
+    if engine is not None:
+        loop, finish = engine
+        G = loop(p, ctx.kind, ctx.n, ctx.fb, twists, vecs, ideal, marked, known, upto)
+        return finish(p, ctx.kind, ctx.n, ctx.fb, G, ideal, 0 if marked is None else r)
     combined = [[(k + flag, c) for k, c in v] for v in known]
     combined += [[(k + flag, c) for k, c in v] + [(term_key(0, r + j), 1)]
-                 for j, v in enumerate(marked or ())
-                 if upto is None or sources[j] <= upto]
+                 for j, v in enumerate(marked or ())]
     combined += [[(k + flag, c) for k, c in v] for v in vecs if v]
-    G = _autoreduce(ring, _buchberger_loop(ring, twists, combined, ideal, product,
-                                           flag or None, upto, len(known)), ideal)
+    G = _autoreduce(ring, _buchberger_loop(ring, twists, combined, ideal, flag or None,
+                                           upto, len(known)), ideal)
     if not flag:
         return tuple(map(tuple, G))
     # marker position r + j back to j: a constant shift of the position field
@@ -158,35 +158,38 @@ def _buchberger_terms(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vect
 
 
 def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vector],
-                     ideal: Sequence[Vector], product: bool, below: Optional[int],
-                     upto: Optional[int], known: int = 0) -> List[Vector]:
+                     ideal: Sequence[Vector], below: Optional[int], upto: Optional[int],
+                     known: int = 0) -> List[Vector]:
     """The pair loop of ``_buchberger_terms``, on the inputs it builds: the
     unreduced basis, in the order its elements were found, cut to the leads
     below ``below``.  The reference for ``_fast.buchberger``, which builds
-    the same inputs itself, and the loop of the pure kernel, of
-    lex rings and of rings whose keys pass a machine word.  Pairs are
-    formed, and the chain criterion is checked, within the bucket of basis
-    indices that share the pair's lead position (``by_pos``); each pair is
-    pushed once and ``done`` records the pairs already treated.  A known
-    input (index below ``known``) is added as given and pushes no pair; only
-    known inputs come before it, so none of their pairs is ever pushed.
+    the same inputs itself, and the loop of the pure kernel and of rings
+    whose keys pass a machine word.  The basis is a ``pure.Reducer``'s, the
+    ideal first (indices below nid): the loop reads the elements, lead
+    keys, exponent words and position buckets off it.  Pairs are formed,
+    and the chain criterion is checked, within the bucket of basis indices
+    that share the pair's lead position; each pair is pushed once and
+    ``done`` records the pairs already treated.  A known input (index below
+    ``known``) is added as given and pushes no pair; only known inputs come
+    before it, so none of their pairs is ever pushed.
 
-    ``ideal`` comes first in the basis (indices below nid) and, as in the
-    reducer, stands at every position.  A new element pairs with the ideal
-    elements whose leads are not coprime to its own (the product criterion
-    is exact for the others); pairs inside the ideal, the coprime ones and
-    a known element's count as treated for the chain criterion.  So does a
-    pair of two single terms, an ideal element or one at the new
-    element's position: both are monic, so its S-polynomial is exactly 0,
-    and it is never pushed.
+    ``ideal``, as in the reducer, stands at every position.  A new element
+    pairs with the ideal elements whose leads are not coprime to its own
+    (the product criterion is exact for the others); pairs inside the
+    ideal, the coprime ones and a known element's count as treated for the
+    chain criterion.  So does a pair of two single terms, an ideal element
+    or one at the new element's position: both are monic, so its
+    S-polynomial is exactly 0, and it is never pushed.  In rank one, a pair
+    of coprime leads is treated when it is popped (the product criterion).
 
-    A pair is ``(sugar, i, j, lcm word, lcm key)``, i < j: the word is the
-    field-wise maximum of the leads' exponent words; times ``ones`` (a 1 in
-    each field) it holds the lcm's degree in field ``n - 1`` and, for
-    grevlex, its key below (a lex key is the word).  No field carries at
-    twice the cap; when a pair that survives the criteria has its lcm past
-    the cap, ``scaled_merge`` raises ``OverflowError`` on the first term of
-    its S-polynomial, and a pair that is never pushed forms no key.
+    A pair is ``(sugar, i, j, lcm word, lcm key, coprime)``, i < j: the
+    word is the field-wise maximum of the leads' exponent words; times
+    ``ones`` (a 1 in each field) it holds the lcm's degree in field
+    ``n - 1`` and, for grevlex, its key below (a lex key is the word).  No
+    field carries at twice the cap; when a pair that survives the criteria
+    has its lcm past the cap, ``scaled_merge`` raises ``OverflowError`` on
+    the first term of its S-polynomial, and a pair that is never pushed
+    forms no key.
     """
     p = ring.field.p
     ctx = ring.pack.ctx
@@ -197,13 +200,9 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
     deg_shift = (ctx.n - 1) * ctx.fb
     fmask = (1 << ctx.fb) - 1
     lex = ctx.kind == LEX
-    red = make_reducer(p, ctx, (), ideal)
-    nid = len(ideal)
-    G: List[Vector] = list(ideal)
-    lead_okey: List[int] = [term_okey(g[0][0]) for g in ideal]  # block flags dropped
-    lead_ep: List[int] = [epack(okey, ctx) for okey in lead_okey]  # exponent words
-    lead_pos: List[int] = [0] * nid
-    by_pos: dict = {}  # lead position -> indices of G past the ideal with a lead there
+    lone = len(twists) == 1
+    red = pure.Reducer(p, ctx, (), ideal)
+    G, keys, buckets, nid = red.basis, red.lead_keys, red.buckets, red.nid
     pairs: list = []
     done = set()
 
@@ -212,34 +211,27 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
         if c != 1:
             v = v_scale(v, ring.field.inv(c), p)
         t = len(G)
-        okey = term_okey(k)
-        ep = epack(okey, ctx)
-        pos = term_pos(k)
-        twist = twists[pos]
-        bucket = by_pos.setdefault(pos, [])
+        ep = epack(term_okey(k), ctx)
+        twist = twists[term_pos(k)]
         if not pair:  # a known element's pairs with the ideal need nothing
             done.update((i, t) for i in range(nid))
         one = len(v) == 1
-        for i in (*range(nid), *bucket) if pair else ():
-            e = lead_ep[i]
+        for _, e, i in (*red.ideal, *buckets.get(k & POS_MASK, ())) if pair else ():
             # guard bit set in each field where lead i's exponent is at least ep's
             g = ((e | guards) - ep) & guards
             low = g - (g >> top)
             w = (e & low) | (ep & ~low)
+            coprime = w == e + ep
             # coprime to an ideal lead, or two monic terms at one position
             # (S-polynomial 0): nothing to do
-            if one and len(G[i]) == 1 or i < nid and w == e + ep:
+            if one and len(G[i]) == 1 or i < nid and coprime:
                 done.add((i, t))
                 continue
             sums = w * ones
             sugar = ((sums >> deg_shift) & fmask) + twist
             if upto is None or sugar <= upto:
-                heapq.heappush(pairs, (sugar, i, t, w, w if lex else sums & mask))
-        bucket.append(t)
-        G.append(v)
-        lead_okey.append(okey & mask)
-        lead_ep.append(ep)
-        lead_pos.append(pos)
+                heapq.heappush(pairs, (sugar, i, t, w, w if lex else sums & mask,
+                                       lone and coprime))
         red.append(v)
 
     for t, v in enumerate(vecs):
@@ -256,18 +248,18 @@ def _buchberger_loop(ring: PolyRing, twists: Sequence[int], vecs: Sequence[Vecto
             add_gen(r)
 
     while pairs:
-        _, i, j, lcm_ep, lk = heapq.heappop(pairs)
+        _, i, j, lcm_ep, lk, coprime = heapq.heappop(pairs)
         done.add((i, j))
-        if product and i >= nid and lcm_ep == lead_ep[i] + lead_ep[j]:
+        if coprime:
             continue
-        if any(t != i and t != j and divides(lead_ep[t], lcm_ep, guards)
+        if any(t != i and t != j and divides(e, lcm_ep, guards)
                and (i < nid and t < nid or ((i, t) if i < t else (t, i)) in done)
                and ((j, t) if j < t else (t, j)) in done
-               for t in (*by_pos[lead_pos[j]], *range(nid))):
+               for _, e, t in (*buckets[keys[j] & POS_MASK], *red.ideal)):
             continue
         # i moves to the lcm at j's position and block: key - lead key
-        sh_j = (lk - lead_okey[j]) << POS_BITS
-        sh_i = G[j][0][0] + sh_j - G[i][0][0]
+        sh_j = (lk - (term_okey(keys[j]) & mask)) << POS_BITS
+        sh_i = keys[j] + sh_j - keys[i]
         s = scaled_merge([], G[i], 1, sh_i, p, ctx)
         s = scaled_merge(s, G[j], p - 1, sh_j, p, ctx)
         r = red.nf(s)
@@ -281,8 +273,7 @@ def _autoreduce(ring: PolyRing, G: Sequence[Vector], ideal: Sequence[Vector]) ->
     """Reduced basis from a basis whose leads lie outside the ideal's:
     minimal leads, tails in normal form modulo the kept elements and the
     ideal."""
-    ctx = ring.pack.ctx
-    red = make_reducer(ring.field.p, ctx, (), ideal)
+    red = pure.Reducer(ring.field.p, ring.pack.ctx, (), ideal)
     keep: List[Vector] = []
     for g in sorted(G, key=lambda v: v[0][0]):
         if red.find_reducer(g[0][0]) < 0:
@@ -382,8 +373,7 @@ def buchberger(gens, ambient: GradedFreeModule) -> SubmoduleGB:
         vecs.append(v)
     base = ambient.base
     return SubmoduleGB(ambient, _buchberger_terms(base.cover, ambient.twists, vecs,
-                                                  base.ideal_columns(),
-                                                  product=(ambient.rank == 1)))
+                                                  base.ideal_columns()))
 
 
 def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
@@ -406,9 +396,9 @@ def syzygy_generators(vectors: Sequence[Vector], ambient: GradedFreeModule,
     module, hence the result, is the one the columns would give.
 
     With ``upto`` only the syzygies of degree at most ``upto`` are found
-    (see ``_buchberger_terms``).  The ``source`` twist, not the engine's
-    degree, decides which inputs are dropped: a zero input's marker enters
-    with twist 0, while the syzygy it gives has its source twist.
+    (see ``_buchberger_terms``).  Each input's ``source`` twist is its
+    marker's twist, so a zero input, whose syzygy has that degree, is
+    dropped exactly when its source twist is above the bound.
 
     Each elimination runs once per base ring: the bases are memoized by
     value in ``base.cache["syzygy_generators"]``, keyed by the twists, the

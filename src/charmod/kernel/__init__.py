@@ -73,13 +73,12 @@ def scaled_merge(u, v, c, shift, p, ctx: OrderCtx):
 
 
 def compiled_engine(p: int, ctx: OrderCtx):
-    """The compiled engine of ``groebner._buchberger_terms`` when it applies
-    to grevlex keys of this ring, else None: ``_fast.buchberger``, which
+    """The compiled engine of ``groebner._buchberger_terms`` when the
+    compiled kernel takes this ring, else None: ``_fast.buchberger``, which
     builds the inputs from their parts and runs the pair loop of
     ``groebner._buchberger_loop``, and ``_fast.autoreduce``, which finishes
-    its basis as ``groebner._autoreduce`` does.  Lex rings keep the Python
-    engine: the compiled pair loop is written for grevlex keys."""
-    if _compiled(p, ctx) and ctx.kind == GREVLEX:
+    its basis as ``groebner._autoreduce`` does.  Both take the order kind."""
+    if _compiled(p, ctx):
         return _fast.buchberger, _fast.autoreduce
     return None
 

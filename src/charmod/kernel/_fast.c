@@ -11,20 +11,21 @@ mirrors the pure kernel term for term:
   position, and a step that would form a term past the degree cap (the
   head's degree plus the reducer's rise) raises the same OverflowError;
   so ``find_reducer``, ``nf`` and ``nf_q`` give the same results;
-* ``buchberger(p, n, fb, twists, vecs, ideal, marked, sources, known,
-  product, upto)`` takes the raw parts of ``groebner._buchberger_terms``
-  and builds its inputs as they are read: the known block, the marked
-  vectors with their markers e_(r+j) (whose twists are the leads'
-  degrees) and the columns ``vecs``, every term flagged in an elimination.
-  On them it runs the pair loop of ``groebner._buchberger_loop`` on
-  grevlex keys, the ideal first: the same input reductions, pairs,
-  (sugar, i, j) order and criteria, hence the same unreduced basis,
-  element for element.  The known inputs are a reduced basis: they enter
-  as given and form no pair among themselves or with the ideal.  A new
-  single term forms no pair with another single term, an ideal element or
-  one at its position: both are monic, so the S-polynomial is exactly 0,
-  and the pair counts as treated;
-* ``autoreduce(p, n, fb, G, ideal, shift)`` is ``groebner._autoreduce``
+* ``buchberger(p, kind, n, fb, twists, vecs, ideal, marked, known, upto)``
+  takes the parts of ``groebner._buchberger_terms`` and builds its inputs
+  as they are read: the known block, the marked vectors with their markers
+  e_(r+j) and the columns ``vecs``, every term flagged in an elimination.
+  ``twists`` holds the ambient twists, then one per marked vector (its
+  source twist).  On them it runs the pair loop of
+  ``groebner._buchberger_loop``, the ideal first: the same input
+  reductions, pairs, (sugar, i, j) order and criteria, hence the same
+  unreduced basis, element for element, under either order (only an lcm's
+  key and the cap check of an S-polynomial read it).  The known inputs are
+  a reduced basis: they enter as given and form no pair among themselves
+  or with the ideal.  A new single term forms no pair with another single
+  term, an ideal element or one at its position: both are monic, so the
+  S-polynomial is exactly 0, and the pair counts as treated;
+* ``autoreduce(p, kind, n, fb, G, ideal, shift)`` is ``groebner._autoreduce``
   followed by the move of every key by ``shift``: it finishes what
   ``buchberger`` returns into the tuples a ``SubmoduleGB`` stores.
 
@@ -675,7 +676,7 @@ typedef struct {
     basis_t b;             /* the basis G, also the reducer */
     int top;
     u64 ones;
-    i64 *twists;
+    i64 *twists;           /* the ambient's, then the markers' */
     Py_ssize_t ntw;
     int bounded;
     i64 upto;
@@ -817,7 +818,8 @@ add_gen(engine_t *e, int pair)
         if ((i < b->nid && (!pair || w == lep + ep)) || (n == 1 && b->g[i].n == 1))
             e->done[t][i >> 6] |= 1ull << (i & 63);
         else if ((!e->bounded || sugar <= e->upto)
-                 && heap_push(e, (pair_t){sugar, i, t, w, sums & b->okey_mask}) < 0)
+                 && heap_push(e, (pair_t){sugar, i, t, w,
+                                          b->kind == LEX_KIND ? w : sums & b->okey_mask}) < 0)
             goto fail;
     }
     if (basis_append(b, v, n) < 0)
@@ -850,17 +852,18 @@ chain(const engine_t *e, Py_ssize_t i, Py_ssize_t j, u64 lcm)
 }
 
 /* OverflowError, as ``kernel.scaled_merge``, when a term of X^m * g passes
-   the degree cap (shift = okey(m) << POS_BITS). */
+   the degree cap (shift = okey(m) << POS_BITS): a grevlex key sets a guard
+   bit, a lex key's fields sum past the cap. */
 static int
-check_cap(const engine_t *e, const elt_t *g, u64 shift)
+check_cap(const basis_t *b, const elt_t *g, u64 shift)
 {
-    u64 guards = e->b.guards << POS_BITS, k;
+    u64 guards = b->guards << POS_BITS, k;
     Py_ssize_t t;
 
     for (t = 0; shift && t < g->n; t++) {
         k = g->t[t].k + shift;
-        if (k & guards)
-            return degree_overflow(&e->b, okey_deg(&e->b, k >> POS_BITS));
+        if (b->kind == LEX_KIND ? okey_deg(b, k >> POS_BITS) > b->degcap : (k & guards) != 0)
+            return degree_overflow(b, okey_deg(b, k >> POS_BITS));
     }
     return 0;
 }
@@ -877,7 +880,7 @@ spoly_nf(engine_t *e, Py_ssize_t i, Py_ssize_t j, u64 lk)
     u64 sh_i = gj->t[0].k + sh_j - gi->t[0].k;
     Py_ssize_t k;
 
-    if (check_cap(e, gi, sh_i) < 0 || check_cap(e, gj, sh_j) < 0
+    if (check_cap(b, gi, sh_i) < 0 || check_cap(b, gj, sh_j) < 0
             || RESERVE(e->h.t, e->h.cap, gi->n) < 0
             || RESERVE(e->s.t, e->s.cap, gi->n + gj->n) < 0)
         return -1;
@@ -947,37 +950,16 @@ feed(engine_t *e, PyObject *vs, u64 flag, int known)
     return rc;
 }
 
-/* Enter the marked vectors of mk, flagged, with the marker e_(r+j) appended
-   to vector j; its twist is the degree of the vector's lead, 0 when it is
-   zero.  With src (the source twists, when bounded) an input whose source
-   twist is above ``upto`` is dropped and its marker position kept.  Marker
-   j's twist is set when vector j is read: only markers of vectors read so
-   far occur in the basis, so no twist is looked up before it is set. */
+/* Enter the marked vectors of mk, flagged, with the marker e_(r+j)
+   appended to vector j. */
 static int
-feed_marked(engine_t *e, PyObject *mk, PyObject *src, Py_ssize_t r, u64 flag)
+feed_marked(engine_t *e, PyObject *mk, Py_ssize_t r, u64 flag)
 {
-    Py_ssize_t j, pos;
-    i64 source;
+    Py_ssize_t j;
 
     for (j = 0; j < PySequence_Fast_GET_SIZE(mk); j++) {
-        if (src != NULL) {
-            source = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(src, j));
-            if (source == -1 && PyErr_Occurred())
-                return -1;
-            if (source > e->upto)
-                continue;
-        }
-        if (read_flagged(e, PySequence_Fast_GET_ITEM(mk, j), flag) < 0)
-            return -1;
-        if (e->h.n) {
-            if ((pos = key_pos(e->h.t[0].k)) >= r) {
-                PyErr_SetString(PyExc_IndexError, "position has no twist");
-                return -1;
-            }
-            e->twists[r + j] = (i64)okey_deg(&e->b, e->h.t[0].k >> POS_BITS)
-                               + e->twists[pos];
-        }
-        if (RESERVE(e->h.t, e->h.cap, e->h.n + 1) < 0)
+        if (read_flagged(e, PySequence_Fast_GET_ITEM(mk, j), flag) < 0
+                || RESERVE(e->h.t, e->h.cap, e->h.n + 1) < 0)
             return -1;
         e->h.t[e->h.n++] = (term_t){POS_MASK - (u64)(r + j), 1};
         if (engine_input(e, 0) < 0)
@@ -986,11 +968,13 @@ feed_marked(engine_t *e, PyObject *mk, PyObject *src, Py_ssize_t r, u64 flag)
     return 0;
 }
 
-/* The pair loop, once every input is in. */
+/* The pair loop, once every input is in; the product criterion holds in
+   rank one. */
 static int
-engine_pairs(engine_t *e, int product)
+engine_pairs(engine_t *e)
 {
     basis_t *b = &e->b;
+    int product = e->ntw == 1;
 
     while (e->nh) {
         pair_t pr = heap_pop(e);
@@ -1006,31 +990,32 @@ engine_pairs(engine_t *e, int product)
 }
 
 PyDoc_STRVAR(buchberger_doc,
-"buchberger(p, n, fb, twists, vecs, ideal, marked, sources, known, product, upto)\n\n"
-"The pair loop of ``groebner._buchberger_loop`` on grevlex keys, on the\n"
-"inputs that ``groebner._buchberger_terms`` builds from its parts: the\n"
-"unreduced basis, in order.  The inputs are the known block, the marked\n"
-"vectors and ``vecs``; ``ideal`` reduces at every position and pairs with\n"
-"each new element.  With ``marked`` a sequence (an elimination) every\n"
-"input is flagged, marked vector j carries e_(r+j), and only the elements\n"
-"with lead below the flag are returned.");
+"buchberger(p, kind, n, fb, twists, vecs, ideal, marked, known, upto)\n\n"
+"The pair loop of ``groebner._buchberger_loop``, on the inputs that\n"
+"``groebner._buchberger_terms`` builds from its parts: the unreduced basis,\n"
+"in order.  The inputs are the known block, the marked vectors and\n"
+"``vecs``; ``ideal`` reduces at every position and pairs with each new\n"
+"element.  With ``marked`` a sequence (an elimination) every input is\n"
+"flagged, marked vector j carries e_(r+j), whose twist is the j-th of the\n"
+"last len(marked) ``twists``, and only the elements with lead below the\n"
+"flag are returned.");
 
 static PyObject *
 buchberger(PyObject *Py_UNUSED(self), PyObject *args)
 {
     unsigned long long p;
-    int n, fb, product;
-    PyObject *twists, *vecs, *ideal, *marked, *sources, *known, *upto;
-    PyObject *tw = NULL, *mk = NULL, *src = NULL, *kn = NULL, *out = NULL, *g;
+    int kind, n, fb;
+    PyObject *twists, *vecs, *ideal, *marked, *known, *upto;
+    PyObject *tw = NULL, *mk = NULL, *kn = NULL, *out = NULL, *g;
     engine_t e;
     u64 flag = 0, limit = UINT64_MAX;
-    Py_ssize_t i, r, m = 0;
+    Py_ssize_t i, m = 0;
 
-    if (!PyArg_ParseTuple(args, "KiiOOOOOOpO:buchberger", &p, &n, &fb, &twists, &vecs,
-                          &ideal, &marked, &sources, &known, &product, &upto))
+    if (!PyArg_ParseTuple(args, "KiiiOOOOOO:buchberger", &p, &kind, &n, &fb, &twists,
+                          &vecs, &ideal, &marked, &known, &upto))
         return NULL;
     memset(&e, 0, sizeof e);
-    if (basis_init(&e.b, p, 0, n, fb) < 0)
+    if (basis_init(&e.b, p, kind, n, fb) < 0)
         return NULL;
     if (basis_set_ideal(&e.b, ideal) < 0)
         goto done;
@@ -1045,35 +1030,29 @@ buchberger(PyObject *Py_UNUSED(self), PyObject *args)
     if ((tw = PySequence_Fast(twists, "twists is a sequence of ints")) == NULL
             || (kn = PySequence_Fast(known, "known is a sequence of vectors")) == NULL)
         goto done;
-    r = PySequence_Fast_GET_SIZE(tw);
+    e.ntw = PySequence_Fast_GET_SIZE(tw);
     if (marked != Py_None) {
         if ((mk = PySequence_Fast(marked, "marked is a sequence of vectors")) == NULL)
             goto done;
-        m = PySequence_Fast_GET_SIZE(mk);
-        flag = limit = 1ull << (n * fb + POS_BITS);
-        if (e.bounded) {
-            if ((src = PySequence_Fast(sources, "sources is a sequence of ints")) == NULL)
-                goto done;
-            if (PySequence_Fast_GET_SIZE(src) < m) {
-                PyErr_SetString(PyExc_ValueError, "a marked vector has no source twist");
-                goto done;
-            }
+        if ((m = PySequence_Fast_GET_SIZE(mk)) > e.ntw) {
+            PyErr_SetString(PyExc_ValueError, "a marked vector has no twist");
+            goto done;
         }
+        flag = limit = 1ull << (n * fb + POS_BITS);
     }
-    e.ntw = r + m;
-    if ((e.twists = PyMem_Calloc((size_t)(e.ntw + 1), sizeof(i64))) == NULL) {
+    if ((e.twists = PyMem_Malloc((size_t)(e.ntw + 1) * sizeof(i64))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < r; i++) {
+    for (i = 0; i < e.ntw; i++) {
         e.twists[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(tw, i));
         if (e.twists[i] == -1 && PyErr_Occurred())
             goto done;
     }
     if (feed(&e, kn, flag, 1) < 0
-            || (mk != NULL && feed_marked(&e, mk, src, r, flag) < 0)
+            || (mk != NULL && feed_marked(&e, mk, e.ntw - m, flag) < 0)
             || feed(&e, vecs, flag, 0) < 0
-            || engine_pairs(&e, product) < 0
+            || engine_pairs(&e) < 0
             || (out = PyList_New(0)) == NULL)
         goto done;
     for (i = e.b.nid; i < e.b.nb; i++) {
@@ -1090,7 +1069,6 @@ buchberger(PyObject *Py_UNUSED(self), PyObject *args)
 done:
     Py_XDECREF(tw);
     Py_XDECREF(mk);
-    Py_XDECREF(src);
     Py_XDECREF(kn);
     engine_free(&e);
     return out;
@@ -1112,8 +1090,8 @@ order_cmp(const void *x, const void *y)
 }
 
 PyDoc_STRVAR(autoreduce_doc,
-"autoreduce(p, n, fb, G, ideal, shift)\n\n"
-"``groebner._autoreduce`` on grevlex keys: the reduced basis from the basis\n"
+"autoreduce(p, kind, n, fb, G, ideal, shift)\n\n"
+"``groebner._autoreduce``: the reduced basis from the basis\n"
 "G modulo ``ideal``, as a tuple of term tuples in descending lead order,\n"
 "with ``shift`` added to every key (r moves marker position r + j back to\n"
 "j).");
@@ -1122,16 +1100,17 @@ static PyObject *
 autoreduce(PyObject *Py_UNUSED(self), PyObject *args)
 {
     unsigned long long p, shift;
-    int n, fb;
+    int kind, n, fb;
     PyObject *G, *ideal, *seq = NULL, *out = NULL, *v, *t;
     basis_t b;
     vec_t *elts = NULL, h = {0}, s = {0}, tail = {0};
     order_t *order = NULL;
     Py_ssize_t i, k, m = 0;
 
-    if (!PyArg_ParseTuple(args, "KiiOOK:autoreduce", &p, &n, &fb, &G, &ideal, &shift))
+    if (!PyArg_ParseTuple(args, "KiiiOOK:autoreduce", &p, &kind, &n, &fb, &G, &ideal,
+                          &shift))
         return NULL;
-    if (basis_init(&b, p, 0, n, fb) < 0)
+    if (basis_init(&b, p, kind, n, fb) < 0)
         return NULL;
     if (basis_set_ideal(&b, ideal) < 0
             || (seq = PySequence_Fast(G, "G is a sequence of vectors")) == NULL)

@@ -274,7 +274,7 @@ def test_lex_s_pair_degree_cap_is_a_resource_limit(tmp_path, request):
     # every field below its guard bit while its degree passes the cap; the
     # single terms x^130*y and x*y^130 form no pair (this exited 4 while
     # such pairs were formed); under the kernel the run starts with, then
-    # under the compiled kernel's reducer
+    # under the compiled pair loop
     doc = tmp_path / "steep_lex.cmr"
     doc.write_text("field 32003\nring x y\norder lex\nideal\nx^130*y + y^131\n"
                    "x*y^130\nend\n")

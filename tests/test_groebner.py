@@ -206,6 +206,23 @@ def test_syzygy_generators_are_complete():
         [ring.poly("0"), ring.poly("x"), ring.poly("-y")]))
 
 
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_marker_positions_past_the_position_field_raise(backend, request):
+    # an elimination gives marked vector j the position r + j: 65,000 zero
+    # vectors in rank 1,000 need positions up to 65,999, past the 16-bit
+    # field, where the compiled kernel's marker keys wrapped (64,536
+    # syzygies came back); the run must refuse them as a free module of
+    # that rank is refused, before either kernel starts
+    if backend == "compiled":
+        request.getfixturevalue("compiled_kernel")
+    ring = PolyRing(32003, ("x",))
+    with pytest.raises(ValueError, match="^free module rank exceeds position field$"):
+        GradedFreeModule(ring, [0] * 66000)
+    with pytest.raises(ValueError, match="^free module rank exceeds position field$"):
+        syzygy_generators([[]] * 65000, GradedFreeModule(ring, [0] * 1000),
+                          GradedFreeModule(ring, [0] * 65000))
+
+
 # ---------------------------------------------------------------------------
 # the syzygy memo in the base ring's cache
 
@@ -434,7 +451,7 @@ def test_rational_normal_curve_basis_matches_sympy(order, n):
 # differential test: the engine against one that scans the whole basis
 
 
-def _reference_buchberger_terms(ring, twists, vecs, product=False, known=0, ideal=()):
+def _reference_buchberger_terms(ring, twists, vecs, known=0, ideal=()):
     """The engine before pairs were indexed by lead position: new pairs and
     the chain criterion scan every basis element and skip other positions,
     and the chain criterion compares exponent tuples, not packed words.
@@ -445,8 +462,9 @@ def _reference_buchberger_terms(ring, twists, vecs, product=False, known=0, idea
     to its own, the pairs not pushed count as treated and the chain
     criterion scans them too, as in the engine.  A new single term pairs
     with no other single term, ideal element or at its position: both are
-    monic, so the pair's S-polynomial is 0 and it counts as treated.
-    Returns the reduced basis."""
+    monic, so the pair's S-polynomial is 0 and it counts as treated.  In
+    rank one a popped pair of coprime leads is treated (the product
+    criterion).  Returns the reduced basis."""
     p = ring.field.p
     pack = ring.pack
     ctx = pack.ctx
@@ -495,7 +513,7 @@ def _reference_buchberger_terms(ring, twists, vecs, product=False, known=0, idea
         if (i, j) in done:
             continue
         done.add((i, j))
-        if product and i >= 0 and lcm == monomial_mul(lead_exps[i], lead_exps[j]):
+        if len(twists) == 1 and i >= 0 and lcm == monomial_mul(lead_exps[i], lead_exps[j]):
             continue
         if any(t != i and t != j and (t < 0 or lead_pos[t] == lead_pos[j])
                and all(a <= b for a, b in zip(lead_exps[t], lcm))
@@ -522,8 +540,8 @@ def _column_reference(ring, parts):
     """The reduced basis ``_buchberger_terms`` returns on raw ``parts``,
     found as it was before the reducers held the ideal: each element g of
     the ideal enters as the columns g * e_pos, pos < r, after the other
-    inputs (flagged in an elimination, with the marked inputs that ``upto``
-    drops left out), and the full-scan loop runs on them over Q.  Of its
+    inputs (flagged in an elimination), and the full-scan loop runs on them
+    over Q, unbounded.  Of its
     reduced basis, cut to degree ``upto``, the elements whose lead no ideal
     lead divides are the basis over R; an elimination keeps their marker
     block, moved back."""
@@ -532,8 +550,7 @@ def _column_reference(ring, parts):
     flag = 0
     if marked is not None:
         flag = 1 << ring.pack.block_shift
-        twists += [ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])] if v else 0
-                   for v in marked]
+        twists += parts["sources"]
 
     def flagged(v):
         return [(k + flag, c) for k, c in v]
@@ -542,12 +559,10 @@ def _column_reference(ring, parts):
         return ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])]
 
     vecs = [flagged(v) for v in parts["known"]]
-    vecs += [flagged(v) + [(term_key(0, r + j), 1)] for j, v in enumerate(marked or ())
-             if upto is None or parts["sources"][j] <= upto]
+    vecs += [flagged(v) + [(term_key(0, r + j), 1)] for j, v in enumerate(marked or ())]
     vecs += [flagged(v) for v in parts["vecs"]]
     vecs += [flagged([(k - pos, c) for k, c in g]) for g in parts["ideal"] for pos in range(r)]
-    basis = _reference_buchberger_terms(ring, twists, vecs, parts["product"],
-                                        len(parts["known"]))
+    basis = _reference_buchberger_terms(ring, twists, vecs, len(parts["known"]))
     leads = make_reducer(ring.field.p, ring.pack.ctx, (), parts["ideal"])
     return _moved([g for g in basis if leads.find_reducer(g[0][0]) < 0
                    and (upto is None or degree(g) <= upto)], flag or None, r)
@@ -596,11 +611,11 @@ def _pure_run(ring, parts):
     return out, seen[0], seen[1]
 
 
-def _finished(ring, twists, vecs, ideal, product, below, upto, known):
+def _finished(ring, twists, vecs, ideal, below, upto, known):
     """The reduced basis from the loop's arguments, cut to the leads below
     ``below`` and not moved."""
     return groebner._autoreduce(ring, groebner._buchberger_loop(
-        ring, twists, vecs, ideal, product, below, upto, known), ideal)
+        ring, twists, vecs, ideal, below, upto, known), ideal)
 
 
 def _moved(basis, below, rank):
@@ -661,11 +676,15 @@ def test_position_indexed_pairs_match_the_full_scan(monkeypatch, mixed_corpus, v
     ranks = {"relations": 0, "syzygies": 0}
     for label, ring, parts in inputs:
         merges.clear()
-        ours, (_, twists, vecs, ideal, product, below, _, known), _ = _pure_run(ring, parts)
+        ours, (_, twists, vecs, ideal, below, _, known), _ = _pure_run(ring, parts)
         ours_merges = len(merges)
         assert (below is not None) == (label.split()[-1] == "syzygies"), label
+        # a nonzero marked input is homogeneous of its source twist, which
+        # the engine takes as its marker's twist
+        assert all(ring.pack.deg(term_okey(v[0][0])) + parts["twists"][term_pos(v[0][0])] == d
+                   for v, d in zip(parts["marked"] or (), parts["sources"]) if v), label
         merges.clear()
-        ref = _reference_buchberger_terms(ring, twists, vecs, product, known, ideal)
+        ref = _reference_buchberger_terms(ring, twists, vecs, known, ideal)
         assert list(ours) == _moved(ref, below, len(parts["twists"])), label
         assert ours_merges == len(merges), label
         assert list(ours) == _column_reference(ring, parts), label
@@ -694,18 +713,18 @@ def _assert_bounded_runs_cut_the_full_basis(args, label):
     basis, for every d from below the lowest input degree to the highest
     basis degree; returns how many bounds cut strictly inside the basis.
     ``args`` are the arguments of an unbounded ``_buchberger_loop`` run."""
-    ring, twists, vecs, ideal, product, below, _, known = args
+    ring, twists, vecs, ideal, below, _, known = args
 
     def degree(v):
         return ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])]
 
-    full = _finished(ring, twists, vecs, ideal, product, below, None, known)
+    full = _finished(ring, twists, vecs, ideal, below, None, known)
     # no degree at all when every input lies in I times the free module
     degrees = [degree(v) for v in vecs if v] + [degree(g) for g in full] or [0]
     strict = 0
     for d in range(min(degrees) - 1, max(degrees) + 1):
         cut = [g for g in full if degree(g) <= d]
-        got = _finished(ring, twists, vecs, ideal, product, below, d, known)
+        got = _finished(ring, twists, vecs, ideal, below, d, known)
         assert got == cut, (label, d)
         strict += 0 < len(cut) < len(full)
     return strict
@@ -746,10 +765,10 @@ def test_packed_chain_criterion_prunes_as_the_exponent_tuples(monkeypatch, order
     for ring, gens in _drawn_ideals(order, 40, 5):
         vecs = [[(term_key(k, 0), c) for k, c in ring.from_dict(g).terms] for g in gens]
         merges.clear()
-        ours = groebner._buchberger_terms(ring, (0,), vecs, product=True)
+        ours = groebner._buchberger_terms(ring, (0,), vecs)
         ours_merges = len(merges)
         merges.clear()
-        assert list(ours) == _moved(_reference_buchberger_terms(ring, (0,), vecs, True),
+        assert list(ours) == _moved(_reference_buchberger_terms(ring, (0,), vecs),
                                     None, 1), gens
         assert ours_merges == len(merges), gens
 
@@ -789,8 +808,11 @@ def _assert_engines_agree(fast, ring, parts, basis_block=True):
     ctx = ring.pack.ctx
     p = ring.field.p
     assert groebner.compiled_engine(p, ctx) == (fast.buchberger, fast.autoreduce)
-    raw = (p, ctx.n, ctx.fb, *(parts[name] for name in (
-        "twists", "vecs", "ideal", "marked", "sources", "known", "product", "upto")))
+    twists = parts["twists"]
+    if parts["marked"] is not None:  # the markers' twists follow the ambient's
+        twists = (*twists, *parts["sources"])
+    raw = (p, ctx.kind, ctx.n, ctx.fb, twists,
+           *(parts[name] for name in ("vecs", "ideal", "marked", "known", "upto")))
     try:
         want, args, G = _pure_run(ring, parts)
     except OverflowError as exc:
@@ -801,7 +823,7 @@ def _assert_engines_agree(fast, ring, parts, basis_block=True):
         return None
     assert fast.buchberger(*raw) == G
     shift = 0 if parts["marked"] is None else len(parts["twists"])
-    assert fast.autoreduce(p, ctx.n, ctx.fb, G, parts["ideal"], shift) == want
+    assert fast.autoreduce(p, ctx.kind, ctx.n, ctx.fb, G, parts["ideal"], shift) == want
     assert groebner._buchberger_terms(ring, **parts) == want
     if basis_block:
         assert list(want) == _column_reference(ring, parts)
@@ -857,44 +879,68 @@ def _random_homogeneous(rng, ring, twists, d):
     return sorted(terms.items(), reverse=True)
 
 
-def _random_engine_inputs(seed, count):
-    """Rings and raw parts of engine runs over random grevlex rings in 3 to
-    6 variables: ideals under the product criterion, some of degree near
-    the cap of six variables, and eliminations of random module elements,
-    each marked with its lead degree as its source twist."""
+def _random_marked(rng, ring, twists):
+    """Two to four random homogeneous vectors of degree 1 to 3, some
+    possibly zero, and their degrees: the source twists of the marked
+    inputs of an elimination."""
+    vectors, src = [], []
+    for _ in range(rng.randint(2, 4)):
+        src.append(rng.randint(1, 3))
+        vectors.append(_random_homogeneous(rng, ring, twists, src[-1]))
+    return vectors, src
+
+
+def _random_engine_inputs(seed, count, order="grevlex"):
+    """Rings and raw parts of engine runs over random rings in 3 to 6
+    variables: ideals in rank one (under the product criterion), some of
+    degree near the cap of six variables, and eliminations of random
+    module elements, each marked with its degree as its source twist."""
     rng = random.Random(seed)
     for t in range(count):
         n = rng.randint(3, 6)
-        ring = PolyRing(rng.choice((2, 101, 32003, 2147483647)), tuple(f"x{i}" for i in range(n)))
+        ring = PolyRing(rng.choice((2, 101, 32003, 2147483647)), tuple(f"x{i}" for i in range(n)),
+                        order)
         if t % 2 == 0:
             lo = 40 if n == 6 else 2
             vecs = [_random_homogeneous(rng, ring, (0,), rng.randint(lo, lo + 2))
                     for _ in range(rng.randint(2, 4))]
-            yield ring, _parts(twists=(0,), vecs=vecs, product=True)
+            yield ring, _parts(twists=(0,), vecs=vecs)
         else:
             twists = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
-            vectors = [_random_homogeneous(rng, ring, twists, rng.randint(1, 3))
-                       for _ in range(rng.randint(2, 4))]
-            src = [ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])] if v else 0
-                   for v in vectors]
+            vectors, src = _random_marked(rng, ring, twists)
             yield ring, _parts(twists=tuple(twists), vecs=(), marked=vectors, sources=src)
 
 
-def test_compiled_loop_matches_on_random_grevlex_inputs(compiled_kernel):
-    seen = {"overflow": 0, "bounded cut": 0, "eliminations": 0}
+def _bounded_run(fast, ring, parts, full, upto, seen):
+    """``_assert_engines_agree`` on ``parts`` bounded by ``upto``, whose
+    unbounded run gave the unreduced basis ``full``: counts in ``seen``
+    whether the bound cut it and the zero marked inputs the bound keeps and
+    drops."""
+    _, cut = _assert_engines_agree(fast, ring, dict(parts, upto=upto))
+    seen["bounded cut"] += len(cut) < len(full)
+    src = [d for v, d in zip(parts["marked"] or (), parts["sources"]) if not v]
+    seen["zero kept"] += sum(d <= upto for d in src)
+    seen["zero dropped"] += sum(d > upto for d in src)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_compiled_loop_matches_on_random_inputs(compiled_kernel, order):
+    seen = dict.fromkeys(("overflow", "bounded cut", "eliminations", "zero kept",
+                          "zero dropped"), 0)
     rng = random.Random(7)
-    for ring, parts in _random_engine_inputs(31, 120):
+    for ring, parts in _random_engine_inputs(31, 120, order):
         agreed = _assert_engines_agree(compiled_kernel, ring, parts)
         if agreed is None:
             seen["overflow"] += 1
             continue
         seen["eliminations"] += parts["marked"] is not None
-        upto = rng.randint(0, 6)
-        _, cut = _assert_engines_agree(compiled_kernel, ring, dict(parts, upto=upto))
-        seen["bounded cut"] += len(cut) < len(agreed[1])
+        _bounded_run(compiled_kernel, ring, parts, agreed[1], rng.randint(0, 6), seen)
     assert min(seen.values()) >= 3, seen
+    # lex fields stay below their guard bits while the lcm x^130*y^130
+    # passes the cap: both loops compare its degree
     with pytest.raises(OverflowError, match="^total degree 260 exceeds packing cap 255$"):
-        Ideal(PolyRing(32003, ("x", "y")), ["x^130*y + y^131", "x*y^130"]).groebner_basis()
+        Ideal(PolyRing(32003, ("x", "y"), order),
+              ["x^130*y + y^131", "x*y^130"]).groebner_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -943,11 +989,11 @@ def test_known_block_runs_match_the_full_scan_and_cut_by_degree(monkeypatch):
         merges.clear()
         ours, args, _ = _pure_run(ring, parts)
         ours_merges = len(merges)
-        _, twists, vecs, ideal, product, below, _, known = args
+        _, twists, vecs, ideal, below, _, known = args
         # the block, then one marked input per column
         assert len(vecs) == known + len(parts["marked"])
         merges.clear()
-        ref = _reference_buchberger_terms(ring, twists, vecs, product, known, ideal)
+        ref = _reference_buchberger_terms(ring, twists, vecs, known, ideal)
         assert list(ours) == _moved(ref, below, len(parts["twists"]))
         assert ours_merges == len(merges)
         assert list(ours) == _column_reference(ring, parts)
@@ -970,38 +1016,37 @@ def test_compiled_loop_matches_with_a_known_block_on_homology_eliminations(
     assert compared == 135
 
 
-def _random_known_block_inputs(seed, count):
+def _random_known_block_inputs(seed, count, order):
     """``_random_engine_inputs`` with a known block first: some of the
     inputs (an elimination's marked vectors), as they are and as their
     reduced basis, which all the inputs then follow.  Yields the ring, the
     raw parts and whether the block is a reduced basis."""
     rng = random.Random(seed)
-    for ring, parts in _random_engine_inputs(seed, count):
+    for ring, parts in _random_engine_inputs(seed, count, order):
         pool = parts["vecs"] if parts["marked"] is None else parts["marked"]
         some = rng.sample(pool, rng.randint(1, len(pool)))
         try:
-            block = groebner._buchberger_terms(ring, parts["twists"], some,
-                                               product=parts["product"])
+            block = groebner._buchberger_terms(ring, parts["twists"], some)
         except OverflowError:
             continue
         yield ring, dict(parts, known=block), True
         yield ring, dict(parts, known=some), False
 
 
-def test_compiled_loop_matches_with_a_known_block_on_random_grevlex_inputs(compiled_kernel):
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_compiled_loop_matches_with_a_known_block_on_random_inputs(compiled_kernel, order):
     # a block that is not a basis, on which skipping its pairs loses
     # elements, shows that both loops skip the same pairs
-    seen = {"overflow": 0, "bounded cut": 0, "eliminations": 0, "pairs lost": 0}
+    seen = dict.fromkeys(("overflow", "bounded cut", "eliminations", "pairs lost",
+                          "zero kept", "zero dropped"), 0)
     rng = random.Random(11)
-    for ring, parts, reduced in _random_known_block_inputs(37, 120):
+    for ring, parts, reduced in _random_known_block_inputs(37, 120, order):
         agreed = _assert_engines_agree(compiled_kernel, ring, parts)
         if agreed is None:
             seen["overflow"] += 1
             continue
         seen["eliminations"] += parts["marked"] is not None
-        upto = rng.randint(0, 6)
-        _, cut = _assert_engines_agree(compiled_kernel, ring, dict(parts, upto=upto))
-        seen["bounded cut"] += len(cut) < len(agreed[1])
+        _bounded_run(compiled_kernel, ring, parts, agreed[1], rng.randint(0, 6), seen)
         # a known reduced block changes the work, never the reduced basis,
         # which the block entering as unmarked columns gives too
         got = groebner._buchberger_terms(ring, **parts)
@@ -1031,8 +1076,7 @@ def _random_quotient_inputs(seed, count, order="grevlex"):
     """Rings and raw parts of engine runs over random quotients of rings in
     3 or 4 variables by 2 or 3 forms of degree 2 or 3: relation bases in
     rank 1 to 3 and eliminations of random module elements, some with
-    unmarked columns, each marked with its lead degree as its source
-    twist."""
+    unmarked columns, each marked with its degree as its source twist."""
     rng = random.Random(seed)
     for t in range(count):
         n = rng.randint(3, 4)
@@ -1043,14 +1087,10 @@ def _random_quotient_inputs(seed, count, order="grevlex"):
             for d in (rng.randint(2, 3) for _ in range(rng.randint(2, 3)))]
         ideal = QuotientRing(ring, forms).ideal_columns()
         twists = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
-        vectors = [_random_homogeneous(rng, ring, twists, rng.randint(1, 3))
-                   for _ in range(rng.randint(2, 4))]
+        vectors, src = _random_marked(rng, ring, twists)
         if t % 2 == 0:
-            yield ring, _parts(twists=tuple(twists), vecs=vectors, ideal=ideal,
-                               product=len(twists) == 1)
+            yield ring, _parts(twists=tuple(twists), vecs=vectors, ideal=ideal)
         else:
-            src = [ring.pack.deg(term_okey(v[0][0])) + twists[term_pos(v[0][0])] if v else 0
-                   for v in vectors]
             extra = [_random_homogeneous(rng, ring, twists, rng.randint(1, 2))
                      for _ in range(rng.randint(0, 2))]
             yield ring, _parts(twists=tuple(twists), vecs=[v for v in extra if v],
@@ -1070,7 +1110,7 @@ def _ideal_pairs(ring, parts):
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 def test_python_loop_with_an_ideal_matches_the_ideal_columns(monkeypatch, order):
-    # the pure loop, which lex rings always take, on random quotient rings:
+    # the pure loop, under either order, on random quotient rings:
     # the full-scan reference reduces as many S-polynomials to the same
     # basis, which is the one the ideal columns gave, and a bounded run
     # cuts it by degree
@@ -1087,9 +1127,9 @@ def test_python_loop_with_an_ideal_matches_the_ideal_columns(monkeypatch, order)
         merges.clear()
         ours, args, _ = _pure_run(ring, parts)
         ours_merges = len(merges)
-        _, twists, vecs, ideal, product, below, _, known = args
+        _, twists, vecs, ideal, below, _, known = args
         merges.clear()
-        ref = _reference_buchberger_terms(ring, twists, vecs, product, known, ideal)
+        ref = _reference_buchberger_terms(ring, twists, vecs, known, ideal)
         assert list(ours) == _moved(ref, below, len(parts["twists"]))
         assert ours_merges == len(merges)
         monkeypatch.setattr(groebner, "scaled_merge", real_merge)
@@ -1099,21 +1139,20 @@ def test_python_loop_with_an_ideal_matches_the_ideal_columns(monkeypatch, order)
     assert pairs > 100 and strict > 0, (pairs, strict)
 
 
-def test_compiled_loop_matches_with_an_ideal_on_random_grevlex_inputs(compiled_kernel):
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_compiled_loop_matches_with_an_ideal_on_random_inputs(compiled_kernel, order):
     # ideal pairs, reductions by the ideal at every position and in both
     # blocks, and a known reduced block over R, on both kernels
-    seen = {"bounded cut": 0, "eliminations": 0, "known": 0}
+    seen = dict.fromkeys(("bounded cut", "eliminations", "known", "zero kept",
+                          "zero dropped"), 0)
     rng = random.Random(13)
-    for ring, parts in _random_quotient_inputs(43, 60):
+    for ring, parts in _random_quotient_inputs(43, 60, order):
         agreed = _assert_engines_agree(compiled_kernel, ring, parts)
         seen["eliminations"] += parts["marked"] is not None
-        upto = rng.randint(0, 5)
-        _, cut = _assert_engines_agree(compiled_kernel, ring, dict(parts, upto=upto))
-        seen["bounded cut"] += len(cut) < len(agreed[1])
+        _bounded_run(compiled_kernel, ring, parts, agreed[1], rng.randint(0, 5), seen)
         pool = parts["vecs"] if parts["marked"] is None else parts["marked"]
         some = [v for v in rng.sample(pool, rng.randint(1, len(pool))) if v]
-        block = groebner._buchberger_terms(ring, parts["twists"], some, parts["ideal"],
-                                           product=parts["product"])
+        block = groebner._buchberger_terms(ring, parts["twists"], some, parts["ideal"])
         if block:
             _assert_engines_agree(compiled_kernel, ring, dict(parts, known=block))
             seen["known"] += 1
@@ -1145,15 +1184,15 @@ def test_single_term_pairs_are_never_pushed(compiled_kernel):
             _parts(twists=F.twists, vecs=terms, ideal=ideal, marked=binomials,
                    sources=[F.vector_degree(v) for v in binomials]))
     for parts in runs:
-        _, (_, twists, vecs, _, product, _, upto, known), _ = _pure_run(ring, parts)
+        _, (_, twists, vecs, _, _, upto, known), _ = _pure_run(ring, parts)
         pushed = []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(groebner, "heapq", SimpleNamespace(
                 heappush=lambda h, pair: pushed.append(pair) or heapq.heappush(h, pair),
                 heappop=heapq.heappop))
             # the whole basis, above an elimination's flag too
-            G = list(ideal) + groebner._buchberger_loop(ring, twists, vecs, ideal, product,
-                                                        None, upto, known)
+            G = list(ideal) + groebner._buchberger_loop(ring, twists, vecs, ideal, None,
+                                                        upto, known)
         single = [len(g) == 1 for g in G]
         assert pushed and not any(single[i] and single[j] for _, i, j, *_ in pushed)
         # the pairs the rule leaves out: single terms at one position, or a
